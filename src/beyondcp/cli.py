@@ -82,6 +82,13 @@ def _load_json(path: str) -> dict:
         return json.load(handle)
 
 
+def _positive_int(text: str) -> int:
+    value = int(text)
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be a positive integer, got {value}")
+    return value
+
+
 def _common_flags(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--seed", type=int, default=0, help="random seed (BEYONDCP_SEED overrides)")
     parser.add_argument("--format", choices=("json", "csv"), default="json")
@@ -141,7 +148,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("violations", help="demonstrate inequality violations")
     p.add_argument("--epsilon", type=float, required=True)
-    p.add_argument("--pairs", type=int, default=5)
+    p.add_argument("--pairs", type=_positive_int, default=5)
     _common_flags(p)
 
     return parser

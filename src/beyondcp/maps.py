@@ -17,16 +17,16 @@ from .config import DEFAULT_TOL, ToleranceConfig
 from .consistency import ConsistencyVerdict, is_unitary_consistent
 from .operators import (
     Operator,
-    adjoint_action,
+    _reduced_evolution,
     identity,
-    matrix_unit,
-    partial_trace,
     unvec,
     vec,
 )
 from .sampling import axis_grid_states, random_pure_state
 from .subspaces import (
     OperatorSubspace,
+    _operators,
+    _vec_columns,
     check_state_spanned,
     full_operator_space,
     span_from_generators,
@@ -98,12 +98,20 @@ class SubsystemMap:
         return self.domain.tol
 
     def apply(self, a: Operator) -> Operator:
-        coeffs, residual = self.domain.coordinates(a)
-        if residual > self.tol.residual_tol * max(1.0, a.hs_norm()):
+        if a.layout.dims != self.domain.layout.dims:
+            raise ValueError(f"layout mismatch: {a.layout.dims} vs {self.domain.layout.dims}")
+        image = self._apply_columns(vec(a.entries)[:, None])
+        return Operator(self.domain.layout, unvec(image[:, 0], self.dim))
+
+    def _apply_columns(self, cols: np.ndarray) -> np.ndarray:
+        """The map on vectorized operators (columns), refusing any outside the domain."""
+        coeffs, residuals = self.domain._coordinates_of(cols)
+        bound = self.tol.residual_tol * np.maximum(1.0, np.linalg.norm(cols, axis=0))
+        if not np.all(residuals <= bound):
             raise MapDomainError(
-                f"operator lies outside the map's domain (residual {residual:.3e})"
+                f"operator lies outside the map's domain (residual {np.max(residuals):.3e})"
             )
-        return Operator(self.domain.layout, unvec(self.coord_matrix @ coeffs, self.dim))
+        return self.coord_matrix @ coeffs
 
     def linear_operator(self) -> np.ndarray:
         """The map as an (N^2, N^2) matrix on vectorized operators.
@@ -115,10 +123,9 @@ class SubsystemMap:
 
     def is_trace_preserving(self, tol: float | None = None) -> bool:
         tol = self.tol.residual_tol if tol is None else tol
-        for b in self.domain.basis:
-            if abs(self.apply(b).trace() - b.trace()) > tol:
-                return False
-        return True
+        diag = slice(None, None, self.dim + 1)  # the diagonal of a vectorized operator
+        drift = self.coord_matrix[diag].sum(axis=0) - self.domain.basis_matrix()[diag].sum(axis=0)
+        return bool(np.all(np.abs(drift) <= tol))
 
     def is_hermiticity_preserving(self, tol: float | None = None) -> bool:
         tol = self.tol.residual_tol if tol is None else tol
@@ -175,15 +182,13 @@ def derive_map(
         )
     spanned = check_state_spanned(v)
     keep = tuple(i for i in range(v.layout.n_factors) if i != bath_factor)
-    projected = [partial_trace(b, keep) for b in v.basis]
-    domain = span_from_generators(projected, v.tol)
-    p = np.column_stack([domain.coordinates(x)[0] for x in projected])
-    q = np.column_stack(
-        [
-            vec(partial_trace(adjoint_action(u, b, tol=v.tol.residual_tol), keep).entries)
-            for b in v.basis
-        ]
-    )
+    # Generators then basis, each reduced and each evolved-then-reduced.
+    ops = np.hstack([_vec_columns(v.generators, v.layout.total_dim), v.basis_matrix()])
+    reduced = _reduced_evolution(ops, v.layout.dims, keep)
+    evolved = _reduced_evolution(ops, v.layout.dims, keep, u.entries)
+    projected, q = reduced[:, -v.dim :], evolved[:, -v.dim :]
+    domain = span_from_generators(_operators(v.layout.subset(keep), projected), v.tol)
+    p, _ = domain._coordinates_of(projected)
     coord = q @ np.linalg.pinv(p, rcond=v.tol.rank_cut)
     phi = SubsystemMap(
         domain,
@@ -193,14 +198,12 @@ def derive_map(
             f"state-spanned check: {'verified' if spanned else 'not verified'})"
         ),
     )
-    for g in v.generators + v.basis:
-        reduced = partial_trace(g, keep)
-        evolved = partial_trace(adjoint_action(u, g, tol=v.tol.residual_tol), keep)
-        residual = (phi.apply(reduced) - evolved).hs_norm() / max(1.0, g.hs_norm())
-        if residual > v.tol.residual_tol:
-            raise RuntimeError(
-                f"derived map fails its defining relation with residual {residual:.3e}"
-            )
+    mismatch = np.linalg.norm(phi._apply_columns(reduced) - evolved, axis=0)
+    residual = float(np.max(mismatch / np.maximum(1.0, np.linalg.norm(ops, axis=0))))
+    if not (residual <= v.tol.residual_tol):
+        raise RuntimeError(
+            f"derived map fails its defining relation with residual {residual:.3e}"
+        )
     return phi
 
 
@@ -224,13 +227,9 @@ def map_from_kraus(
             f"Kraus list is not trace preserving; ||sum M^dag M - 1|| = {completeness:.3e}"
         )
     domain = full_operator_space(layout, tol)
-    cols = []
-    for b in domain.basis:
-        out = np.zeros((n, n), dtype=complex)
-        for m in kraus:
-            out += m.entries @ b.entries @ m.entries.conj().T
-        cols.append(vec(out))
-    return SubsystemMap(domain, np.column_stack(cols), provenance=f"kraus({len(kraus)})")
+    # vec(M A M^dag) = (conj(M) (x) M) vec A, and the domain basis is the matrix units
+    superop = sum(np.kron(m.entries.conj(), m.entries) for m in kraus)
+    return SubsystemMap(domain, superop @ domain.basis_matrix(), provenance=f"kraus({len(kraus)})")
 
 
 def map_from_action(
@@ -287,11 +286,8 @@ def choi_matrix(phi: SubsystemMap) -> Operator:
             "the Choi matrix is undefined for a map whose domain is a proper "
             "subspace of the operator algebra"
         )
-    c = np.zeros((n * n, n * n), dtype=complex)
-    for i in range(n):
-        for j in range(n):
-            block = phi.apply(matrix_unit(i, j, phi.domain.layout)).entries
-            c[i * n : (i + 1) * n, j * n : (j + 1) * n] = block
+    images = phi.linear_operator().reshape(n, n, n, n)  # [b, a, j, i] = phi(|i><j|)[a, b]
+    c = images.transpose(3, 1, 2, 0).reshape(n * n, n * n)
     return Operator(phi.domain.layout.concat(phi.domain.layout), c)
 
 

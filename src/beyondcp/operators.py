@@ -273,8 +273,7 @@ def partial_trace(a: Operator, keep: Sequence[int] | int) -> Operator:
     The kept factors retain their original order; the trace of the result
     equals the trace of the input.
     """
-    dims = a.layout.dims
-    n = len(dims)
+    n = a.layout.n_factors
     if isinstance(keep, int):
         keep = (keep,)
     keep = tuple(sorted({int(k) for k in keep}))
@@ -282,14 +281,30 @@ def partial_trace(a: Operator, keep: Sequence[int] | int) -> Operator:
         raise ValueError("keep must name at least one factor")
     if any(k < 0 or k >= n for k in keep):
         raise ValueError(f"factor index out of range for {n} factors: {keep}")
-    t = a.entries.reshape(dims + dims)
-    letters = "abcdefghijklmnopqrstuvwxyz"
-    row = "".join(letters[i] for i in range(n))
-    col = "".join(letters[n + j] if j in keep else letters[j] for j in range(n))
-    out = "".join(letters[i] for i in keep) + "".join(letters[n + j] for j in keep)
-    reduced = np.einsum(f"{row}{col}->{out}", t)
+    reduced = _reduced_evolution(vec(a.entries)[:, None], a.layout.dims, keep)
+    m = math.prod(a.layout.dims[k] for k in keep)
+    return Operator(a.layout.subset(keep), unvec(reduced[:, 0], m))
+
+
+def _reduced_evolution(cols: np.ndarray, dims: tuple, keep: tuple, u=None) -> np.ndarray:
+    """vec Tr_{not keep}(U X U^dag) for each column vec X of ``cols`` (N^2, k).
+
+    Without ``u`` (or with one (N, N) unitary) the shape is (m^2, k); a stack
+    ``u`` of shape (f, N, N) gives (f, m^2, k).  Row-major reshaping of vec X
+    gives X^T, and (U X U^dag)^T = conj(U) X^T U^T, so the work stays on X^T.
+    """
+    n = math.prod(dims)
+    xt = cols.T.reshape(cols.shape[1], n, n)
+    if u is not None:
+        u = u if u.ndim == 2 else u[:, None]
+        xt = u.conj() @ xt @ np.swapaxes(u, -1, -2)
+    f = len(dims)  # axis labels: row factor i is i, column factor j is f + j or i if traced
+    col = [f + j if j in keep else j for j in range(f)]
+    out = [*keep, *(f + j for j in keep)]
+    t = xt.reshape(xt.shape[:-2] + dims + dims)
+    reduced = np.einsum(t, [..., *range(f), *col], [..., *out])
     m = math.prod(dims[k] for k in keep)
-    return Operator(a.layout.subset(keep), reduced.reshape(m, m))
+    return np.swapaxes(reduced.reshape(xt.shape[:-2] + (m * m,)), -1, -2)
 
 
 def trace_out(a: Operator, drop: Sequence[int] | int) -> Operator:
@@ -305,7 +320,7 @@ def adjoint_action(u: Operator, a: Operator, tol: float = DEFAULT_TOL.residual_t
     """Unitary conjugation U A U^dag; refuses non-unitary U."""
     _check_same_layout(u, a)
     residual = u.unitarity_residual()
-    if residual > tol:
+    if not (residual <= tol):
         raise ValueError(
             f"adjoint_action requires a unitary operator; ||U^dag U - 1|| = {residual:.3e}"
         )

@@ -74,7 +74,10 @@ def _parse_matrix(obj: list, where: str) -> np.ndarray:
     for r, row in enumerate(obj):
         if len(row) != width:
             raise ValueError(f"{where}: row {r} has length {len(row)}, expected {width}")
-    return np.array([[complex(c[0], c[1]) for c in row] for row in obj], dtype=complex)
+    matrix = np.array([[complex(c[0], c[1]) for c in row] for row in obj], dtype=complex)
+    if not np.all(np.isfinite(matrix)):
+        raise ValueError(f"{where}: entries must be finite numbers")
+    return matrix
 
 
 def _layout_from_doc(doc: dict) -> SpaceLayout:

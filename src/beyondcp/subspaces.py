@@ -17,9 +17,9 @@ from .config import DEFAULT_TOL, ToleranceConfig
 from .operators import (
     Operator,
     SpaceLayout,
+    _reduced_evolution,
     identity,
     matrix_unit,
-    partial_trace,
     tensor,
     unvec,
     vec,
@@ -60,14 +60,19 @@ class OperatorSubspace:
         for op in basis + generators:
             if op.layout.dims != self.layout.dims:
                 raise ValueError("all subspace members must share the subspace layout")
-        if basis:
-            b = self.basis_matrix()
-            gram = b.conj().T @ b
-            if float(np.linalg.norm(gram - np.eye(len(basis)))) > self.tol.residual_tol:
-                raise ValueError("basis is not orthonormal within residual_tol")
-        for g in generators:
-            if not self.contains(g):
-                raise ValueError("a generator lies outside the span of the basis")
+        b = _vec_columns(basis, self.layout.total_dim)
+        b.setflags(write=False)
+        object.__setattr__(self, "_basis_matrix", b)
+        gram = b.conj().T @ b
+        if not (float(np.linalg.norm(gram - np.eye(len(basis)))) <= self.tol.residual_tol):
+            raise ValueError("basis is not orthonormal within residual_tol")
+        if generators is basis:  # an orthonormal basis lies in its own span
+            return
+        g = _vec_columns(generators, self.layout.total_dim)
+        _, residuals = self._coordinates_of(g)
+        bound = self.tol.residual_tol * np.maximum(1.0, np.linalg.norm(g, axis=0))
+        if not np.all(residuals <= bound):
+            raise ValueError("a generator lies outside the span of the basis")
 
     @property
     def dim(self) -> int:
@@ -76,28 +81,22 @@ class OperatorSubspace:
     def basis_matrix(self) -> np.ndarray:
         """Columns are the vectorized basis operators, shape (N^2, dim).
 
-        Cached: the subspace is immutable so the stacked matrix never changes.
+        Built once: the subspace is immutable so the stacked matrix never changes.
         """
-        cached = getattr(self, "_basis_matrix", None)
-        if cached is None:
-            n = self.layout.total_dim
-            if not self.basis:
-                cached = np.zeros((n * n, 0), dtype=complex)
-            else:
-                cached = np.column_stack([vec(b.entries) for b in self.basis])
-            cached.setflags(write=False)
-            object.__setattr__(self, "_basis_matrix", cached)
-        return cached
+        return self._basis_matrix
+
+    def _coordinates_of(self, cols: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Coordinates (dim, k) of vectorized operators and their out-of-span residuals (k,)."""
+        b = self.basis_matrix()
+        coeffs = b.conj().T @ cols
+        return coeffs, np.linalg.norm(cols - b @ coeffs, axis=0)
 
     def coordinates(self, a: Operator) -> tuple[np.ndarray, float]:
         """Coordinates of ``a`` in the basis plus the out-of-span residual."""
         if a.layout.dims != self.layout.dims:
             raise ValueError(f"layout mismatch: {a.layout.dims} vs {self.layout.dims}")
-        v = vec(a.entries)
-        b = self.basis_matrix()
-        coeffs = b.conj().T @ v
-        residual = float(np.linalg.norm(v - b @ coeffs))
-        return coeffs, residual
+        coeffs, residual = self._coordinates_of(vec(a.entries)[:, None])
+        return coeffs[:, 0], float(residual[0])
 
     def project(self, a: Operator) -> Operator:
         coeffs, _ = self.coordinates(a)
@@ -121,6 +120,25 @@ def _numerical_rank(s: np.ndarray, cut: float, floor: float | None = None) -> in
     return int(np.sum(s > cut * scale))
 
 
+def _null_space(a: np.ndarray, cut: float) -> np.ndarray:
+    """Orthonormal columns spanning the null space of ``a``.
+
+    The floor keeps the cutoff meaningful when ``a`` is numerically zero.
+    """
+    _, s, vh = np.linalg.svd(a, full_matrices=True)
+    return vh[_numerical_rank(s, cut, floor=1.0) :].conj().T
+
+
+def _vec_columns(ops, n: int) -> np.ndarray:
+    return np.array([vec(op.entries) for op in ops], dtype=complex).reshape(len(ops), n * n).T
+
+
+def _operators(layout: SpaceLayout, cols: np.ndarray) -> tuple[Operator, ...]:
+    """The operators whose vectorizations are the columns of ``cols``."""
+    n = layout.total_dim
+    return tuple(Operator(layout, unvec(c, n)) for c in cols.T)
+
+
 def span_from_generators(
     generators, tol: ToleranceConfig = DEFAULT_TOL
 ) -> OperatorSubspace:
@@ -132,11 +150,9 @@ def span_from_generators(
     for g in generators[1:]:
         if g.layout.dims != layout.dims:
             raise ValueError("generators must share a single layout")
-    m = np.column_stack([vec(g.entries) for g in generators])
+    m = _vec_columns(generators, layout.total_dim)
     u, s, _ = np.linalg.svd(m, full_matrices=False)
-    r = _numerical_rank(s, tol.rank_cut)
-    n = layout.total_dim
-    basis = tuple(Operator(layout, unvec(u[:, i], n)) for i in range(r))
+    basis = _operators(layout, u[:, : _numerical_rank(s, tol.rank_cut)])
     return OperatorSubspace(layout, basis, generators, tol)
 
 
@@ -161,19 +177,14 @@ def subspace_intersection(v: OperatorSubspace, w: OperatorSubspace) -> OperatorS
     """Intersection via the nullspace of the stacked projector complements."""
     if v.layout.dims != w.layout.dims:
         raise ValueError("subspace_intersection requires matching layouts")
-    n = v.layout.total_dim
-    n2 = n * n
     if v.dim == 0 or w.dim == 0:
         return OperatorSubspace(v.layout, (), (), v.tol)
     bv = v.basis_matrix()
     bw = w.basis_matrix()
-    eye = np.eye(n2, dtype=complex)
+    eye = np.eye(v.layout.total_dim**2, dtype=complex)
     stacked = np.vstack([eye - bv @ bv.conj().T, eye - bw @ bw.conj().T])
-    _, s, vh = np.linalg.svd(stacked)
-    # Vectors with singular value ~0 lie in both spaces; the floor keeps the
-    # cutoff meaningful when the stack itself is numerically zero.
-    r = _numerical_rank(s, v.tol.rank_cut, floor=1.0)
-    basis = tuple(Operator(v.layout, unvec(vh[i].conj(), n)) for i in range(r, n2))
+    # Vectors with singular value ~0 lie in both spaces.
+    basis = _operators(v.layout, _null_space(stacked, v.tol.rank_cut))
     return OperatorSubspace(v.layout, basis, basis, v.tol)
 
 
@@ -191,8 +202,8 @@ def kernel_of_partial_trace(
 ) -> OperatorSubspace:
     """The elements of v whose bath partial trace vanishes.
 
-    Computed as the nullspace of the partial-trace matrix restricted to the
-    subspace coordinates.  The returned basis is orthonormal.
+    Computed as the nullspace of the partial-trace matrix applied to the
+    whole basis stack at once.  The returned basis is orthonormal.
     """
     if v.layout.n_factors < 2:
         raise ValueError("kernel_of_partial_trace needs at least two tensor factors")
@@ -201,13 +212,9 @@ def kernel_of_partial_trace(
     if v.dim == 0:
         return OperatorSubspace(v.layout, (), (), v.tol)
     keep = tuple(i for i in range(v.layout.n_factors) if i != bath_factor)
-    t = np.column_stack([vec(partial_trace(b, keep).entries) for b in v.basis])
-    _, s, vh = np.linalg.svd(t, full_matrices=True)
-    r = _numerical_rank(s, v.tol.rank_cut, floor=1.0)
-    coeff = vh.conj().T[:, r:]  # orthonormal nullspace coordinates
-    bmat = v.basis_matrix() @ coeff
-    n = v.layout.total_dim
-    basis = tuple(Operator(v.layout, unvec(bmat[:, i], n)) for i in range(bmat.shape[1]))
+    b = v.basis_matrix()
+    t = _reduced_evolution(b, v.layout.dims, keep)
+    basis = _operators(v.layout, b @ _null_space(t, v.tol.rank_cut))
     return OperatorSubspace(v.layout, basis, basis, v.tol)
 
 

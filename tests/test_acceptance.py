@@ -54,7 +54,7 @@ from beyondcp.catalog import (
 from beyondcp.operators import PAULI_I, PAULI_X, PAULI_Y, PAULI_Z, SpaceLayout
 from beyondcp.sampling import haar_unitary, random_density
 
-from corpus import kraus_subspace, run_property_trials
+from corpus import kraus_subspace
 
 
 @contextlib.contextmanager
@@ -200,7 +200,6 @@ def test_criterion_6_consistency_suite():
         assert product_gap.mismatch <= 1e-10
 
 
-def test_criterion_7_randomized_property_suite():
+def test_criterion_7_randomized_property_suite(property_trial_failures):
     with criterion("7 randomized property suite, 200 seed-pinned trials"):
-        failures = run_property_trials(200, 20260811)
-        assert failures == []
+        assert property_trial_failures == []

@@ -7,6 +7,7 @@ from beyondcp import (
     UnitaryFamily,
     bell_projector,
     consistent_kernel,
+    derive_map,
     extension_is_consistent,
     full_operator_space,
     identity,
@@ -14,9 +15,11 @@ from beyondcp import (
     is_unitary_consistent,
     kernel_of_partial_trace,
     lie_generator_check,
+    matrix_unit,
     operator,
     partial_trace,
     span_from_generators,
+    subspace_intersection,
     subspace_leq,
     subspace_sum,
     subspaces_equal,
@@ -31,8 +34,6 @@ from beyondcp.catalog import (
     controlled_phase_generator,
     gibbs_subspace,
 )
-from beyondcp.consistency import _ambient_trace_kernel
-from beyondcp.config import DEFAULT_TOL
 from beyondcp.operators import SpaceLayout, adjoint_action
 from beyondcp.sampling import haar_unitary, random_density
 
@@ -88,6 +89,21 @@ def test_consistency_rejects_non_unitary(gibbs_v):
         is_unitary_consistent(gibbs_v, operator(np.diag([1.0, 2.0, 1.0, 1.0]), (2, 2)))
 
 
+def test_nan_unitary_is_rejected_not_consistent(gibbs_v):
+    # NaN compares False with every tolerance, so each check must fail closed
+    entries = np.eye(4, dtype=complex)
+    entries[0, 0] = np.nan
+    u = operator(entries, (2, 2))
+    with pytest.raises(ValueError, match="unitary"):
+        is_unitary_consistent(gibbs_v, u)
+    with pytest.raises(ValueError, match="unitary"):
+        is_family_consistent(gibbs_v, UnitaryFamily((identity((2, 2)), u)))
+    with pytest.raises(ValueError, match="unitary"):
+        adjoint_action(u, gibbs_v.basis[0])
+    with pytest.raises(ValueError, match="unitary"):
+        derive_map(gibbs_v, u)
+
+
 # ---------------------------------------------------------------------------
 # family consistency
 # ---------------------------------------------------------------------------
@@ -110,6 +126,19 @@ def test_family_with_swap_breaks_gibbs(gibbs_v, phase_family):
     assert verdict.worst_residual > 0.5
 
 
+def test_family_residual_matches_per_element_loop(rng, gibbs_v, phase_family):
+    # reference: one partial trace per (member, kernel element), as a loop
+    members = phase_family.members[:4] + (swap_unitary(2), haar_unitary((2, 2), rng))
+    kernel = kernel_of_partial_trace(gibbs_v)
+    loop_worst = max(
+        partial_trace(adjoint_action(u, x), keep=0).hs_norm() for u in members for x in kernel.basis
+    )
+    verdict = is_family_consistent(gibbs_v, UnitaryFamily(members))
+    assert abs(verdict.worst_residual - loop_worst) <= 1e-12
+    x, u = verdict.violating_pair
+    assert abs(partial_trace(adjoint_action(u, x), keep=0).hs_norm() - loop_worst) <= 1e-12
+
+
 def test_consistency_monotone_under_subfamilies(gibbs_v, phase_family):
     # consistency for the family implies consistency for each subfamily
     assert is_family_consistent(gibbs_v, phase_family).consistent
@@ -127,7 +156,7 @@ def test_consistent_kernel_identity_family():
     layout = SpaceLayout((2, 2))
     kernel = consistent_kernel(UnitaryFamily((identity((2, 2)),)), layout)
     assert kernel.dim == 4 * (4 - 1)  # d_S^2 (d_B^2 - 1)
-    assert subspaces_equal(kernel, _ambient_trace_kernel(layout, DEFAULT_TOL, 1))
+    assert subspaces_equal(kernel, kernel_of_partial_trace(full_operator_space(layout)))
 
 
 def test_consistent_kernel_many_random_unitaries_is_trivial(rng):
@@ -164,6 +193,33 @@ def test_consistent_kernel_requires_members():
         consistent_kernel(UnitaryFamily(()), SpaceLayout((2, 2)))
 
 
+def reference_consistent_kernel(family, layout):
+    """The consistent kernel by iterated intersection of conjugated trace kernels."""
+    ambient = kernel_of_partial_trace(full_operator_space(layout))
+    current = ambient
+    for u in family.members:
+        conjugated = span_from_generators([adjoint_action(u.dagger(), b) for b in ambient.basis])
+        current = subspace_intersection(current, conjugated)
+    return current
+
+
+def _containment(v, w):
+    """Largest out-of-span residual of a basis element of v in w."""
+    bv, bw = v.basis_matrix(), w.basis_matrix()
+    return float(np.max(np.linalg.norm(bv - bw @ (bw.conj().T @ bv), axis=0), initial=0.0))
+
+
+@pytest.mark.parametrize("dims, members", [((2, 2), 2), ((2, 4), 4), ((4, 4), 3)])
+def test_consistent_kernel_matches_iterated_intersection(rng, dims, members):
+    layout = SpaceLayout(dims)
+    family = UnitaryFamily(tuple(haar_unitary(dims, rng) for _ in range(members)))
+    kernel = consistent_kernel(family, layout)
+    reference = reference_consistent_kernel(family, layout)
+    assert kernel.dim == reference.dim > 0
+    assert _containment(kernel, reference) <= 1e-10
+    assert _containment(reference, kernel) <= 1e-10
+
+
 # ---------------------------------------------------------------------------
 # transformation space
 # ---------------------------------------------------------------------------
@@ -186,7 +242,7 @@ def test_transformation_space_gibbs_extends(gibbs_v, phase_family):
 def test_transformation_space_identity_family(gibbs_v):
     family = UnitaryFamily((identity((2, 2)),))
     vprime = transformation_space(gibbs_v, family)
-    expected = subspace_sum(gibbs_v, _ambient_trace_kernel(gibbs_v.layout, DEFAULT_TOL, 1))
+    expected = subspace_sum(gibbs_v, kernel_of_partial_trace(full_operator_space(gibbs_v.layout)))
     assert subspaces_equal(vprime, expected)
 
 
@@ -251,6 +307,23 @@ def test_witness_dimension_one_reduces_to_plain_check(gibbs_v, phase_family):
     lifted = witness_extension_consistent(gibbs_v, phase_family, 1)
     assert plain.consistent == lifted.consistent
     assert np.isclose(plain.worst_residual, lifted.worst_residual)
+
+
+def explicit_witness_verdict(v, family, d_w):
+    """Consistency of the explicitly built v (x) B(H_W) under {U (x) 1_W}."""
+    units = [matrix_unit(i, j, (d_w,)) for i in range(d_w) for j in range(d_w)]
+    extended = span_from_generators([tensor(b, e) for b in v.basis for e in units])
+    lifted = UnitaryFamily(tuple(tensor(u, identity((d_w,))) for u in family.members))
+    return is_family_consistent(extended, lifted)
+
+
+@pytest.mark.parametrize("d_w", [2, 3])
+def test_witness_extension_matches_explicit_construction(rng, gibbs_v, phase_family, d_w):
+    haar = UnitaryFamily(tuple(haar_unitary((2, 2), rng) for _ in range(4)))
+    for family, expected in ((phase_family, True), (haar, False)):
+        explicit = explicit_witness_verdict(gibbs_v, family, d_w)
+        factored = witness_extension_consistent(gibbs_v, family, d_w)
+        assert explicit.consistent is factored.consistent is expected
 
 
 def test_witness_extension_rejects_bad_dimension(gibbs_v, phase_family):

@@ -1,6 +1,7 @@
 """Seed-pinned randomized property suite.
 
-The trial bundle lives in ``corpus.run_property_trials``; each trial checks
+The trial bundle lives in ``corpus.run_property_trials`` and runs once per
+session (the ``property_trial_failures`` fixture); each trial checks
 diagram commutation, derivation uniqueness, trace and Hermiticity
 preservation, brute-force agreement on mixtures of state generators, the
 swap-dilation round trip for random maps with spanning positive domains, and
@@ -18,14 +19,13 @@ from beyondcp import (
 from beyondcp.catalog import contractivity_ratio
 from beyondcp.sampling import random_density
 
-from corpus import convex_mixture, random_map_with_spanning_positive_domain, run_property_trials
+from corpus import convex_mixture, random_map_with_spanning_positive_domain
 
-N_TRIALS = 200
 MASTER_SEED = 20260811
 
 
-def test_randomized_property_suite():
-    failures = run_property_trials(N_TRIALS, MASTER_SEED)
+def test_randomized_property_suite(property_trial_failures):
+    failures = property_trial_failures
     assert not failures, f"{len(failures)} failures: {failures[:10]}"
 
 

@@ -1,6 +1,5 @@
 import json
 import math
-from pathlib import Path
 
 import numpy as np
 import pytest
@@ -19,8 +18,6 @@ from beyondcp.serialization import (
     parse_subspace,
     validate_document,
 )
-
-REPO_ROOT = Path(__file__).resolve().parents[1]
 
 
 # ---------------------------------------------------------------------------
@@ -135,12 +132,11 @@ def test_inputs_digest_is_stable():
     assert len(a) == 64
 
 
-def test_shipped_schemas_match_package_schemas():
-    for name in ("operator", "subspace", "map", "report"):
-        shipped = json.loads((REPO_ROOT / "schemas" / f"{name}.json").read_text())
-        from beyondcp.serialization import load_schema
-
-        assert shipped == load_schema(name)
+def test_parse_operator_rejects_non_finite_entries():
+    for bad in (math.nan, math.inf):
+        doc = {"dims": [2], "matrix": [[[1, 0], [0, 0]], [[0, 0], [bad, 0]]]}
+        with pytest.raises(ValueError, match="finite"):
+            parse_operator(doc)
 
 
 # ---------------------------------------------------------------------------
@@ -269,6 +265,23 @@ def test_cli_input_errors_exit_two(capsys, tmp_path):
     capsys.readouterr()
     assert run_cli(["no-such-command"]) == 2
     capsys.readouterr()
+
+
+def test_cli_nan_unitary_entry_exits_two(capsys, tmp_path):
+    from beyondcp.operators import identity
+
+    sub = _write(tmp_path, "sub.json", emit_subspace(gibbs_subspace()))
+    doc = emit_operator(identity((2, 2)))
+    doc["matrix"][0][0] = [math.nan, 0.0]  # written as a bare NaN token
+    nan_u = _write(tmp_path, "nan.json", doc)
+    assert run_cli(["check-consistency", "--subspace", sub, "--unitary", nan_u]) == 2
+    assert capsys.readouterr().out == ""
+
+
+@pytest.mark.parametrize("pairs", ["0", "-3"])
+def test_cli_violations_rejects_empty_sample(capsys, pairs):
+    assert run_cli(["violations", "--epsilon", "0.1", "--pairs", pairs]) == 2
+    assert capsys.readouterr().out == ""
 
 
 def test_cli_csv_format(capsys):
