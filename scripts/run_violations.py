@@ -19,12 +19,13 @@ from beyondcp.catalog import (
     repolarizer,
     uhlmann_check,
 )
+from beyondcp.cli import _positive_int
 
 
 def main() -> None:
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("--epsilons", type=float, nargs="+", default=[0.5, 0.25, 0.1, 0.05])
-    parser.add_argument("--pairs", type=int, default=20)
+    parser.add_argument("--pairs", type=_positive_int, default=20)
     parser.add_argument("--seed", type=int, default=0)
     args = parser.parse_args()
 

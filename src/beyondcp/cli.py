@@ -9,6 +9,7 @@ environment variable BEYONDCP_SEED overrides the flag.
 from __future__ import annotations
 
 import argparse
+import functools
 import io
 import json
 import math
@@ -55,6 +56,7 @@ from .operators import (
 )
 from .serialization import (
     Report,
+    _kraus_operators,
     emit_map,
     emit_operator,
     emit_report,
@@ -96,6 +98,7 @@ def _common_flags(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--tol-residual", type=float, default=DEFAULT_TOL.residual_tol)
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="beyondcp",
@@ -263,14 +266,12 @@ def _cmd_represent(args, tol: ToleranceConfig, seed: int) -> Report:
     if args.method == "kraus":
         if map_doc.get("kind") != "kraus":
             raise ValueError('represent --method kraus requires a map file of kind "kraus"')
-        ops = [
-            parse_operator({"dims": map_doc["dims"], "matrix": m})
-            for m in map_doc["operators"]
-        ]
+        # parse_map has validated the document and built phi from the same operators.
+        ops = _kraus_operators(map_doc)
         report = Report("represent", inputs_digest(payload), seed, tol)
         rep = kraus_dilation(ops, tol)
         report.add("unitary_dilation", True, rep.unitary.unitarity_residual(), bath_dim=rep.bath_dim)
-        residual = map_residual(rep.derived_map(), map_from_kraus(ops, tol))
+        residual = map_residual(rep.derived_map(), phi)
         report.add("derived_map_matches_kraus", residual <= tol.residual_tol, residual)
         report.artifacts["representation"] = emit_representation(rep)
         return report

@@ -66,6 +66,12 @@ class InconsistentPairError(ValueError):
         self.verdict = verdict
 
 
+def _dagger_columns(cols: np.ndarray, n: int) -> np.ndarray:
+    """vec(X^dag) for each column vec(X) of ``cols``."""
+    stack = cols.reshape(n, n, -1, order="F")
+    return stack.transpose(1, 0, 2).conj().reshape(n * n, -1, order="F")
+
+
 @dataclass(frozen=True, eq=False)
 class SubsystemMap:
     """A linear map on a domain subspace, as coordinates-to-vector matrix.
@@ -128,14 +134,14 @@ class SubsystemMap:
         return bool(np.all(np.abs(drift) <= tol))
 
     def is_hermiticity_preserving(self, tol: float | None = None) -> bool:
+        """True iff the domain is dagger-closed and phi(B^dag) = phi(B)^dag on its basis."""
         tol = self.tol.residual_tol if tol is None else tol
-        for b in self.domain.basis:
-            dag = b.dagger()
-            if not self.domain.contains(dag):
-                return False
-            if (self.apply(dag) - self.apply(b).dagger()).hs_norm() > tol:
-                return False
-        return True
+        try:
+            images = self._apply_columns(_dagger_columns(self.domain.basis_matrix(), self.dim))
+        except MapDomainError:
+            return False
+        drift = images - _dagger_columns(self.coord_matrix, self.dim)
+        return bool(np.max(np.linalg.norm(drift, axis=0)) <= tol)  # False on NaN
 
     # Linear combinations are used for analysis (for example Choi linearity);
     # they require the identical stored basis so coordinates line up.
@@ -302,6 +308,8 @@ class CpVerdict:
 
 def is_cp(phi: SubsystemMap) -> CpVerdict:
     """CP iff the (unnormalized) Choi operator is positive within psd_slack."""
+    if not np.all(np.isfinite(phi.coord_matrix)):
+        raise ValueError("is_cp: the map's coordinates must be finite")
     c = choi_matrix(phi)
     hermitian = c.is_hermitian(phi.tol.residual_tol)
     min_eig = c.min_eigenvalue()

@@ -1,13 +1,15 @@
 """JSON serialization of operators, subspaces, maps, and CLI reports.
 
 Complex scalars are encoded as [re, im] pairs; all documents validate against
-the JSON Schemas shipped in ``schemas/``.  Serialization is lossless for the
-float values involved (Python's float repr round-trips), so emitted documents
-parse back bit-exactly.
+the JSON Schemas shipped in ``schemas/``.  Each schema is checked against its
+metaschema and compiled into a validator once per process, on first use.
+Serialization is lossless for the float values involved (Python's float repr
+round-trips), so emitted documents parse back bit-exactly.
 """
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import json
 import math
@@ -40,25 +42,54 @@ __all__ = [
     "validate_document",
 ]
 
-_SCHEMA_CACHE: dict[str, dict] = {}
-
 
 def load_schema(name: str) -> dict:
-    if name not in _SCHEMA_CACHE:
-        text = resources.files("beyondcp").joinpath(f"schemas/{name}.json").read_text()
-        _SCHEMA_CACHE[name] = json.loads(text)
-    return _SCHEMA_CACHE[name]
+    text = resources.files("beyondcp").joinpath(f"schemas/{name}.json").read_text()
+    return json.loads(text)
+
+
+def _inline_refs(node: Any, root: dict, resolving: tuple[str, ...] = ()) -> Any:
+    """A copy of ``node`` with every local ``$ref`` replaced by its target.
+
+    Draft-07 ignores the siblings of ``$ref``, so replacing the whole node by
+    the resolved target accepts exactly the same documents.  Refs outside the
+    schema itself and recursive refs are refused: they have no finite inlining.
+    """
+    if isinstance(node, list):
+        return [_inline_refs(item, root, resolving) for item in node]
+    if not isinstance(node, dict):
+        return node
+    ref = node.get("$ref")
+    if ref is None:
+        return {key: _inline_refs(value, root, resolving) for key, value in node.items()}
+    if not (isinstance(ref, str) and ref.startswith("#")):
+        raise ValueError(f"schema $ref {ref!r} is not local to the schema")
+    if ref in resolving:
+        raise ValueError(f"schema $ref {ref!r} is recursive")
+    target = root
+    for part in ref[1:].split("/")[1:]:
+        target = target[part.replace("~1", "/").replace("~0", "~")]
+    return _inline_refs(target, root, resolving + (ref,))
+
+
+@functools.cache
+def _validator(name: str):
+    """The packaged schema ``name``, checked once and compiled with its refs inlined."""
+    schema = load_schema(name)
+    cls = jsonschema.validators.validator_for(schema)
+    cls.check_schema(schema)
+    return cls(_inline_refs(schema, schema))
 
 
 def validate_document(doc: Any, schema_name: str) -> None:
     """Validate a JSON document, raising ValueError with a JSON pointer path."""
-    try:
-        jsonschema.validate(doc, load_schema(schema_name))
-    except jsonschema.ValidationError as err:
+    # best_match, as jsonschema.validate uses, not the validator's first error.
+    err = jsonschema.exceptions.best_match(_validator(schema_name).iter_errors(doc))
+    if err is not None:
         pointer = "/" + "/".join(str(part) for part in err.absolute_path)
         raise ValueError(
             f"{schema_name} document invalid at {pointer}: {err.message}"
-        ) from None
+        )
 
 
 # -- complex matrix codec -------------------------------------------------------
@@ -187,21 +218,28 @@ def _builtin_map(doc: dict, tol: ToleranceConfig) -> SubsystemMap:
     raise ValueError(f"/name: unknown builtin map {name!r}")
 
 
+def _kraus_operators(doc: dict) -> list[Operator]:
+    """The Kraus operators of a map document already validated as kind "kraus"."""
+    layout = _layout_from_doc(doc)
+    n = layout.total_dim
+    ops = []
+    for i, mat in enumerate(doc["operators"]):
+        arr = _parse_matrix(mat, f"/operators/{i}")
+        if arr.shape != (n, n):
+            raise ValueError(f"/operators/{i}: shape {arr.shape} does not match dims")
+        ops.append(Operator(layout, arr))
+    return ops
+
+
 def parse_map(doc: dict, tol: ToleranceConfig = DEFAULT_TOL) -> SubsystemMap:
     validate_document(doc, "map")
     kind = doc["kind"]
     if kind == "builtin":
         return _builtin_map(doc, tol)
+    if kind == "kraus":
+        return map_from_kraus(_kraus_operators(doc), tol)
     layout = _layout_from_doc(doc)
     n = layout.total_dim
-    if kind == "kraus":
-        ops = []
-        for i, mat in enumerate(doc["operators"]):
-            arr = _parse_matrix(mat, f"/operators/{i}")
-            if arr.shape != (n, n):
-                raise ValueError(f"/operators/{i}: shape {arr.shape} does not match dims")
-            ops.append(Operator(layout, arr))
-        return map_from_kraus(ops, tol)
     basis = []
     for i, mat in enumerate(doc["basis"]):
         arr = _parse_matrix(mat, f"/basis/{i}")
@@ -314,7 +352,7 @@ class Report:
 
 def _artifacts_already_jsonable(artifacts: dict) -> bool:
     try:
-        json.dumps(artifacts)
+        json.dumps(artifacts, allow_nan=False)  # bare NaN/Infinity is not JSON
         return True
     except (TypeError, ValueError):
         return False

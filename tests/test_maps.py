@@ -10,6 +10,7 @@ from beyondcp import (
     PAULI_X,
     PAULI_Y,
     PAULI_Z,
+    SubsystemMap,
     choi_matrix,
     compose,
     derive_map,
@@ -322,3 +323,54 @@ def test_compose_requires_full_domain():
 def test_map_residual_requires_equal_domains():
     with pytest.raises(ValueError):
         map_residual(controlled_phase_map(0.2), identity_map(2))
+
+
+# ---------------------------------------------------------------------------
+# Hermiticity preservation and non-finite maps
+# ---------------------------------------------------------------------------
+
+
+def _hermiticity_preserving_loop(phi, tol):
+    """Reference: the per-basis-element check, one operator at a time."""
+    for b in phi.domain.basis:
+        dag = b.dagger()
+        if not phi.domain.contains(dag):
+            return False
+        if not ((phi.apply(dag) - phi.apply(b).dagger()).hs_norm() <= tol):
+            return False
+    return True
+
+
+def test_hermiticity_preserving_matches_per_basis_loop(rng):
+    raising = span_from_generators([operator(np.array([[0.0, 1.0], [0.0, 0.0]]), (2,))])
+    maps = [
+        identity_map((2,)),
+        transpose_map(),
+        repolarizer(0.1),
+        controlled_phase_map(0.4),
+        1j * identity_map((2,)),
+        transpose_map() + 1e-3j * identity_map((2,)),
+        SubsystemMap(raising, rng.standard_normal((4, 1))),
+    ]
+    for phi in maps:
+        for tol in (1e-9, 1e-2):
+            assert phi.is_hermiticity_preserving(tol) == _hermiticity_preserving_loop(phi, tol)
+    assert [phi.is_hermiticity_preserving() for phi in maps] == [
+        True, True, True, True, False, False, False
+    ]
+
+
+def _identity_map_with_nan():
+    phi = identity_map((2,))
+    coords = np.array(phi.coord_matrix)
+    coords[0, 0] = np.nan
+    return SubsystemMap(phi.domain, coords)
+
+
+def test_non_finite_map_is_not_hermiticity_preserving():
+    assert not _identity_map_with_nan().is_hermiticity_preserving()
+
+
+def test_is_cp_rejects_non_finite_map():
+    with pytest.raises(ValueError, match="finite"):
+        is_cp(_identity_map_with_nan())

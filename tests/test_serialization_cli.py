@@ -1,18 +1,24 @@
 import json
 import math
+from importlib import resources
 
+import jsonschema
 import numpy as np
 import pytest
 
-from beyondcp import PAULI_X, map_residual, operator
+from beyondcp import PAULI_X, map_residual, operator, serialization
 from beyondcp.catalog import depolarizer_kraus, gibbs_subspace, repolarizer
 from beyondcp.cli import run_cli
+from beyondcp.config import DEFAULT_TOL
 from beyondcp.maps import map_from_kraus
 from beyondcp.serialization import (
+    Report,
     emit_map,
     emit_operator,
+    emit_report,
     emit_subspace,
     inputs_digest,
+    load_schema,
     parse_map,
     parse_operator,
     parse_subspace,
@@ -137,6 +143,137 @@ def test_parse_operator_rejects_non_finite_entries():
         doc = {"dims": [2], "matrix": [[[1, 0], [0, 0]], [[0, 0], [bad, 0]]]}
         with pytest.raises(ValueError, match="finite"):
             parse_operator(doc)
+
+
+# ---------------------------------------------------------------------------
+# schema validation against jsonschema.validate as the oracle
+# ---------------------------------------------------------------------------
+
+_I2 = [[[1, 0], [0, 0]], [[0, 0], [1, 0]]]
+
+
+def _valid_report():
+    report = Report("demo", inputs_digest({"x": 1}), 7, DEFAULT_TOL)
+    report.add("alpha", True, 1e-12, note="fine")
+    return report.to_doc()
+
+
+def _malformed_corpus():
+    report = _valid_report()
+    bad_verdict = dict(report["verdicts"][0], passed="yes", extra=1)
+    return [
+        ("operator", {"dims": [2], "matrix": [[[True, 0], [0, 0]], [[0, 0], [1, 0]]]}),
+        ("operator", {"dims": [2], "matrix": [[[1], [0, 0]], [[0, 0], [1, 0]]]}),
+        ("operator", {"dims": [2], "matrix": [[[1, 0, 0], [0, 0]], [[0, 0], [1, 0]]]}),
+        ("operator", {"dims": [2], "matrix": [[["1", 0], [0, 0]], [[0, 0], [1, 0]]]}),
+        ("operator", {"dims": [2], "matrix": [["1+0j", [0, 0]], [[0, 0], [1, 0]]]}),
+        ("operator", {"matrix": _I2}),
+        ("operator", {"dims": [2], "matrix": _I2, "extra": 1}),
+        ("operator", {"dims": [0, "a"], "matrix": [[[True], "x"]], "extra": 1}),
+        ("operator", [1, 2]),
+        ("subspace", {"dims": [2]}),
+        ("subspace", {"dims": [2], "labels": ["s"]}),
+        ("subspace", {"dims": [2], "generators": [[[[False, 0], [0, 0]], [[0, 0], [1, 0]]]]}),
+        ("subspace", {"dims": [2], "basis": [[[[1, 0, 0], [0, 0]], [[0, 0], [1, 0]]]]}),
+        ("subspace", {"generators": [_I2]}),
+        ("subspace", {"dims": [2], "generators": [_I2], "extra": 1}),
+        ("subspace", {"dims": [2], "generators": []}),
+        ("subspace", {"dims": [], "basis": [[[["1", 0]]]], "extra": 1}),
+        ("map", {"kind": "kraus", "dims": [2], "operators": [[[[True, 0], [0, 0]], [[0, 0], [1, 0]]]]}),
+        ("map", {"kind": "kraus", "dims": [2], "operators": [[[[1], [0, 0]], [[0, 0], [1, 0]]]]}),
+        ("map", {"kind": "kraus", "operators": [_I2]}),
+        ("map", {"kind": "matrix", "dims": [2], "basis": [_I2], "coord_matrix": [[["0", 0]]]}),
+        ("map", {"kind": "matrix", "dims": [2], "basis": [_I2], "coord_matrix": [[[1, 0, 0]]]}),
+        ("map", {"kind": "builtin", "name": "identity", "extra": 1}),
+        ("map", {"kind": "builtin", "name": "mystery"}),
+        ("map", {"kind": "mystery"}),
+        ("map", {"name": "identity"}),
+        ("map", {"kind": "kraus", "dims": [0], "operators": [[[[1]]]], "extra": True}),
+        ("report", {k: v for k, v in report.items() if k != "seed"}),
+        ("report", dict(report, extra=1)),
+        ("report", dict(report, seed=True)),
+        ("report", dict(report, inputs_digest="xyz")),
+        ("report", dict(report, tolerances=dict(report["tolerances"], rank_cut=-1.0))),
+        ("report", dict(report, verdicts=[bad_verdict])),
+        ("report", dict(report, command=3, verdicts=[bad_verdict], artifacts=[], extra=1)),
+    ]
+
+
+def _reference_message(doc, name):
+    try:
+        jsonschema.validate(doc, load_schema(name))
+    except jsonschema.ValidationError as err:
+        pointer = "/" + "/".join(str(part) for part in err.absolute_path)
+        return f"{name} document invalid at {pointer}: {err.message}"
+    raise AssertionError(f"corpus {name} document is valid: {doc!r}")
+
+
+@pytest.mark.parametrize("name,doc", _malformed_corpus())
+def test_validate_document_matches_jsonschema_validate(name, doc):
+    expected = _reference_message(doc, name)
+    for _ in range(2):  # the first call compiles the validator, the second reuses it
+        with pytest.raises(ValueError) as info:
+            validate_document(doc, name)
+        assert str(info.value) == expected
+
+
+def test_validate_document_accepts_valid_documents():
+    validate_document({"dims": [2], "labels": ["s"], "matrix": _I2}, "operator")
+    validate_document(emit_subspace(gibbs_subspace()), "subspace")
+    validate_document({"dims": [2], "basis": []}, "subspace")
+    validate_document(emit_map(repolarizer(0.1)), "map")
+    validate_document({"kind": "builtin", "name": "identity", "dim": 3}, "map")
+    validate_document(_valid_report(), "report")
+
+
+def test_packaged_schemas_pass_their_metaschema():
+    names = sorted(
+        entry.name[: -len(".json")]
+        for entry in resources.files("beyondcp").joinpath("schemas").iterdir()
+        if entry.name.endswith(".json")
+    )
+    assert names == ["map", "operator", "report", "subspace"]
+    for name in names:
+        schema = load_schema(name)
+        jsonschema.validators.validator_for(schema).check_schema(schema)
+
+
+def test_each_schema_is_checked_once_per_process(monkeypatch):
+    checked = []
+    original = jsonschema.Draft7Validator.check_schema
+
+    def counting_check(cls, schema, **kwargs):
+        checked.append(schema["$id"])
+        return original(schema, **kwargs)
+
+    monkeypatch.setattr(jsonschema.Draft7Validator, "check_schema", classmethod(counting_check))
+    serialization._validator.cache_clear()
+    try:
+        for _ in range(3):
+            parse_operator({"dims": [2], "matrix": _I2})
+            parse_subspace(emit_subspace(gibbs_subspace()))
+            parse_map({"kind": "builtin", "name": "identity"})
+            emit_report(Report("demo", inputs_digest({}), None, DEFAULT_TOL))
+    finally:
+        serialization._validator.cache_clear()
+    assert sorted(checked) == ["map.json", "operator.json", "report.json", "subspace.json"]
+
+
+def test_inline_refs_refuses_remote_and_recursive_refs():
+    with pytest.raises(ValueError, match="not local"):
+        serialization._inline_refs({"$ref": "other.json#/x"}, {})
+    recursive = {"definitions": {"node": {"items": {"$ref": "#/definitions/node"}}}}
+    with pytest.raises(ValueError, match="recursive"):
+        serialization._inline_refs({"$ref": "#/definitions/node"}, recursive)
+
+
+def test_report_with_non_finite_artifacts_is_strict_json():
+    report = Report("demo", inputs_digest({}), None, DEFAULT_TOL)
+    report.artifacts["value"] = math.nan
+    report.artifacts["bounds"] = [1.0, math.inf]
+    doc = emit_report(report)
+    assert doc["artifacts"] == {"value": "nan", "bounds": [1.0, "inf"]}
+    json.dumps(doc, allow_nan=False)
 
 
 # ---------------------------------------------------------------------------
@@ -310,3 +447,49 @@ def test_cli_catalog_gibbs_and_transpose_and_repolarizer(capsys):
         code, doc = _run(capsys, argv)
         assert code == 0, argv
         assert all(v["passed"] for v in doc["verdicts"]), argv
+
+
+def test_cli_repeated_calls_in_one_process_match_the_first(capsys, tmp_path):
+    from beyondcp.catalog import controlled_phase_unitary
+
+    sub = _write(tmp_path, "sub.json", emit_subspace(gibbs_subspace()))
+    uni = _write(tmp_path, "u.json", emit_operator(controlled_phase_unitary(0.7)))
+    commands = [
+        ["violations", "--epsilon", "0.1", "--pairs", "0"],
+        ["--help"],
+        ["catalog", "witness"],
+        ["violations", "--epsilon", "0.2", "--pairs", "3", "--seed", "5"],
+        ["check-consistency", "--subspace", sub, "--unitary", uni],
+    ]
+
+    def run(argv):
+        code = run_cli(argv)
+        captured = capsys.readouterr()
+        return code, captured.out, captured.err
+
+    first = [run(argv) for argv in commands]
+    assert [code for code, _, _ in first] == [2, 0, 0, 1, 0]
+    for _ in range(2):
+        for argv, expected in reversed(list(zip(commands, first))):
+            assert run(argv) == expected, argv
+
+
+def test_cli_represent_kraus_validates_the_map_once(capsys, tmp_path, monkeypatch):
+    validated = []
+    original = serialization.validate_document
+
+    def recording(doc, schema_name):
+        validated.append(schema_name)
+        return original(doc, schema_name)
+
+    monkeypatch.setattr(serialization, "validate_document", recording)
+    kraus_doc = {
+        "kind": "kraus",
+        "dims": [2],
+        "operators": [emit_operator(k)["matrix"] for k in depolarizer_kraus(0.1)],
+    }
+    kraus = _write(tmp_path, "kraus.json", kraus_doc)
+    code, doc = _run(capsys, ["represent", "--map", kraus, "--method", "kraus"])
+    assert code == 0
+    assert doc["verdicts"][1]["name"] == "derived_map_matches_kraus"
+    assert validated == ["map", "report"]
