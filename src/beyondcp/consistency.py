@@ -18,6 +18,7 @@ from .operators import (
     Operator,
     SpaceLayout,
     _reduced_evolution,
+    _reduced_evolution_matrix,
     adjoint_action,
     identity,
     partial_trace,
@@ -145,8 +146,9 @@ def consistent_kernel(
 
     This is the null space of the stacked constraints [T; T S_1; ...; T S_k],
     where T is the bath-trace matrix on vectorized operators and
-    S = conj(U) (x) U is conjugation by a member.  Adding members can only
-    shrink the result.
+    S = conj(U) (x) U is conjugation by a member.  The rows are built directly
+    from the member stack [1; U_1; ...; U_k] by ``_reduced_evolution_matrix``.
+    Adding members can only shrink the result.
     """
     if not family.members:
         raise ValueError("consistent_kernel requires a nonempty family")
@@ -154,7 +156,7 @@ def consistent_kernel(
     u = _unitary_stack(family.members, layout, tol.residual_tol)
     u = np.concatenate([np.eye(layout.total_dim)[None], u])  # the identity gives T
     keep = _keep_indices(layout, bath_factor)
-    stacked = _reduced_evolution(np.eye(n2, dtype=complex), layout.dims, keep, u)
+    stacked = _reduced_evolution_matrix(layout.dims, keep, u)
     basis = _operators(layout, _null_space(stacked.reshape(-1, n2), tol.rank_cut))
     return OperatorSubspace(layout, basis, basis, tol)
 

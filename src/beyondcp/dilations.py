@@ -161,7 +161,7 @@ def swap_representation(
     rep = Representation(d, swap_unitary(d), v, phi.domain)
     rep.validate()
     residual = map_residual(rep.derived_map(), phi)
-    if residual > tol.residual_tol:
+    if not (residual <= tol.residual_tol):
         raise RuntimeError(
             f"swap representation failed its self-check with residual {residual:.3e}"
         )
@@ -221,7 +221,7 @@ def inverse_representation(rep: Representation, phi: SubsystemMap) -> Representa
     new_rep = Representation(rep.bath_dim, rep.unitary.dagger(), conjugated, phi.domain)
     new_rep.validate()
     residual = map_residual(new_rep.derived_map(), inv_map)
-    if residual > tol.residual_tol:
+    if not (residual <= tol.residual_tol):
         raise RuntimeError(
             f"inverse representation failed its self-check with residual {residual:.3e}"
         )
@@ -252,7 +252,8 @@ def _sampled_physical_domain_check(
             raise RuntimeError("evolved physical state escaped the conjugated subspace")
         image = partial_trace(evolved, keep=(0,))
         reference = phi.apply(partial_trace(joint, keep=(0,)))
-        if (image - reference).hs_norm() > tol.residual_tol * max(1.0, reference.hs_norm()):
+        bound = tol.residual_tol * max(1.0, reference.hs_norm())
+        if not ((image - reference).hs_norm() <= bound):
             raise RuntimeError("physical-domain image check failed")
 
 
@@ -278,7 +279,7 @@ def kraus_dilation(
     k = len(kraus)
     acc = sum(m.entries.conj().T @ m.entries for m in kraus)
     completeness = float(np.linalg.norm(acc - np.eye(d)))
-    if completeness > tol.residual_tol:
+    if not (completeness <= tol.residual_tol):
         raise ValueError(
             f"Kraus list is not trace preserving; ||sum M^dag M - 1|| = {completeness:.3e}"
         )
@@ -303,7 +304,7 @@ def kraus_dilation(
     rep = Representation(k, u, v, full_operator_space((d,), tol))
     rep.validate()
     residual = map_residual(rep.derived_map(), map_from_kraus(kraus, tol))
-    if residual > tol.residual_tol:
+    if not (residual <= tol.residual_tol):
         raise RuntimeError(
             f"Kraus dilation failed its self-check with residual {residual:.3e}"
         )

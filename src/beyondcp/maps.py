@@ -228,7 +228,7 @@ def map_from_kraus(
             raise ValueError("Kraus operators must share one layout")
         acc += m.entries.conj().T @ m.entries
     completeness = float(np.linalg.norm(acc - np.eye(n)))
-    if completeness > tol.residual_tol:
+    if not (completeness <= tol.residual_tol):
         raise ValueError(
             f"Kraus list is not trace preserving; ||sum M^dag M - 1|| = {completeness:.3e}"
         )

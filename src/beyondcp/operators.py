@@ -290,14 +290,15 @@ def _reduced_evolution(cols: np.ndarray, dims: tuple, keep: tuple, u=None) -> np
     """vec Tr_{not keep}(U X U^dag) for each column vec X of ``cols`` (N^2, k).
 
     Without ``u`` (or with one (N, N) unitary) the shape is (m^2, k); a stack
-    ``u`` of shape (f, N, N) gives (f, m^2, k).  Row-major reshaping of vec X
-    gives X^T, and (U X U^dag)^T = conj(U) X^T U^T, so the work stays on X^T.
+    ``u`` of shape (f, N, N) gives (f, m^2, k).  With ``u`` it multiplies
+    ``cols`` by :func:`_reduced_evolution_matrix`.  Without ``u`` the trace
+    works on X^T, the row-major reshape of vec X, and the row-major reshape of
+    Tr(X^T) = Tr(X)^T is vec Tr(X).
     """
+    if u is not None:
+        return _reduced_evolution_matrix(dims, keep, u) @ cols
     n = math.prod(dims)
     xt = cols.T.reshape(cols.shape[1], n, n)
-    if u is not None:
-        u = u if u.ndim == 2 else u[:, None]
-        xt = u.conj() @ xt @ np.swapaxes(u, -1, -2)
     f = len(dims)  # axis labels: row factor i is i, column factor j is f + j or i if traced
     col = [f + j if j in keep else j for j in range(f)]
     out = [*keep, *(f + j for j in keep)]
@@ -305,6 +306,24 @@ def _reduced_evolution(cols: np.ndarray, dims: tuple, keep: tuple, u=None) -> np
     reduced = np.einsum(t, [..., *range(f), *col], [..., *out])
     m = math.prod(dims[k] for k in keep)
     return np.swapaxes(reduced.reshape(xt.shape[:-2] + (m * m,)), -1, -2)
+
+
+def _reduced_evolution_matrix(dims: tuple, keep: tuple, u: np.ndarray) -> np.ndarray:
+    """The matrix of vec X -> vec Tr_{not keep}(U X U^dag), built from U alone.
+
+    Entry [a + m b, k + N l] is sum_t U[(a,t), k] conj(U[(b,t), l]), with a, b
+    over the kept factors and t over the traced ones (Watrous, ch. 2:
+    vec(U X U^dag) = (conj(U) (x) U) vec X).  One (N, N) unitary gives
+    (m^2, N^2); a stack (f, N, N) gives (f, m^2, N^2).
+    """
+    n = math.prod(dims)
+    f = len(dims)  # axis labels: row factor i of U is i, of conj(U) is f + i or i if traced
+    rows = [f + i if i in keep else i for i in range(f)]
+    out = [*(f + i for i in keep), *keep, 2 * f + 1, 2 * f]
+    t = u.reshape(u.shape[:-2] + dims + (n,))
+    mat = np.einsum(t, [..., *range(f), 2 * f], t.conj(), [..., *rows, 2 * f + 1], [..., *out])
+    m = math.prod(dims[k] for k in keep)
+    return mat.reshape(u.shape[:-2] + (m * m, n * n))
 
 
 def trace_out(a: Operator, drop: Sequence[int] | int) -> Operator:
@@ -336,7 +355,7 @@ def gibbs_state(h: Operator, beta: float, tol: float = DEFAULT_TOL.residual_tol)
     if not math.isfinite(beta):
         raise ValueError(f"beta must be finite, got {beta!r}")
     herm_residual = float(np.linalg.norm(h.entries - h.entries.conj().T))
-    if herm_residual > tol:
+    if not (herm_residual <= tol):
         raise ValueError(
             f"gibbs_state requires a Hermitian Hamiltonian; ||H - H^dag|| = {herm_residual:.3e}"
         )

@@ -272,7 +272,7 @@ def _jsonable_number(x: float | None):
         return None
     x = float(x)
     if math.isinf(x):
-        return "inf"
+        return "inf" if x > 0 else "-inf"
     if math.isnan(x):
         return "nan"
     return x
@@ -306,7 +306,7 @@ def _jsonable_details(value):
     if isinstance(value, float):
         return _jsonable_number(value)
     if isinstance(value, complex):
-        return [value.real, value.imag]
+        return [_jsonable_number(value.real), _jsonable_number(value.imag)]
     if isinstance(value, np.integer):
         return int(value)
     if isinstance(value, np.floating):

@@ -221,6 +221,80 @@ def test_consistent_kernel_matches_iterated_intersection(rng, dims, members):
 
 
 # ---------------------------------------------------------------------------
+# bath as the first factor (bath_factor=0)
+# ---------------------------------------------------------------------------
+
+SYSTEM_BATH_DIMS = [(2, 3), (2, 4)]
+
+
+def factor_swap(d_s, d_b):
+    """Permutation P with P|s, b> = |b, s>, from layout (d_s, d_b) to (d_b, d_s)."""
+    p = np.zeros((d_s * d_b, d_s * d_b))
+    for s in range(d_s):
+        for b in range(d_b):
+            p[b * d_s + s, s * d_b + b] = 1.0
+    return p
+
+
+def swapped(a, p):
+    """P a P^dag on the layout with the two factors exchanged."""
+    return operator(p @ a.entries @ p.T, a.layout.dims[::-1])
+
+
+def assert_same_subspace(v, w):
+    assert v.dim == w.dim
+    assert _containment(v, w) <= 1e-10
+    assert _containment(w, v) <= 1e-10
+
+
+@pytest.mark.parametrize("d_s, d_b", SYSTEM_BATH_DIMS)
+def test_consistent_kernel_bath_first_matches_factor_swap(rng, d_s, d_b):
+    p = factor_swap(d_s, d_b)
+    members = tuple(haar_unitary((d_s, d_b), rng) for _ in range(2))
+    kernel = consistent_kernel(UnitaryFamily(members), SpaceLayout((d_s, d_b)))
+    bath_first = consistent_kernel(
+        UnitaryFamily(tuple(swapped(u, p) for u in members)),
+        SpaceLayout((d_b, d_s)),
+        bath_factor=0,
+    )
+    assert kernel.dim > 0
+    assert_same_subspace(
+        bath_first, span_from_generators([swapped(b, p) for b in kernel.basis])
+    )
+
+
+@pytest.mark.parametrize("d_s, d_b", SYSTEM_BATH_DIMS)
+def test_kernel_of_partial_trace_bath_first_matches_factor_swap(rng, d_s, d_b):
+    p = factor_swap(d_s, d_b)
+    gens = [random_density((d_s, d_b), rng) for _ in range(d_s * d_s + 2)]
+    kernel = kernel_of_partial_trace(span_from_generators(gens))
+    bath_first = kernel_of_partial_trace(
+        span_from_generators([swapped(g, p) for g in gens]), bath_factor=0
+    )
+    assert kernel.dim > 0
+    assert_same_subspace(
+        bath_first, span_from_generators([swapped(b, p) for b in kernel.basis])
+    )
+
+
+@pytest.mark.parametrize("d_s, d_b", SYSTEM_BATH_DIMS)
+def test_unitary_consistency_bath_first_matches_factor_swap(rng, d_s, d_b):
+    p = factor_swap(d_s, d_b)
+    rho = random_density(d_s, rng)
+    # one-dimensional trace kernel, rho (x) (rho_b - sigma_b), so the worst
+    # residual does not depend on the choice of kernel basis
+    gens = [tensor(rho, random_density(d_b, rng)) for _ in range(2)]
+    v = span_from_generators(gens)
+    v_first = span_from_generators([swapped(g, p) for g in gens])
+    local = tensor(haar_unitary(d_s, rng), haar_unitary(d_b, rng))
+    for u, consistent in ((local, True), (haar_unitary((d_s, d_b), rng), False)):
+        verdict = is_unitary_consistent(v, u)
+        first = is_unitary_consistent(v_first, swapped(u, p), bath_factor=0)
+        assert verdict.consistent == first.consistent == consistent
+        assert abs(verdict.worst_residual - first.worst_residual) <= 1e-12
+
+
+# ---------------------------------------------------------------------------
 # transformation space
 # ---------------------------------------------------------------------------
 

@@ -254,6 +254,13 @@ def test_kraus_dilation_first_block_column_reproduces_kraus():
         assert np.allclose(block, m.entries, atol=1e-12)
 
 
+def test_kraus_dilation_rejects_non_finite_operator():
+    m = np.eye(2)
+    m[0, 1] = np.nan
+    with pytest.raises(ValueError, match="trace preserving"):
+        kraus_dilation([operator(m, 2)])
+
+
 def test_kraus_dilation_conjugated_subspace_matches_transformed_form():
     """Conjugating the dilation subspace gives span{sum_ij M_i A M_j^dag (x) |i><j|}."""
     kraus = depolarizer_kraus(0.1)

@@ -374,3 +374,10 @@ def test_non_finite_map_is_not_hermiticity_preserving():
 def test_is_cp_rejects_non_finite_map():
     with pytest.raises(ValueError, match="finite"):
         is_cp(_identity_map_with_nan())
+
+
+def test_map_from_kraus_rejects_non_finite_operator():
+    m = np.eye(2)
+    m[0, 1] = np.nan
+    with pytest.raises(ValueError, match="trace preserving"):
+        map_from_kraus([operator(m, 2)])

@@ -1,3 +1,4 @@
+import itertools
 import math
 
 import numpy as np
@@ -22,6 +23,7 @@ from beyondcp import (
     swap_unitary,
     tensor,
 )
+from beyondcp.operators import _reduced_evolution, _reduced_evolution_matrix
 from beyondcp.sampling import haar_unitary, random_density
 
 # ---------------------------------------------------------------------------
@@ -210,6 +212,59 @@ def test_adjoint_rejects_non_unitary():
 
 
 # ---------------------------------------------------------------------------
+# stacked reduced evolution
+# ---------------------------------------------------------------------------
+
+REDUCED_EVOLUTION_CASES = [
+    (dims, keep)
+    for dims in [(2, 2), (2, 4), (3, 2), (2, 3, 2)]
+    for r in range(1, len(dims) + 1)
+    for keep in itertools.combinations(range(len(dims)), r)
+]
+
+
+def reduced_evolution_oracle(cols, dims, keep, u):
+    """Per-column partial_trace(adjoint_action(U, X), keep) for each U of the stack u."""
+    n = math.prod(dims)
+    out = []
+    for member in u:
+        op = operator(member, dims)
+        reduced = [
+            partial_trace(adjoint_action(op, operator(x.reshape((n, n), order="F"), dims)), keep)
+            for x in cols.T
+        ]
+        out.append(np.column_stack([y.entries.reshape(-1, order="F") for y in reduced]))
+    return np.array(out)
+
+
+@pytest.mark.parametrize("dims, keep", REDUCED_EVOLUTION_CASES)
+def test_reduced_evolution_matches_per_column_loop(rng, dims, keep):
+    n = math.prod(dims)
+    cols = rng.standard_normal((n * n, 5)) + 1j * rng.standard_normal((n * n, 5))
+    stack = np.array([haar_unitary(dims, rng).entries for _ in range(3)])
+    expected = reduced_evolution_oracle(cols, dims, keep, stack)
+    single = _reduced_evolution(cols, dims, keep, stack[0])
+    assert single.shape == expected[0].shape
+    assert np.max(np.abs(single - expected[0])) <= 1e-12
+    stacked = _reduced_evolution(cols, dims, keep, stack)
+    assert stacked.shape == expected.shape
+    assert np.max(np.abs(stacked - expected)) <= 1e-12
+
+
+@pytest.mark.parametrize("dims, keep", REDUCED_EVOLUTION_CASES)
+def test_reduced_evolution_matrix_matches_per_column_loop(rng, dims, keep):
+    n = math.prod(dims)
+    eye = np.eye(n * n, dtype=complex)
+    stack = np.array([haar_unitary(dims, rng).entries for _ in range(2)])
+    expected = reduced_evolution_oracle(eye, dims, keep, stack)
+    single = _reduced_evolution_matrix(dims, keep, stack[0]) @ eye
+    assert np.max(np.abs(single - expected[0])) <= 1e-12
+    stacked = _reduced_evolution_matrix(dims, keep, stack) @ eye
+    assert stacked.shape == expected.shape
+    assert np.max(np.abs(stacked - expected)) <= 1e-12
+
+
+# ---------------------------------------------------------------------------
 # gibbs state
 # ---------------------------------------------------------------------------
 
@@ -249,6 +304,13 @@ def test_gibbs_output_is_full_rank_state(rng):
 def test_gibbs_rejects_non_hermitian():
     with pytest.raises(ValueError, match="Hermitian"):
         gibbs_state(operator([[0, 1], [0, 0]], 2), 1.0)
+
+
+def test_gibbs_rejects_non_finite_hamiltonian():
+    h = np.eye(2)
+    h[0, 1] = np.nan
+    with pytest.raises(ValueError, match="Hermitian"):
+        gibbs_state(operator(h, 2), 1.0)
 
 
 # ---------------------------------------------------------------------------

@@ -276,6 +276,42 @@ def test_report_with_non_finite_artifacts_is_strict_json():
     json.dumps(doc, allow_nan=False)
 
 
+def test_report_keeps_the_sign_of_infinities():
+    report = Report("demo", inputs_digest({}), None, DEFAULT_TOL)
+    report.add("gap", False, -math.inf, bounds=[math.inf, -math.inf])
+    report.artifacts["values"] = [1.0, math.inf, -math.inf]
+    doc = emit_report(report)
+    assert doc["verdicts"][0]["residual"] == "-inf"
+    assert doc["verdicts"][0]["details"] == {"bounds": ["inf", "-inf"]}
+    assert doc["artifacts"] == {"values": [1.0, "inf", "-inf"]}
+    json.dumps(doc, allow_nan=False)
+
+
+def test_report_complex_details_are_strict_json():
+    report = Report("demo", inputs_digest({}), None, DEFAULT_TOL)
+    report.add("z", False, 0.5, z=complex(math.nan, 1.5), w=complex(-math.inf, math.inf))
+    report.artifacts["z"] = np.complex128(complex(2.0, math.nan))
+    doc = emit_report(report)
+    assert doc["verdicts"][0]["details"] == {"z": ["nan", 1.5], "w": ["-inf", "inf"]}
+    assert doc["artifacts"] == {"z": [2.0, "nan"]}
+    json.dumps(doc, allow_nan=False)
+
+
+def test_finite_report_text_is_unchanged():
+    report = Report("demo", inputs_digest({"x": 1}), 3, DEFAULT_TOL)
+    report.add("alpha", True, 1.25e-13, z=complex(0.5, -2.0), gap=[0.1, 3])
+    report.artifacts["eigenvalues"] = [complex(1.0, 0.0), -0.25]
+    text = json.dumps(emit_report(report), allow_nan=False, sort_keys=True)
+    assert text == (
+        '{"artifacts": {"eigenvalues": [[1.0, 0.0], -0.25]}, "command": "demo", '
+        f'"inputs_digest": "{inputs_digest({"x": 1})}", "seed": 3, '
+        '"tolerances": {"entropy_support_tol": 1e-12, "psd_slack": 1e-10, '
+        '"rank_cut": 1e-09, "residual_tol": 1e-09}, '
+        '"verdicts": [{"details": {"gap": [0.1, 3], "z": [0.5, -2.0]}, '
+        '"name": "alpha", "passed": true, "residual": 1.25e-13}]}'
+    )
+
+
 # ---------------------------------------------------------------------------
 # CLI
 # ---------------------------------------------------------------------------
