@@ -177,7 +177,7 @@ def transformation_space(
         )
     vhat = consistent_kernel(family, v.layout, v.tol, bath_factor)
     vprime = subspace_sum(v, vhat)
-    from .maps import derive_map  # local import: maps depends on this module
+    from .maps import _derive  # local import: maps depends on this module
 
     keep = _keep_indices(v.layout, bath_factor)
     b = vprime.basis_matrix()  # orthonormal, so residuals need no normalization
@@ -185,7 +185,8 @@ def transformation_space(
     u = _unitary_stack(family.members, v.layout, v.tol.residual_tol)
     evolved = _reduced_evolution(b, v.layout.dims, keep, u)
     for member, lhs in zip(family.members, evolved):
-        rhs = derive_map(v, member, bath_factor=bath_factor)._apply_columns(reduced)
+        # the family verdict above covers every member: no per-member verdict
+        rhs = _derive(v, member, keep, consistent=True).map._apply_columns(reduced)
         residual = float(np.max(np.linalg.norm(lhs - rhs, axis=0), initial=0.0))
         if not (residual <= v.tol.residual_tol):
             raise RuntimeError(

@@ -11,33 +11,34 @@ by conjugating the subspace.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Sequence
 
 import numpy as np
 
 from .config import DEFAULT_TOL, ToleranceConfig
-from .consistency import is_unitary_consistent
+from .consistency import ConsistencyVerdict, is_unitary_consistent
 from .maps import (
     SubsystemMap,
+    _derive,
+    _Derivation,
     derive_map,
     map_from_kraus,
-    map_residual,
     positive_domain_membership,
     sample_positive_domain,
 )
 from .operators import (
     Operator,
     SpaceLayout,
-    _reduced_evolution,
     adjoint_action,
     matrix_unit,
     partial_trace,
     swap_unitary,
     tensor,
-    vec,
 )
 from .subspaces import (
     OperatorSubspace,
+    _vec_columns,
     full_operator_space,
     span_from_generators,
     subspaces_equal,
@@ -58,12 +59,15 @@ __all__ = [
 class Representation:
     """A (bath, unitary, joint subspace) triple claimed to realize a reduced map.
 
-    Construction checks the structural shape (layouts and bath dimension).
-    The semantic invariants, consistency of the subspace with the unitary and
+    Construction checks the structural shape: the unitary and the subspace
+    share one (system, bath) layout whose bath factor has ``bath_dim``.  The
+    semantic invariants, consistency of the subspace with the unitary and
     equality of the reduced subspace with the target domain, are enforced by
     every factory in this module and re-checkable with
     :func:`verify_representation`; the dataclass itself can hold an unverified
-    claim so that externally supplied or perturbed triples can be graded.
+    claim so that externally supplied or perturbed triples can be graded.  The
+    triple is immutable, so its derivation (consistency verdict, reduced
+    stacks, their span, derived map) is computed once, on first use.
     """
 
     bath_dim: int
@@ -75,27 +79,35 @@ class Representation:
         dims = self.subspace.layout.dims
         if self.unitary.layout.dims != dims:
             raise ValueError("unitary and subspace layouts differ")
-        if len(dims) < 2 or dims[1] != self.bath_dim:
+        if len(dims) != 2:
+            raise ValueError(f"layout {dims} is not a (system, bath) layout")
+        if dims[1] != self.bath_dim:
             raise ValueError(
                 f"layout {dims} does not carry a bath factor of dimension {self.bath_dim}"
             )
 
+    @cached_property
+    def _verdict(self) -> ConsistencyVerdict:
+        return is_unitary_consistent(self.subspace, self.unitary)
+
+    @cached_property
+    def _derivation(self) -> _Derivation:
+        return _derive(self.subspace, self.unitary, (0,), self._verdict.consistent)
+
     def derived_map(self) -> SubsystemMap:
-        return derive_map(self.subspace, self.unitary)
+        if self.subspace.dim == 0 or not self._verdict.consistent:
+            return derive_map(self.subspace, self.unitary)  # raises: no map is defined
+        return self._derivation.map
 
     def validate(self) -> None:
         """Raise unless the semantic invariants hold."""
-        verdict = is_unitary_consistent(self.subspace, self.unitary)
+        verdict = self._verdict
         if not verdict.consistent:
             raise ValueError(
                 "the representation subspace is not consistent with its unitary "
                 f"(worst residual {verdict.worst_residual:.3e})"
             )
-        reduced = span_from_generators(
-            [partial_trace(b, keep=(0,)) for b in self.subspace.basis],
-            self.subspace.tol,
-        )
-        if not subspaces_equal(reduced, self.target_domain):
+        if not subspaces_equal(self._derivation.domain, self.target_domain):
             raise ValueError(
                 "the bath partial trace of the subspace does not equal the target domain"
             )
@@ -115,12 +127,14 @@ class RepresentationVerdict:
         return max(self.consistency_residual, self.domain_residual, self.map_residual)
 
 
-def _pairwise_midpoints(states: Sequence[Operator]) -> list[Operator]:
-    mids = []
-    for i in range(len(states)):
-        for j in range(i + 1, len(states)):
-            mids.append((states[i] + states[j]) * 0.5)
-    return mids
+def _self_check(rep: Representation, target: SubsystemMap, name: str) -> Representation:
+    """Return rep if it represents target; a construction that does not is a bug."""
+    check = verify_representation(rep, target)
+    if not check.passed:
+        raise RuntimeError(
+            f"{name} failed its self-check with residual {check.max_residual:.3e}"
+        )
+    return rep
 
 
 def swap_representation(
@@ -154,18 +168,16 @@ def swap_representation(
             "the positive-domain generators do not span the map's domain; "
             "a spanning set is required for this construction"
         )
-    states = omega_gens + _pairwise_midpoints(omega_gens)
-    joint_gens = [tensor(rho, phi.apply(rho)) for rho in states]
-    v = span_from_generators(joint_gens, tol)
     d = phi.dim
-    rep = Representation(d, swap_unitary(d), v, phi.domain)
-    rep.validate()
-    residual = map_residual(rep.derived_map(), phi)
-    if not (residual <= tol.residual_tol):
-        raise RuntimeError(
-            f"swap representation failed its self-check with residual {residual:.3e}"
-        )
-    return rep
+    cols = _vec_columns(omega_gens, d)
+    i, j = np.triu_indices(len(omega_gens), 1)
+    cols = np.hstack([cols, (cols[:, i] + cols[:, j]) * 0.5])  # states, then pairwise midpoints
+    rho, image = (c.reshape(d, d, -1, order="F") for c in (cols, phi._apply_columns(cols)))
+    # rho (x) phi(rho) for every state at once: [(a, c), (b, e)] = rho[a, b] phi(rho)[c, e]
+    joint = np.einsum("abs,ces->sacbe", rho, image).reshape(-1, d * d, d * d)
+    layout = omega_gens[0].layout.concat(phi.domain.layout)
+    v = span_from_generators([Operator(layout, m) for m in joint], tol)
+    return _self_check(Representation(d, swap_unitary(d), v, phi.domain), phi, "swap representation")
 
 
 def restrict_to_physical(phi: SubsystemMap, n: int, seed: int) -> SubsystemMap:
@@ -181,10 +193,9 @@ def restrict_to_physical(phi: SubsystemMap, n: int, seed: int) -> SubsystemMap:
             "cannot restrict the map"
         )
     restricted = span_from_generators(sample.members, phi.tol)
-    cols = [vec(phi.apply(b).entries) for b in restricted.basis]
     return SubsystemMap(
         restricted,
-        np.column_stack(cols),
+        phi._apply_columns(restricted.basis_matrix()),
         provenance=f"restriction to sampled positive domain (span {sample.span_dim})",
     )
 
@@ -219,12 +230,7 @@ def inverse_representation(rep: Representation, phi: SubsystemMap) -> Representa
         tol,
     )
     new_rep = Representation(rep.bath_dim, rep.unitary.dagger(), conjugated, phi.domain)
-    new_rep.validate()
-    residual = map_residual(new_rep.derived_map(), inv_map)
-    if not (residual <= tol.residual_tol):
-        raise RuntimeError(
-            f"inverse representation failed its self-check with residual {residual:.3e}"
-        )
+    _self_check(new_rep, inv_map, "inverse representation")
     _sampled_physical_domain_check(rep, new_rep, phi, tol)
     return new_rep
 
@@ -276,39 +282,18 @@ def kraus_dilation(
     for m in kraus:
         if m.layout.n_factors != 1 or m.dim != d:
             raise ValueError("Kraus operators must act on a single system factor")
+    target = map_from_kraus(kraus, tol)  # refuses a list that is not trace preserving
     k = len(kraus)
-    acc = sum(m.entries.conj().T @ m.entries for m in kraus)
-    completeness = float(np.linalg.norm(acc - np.eye(d)))
-    if not (completeness <= tol.residual_tol):
-        raise ValueError(
-            f"Kraus list is not trace preserving; ||sum M^dag M - 1|| = {completeness:.3e}"
-        )
     n = d * k
-    # Isometry with blocks <i|W|s'> = M_i in the (system, bath) index order
-    # row = s * k + i.
-    w = np.zeros((n, d), dtype=complex)
-    for i, m in enumerate(kraus):
-        w[i::k, :] = m.entries
-    _, _, vh = np.linalg.svd(w.conj().T, full_matrices=True)
-    complement = vh.conj().T[:, d:]
+    w = np.stack([m.entries for m in kraus], axis=1).reshape(n, d)  # isometry, <s,i|W = <s|M_i
     u_mat = np.zeros((n, n), dtype=complex)
     u_mat[:, 0::k] = w
-    rest = [c for c in range(n) if c % k != 0]
-    u_mat[:, rest] = complement
-    layout = SpaceLayout((d, k))
-    u = Operator(layout, u_mat)
+    u_mat[:, np.arange(n) % k != 0] = np.linalg.svd(w.conj().T)[2][d:].conj().T  # completion
+    u = Operator(SpaceLayout((d, k)), u_mat)
+    system = full_operator_space((d,), tol)
     bath_ref = matrix_unit(0, 0, (k,))
-    system_units = full_operator_space((d,), tol)
-    joint_gens = [tensor(b, bath_ref) for b in system_units.basis]
-    v = span_from_generators(joint_gens, tol)
-    rep = Representation(k, u, v, full_operator_space((d,), tol))
-    rep.validate()
-    residual = map_residual(rep.derived_map(), map_from_kraus(kraus, tol))
-    if not (residual <= tol.residual_tol):
-        raise RuntimeError(
-            f"Kraus dilation failed its self-check with residual {residual:.3e}"
-        )
-    return rep
+    v = span_from_generators([tensor(b, bath_ref) for b in system.basis], tol)
+    return _self_check(Representation(k, u, v, system), target, "Kraus dilation")
 
 
 def verify_representation(
@@ -321,25 +306,21 @@ def verify_representation(
     equality of the derived map with the target, reporting each residual.
     """
     tol = phi.tol
-    consistency = is_unitary_consistent(rep.subspace, rep.unitary).worst_residual
-    reduced = span_from_generators(
-        [partial_trace(b, keep=(0,)) for b in rep.subspace.basis], rep.subspace.tol
-    )
-    domain_residual = 0.0
-    for b in reduced.basis:
-        _, r = phi.domain.coordinates(b)
-        domain_residual = max(domain_residual, r)
-    for b in phi.domain.basis:
-        _, r = reduced.coordinates(b)
-        domain_residual = max(domain_residual, r)
+    consistency = rep._verdict.worst_residual
+    derivation = rep._derivation
+    reduced = derivation.domain
+    if reduced.layout.dims != phi.domain.layout.dims:
+        raise ValueError(f"layout mismatch: {reduced.layout.dims} vs {phi.domain.layout.dims}")
+    _, out_of_target = phi.domain._coordinates_of(reduced.basis_matrix())
+    _, out_of_reduced = reduced._coordinates_of(phi.domain.basis_matrix())
+    domain_residual = float(np.max(np.concatenate([out_of_target, out_of_reduced]), initial=0.0))
     # Grade the defining relation against the target directly; this stays
     # finite for perturbed unitaries where the derived map does not exist.
     # The subspace basis is orthonormal, so residuals need no normalization.
-    basis, dims = rep.subspace.basis_matrix(), rep.subspace.layout.dims
-    evolved = _reduced_evolution(basis, dims, (0,), rep.unitary.entries)
+    basis = slice(len(rep.subspace.generators), None)
     try:
-        images = phi._apply_columns(_reduced_evolution(basis, dims, (0,)))
-        residual_map = float(np.max(np.linalg.norm(images - evolved, axis=0), initial=0.0))
+        drift = phi._apply_columns(derivation.reduced[:, basis]) - derivation.evolved[:, basis]
+        residual_map = float(np.max(np.linalg.norm(drift, axis=0), initial=0.0))
     except ValueError:
         residual_map = float("inf")
     if (
@@ -347,8 +328,7 @@ def verify_representation(
         and domain_residual <= tol.residual_tol
         and consistency <= tol.residual_tol
     ):
-        derived = derive_map(rep.subspace, rep.unitary)
-        l1 = derived.linear_operator()
+        l1 = rep.derived_map().linear_operator()
         l2 = phi.linear_operator()
         residual_map = max(
             residual_map,

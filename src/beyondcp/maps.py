@@ -9,7 +9,7 @@ sampling based and its verdicts are explicit about not being proofs.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
 
@@ -186,14 +186,29 @@ def derive_map(
             "the reduced map is not well defined",
             verdict,
         )
-    spanned = check_state_spanned(v)
     keep = tuple(i for i in range(v.layout.n_factors) if i != bath_factor)
-    # Generators then basis, each reduced and each evolved-then-reduced.
+    return _derive(v, u, keep, consistent=True).map
+
+
+class _Derivation(NamedTuple):
+    reduced: np.ndarray  # generators then basis of v, vectorized and bath-reduced
+    evolved: np.ndarray  # the same, conjugated by u before the reduction
+    domain: OperatorSubspace  # span of the reduced basis
+    map: SubsystemMap | None  # the derived map; None unless the pair is consistent
+
+
+def _derive(v: OperatorSubspace, u: Operator, keep: tuple, consistent: bool) -> _Derivation:
+    """derive_map past its consistency verdict, which the caller holds: the reduced
+    stacks and their span for any pair, the checked map only for a consistent one.
+    """
     ops = np.hstack([_vec_columns(v.generators, v.layout.total_dim), v.basis_matrix()])
     reduced = _reduced_evolution(ops, v.layout.dims, keep)
     evolved = _reduced_evolution(ops, v.layout.dims, keep, u.entries)
-    projected, q = reduced[:, -v.dim :], evolved[:, -v.dim :]
+    projected, q = reduced[:, len(v.generators) :], evolved[:, len(v.generators) :]
     domain = span_from_generators(_operators(v.layout.subset(keep), projected), v.tol)
+    if not consistent:
+        return _Derivation(reduced, evolved, domain, None)
+    spanned = check_state_spanned(v)
     p, _ = domain._coordinates_of(projected)
     coord = q @ np.linalg.pinv(p, rcond=v.tol.rank_cut)
     phi = SubsystemMap(
@@ -210,7 +225,7 @@ def derive_map(
         raise RuntimeError(
             f"derived map fails its defining relation with residual {residual:.3e}"
         )
-    return phi
+    return _Derivation(reduced, evolved, domain, phi)
 
 
 def map_from_kraus(

@@ -29,6 +29,7 @@ from beyondcp import (
     witness_extension_consistent,
     witness_factorization_gap,
 )
+from beyondcp import subspaces
 from beyondcp.catalog import (
     controlled_phase_family,
     controlled_phase_generator,
@@ -318,6 +319,13 @@ def test_transformation_space_identity_family(gibbs_v):
     vprime = transformation_space(gibbs_v, family)
     expected = subspace_sum(gibbs_v, kernel_of_partial_trace(full_operator_space(gibbs_v.layout)))
     assert subspaces_equal(vprime, expected)
+
+
+def test_transformation_space_computes_the_trace_kernel_once(gibbs_v, phase_family, count_calls):
+    counts = count_calls((subspaces, "kernel_of_partial_trace"))
+    vprime = transformation_space(gibbs_v, phase_family)
+    assert subspace_leq(gibbs_v, vprime)
+    assert counts["kernel_of_partial_trace"] == 1  # the family verdict's; none per member
 
 
 def test_transformation_space_rejects_inconsistent(gibbs_v):

@@ -9,10 +9,12 @@ from beyondcp import (
     PAULI_X,
     PAULI_Z,
     Representation,
+    derive_map,
     full_operator_space,
     identity,
     identity_map,
     inverse_representation,
+    is_unitary_consistent,
     kraus_dilation,
     map_from_action,
     map_from_kraus,
@@ -27,19 +29,22 @@ from beyondcp import (
     swap_representation,
     swap_unitary,
     symmetric_sector,
+    tensor,
     verify_representation,
 )
+from beyondcp import maps, subspaces
 from beyondcp.catalog import (
     axis_states,
     controlled_phase_kraus,
     depolarizer,
     depolarizer_kraus,
+    gibbs_subspace,
     repolarizer,
     repolarizer_subspace,
     transpose_map,
     transpose_subspace,
 )
-from beyondcp.operators import adjoint_action
+from beyondcp.operators import _reduced_evolution, adjoint_action
 from beyondcp.sampling import random_density
 
 
@@ -342,3 +347,101 @@ def test_representation_validate_rejects_inconsistent_claim():
     claim = Representation(2, swap_unitary(2), gibbs_subspace(), full_operator_space(2))
     with pytest.raises(ValueError, match="consistent"):
         claim.validate()
+
+
+def test_representation_refuses_layouts_other_than_system_bath():
+    # SWAP (x) 1_W on (system, bath, witness) with a full qubit target:
+    # derive_map traces out the bath factor only, while the domain checks trace
+    # out every factor but the system, so the two would grade different maps.
+    u = tensor(swap_unitary(2), identity(2))
+    v = span_from_generators([tensor(rho, identity((2, 2)) / 4) for rho in axis_states()])
+    with pytest.raises(ValueError, match=r"\(system, bath\) layout"):
+        Representation(2, u, v, full_operator_space(2))
+
+
+def test_swap_verify_and_derived_map_compute_each_check_once(count_calls):
+    counts = count_calls(
+        (subspaces, "kernel_of_partial_trace"),
+        (maps, "_derive"),
+        (subspaces, "check_state_spanned"),
+    )
+    phi = repolarizer(0.1)
+    rep = swap_representation(phi, axis_states(radius=0.1))
+    assert verify_representation(rep, phi).passed
+    assert map_residual(rep.derived_map(), phi) <= 1e-10
+    assert counts == {"kernel_of_partial_trace": 1, "_derive": 1, "check_state_spanned": 1}
+
+
+def _unstacked_verify(rep, phi):
+    """verify_representation with per-element coordinates and a fresh derive_map."""
+    tol = phi.tol
+    consistency = is_unitary_consistent(rep.subspace, rep.unitary).worst_residual
+    reduced = span_from_generators(
+        [partial_trace(b, keep=(0,)) for b in rep.subspace.basis], rep.subspace.tol
+    )
+    domain_residual = 0.0
+    for b in reduced.basis:
+        _, r = phi.domain.coordinates(b)
+        domain_residual = max(domain_residual, r)
+    for b in phi.domain.basis:
+        _, r = reduced.coordinates(b)
+        domain_residual = max(domain_residual, r)
+    basis, dims = rep.subspace.basis_matrix(), rep.subspace.layout.dims
+    evolved = _reduced_evolution(basis, dims, (0,), rep.unitary.entries)
+    try:
+        images = phi._apply_columns(_reduced_evolution(basis, dims, (0,)))
+        residual_map = float(np.max(np.linalg.norm(images - evolved, axis=0), initial=0.0))
+    except ValueError:
+        residual_map = float("inf")
+    if max(residual_map, domain_residual, consistency) <= tol.residual_tol:
+        l1 = derive_map(rep.subspace, rep.unitary).linear_operator()
+        l2 = phi.linear_operator()
+        residual_map = max(
+            residual_map, float(np.linalg.norm(l1 - l2) / max(1.0, np.linalg.norm(l2)))
+        )
+    passed = max(consistency, domain_residual, residual_map) <= tol.residual_tol
+    return passed, consistency, domain_residual, residual_map
+
+
+def _perturbed_repolarizer_triple():
+    phi = repolarizer(0.1)
+    rep = swap_representation(phi, axis_states(radius=0.1))
+    h = np.kron(PAULI_Z.entries, PAULI_X.entries)
+    w, vecs = np.linalg.eigh(h)
+    perturbation = (vecs * np.exp(1e-2j * w)) @ vecs.conj().T
+    bad_u = Operator(rep.unitary.layout, rep.unitary.entries @ perturbation)
+    return Representation(rep.bath_dim, bad_u, rep.subspace, rep.target_domain), phi
+
+
+REFERENCE_TRIPLES = {
+    "swap_transpose": lambda: (
+        swap_representation(transpose_map(), axis_states()),
+        transpose_map(),
+    ),
+    "swap_repolarizer": lambda: (
+        swap_representation(repolarizer(0.1), axis_states(radius=0.1)),
+        repolarizer(0.1),
+    ),
+    "swap_identity": lambda: (swap_representation(identity_map(2), axis_states()), identity_map(2)),
+    "kraus_dilation": lambda: (
+        kraus_dilation(depolarizer_kraus(0.1)),
+        map_from_kraus(depolarizer_kraus(0.1)),
+    ),
+    "perturbed_unitary": _perturbed_repolarizer_triple,
+    "wrong_target": lambda: (swap_representation(transpose_map(), axis_states()), identity_map(2)),
+    "inconsistent_claim": lambda: (
+        Representation(2, swap_unitary(2), gibbs_subspace(), full_operator_space(2)),
+        identity_map(2),
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(REFERENCE_TRIPLES))
+def test_verify_representation_matches_unstacked_reference(name):
+    rep, phi = REFERENCE_TRIPLES[name]()
+    passed, *residuals = _unstacked_verify(rep, phi)
+    verdict = verify_representation(rep, phi)
+    assert verdict.passed == passed
+    got = [verdict.consistency_residual, verdict.domain_residual, verdict.map_residual]
+    for g, r in zip(got, residuals):
+        assert g == r or abs(g - r) <= 1e-12
