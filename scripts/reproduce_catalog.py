@@ -37,6 +37,8 @@ def main() -> int:
         buffer = io.StringIO()
         with contextlib.redirect_stdout(buffer):
             code = run_cli(argv)
+        if code == 2:  # an input error: run_cli printed its message and no report
+            return code
         worst = max(worst, code)
         doc = json.loads(buffer.getvalue())
         print(f"== {' '.join(argv)} (exit {code})")

@@ -373,8 +373,26 @@ def _catalog_transpose(args, tol: ToleranceConfig, seed: int, report: Report) ->
     report.artifacts["map"] = emit_map(phi)
 
 
+def _smallest_checkable_epsilon(tol: ToleranceConfig) -> float:
+    """Below this epsilon the repolarizer's swap representation may fail its self-check.
+
+    The self-check's rounding error grows like machine epsilon / epsilon^2 (at
+    most about 3 times that in a sweep of 1500 epsilons up to 3e-3), against
+    residual_tol; the bound keeps a factor of 4 on it.
+    """
+    if not tol.residual_tol > 0:
+        return math.inf
+    return 2.0 * math.sqrt(sys.float_info.epsilon / tol.residual_tol)
+
+
 def _catalog_repolarizer(args, tol: ToleranceConfig, seed: int, report: Report) -> None:
     eps = args.epsilon
+    floor = _smallest_checkable_epsilon(tol)
+    if 0 < eps < floor:
+        raise ValueError(
+            f"--epsilon {eps!r} is below {floor:.3g}, the smallest epsilon whose "
+            f"constructions can be checked at residual tolerance {tol.residual_tol:g}"
+        )
     phi = catalog.repolarizer(eps, tol)
     printed = catalog.repolarizer_subspace(eps, tol)
     rep = swap_representation(phi, catalog.axis_states(radius=eps))

@@ -184,9 +184,9 @@ def transformation_space(
     reduced = _reduced_evolution(b, v.layout.dims, keep)
     u = _unitary_stack(family.members, v.layout, v.tol.residual_tol)
     evolved = _reduced_evolution(b, v.layout.dims, keep, u)
-    for member, lhs in zip(family.members, evolved):
-        # the family verdict above covers every member: no per-member verdict
-        rhs = _derive(v, member, keep, consistent=True).map._apply_columns(reduced)
+    # the family verdict above covers every member: no per-member verdict
+    for lhs, derivation in zip(evolved, _derive(v, family.members, keep, consistent=True)):
+        rhs = derivation.map._apply_columns(reduced)
         residual = float(np.max(np.linalg.norm(lhs - rhs, axis=0), initial=0.0))
         if not (residual <= v.tol.residual_tol):
             raise RuntimeError(

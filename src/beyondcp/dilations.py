@@ -22,17 +22,19 @@ from .maps import (
     SubsystemMap,
     _derive,
     _Derivation,
+    _positive_domain_mask,
+    _stacked,
     derive_map,
     map_from_kraus,
-    positive_domain_membership,
     sample_positive_domain,
 )
 from .operators import (
     Operator,
     SpaceLayout,
+    _reduced_evolution,
+    _vec_stack,
     adjoint_action,
     matrix_unit,
-    partial_trace,
     swap_unitary,
     tensor,
 )
@@ -92,7 +94,7 @@ class Representation:
 
     @cached_property
     def _derivation(self) -> _Derivation:
-        return _derive(self.subspace, self.unitary, (0,), self._verdict.consistent)
+        return _derive(self.subspace, [self.unitary], (0,), self._verdict.consistent)[0]
 
     def derived_map(self) -> SubsystemMap:
         if self.subspace.dim == 0 or not self._verdict.consistent:
@@ -156,12 +158,13 @@ def swap_representation(
         raise ValueError("swap representation requires a Hermiticity-preserving map")
     if not omega_gens:
         raise ValueError("at least one positive-domain generator is required")
-    for w in omega_gens:
-        if not positive_domain_membership(phi, w):
-            raise ValueError(
-                "a supplied generator is not a positive-domain member "
-                "(state in the domain mapped to a state)"
-            )
+    if any(w.layout.dims != phi.domain.layout.dims for w in omega_gens) or not np.all(
+        _positive_domain_mask(phi, _stacked(omega_gens))
+    ):
+        raise ValueError(
+            "a supplied generator is not a positive-domain member "
+            "(state in the domain mapped to a state)"
+        )
     spanned = span_from_generators(omega_gens, tol)
     if not subspaces_equal(spanned, phi.domain):
         raise ValueError(
@@ -241,26 +244,36 @@ def _sampled_physical_domain_check(
     phi: SubsystemMap,
     tol: ToleranceConfig,
     n_samples: int = 8,
-) -> None:
-    """Images of sampled physical-domain states must be covered by the new subspace."""
+) -> tuple[np.ndarray, np.ndarray]:
+    """Images of sampled physical-domain states must be covered by the new subspace.
+
+    The samples are Dirichlet mixtures of the state generators of rep, evolved,
+    tested and mapped as one stack.  Raises at the first sample that escapes
+    the new subspace or whose reduced image differs from phi of its reduced
+    state; returns both residuals of every sample.
+    """
     state_tol = max(tol.residual_tol, tol.psd_slack)
-    state_gens = [g for g in rep.subspace.generators if g.is_density(state_tol)]
+    state_gens = [g.entries for g in rep.subspace.generators if g.is_density(state_tol)]
     if not state_gens:
-        return
+        return np.zeros(0), np.zeros(0)
     rng = np.random.default_rng(20260811)
-    for _ in range(n_samples):
-        weights = rng.dirichlet(np.ones(len(state_gens)))
-        joint = state_gens[0] * weights[0]
-        for w, g in zip(weights[1:], state_gens[1:]):
-            joint = joint + w * g
-        evolved = adjoint_action(rep.unitary, joint, tol=tol.residual_tol)
-        if not new_rep.subspace.contains(evolved):
+    weights = np.array([rng.dirichlet(np.ones(len(state_gens))) for _ in range(n_samples)])
+    joint = np.tensordot(weights, np.array(state_gens), axes=1)
+    u = rep.unitary.entries
+    evolved = _vec_stack(u @ joint @ u.conj().T)[:, :, 0].T  # (N^2, n_samples) columns
+    _, escaped = new_rep.subspace._coordinates_of(evolved)
+    escape_bound = tol.residual_tol * np.maximum(1.0, np.linalg.norm(evolved, axis=0))
+    dims = rep.subspace.layout.dims
+    image = _reduced_evolution(evolved, dims, (0,))
+    reference = phi._apply_columns(_reduced_evolution(_vec_stack(joint)[:, :, 0].T, dims, (0,)))
+    drift = np.linalg.norm(image - reference, axis=0)
+    drift_bound = tol.residual_tol * np.maximum(1.0, np.linalg.norm(reference, axis=0))
+    for inside, close in zip(escaped <= escape_bound, drift <= drift_bound):
+        if not inside:
             raise RuntimeError("evolved physical state escaped the conjugated subspace")
-        image = partial_trace(evolved, keep=(0,))
-        reference = phi.apply(partial_trace(joint, keep=(0,)))
-        bound = tol.residual_tol * max(1.0, reference.hs_norm())
-        if not ((image - reference).hs_norm() <= bound):
+        if not close:
             raise RuntimeError("physical-domain image check failed")
+    return escaped, drift
 
 
 def kraus_dilation(

@@ -9,7 +9,8 @@ sampling based and its verdicts are explicit about not being proofs.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, NamedTuple, Sequence
+from itertools import chain, islice
+from typing import Callable, Iterator, NamedTuple, Sequence
 
 import numpy as np
 
@@ -17,7 +18,10 @@ from .config import DEFAULT_TOL, ToleranceConfig
 from .consistency import ConsistencyVerdict, is_unitary_consistent
 from .operators import (
     Operator,
+    _min_eigenvalues,
     _reduced_evolution,
+    _unvec_stack,
+    _vec_stack,
     identity,
     unvec,
     vec,
@@ -25,6 +29,7 @@ from .operators import (
 from .sampling import axis_grid_states, random_pure_state
 from .subspaces import (
     OperatorSubspace,
+    _dagger_columns,
     _operators,
     _vec_columns,
     check_state_spanned,
@@ -66,12 +71,6 @@ class InconsistentPairError(ValueError):
         self.verdict = verdict
 
 
-def _dagger_columns(cols: np.ndarray, n: int) -> np.ndarray:
-    """vec(X^dag) for each column vec(X) of ``cols``."""
-    stack = cols.reshape(n, n, -1, order="F")
-    return stack.transpose(1, 0, 2).conj().reshape(n * n, -1, order="F")
-
-
 @dataclass(frozen=True, eq=False)
 class SubsystemMap:
     """A linear map on a domain subspace, as coordinates-to-vector matrix.
@@ -109,11 +108,22 @@ class SubsystemMap:
         image = self._apply_columns(vec(a.entries)[:, None])
         return Operator(self.domain.layout, unvec(image[:, 0], self.dim))
 
-    def _apply_columns(self, cols: np.ndarray) -> np.ndarray:
-        """The map on vectorized operators (columns), refusing any outside the domain."""
+    def _coordinates(self, cols: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Domain coordinates and residuals of vectorized operators, as
+        ``OperatorSubspace._coordinates_of`` gives them, and whether each lies in
+        the domain: residual <= residual_tol * max(1, norm).
+        """
         coeffs, residuals = self.domain._coordinates_of(cols)
-        bound = self.tol.residual_tol * np.maximum(1.0, np.linalg.norm(cols, axis=0))
-        if not np.all(residuals <= bound):
+        inside = residuals <= self.tol.residual_tol * np.maximum(
+            1.0, np.linalg.norm(cols, axis=-2)
+        )
+        return coeffs, residuals, inside
+
+    def _apply_columns(self, cols: np.ndarray) -> np.ndarray:
+        """The map on vectorized operators (an (N^2, k) block or a (k, N^2, 1)
+        stack of columns), refusing any outside the domain."""
+        coeffs, residuals, inside = self._coordinates(cols)
+        if not np.all(inside):
             raise MapDomainError(
                 f"operator lies outside the map's domain (residual {np.max(residuals):.3e})"
             )
@@ -187,7 +197,7 @@ def derive_map(
             verdict,
         )
     keep = tuple(i for i in range(v.layout.n_factors) if i != bath_factor)
-    return _derive(v, u, keep, consistent=True).map
+    return _derive(v, [u], keep, consistent=True)[0].map
 
 
 class _Derivation(NamedTuple):
@@ -197,35 +207,41 @@ class _Derivation(NamedTuple):
     map: SubsystemMap | None  # the derived map; None unless the pair is consistent
 
 
-def _derive(v: OperatorSubspace, u: Operator, keep: tuple, consistent: bool) -> _Derivation:
-    """derive_map past its consistency verdict, which the caller holds: the reduced
-    stacks and their span for any pair, the checked map only for a consistent one.
+def _derive(
+    v: OperatorSubspace, unitaries: Sequence[Operator], keep: tuple, consistent: bool
+) -> list[_Derivation]:
+    """derive_map past its consistency verdict, which the caller holds, for each
+    unitary: the reduced stacks and their span for any pair, the checked map only
+    for a consistent one.  What does not depend on the unitary (the reduced
+    stacks, their span, the state-spanned check) is computed once.
     """
     ops = np.hstack([_vec_columns(v.generators, v.layout.total_dim), v.basis_matrix()])
     reduced = _reduced_evolution(ops, v.layout.dims, keep)
-    evolved = _reduced_evolution(ops, v.layout.dims, keep, u.entries)
-    projected, q = reduced[:, len(v.generators) :], evolved[:, len(v.generators) :]
-    domain = span_from_generators(_operators(v.layout.subset(keep), projected), v.tol)
-    if not consistent:
-        return _Derivation(reduced, evolved, domain, None)
-    spanned = check_state_spanned(v)
-    p, _ = domain._coordinates_of(projected)
-    coord = q @ np.linalg.pinv(p, rcond=v.tol.rank_cut)
-    phi = SubsystemMap(
-        domain,
-        coord,
-        provenance=(
+    basis = slice(len(v.generators), None)
+    domain = span_from_generators(_operators(v.layout.subset(keep), reduced[:, basis]), v.tol)
+    if consistent:
+        spanned = check_state_spanned(v)
+        provenance = (
             f"derived from a consistent pair (subspace dim {v.dim}; "
             f"state-spanned check: {'verified' if spanned else 'not verified'})"
-        ),
-    )
-    mismatch = np.linalg.norm(phi._apply_columns(reduced) - evolved, axis=0)
-    residual = float(np.max(mismatch / np.maximum(1.0, np.linalg.norm(ops, axis=0))))
-    if not (residual <= v.tol.residual_tol):
-        raise RuntimeError(
-            f"derived map fails its defining relation with residual {residual:.3e}"
         )
-    return _Derivation(reduced, evolved, domain, phi)
+        p, _ = domain._coordinates_of(reduced[:, basis])
+        p_inv = np.linalg.pinv(p, rcond=v.tol.rank_cut)
+        scale = np.maximum(1.0, np.linalg.norm(ops, axis=0))
+    derivations = []
+    for u in unitaries:
+        evolved = _reduced_evolution(ops, v.layout.dims, keep, u.entries)
+        phi = None
+        if consistent:
+            phi = SubsystemMap(domain, evolved[:, basis] @ p_inv, provenance)
+            mismatch = np.linalg.norm(phi._apply_columns(reduced) - evolved, axis=0)
+            residual = float(np.max(mismatch / scale))
+            if not (residual <= v.tol.residual_tol):
+                raise RuntimeError(
+                    f"derived map fails its defining relation with residual {residual:.3e}"
+                )
+        derivations.append(_Derivation(reduced, evolved, domain, phi))
+    return derivations
 
 
 def map_from_kraus(
@@ -355,19 +371,22 @@ class PositivityScanResult:
         )
 
 
-def _domain_state_candidates(phi: SubsystemMap, n_samples: int, rng: np.random.Generator):
-    """Yield domain states: a deterministic axis grid, then random states.
+def _grid_domain_states(phi: SubsystemMap) -> list[Operator]:
+    """The deterministic axis-grid states that lie in the domain."""
+    full = phi.domain.dim == phi.dim**2
+    return [rho for rho in axis_grid_states(phi.domain.layout) if full or phi.domain.contains(rho)]
+
+
+def _random_domain_states(
+    phi: SubsystemMap, n_samples: int, rng: np.random.Generator
+) -> Iterator[Operator]:
+    """Yield at most ``n_samples`` random domain states, drawn in order from ``rng``.
 
     Random pure states are projected into proper domains and kept only when
-    the projection is again a state.  At most ``n_samples`` candidates are
-    produced beyond the grid.
+    the projection is again a state.
     """
-    n = phi.dim
-    full = phi.domain.dim == n * n
+    full = phi.domain.dim == phi.dim**2
     state_tol = max(phi.tol.residual_tol, phi.tol.psd_slack)
-    for rho in axis_grid_states(phi.domain.layout):
-        if full or phi.domain.contains(rho):
-            yield rho
     produced = 0
     attempts = 0
     budget = 50 * n_samples + 200
@@ -387,6 +406,36 @@ def _domain_state_candidates(phi: SubsystemMap, n_samples: int, rng: np.random.G
         yield rho
 
 
+def _stacked(states: Sequence[Operator]) -> np.ndarray:
+    """The entries of the operators as one (k, N, N) array."""
+    return np.array([rho.entries for rho in states])
+
+
+def _positive_domain_mask(phi: SubsystemMap, states: np.ndarray) -> np.ndarray:
+    """positive_domain_membership of each matrix of a (k, N, N) stack, as a (k,) bool array.
+
+    One containment test (the domain check of the map as well), Hermiticity
+    and trace on the whole stack, then one eigvalsh on the states and one on
+    their images.  Every product is taken per state (see ``_vec_stack``), so
+    a state's verdict does not depend on the rest of the stack.
+    """
+    tol = phi.tol
+    coeffs, _, inside = phi._coordinates(_vec_stack(states))
+    hermitian = np.linalg.norm(states - states.conj().swapaxes(-1, -2), axis=(-2, -1))
+    unit_trace = np.abs(np.trace(states, axis1=-2, axis2=-1) - 1.0)
+    images = _unvec_stack(phi.coord_matrix @ coeffs, phi.dim)
+    return (
+        inside[:, 0]
+        & (hermitian <= tol.residual_tol)
+        & (unit_trace <= tol.residual_tol)
+        & (_min_eigenvalues(states) >= -tol.psd_slack)
+        & (_min_eigenvalues(images) >= -tol.psd_slack)
+    )
+
+
+_SCAN_BLOCK = 64  # random states per stacked test in positivity_scan
+
+
 def positivity_scan(
     phi: SubsystemMap, n_samples: int, seed: int
 ) -> PositivityScanResult:
@@ -394,20 +443,31 @@ def positivity_scan(
 
     Evaluates the map on a deterministic axis grid plus uniformly sampled pure
     states (projected into proper domains), reporting the first state whose
-    image has an eigenvalue below -psd_slack.
+    image has an eigenvalue below -psd_slack.  States are tested in blocks:
+    the grid, then random states, with the draws, the counterexample, the
+    count tested and the eigenvalues of a one-state-at-a-time scan.
     """
     if n_samples <= 0:
         raise ValueError(f"n_samples must be positive, got {n_samples}")
     rng = np.random.default_rng(seed)
+    randoms = _random_domain_states(phi, n_samples, rng)
+    blocks = chain(
+        [_grid_domain_states(phi)], iter(lambda: list(islice(randoms, _SCAN_BLOCK)), [])
+    )
     worst: float | None = None
     tested = 0
-    for rho in _domain_state_candidates(phi, n_samples, rng):
-        tested += 1
-        min_eig = phi.apply(rho).min_eigenvalue()
-        if worst is None or min_eig < worst:
-            worst = min_eig
-        if min_eig < -phi.tol.psd_slack:
-            return PositivityScanResult(True, rho, min_eig, tested)
+    for block in blocks:
+        if not block:
+            continue
+        images = phi._apply_columns(_vec_stack(_stacked(block)))
+        mins = _min_eigenvalues(_unvec_stack(images, phi.dim))
+        violations = np.flatnonzero(mins < -phi.tol.psd_slack)
+        seen = mins[: violations[0] + 1] if violations.size else mins
+        tested += seen.size
+        lowest = float(np.min(seen))
+        worst = lowest if worst is None else min(worst, lowest)
+        if violations.size:
+            return PositivityScanResult(True, block[violations[0]], float(seen[-1]), tested)
     return PositivityScanResult(False, None, worst, tested)
 
 
@@ -415,15 +475,7 @@ def positive_domain_membership(phi: SubsystemMap, rho: Operator) -> bool:
     """True iff rho is a domain state whose image is a state within slack."""
     if rho.layout.dims != phi.domain.layout.dims:
         return False
-    if not phi.domain.contains(rho):
-        return False
-    if not rho.is_hermitian(phi.tol.residual_tol):
-        return False
-    if abs(rho.trace() - 1.0) > phi.tol.residual_tol:
-        return False
-    if rho.min_eigenvalue() < -phi.tol.psd_slack:
-        return False
-    return phi.apply(rho).min_eigenvalue() >= -phi.tol.psd_slack
+    return bool(_positive_domain_mask(phi, rho.entries[None])[0])
 
 
 @dataclass(frozen=True)
@@ -432,6 +484,10 @@ class PositiveDomainSample:
 
     members: tuple[Operator, ...]
     span_dim: int
+
+
+# weights of the maximally mixed state in the retries of a rejected candidate
+_CENTER_WEIGHTS = (0.5, 0.75, 0.9, 0.99, 0.999, 1.0)
 
 
 def sample_positive_domain(
@@ -448,22 +504,34 @@ def sample_positive_domain(
         raise ValueError(f"sample size must be >= 1, got {n}")
     rng = np.random.default_rng(seed)
     nn = phi.dim
-    center = identity(phi.domain.layout) / nn
-    center_ok = phi.domain.contains(center) and positive_domain_membership(phi, center)
+    layout = phi.domain.layout
+    center = identity(layout) / nn
+    center_ok = positive_domain_membership(phi, center)
+    candidates = chain(_grid_domain_states(phi), _random_domain_states(phi, 60 * n + 300, rng))
     members: list[Operator] = []
-    budget = 60 * n + 300
-    for rho in _domain_state_candidates(phi, budget, rng):
-        if len(members) >= n:
+    while len(members) < n:
+        # Each candidate gives at most one member, so a block of the number still
+        # needed holds only candidates that a one-at-a-time loop would also test.
+        block = list(islice(candidates, n - len(members)))
+        if not block:
             break
-        if positive_domain_membership(phi, rho):
-            members.append(rho)
-            continue
-        if center_ok:
-            for t in (0.5, 0.75, 0.9, 0.99, 0.999, 1.0):
-                mixed = (1.0 - t) * rho + t * center
-                if positive_domain_membership(phi, mixed):
-                    members.append(mixed)
-                    break
+        states = _stacked(block)
+        found = [rho if ok else None for rho, ok in zip(block, _positive_domain_mask(phi, states))]
+        retry = [j for j, rho in enumerate(found) if rho is None] if center_ok else []
+        if retry:
+            # (1 - t) rho + t center for every t, with the arithmetic of Operator
+            mixed = np.stack(
+                [
+                    states[retry] * complex(1.0 - t) + center.entries * complex(t)
+                    for t in _CENTER_WEIGHTS
+                ],
+                axis=1,
+            )
+            accepted = _positive_domain_mask(phi, mixed.reshape(-1, nn, nn))
+            for j, row, mixtures in zip(retry, accepted.reshape(mixed.shape[:2]), mixed):
+                if row.any():
+                    found[j] = Operator(layout, mixtures[row.argmax()])
+        members += [rho for rho in found if rho is not None]
     if not members:
         return PositiveDomainSample((), 0)
     m = np.column_stack([vec(r.entries) for r in members])

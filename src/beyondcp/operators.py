@@ -133,8 +133,7 @@ class Operator:
 
     def min_eigenvalue(self) -> float:
         """Smallest eigenvalue of the Hermitian part."""
-        h = (self.entries + self.entries.conj().T) / 2
-        return float(np.linalg.eigvalsh(h)[0])
+        return float(_min_eigenvalues(self.entries))
 
     # -- tolerance-parameterized predicates ---------------------------------
 
@@ -180,6 +179,14 @@ class Operator:
     def __matmul__(self, other: "Operator") -> "Operator":
         _check_same_layout(self, other)
         return Operator(self.layout, self.entries @ other.entries)
+
+
+def _min_eigenvalues(entries: np.ndarray) -> np.ndarray:
+    """Smallest eigenvalue of the Hermitian part of each matrix of an (..., n, n) stack.
+
+    One eigvalsh call; each matrix gets the arithmetic it gets alone.
+    """
+    return np.linalg.eigvalsh((entries + entries.conj().swapaxes(-1, -2)) / 2)[..., 0]
 
 
 def _check_same_layout(a: Operator, b: Operator) -> None:
@@ -257,6 +264,21 @@ def vec(entries: np.ndarray) -> np.ndarray:
 
 def unvec(v: np.ndarray, n: int) -> np.ndarray:
     return np.asarray(v, dtype=complex).reshape((n, n), order="F")
+
+
+def _vec_stack(stack: np.ndarray) -> np.ndarray:
+    """vec of each matrix of a (k, n, n) stack, as a (k, n^2, 1) stack of columns.
+
+    A product with such a stack is one matrix-vector product per column, so a
+    column gets the same arithmetic as when it is the only one.
+    """
+    k, n, _ = stack.shape
+    return stack.swapaxes(-1, -2).reshape(k, n * n, 1)
+
+
+def _unvec_stack(cols: np.ndarray, n: int) -> np.ndarray:
+    """The (k, n, n) matrices of a (k, n^2, 1) stack of vectorized columns."""
+    return cols.reshape(-1, n, n).swapaxes(-1, -2)
 
 
 # -- operations ---------------------------------------------------------------

@@ -86,10 +86,14 @@ class OperatorSubspace:
         return self._basis_matrix
 
     def _coordinates_of(self, cols: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """Coordinates (dim, k) of vectorized operators and their out-of-span residuals (k,)."""
+        """Coordinates of vectorized operators and their out-of-span residuals.
+
+        ``cols`` is an (N^2, k) block, giving (dim, k) and (k,), or a (k, N^2, 1)
+        stack of columns, giving (k, dim, 1) and (k, 1).
+        """
         b = self.basis_matrix()
         coeffs = b.conj().T @ cols
-        return coeffs, np.linalg.norm(cols - b @ coeffs, axis=0)
+        return coeffs, np.linalg.norm(cols - b @ coeffs, axis=-2)
 
     def coordinates(self, a: Operator) -> tuple[np.ndarray, float]:
         """Coordinates of ``a`` in the basis plus the out-of-span residual."""
@@ -127,6 +131,12 @@ def _null_space(a: np.ndarray, cut: float) -> np.ndarray:
     """
     _, s, vh = np.linalg.svd(a, full_matrices=True)
     return vh[_numerical_rank(s, cut, floor=1.0) :].conj().T
+
+
+def _dagger_columns(cols: np.ndarray, n: int) -> np.ndarray:
+    """vec(X^dag) for each column vec(X) of ``cols``."""
+    stack = cols.reshape(n, n, -1, order="F")
+    return stack.transpose(1, 0, 2).conj().reshape(n * n, -1, order="F")
 
 
 def _vec_columns(ops, n: int) -> np.ndarray:
@@ -248,10 +258,11 @@ def check_state_spanned(
     Hermitian perturbations of that element stay positive).  ``False`` means
     "not verified", not "disproved".
     """
-    for b in v.basis:
-        if not v.contains(b.dagger()):
-            return False
     if v.dim == 0:
+        return False
+    # The basis is orthonormal, so each residual bound is residual_tol itself.
+    _, residuals = v._coordinates_of(_dagger_columns(v.basis_matrix(), v.layout.total_dim))
+    if not np.all(residuals <= v.tol.residual_tol):
         return False
     ident = identity(v.layout)
     if v.contains(ident):

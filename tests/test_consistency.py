@@ -29,7 +29,7 @@ from beyondcp import (
     witness_extension_consistent,
     witness_factorization_gap,
 )
-from beyondcp import subspaces
+from beyondcp import maps, subspaces
 from beyondcp.catalog import (
     controlled_phase_family,
     controlled_phase_generator,
@@ -326,6 +326,29 @@ def test_transformation_space_computes_the_trace_kernel_once(gibbs_v, phase_fami
     vprime = transformation_space(gibbs_v, phase_family)
     assert subspace_leq(gibbs_v, vprime)
     assert counts["kernel_of_partial_trace"] == 1  # the family verdict's; none per member
+
+
+def test_transformation_space_derives_what_no_member_changes_once(
+    gibbs_v, phase_family, count_calls
+):
+    counts = count_calls(
+        (subspaces, "check_state_spanned"), (subspaces, "span_from_generators")
+    )
+    vprime = transformation_space(gibbs_v, phase_family)
+    assert counts["check_state_spanned"] == 1
+    assert counts["span_from_generators"] == 2  # v + v-hat, and the reduced basis of v
+    expected = subspace_sum(gibbs_v, consistent_kernel(phase_family, gibbs_v.layout))
+    assert np.array_equal(vprime.basis_matrix(), expected.basis_matrix())
+
+
+def test_shared_derivation_gives_each_member_its_own_derived_map(gibbs_v, phase_family):
+    # the maps behind the transformation-space self-check, bit for bit
+    derivations = maps._derive(gibbs_v, phase_family.members, (0,), consistent=True)
+    assert len(derivations) == len(phase_family.members)
+    for derivation, u in zip(derivations, phase_family.members):
+        alone = derive_map(gibbs_v, u)
+        assert np.array_equal(derivation.map.coord_matrix, alone.coord_matrix)
+        assert derivation.map.provenance == alone.provenance
 
 
 def test_transformation_space_rejects_inconsistent(gibbs_v):

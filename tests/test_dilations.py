@@ -32,7 +32,7 @@ from beyondcp import (
     tensor,
     verify_representation,
 )
-from beyondcp import maps, subspaces
+from beyondcp import dilations, maps, subspaces
 from beyondcp.catalog import (
     axis_states,
     controlled_phase_kraus,
@@ -445,3 +445,71 @@ def test_verify_representation_matches_unstacked_reference(name):
     got = [verdict.consistency_residual, verdict.domain_residual, verdict.map_residual]
     for g, r in zip(got, residuals):
         assert g == r or abs(g - r) <= 1e-12
+
+
+# ---------------------------------------------------------------------------
+# sampled physical-domain check of the inverse representation
+# ---------------------------------------------------------------------------
+
+
+def reference_physical_domain_check(rep, new_rep, phi, tol, n_samples=8):
+    """The per-sample loop that the stacked check replaced; returns its residuals."""
+    state_tol = max(tol.residual_tol, tol.psd_slack)
+    state_gens = [g for g in rep.subspace.generators if g.is_density(state_tol)]
+    escaped, drift = [], []
+    if not state_gens:
+        return escaped, drift
+    rng = np.random.default_rng(20260811)
+    for _ in range(n_samples):
+        weights = rng.dirichlet(np.ones(len(state_gens)))
+        joint = state_gens[0] * weights[0]
+        for w, g in zip(weights[1:], state_gens[1:]):
+            joint = joint + w * g
+        evolved = adjoint_action(rep.unitary, joint, tol=tol.residual_tol)
+        escaped.append(new_rep.subspace.coordinates(evolved)[1])
+        if not new_rep.subspace.contains(evolved):
+            raise RuntimeError("evolved physical state escaped the conjugated subspace")
+        image = partial_trace(evolved, keep=(0,))
+        reference = phi.apply(partial_trace(joint, keep=(0,)))
+        bound = tol.residual_tol * max(1.0, reference.hs_norm())
+        drift.append((image - reference).hs_norm())
+        if not ((image - reference).hs_norm() <= bound):
+            raise RuntimeError("physical-domain image check failed")
+    return escaped, drift
+
+
+def _inverse_cases():
+    repo = repolarizer(0.1)
+    repo_rep = swap_representation(repo, axis_states(radius=0.1))
+    transpose = transpose_map()
+    transpose_rep = swap_representation(transpose, axis_states())
+    kraus_rep = kraus_dilation(depolarizer_kraus(0.1))
+    depo = map_from_kraus(depolarizer_kraus(0.1))
+    return {
+        "repolarizer": (repo_rep, inverse_representation(repo_rep, repo), repo),
+        "transpose": (transpose_rep, inverse_representation(transpose_rep, transpose), transpose),
+        "kraus": (kraus_rep, inverse_representation(kraus_rep, depo), depo),
+    }
+
+
+@pytest.mark.parametrize("name", ["repolarizer", "transpose", "kraus"])
+def test_stacked_physical_domain_check_matches_per_sample_loop(name):
+    rep, new_rep, phi = _inverse_cases()[name]
+    escaped, drift = dilations._sampled_physical_domain_check(rep, new_rep, phi, phi.tol)
+    want_escaped, want_drift = reference_physical_domain_check(rep, new_rep, phi, phi.tol)
+    assert len(escaped) == len(want_escaped) == 8
+    assert np.allclose(escaped, want_escaped, rtol=0.0, atol=1e-12)
+    assert np.allclose(drift, want_drift, rtol=0.0, atol=1e-12)
+
+
+def test_stacked_physical_domain_check_raises_where_the_loop_raises():
+    rep, new_rep, phi = _inverse_cases()["repolarizer"]
+    cases = [
+        ((rep, rep, phi), "escaped the conjugated subspace"),  # not conjugated
+        ((rep, new_rep, identity_map(2)), "image check failed"),  # the wrong map
+    ]
+    for args, message in cases:
+        with pytest.raises(RuntimeError, match=message):
+            reference_physical_domain_check(*args, phi.tol)
+        with pytest.raises(RuntimeError, match=message):
+            dilations._sampled_physical_domain_check(*args, phi.tol)

@@ -29,3 +29,11 @@ def test_run_violations_rejects_empty_sample(pairs):
     assert result.stdout == ""
     assert "argument --pairs: must be a positive integer" in result.stderr
     assert "Traceback" not in result.stderr
+
+
+def test_reproduce_catalog_stops_with_the_cli_input_error():
+    result = _run_script("reproduce_catalog.py", "--epsilon", "0")
+    assert result.returncode == 2
+    assert "error: epsilon must lie in (0, 1], got 0.0" in result.stderr
+    assert "Traceback" not in result.stderr
+    assert "repolarizer" not in result.stdout  # no summary of a report that was not written

@@ -1,5 +1,6 @@
 import json
 import math
+import warnings
 from importlib import resources
 
 import jsonschema
@@ -8,7 +9,7 @@ import pytest
 
 from beyondcp import PAULI_X, map_residual, operator, serialization
 from beyondcp.catalog import depolarizer_kraus, gibbs_subspace, repolarizer
-from beyondcp.cli import run_cli
+from beyondcp.cli import _smallest_checkable_epsilon, run_cli
 from beyondcp.config import DEFAULT_TOL
 from beyondcp.maps import map_from_kraus
 from beyondcp.serialization import (
@@ -483,6 +484,26 @@ def test_cli_catalog_gibbs_and_transpose_and_repolarizer(capsys):
         code, doc = _run(capsys, argv)
         assert code == 0, argv
         assert all(v["passed"] for v in doc["verdicts"]), argv
+
+
+@pytest.mark.parametrize("epsilon", ["3e-4", "1e-7", "1e-300"])
+def test_cli_catalog_repolarizer_refuses_an_uncheckable_epsilon(capsys, epsilon):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # no RuntimeWarning on the way to the refusal
+        code = run_cli(["catalog", "repolarizer", "--epsilon", epsilon])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert f"--epsilon {float(epsilon)!r} is below 0.000942" in captured.err
+
+
+def test_cli_catalog_repolarizer_passes_from_its_epsilon_bound_up(capsys):
+    bound = _smallest_checkable_epsilon(DEFAULT_TOL)
+    assert 4.7e-4 < bound < 1e-3
+    for epsilon in np.geomspace(bound, 1e-3, 12):
+        code, doc = _run(capsys, ["catalog", "repolarizer", "--epsilon", repr(float(epsilon))])
+        assert code == 0, epsilon
+        assert all(v["passed"] for v in doc["verdicts"]), epsilon
 
 
 def test_cli_repeated_calls_in_one_process_match_the_first(capsys, tmp_path):
