@@ -25,11 +25,11 @@ from .operators import (
     schatten_distance,
     swap_unitary,
     tensor,
+    unvec,
 )
 from .subspaces import (
     OperatorSubspace,
     _null_space,
-    _operators,
     kernel_of_partial_trace,
     span_from_generators,
     subspace_sum,
@@ -111,7 +111,8 @@ def _family_verdict(v: OperatorSubspace, members, bath_factor: int) -> Consisten
     residuals = np.linalg.norm(evolved, axis=1)  # (members, kernel elements)
     member, element = np.unravel_index(np.argmax(residuals), residuals.shape)
     worst = float(residuals[member, element])  # argmax stops at the first NaN
-    pair = (kernel.basis[element], members[member])
+    x = unvec(kernel.basis_matrix()[:, element], v.layout.total_dim)
+    pair = (Operator(v.layout, x), members[member])
     return ConsistencyVerdict(worst <= v.tol.residual_tol, worst, pair)
 
 
@@ -157,8 +158,7 @@ def consistent_kernel(
     u = np.concatenate([np.eye(layout.total_dim)[None], u])  # the identity gives T
     keep = _keep_indices(layout, bath_factor)
     stacked = _reduced_evolution_matrix(layout.dims, keep, u)
-    basis = _operators(layout, _null_space(stacked.reshape(-1, n2), tol.rank_cut))
-    return OperatorSubspace(layout, basis, basis, tol)
+    return OperatorSubspace(layout, _null_space(stacked.reshape(-1, n2), tol.rank_cut), tol=tol)
 
 
 def transformation_space(
@@ -205,7 +205,7 @@ def extension_is_consistent(
     state_tol = max(v.tol.residual_tol, v.tol.psd_slack)
     if not rho.is_density(state_tol):
         raise ValueError("extension probe requires a density matrix")
-    extended = span_from_generators(v.basis + (rho,), v.tol)
+    extended = subspace_sum(v, span_from_generators([rho], v.tol))
     return is_family_consistent(extended, family, bath_factor).consistent
 
 

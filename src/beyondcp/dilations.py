@@ -32,14 +32,13 @@ from .operators import (
     Operator,
     SpaceLayout,
     _reduced_evolution,
+    _unvec_stack,
     _vec_stack,
-    adjoint_action,
-    matrix_unit,
     swap_unitary,
-    tensor,
 )
 from .subspaces import (
     OperatorSubspace,
+    _span_of_columns,
     _vec_columns,
     full_operator_space,
     span_from_generators,
@@ -165,21 +164,20 @@ def swap_representation(
             "a supplied generator is not a positive-domain member "
             "(state in the domain mapped to a state)"
         )
-    spanned = span_from_generators(omega_gens, tol)
-    if not subspaces_equal(spanned, phi.domain):
+    d = phi.dim
+    cols = _vec_columns(omega_gens, d)
+    if not subspaces_equal(_span_of_columns(phi.domain.layout, cols, tol), phi.domain):
         raise ValueError(
             "the positive-domain generators do not span the map's domain; "
             "a spanning set is required for this construction"
         )
-    d = phi.dim
-    cols = _vec_columns(omega_gens, d)
     i, j = np.triu_indices(len(omega_gens), 1)
     cols = np.hstack([cols, (cols[:, i] + cols[:, j]) * 0.5])  # states, then pairwise midpoints
     rho, image = (c.reshape(d, d, -1, order="F") for c in (cols, phi._apply_columns(cols)))
     # rho (x) phi(rho) for every state at once: [(a, c), (b, e)] = rho[a, b] phi(rho)[c, e]
     joint = np.einsum("abs,ces->sacbe", rho, image).reshape(-1, d * d, d * d)
     layout = omega_gens[0].layout.concat(phi.domain.layout)
-    v = span_from_generators([Operator(layout, m) for m in joint], tol)
+    v = _span_of_columns(layout, _vec_stack(joint)[:, :, 0].T, tol)
     return _self_check(Representation(d, swap_unitary(d), v, phi.domain), phi, "swap representation")
 
 
@@ -228,10 +226,9 @@ def inverse_representation(rep: Representation, phi: SubsystemMap) -> Representa
     inv_map = SubsystemMap(
         phi.domain, l_inv @ phi.domain.basis_matrix(), provenance="inverse"
     )
-    conjugated = span_from_generators(
-        [adjoint_action(rep.unitary, b, tol=tol.residual_tol) for b in rep.subspace.basis],
-        tol,
-    )
+    u, layout = rep.unitary.entries, rep.subspace.layout  # verify_representation checked u
+    b = _unvec_stack(rep.subspace.basis_matrix().T, layout.total_dim)
+    conjugated = _span_of_columns(layout, _vec_stack(u @ b @ u.conj().T)[:, :, 0].T, tol)
     new_rep = Representation(rep.bath_dim, rep.unitary.dagger(), conjugated, phi.domain)
     _self_check(new_rep, inv_map, "inverse representation")
     _sampled_physical_domain_check(rep, new_rep, phi, tol)
@@ -304,8 +301,9 @@ def kraus_dilation(
     u_mat[:, np.arange(n) % k != 0] = np.linalg.svd(w.conj().T)[2][d:].conj().T  # completion
     u = Operator(SpaceLayout((d, k)), u_mat)
     system = full_operator_space((d,), tol)
-    bath_ref = matrix_unit(0, 0, (k,))
-    v = span_from_generators([tensor(b, bath_ref) for b in system.basis], tol)
+    ref = np.eye(k)[0]  # the bath reference state |0>
+    joint = np.kron(_unvec_stack(system.basis_matrix().T, d), np.outer(ref, ref))
+    v = _span_of_columns(u.layout, _vec_stack(joint)[:, :, 0].T, tol)
     return _self_check(Representation(k, u, v, system), target, "Kraus dilation")
 
 
@@ -330,7 +328,7 @@ def verify_representation(
     # Grade the defining relation against the target directly; this stays
     # finite for perturbed unitaries where the derived map does not exist.
     # The subspace basis is orthonormal, so residuals need no normalization.
-    basis = slice(len(rep.subspace.generators), None)
+    basis = slice(rep.subspace._generator_matrix.shape[1], None)
     try:
         drift = phi._apply_columns(derivation.reduced[:, basis]) - derivation.evolved[:, basis]
         residual_map = float(np.max(np.linalg.norm(drift, axis=0), initial=0.0))

@@ -30,11 +30,9 @@ from .sampling import axis_grid_states, random_pure_state
 from .subspaces import (
     OperatorSubspace,
     _dagger_columns,
-    _operators,
-    _vec_columns,
+    _span_of_columns,
     check_state_spanned,
     full_operator_space,
-    span_from_generators,
     subspaces_equal,
 )
 
@@ -215,10 +213,10 @@ def _derive(
     for a consistent one.  What does not depend on the unitary (the reduced
     stacks, their span, the state-spanned check) is computed once.
     """
-    ops = np.hstack([_vec_columns(v.generators, v.layout.total_dim), v.basis_matrix()])
+    ops = np.hstack([v._generator_matrix, v.basis_matrix()])
     reduced = _reduced_evolution(ops, v.layout.dims, keep)
-    basis = slice(len(v.generators), None)
-    domain = span_from_generators(_operators(v.layout.subset(keep), reduced[:, basis]), v.tol)
+    basis = slice(v._generator_matrix.shape[1], None)
+    domain = _span_of_columns(v.layout.subset(keep), reduced[:, basis], v.tol)
     if consistent:
         spanned = check_state_spanned(v)
         provenance = (
@@ -276,7 +274,7 @@ def map_from_action(
 ) -> SubsystemMap:
     """Build a map by applying a matrix-level action to each domain basis element."""
     n = domain.layout.total_dim
-    cols = [vec(np.asarray(action(b.entries), dtype=complex)) for b in domain.basis]
+    cols = [vec(action(unvec(c, n))) for c in domain.basis_matrix().T]
     mat = np.column_stack(cols) if cols else np.zeros((n * n, 0), dtype=complex)
     return SubsystemMap(domain, mat, provenance)
 
@@ -337,10 +335,15 @@ class CpVerdict:
     choi_hermitian: bool
 
 
+def _require_finite(phi: SubsystemMap, caller: str) -> None:
+    """Refuse a map with a non-finite coordinate: eigvalsh gives finite garbage on NaN."""
+    if not np.all(np.isfinite(phi.coord_matrix)):
+        raise ValueError(f"{caller}: the map's coordinates must be finite")
+
+
 def is_cp(phi: SubsystemMap) -> CpVerdict:
     """CP iff the (unnormalized) Choi operator is positive within psd_slack."""
-    if not np.all(np.isfinite(phi.coord_matrix)):
-        raise ValueError("is_cp: the map's coordinates must be finite")
+    _require_finite(phi, "is_cp")
     c = choi_matrix(phi)
     hermitian = c.is_hermitian(phi.tol.residual_tol)
     min_eig = c.min_eigenvalue()
@@ -449,6 +452,7 @@ def positivity_scan(
     """
     if n_samples <= 0:
         raise ValueError(f"n_samples must be positive, got {n_samples}")
+    _require_finite(phi, "positivity_scan")
     rng = np.random.default_rng(seed)
     randoms = _random_domain_states(phi, n_samples, rng)
     blocks = chain(
@@ -473,6 +477,7 @@ def positivity_scan(
 
 def positive_domain_membership(phi: SubsystemMap, rho: Operator) -> bool:
     """True iff rho is a domain state whose image is a state within slack."""
+    _require_finite(phi, "positive_domain_membership")
     if rho.layout.dims != phi.domain.layout.dims:
         return False
     return bool(_positive_domain_mask(phi, rho.entries[None])[0])
@@ -502,6 +507,7 @@ def sample_positive_domain(
     """
     if n < 1:
         raise ValueError(f"sample size must be >= 1, got {n}")
+    _require_finite(phi, "sample_positive_domain")
     rng = np.random.default_rng(seed)
     nn = phi.dim
     layout = phi.domain.layout

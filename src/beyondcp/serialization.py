@@ -21,9 +21,9 @@ import jsonschema
 import numpy as np
 
 from .config import DEFAULT_TOL, ToleranceConfig
-from .operators import Operator, SpaceLayout
+from .operators import Operator, SpaceLayout, _unvec_stack, vec
 from .maps import SubsystemMap, map_from_kraus
-from .subspaces import OperatorSubspace, span_from_generators
+from .subspaces import OperatorSubspace, _operators, _span_of_columns
 
 __all__ = [
     "parse_operator",
@@ -96,7 +96,8 @@ def validate_document(doc: Any, schema_name: str) -> None:
 
 
 def _emit_matrix(entries: np.ndarray) -> list:
-    return [[[float(z.real), float(z.imag)] for z in row] for row in np.asarray(entries, dtype=complex)]
+    """Each entry as an [re, im] pair; a (k, n, n) stack gives a list of k matrices."""
+    return np.stack([np.real(entries), np.imag(entries)], axis=-1).astype(float).tolist()
 
 
 def _parse_matrix(obj: list, where: str) -> np.ndarray:
@@ -109,6 +110,17 @@ def _parse_matrix(obj: list, where: str) -> np.ndarray:
     if not np.all(np.isfinite(matrix)):
         raise ValueError(f"{where}: entries must be finite numbers")
     return matrix
+
+
+def _parse_columns(doc: dict, key: str, n: int) -> np.ndarray:
+    """The n x n matrices listed under ``doc[key]`` (none if absent), vectorized as columns."""
+    cols = []
+    for i, mat in enumerate(doc.get(key, [])):
+        arr = _parse_matrix(mat, f"/{key}/{i}")
+        if arr.shape != (n, n):
+            raise ValueError(f"/{key}/{i}: shape {arr.shape} does not match dims")
+        cols.append(vec(arr))
+    return np.array(cols, dtype=complex).reshape(-1, n * n).T
 
 
 def _layout_from_doc(doc: dict) -> SpaceLayout:
@@ -145,8 +157,8 @@ def emit_subspace(v: OperatorSubspace) -> dict:
     doc: dict[str, Any] = {"dims": list(v.layout.dims)}
     if v.layout.labels is not None:
         doc["labels"] = list(v.layout.labels)
-    doc["generators"] = [_emit_matrix(g.entries) for g in v.generators]
-    doc["basis"] = [_emit_matrix(b.entries) for b in v.basis]
+    doc["generators"] = _emit_matrix(_unvec_stack(v._generator_matrix.T, v.layout.total_dim))
+    doc["basis"] = _emit_matrix(_unvec_stack(v.basis_matrix().T, v.layout.total_dim))
     return doc
 
 
@@ -154,21 +166,13 @@ def parse_subspace(doc: dict, tol: ToleranceConfig = DEFAULT_TOL) -> OperatorSub
     validate_document(doc, "subspace")
     layout = _layout_from_doc(doc)
     n = layout.total_dim
-
-    def to_ops(key: str) -> tuple[Operator, ...]:
-        ops = []
-        for i, mat in enumerate(doc.get(key, [])):
-            arr = _parse_matrix(mat, f"/{key}/{i}")
-            if arr.shape != (n, n):
-                raise ValueError(f"/{key}/{i}: shape {arr.shape} does not match dims")
-            ops.append(Operator(layout, arr))
-        return tuple(ops)
-
-    generators = to_ops("generators")
-    basis = to_ops("basis")
-    if basis:
-        return OperatorSubspace(layout, basis, generators or basis, tol)
-    return span_from_generators(generators, tol)
+    generators = _parse_columns(doc, "generators", n)
+    basis = _parse_columns(doc, "basis", n)
+    if basis.shape[1]:
+        return OperatorSubspace(layout, basis, generators if generators.shape[1] else None, tol)
+    if not generators.shape[1]:
+        raise ValueError("span_from_generators requires at least one generator")
+    return _span_of_columns(layout, generators, tol)
 
 
 def parse_unitary_family(doc: dict, tol: ToleranceConfig = DEFAULT_TOL):
@@ -188,7 +192,7 @@ def emit_map(phi: SubsystemMap) -> dict:
     return {
         "kind": "matrix",
         "dims": list(phi.domain.layout.dims),
-        "basis": [_emit_matrix(b.entries) for b in phi.domain.basis],
+        "basis": _emit_matrix(_unvec_stack(phi.domain.basis_matrix().T, phi.dim)),
         "coord_matrix": _emit_matrix(phi.coord_matrix),
         "provenance": phi.provenance,
     }
@@ -221,14 +225,7 @@ def _builtin_map(doc: dict, tol: ToleranceConfig) -> SubsystemMap:
 def _kraus_operators(doc: dict) -> list[Operator]:
     """The Kraus operators of a map document already validated as kind "kraus"."""
     layout = _layout_from_doc(doc)
-    n = layout.total_dim
-    ops = []
-    for i, mat in enumerate(doc["operators"]):
-        arr = _parse_matrix(mat, f"/operators/{i}")
-        if arr.shape != (n, n):
-            raise ValueError(f"/operators/{i}: shape {arr.shape} does not match dims")
-        ops.append(Operator(layout, arr))
-    return ops
+    return list(_operators(layout, _parse_columns(doc, "operators", layout.total_dim)))
 
 
 def parse_map(doc: dict, tol: ToleranceConfig = DEFAULT_TOL) -> SubsystemMap:
@@ -240,17 +237,11 @@ def parse_map(doc: dict, tol: ToleranceConfig = DEFAULT_TOL) -> SubsystemMap:
         return map_from_kraus(_kraus_operators(doc), tol)
     layout = _layout_from_doc(doc)
     n = layout.total_dim
-    basis = []
-    for i, mat in enumerate(doc["basis"]):
-        arr = _parse_matrix(mat, f"/basis/{i}")
-        if arr.shape != (n, n):
-            raise ValueError(f"/basis/{i}: shape {arr.shape} does not match dims")
-        basis.append(Operator(layout, arr))
-    domain = OperatorSubspace(layout, tuple(basis), tuple(basis), tol)
+    domain = OperatorSubspace(layout, _parse_columns(doc, "basis", n), tol=tol)
     coord = _parse_matrix(doc["coord_matrix"], "/coord_matrix")
-    if coord.shape != (n * n, len(basis)):
+    if coord.shape != (n * n, domain.dim):
         raise ValueError(
-            f"/coord_matrix: shape {coord.shape}, expected {(n * n, len(basis))}"
+            f"/coord_matrix: shape {coord.shape}, expected {(n * n, domain.dim)}"
         )
     return SubsystemMap(domain, coord, provenance=str(doc.get("provenance", "file")))
 

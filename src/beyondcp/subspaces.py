@@ -1,15 +1,17 @@
 """Linear-subspace machinery over operator spaces in Hilbert-Schmidt geometry.
 
-Subspaces are stored as orthonormal bases obtained from an SVD of the stacked,
-vectorized generators.  Rank decisions are relative: singular values at or
-below ``rank_cut`` times the largest singular value are discarded, because
-generator scales can vary wildly (for example across inverse temperatures in a
-thermal family).
+Subspaces are stored as matrices of vectorized operators: the generators and an
+orthonormal basis from their SVD; the ``basis`` and ``generators`` tuples of
+``Operator`` are built from the columns on first read.  Rank decisions are
+relative: singular values at or below ``rank_cut`` times the largest singular
+value are discarded, because generator scales can vary wildly (for example
+across inverse temperatures in a thermal family).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -17,9 +19,9 @@ from .config import DEFAULT_TOL, ToleranceConfig
 from .operators import (
     Operator,
     SpaceLayout,
+    _as_layout,
+    _min_eigenvalues,
     _reduced_evolution,
-    identity,
-    matrix_unit,
     tensor,
     unvec,
     vec,
@@ -43,46 +45,49 @@ __all__ = [
 class OperatorSubspace:
     """A subspace of an operator space with an orthonormal basis.
 
-    ``basis`` is orthonormal under the Hilbert-Schmidt inner product;
-    ``generators`` records the spanning set the subspace was built from.
+    ``_basis_matrix`` (N^2, dim) holds the vectorized basis, orthonormal under the
+    Hilbert-Schmidt inner product; ``_generator_matrix`` (N^2, g) the spanning set
+    the subspace was built from, by default the basis.  Both are read-only copies.
     """
 
     layout: SpaceLayout
-    basis: tuple[Operator, ...]
-    generators: tuple[Operator, ...]
+    _basis_matrix: np.ndarray
+    _generator_matrix: np.ndarray | None = None
     tol: ToleranceConfig = DEFAULT_TOL
 
     def __post_init__(self) -> None:
-        basis = tuple(self.basis)
-        generators = tuple(self.generators)
-        object.__setattr__(self, "basis", basis)
-        object.__setattr__(self, "generators", generators)
-        for op in basis + generators:
-            if op.layout.dims != self.layout.dims:
-                raise ValueError("all subspace members must share the subspace layout")
-        b = _vec_columns(basis, self.layout.total_dim)
-        b.setflags(write=False)
+        b = self._frozen(self._basis_matrix)
+        g = b if self._generator_matrix is None else self._frozen(self._generator_matrix)
         object.__setattr__(self, "_basis_matrix", b)
+        object.__setattr__(self, "_generator_matrix", g)
         gram = b.conj().T @ b
-        if not (float(np.linalg.norm(gram - np.eye(len(basis)))) <= self.tol.residual_tol):
+        if not (float(np.linalg.norm(gram - np.eye(b.shape[1]))) <= self.tol.residual_tol):
             raise ValueError("basis is not orthonormal within residual_tol")
-        if generators is basis:  # an orthonormal basis lies in its own span
-            return
-        g = _vec_columns(generators, self.layout.total_dim)
-        _, residuals = self._coordinates_of(g)
-        bound = self.tol.residual_tol * np.maximum(1.0, np.linalg.norm(g, axis=0))
-        if not np.all(residuals <= bound):
+        if g is not b and not self._contains_columns(g):  # a basis lies in its own span
             raise ValueError("a generator lies outside the span of the basis")
+
+    def _frozen(self, cols) -> np.ndarray:
+        m = np.array(cols, dtype=complex, order="F")  # a read-only copy, column-major like vec
+        if m.ndim != 2 or m.shape[0] != self.layout.total_dim**2:
+            raise ValueError(f"subspace columns of shape {m.shape} do not match the layout")
+        m.setflags(write=False)
+        return m
+
+    @cached_property
+    def basis(self) -> tuple[Operator, ...]:
+        return _operators(self.layout, self._basis_matrix)
+
+    @cached_property
+    def generators(self) -> tuple[Operator, ...]:
+        g = self._generator_matrix
+        return self.basis if g is self._basis_matrix else _operators(self.layout, g)
 
     @property
     def dim(self) -> int:
-        return len(self.basis)
+        return self._basis_matrix.shape[1]
 
     def basis_matrix(self) -> np.ndarray:
-        """Columns are the vectorized basis operators, shape (N^2, dim).
-
-        Built once: the subspace is immutable so the stacked matrix never changes.
-        """
+        """Columns are the vectorized basis operators, shape (N^2, dim)."""
         return self._basis_matrix
 
     def _coordinates_of(self, cols: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -111,8 +116,11 @@ class OperatorSubspace:
         _, residual = self.coordinates(a)
         return residual <= self.tol.residual_tol * max(1.0, a.hs_norm())
 
-    def from_coordinates(self, coeffs: np.ndarray) -> Operator:
-        return Operator(self.layout, unvec(self.basis_matrix() @ np.asarray(coeffs), self.layout.total_dim))
+    def _contains_columns(self, cols: np.ndarray) -> bool:
+        """``contains`` for every column of an (N^2, k) block or (k, N^2, 1) stack."""
+        _, residuals = self._coordinates_of(cols)
+        bound = self.tol.residual_tol * np.maximum(1.0, np.linalg.norm(cols, axis=-2))
+        return bool(np.all(residuals <= bound))
 
 
 def _numerical_rank(s: np.ndarray, cut: float, floor: float | None = None) -> int:
@@ -149,6 +157,14 @@ def _operators(layout: SpaceLayout, cols: np.ndarray) -> tuple[Operator, ...]:
     return tuple(Operator(layout, unvec(c, n)) for c in cols.T)
 
 
+def _span_of_columns(
+    layout: SpaceLayout, cols: np.ndarray, tol: ToleranceConfig
+) -> OperatorSubspace:
+    """The span of the vectorized operators ``cols`` (N^2, g), which become its generators."""
+    u, s, _ = np.linalg.svd(cols, full_matrices=False)
+    return OperatorSubspace(layout, u[:, : _numerical_rank(s, tol.rank_cut)], cols, tol)
+
+
 def span_from_generators(
     generators, tol: ToleranceConfig = DEFAULT_TOL
 ) -> OperatorSubspace:
@@ -160,47 +176,38 @@ def span_from_generators(
     for g in generators[1:]:
         if g.layout.dims != layout.dims:
             raise ValueError("generators must share a single layout")
-    m = _vec_columns(generators, layout.total_dim)
-    u, s, _ = np.linalg.svd(m, full_matrices=False)
-    basis = _operators(layout, u[:, : _numerical_rank(s, tol.rank_cut)])
-    return OperatorSubspace(layout, basis, generators, tol)
+    return _span_of_columns(layout, _vec_columns(generators, layout.total_dim), tol)
 
 
 def full_operator_space(dims, tol: ToleranceConfig = DEFAULT_TOL) -> OperatorSubspace:
     """The whole operator algebra, with the matrix units as basis."""
-    probe = identity(dims)
-    n = probe.layout.total_dim
-    units = tuple(matrix_unit(i, j, probe.layout) for j in range(n) for i in range(n))
-    return OperatorSubspace(probe.layout, units, units, tol)
+    layout = _as_layout(dims)
+    return OperatorSubspace(layout, np.eye(layout.total_dim**2), tol=tol)
 
 
 def subspace_sum(v: OperatorSubspace, w: OperatorSubspace) -> OperatorSubspace:
     if v.layout.dims != w.layout.dims:
         raise ValueError("subspace_sum requires matching layouts")
-    gens = v.basis + w.basis
-    if not gens:
-        return OperatorSubspace(v.layout, (), (), v.tol)
-    return span_from_generators(gens, v.tol)
+    return _span_of_columns(v.layout, np.hstack([v.basis_matrix(), w.basis_matrix()]), v.tol)
 
 
 def subspace_intersection(v: OperatorSubspace, w: OperatorSubspace) -> OperatorSubspace:
     """Intersection via the nullspace of the stacked projector complements."""
     if v.layout.dims != w.layout.dims:
         raise ValueError("subspace_intersection requires matching layouts")
-    if v.dim == 0 or w.dim == 0:
-        return OperatorSubspace(v.layout, (), (), v.tol)
     bv = v.basis_matrix()
     bw = w.basis_matrix()
     eye = np.eye(v.layout.total_dim**2, dtype=complex)
     stacked = np.vstack([eye - bv @ bv.conj().T, eye - bw @ bw.conj().T])
     # Vectors with singular value ~0 lie in both spaces.
-    basis = _operators(v.layout, _null_space(stacked, v.tol.rank_cut))
-    return OperatorSubspace(v.layout, basis, basis, v.tol)
+    return OperatorSubspace(v.layout, _null_space(stacked, v.tol.rank_cut), tol=v.tol)
 
 
 def subspace_leq(v: OperatorSubspace, w: OperatorSubspace) -> bool:
     """True iff every basis element of v lies in w."""
-    return all(w.contains(b) for b in v.basis)
+    if v.layout.dims != w.layout.dims:
+        raise ValueError(f"layout mismatch: {v.layout.dims} vs {w.layout.dims}")
+    return w._contains_columns(v.basis_matrix().T[:, :, None])  # one product per element
 
 
 def subspaces_equal(v: OperatorSubspace, w: OperatorSubspace) -> bool:
@@ -219,13 +226,10 @@ def kernel_of_partial_trace(
         raise ValueError("kernel_of_partial_trace needs at least two tensor factors")
     if not 0 <= bath_factor < v.layout.n_factors:
         raise ValueError(f"bath factor {bath_factor} out of range")
-    if v.dim == 0:
-        return OperatorSubspace(v.layout, (), (), v.tol)
     keep = tuple(i for i in range(v.layout.n_factors) if i != bath_factor)
     b = v.basis_matrix()
     t = _reduced_evolution(b, v.layout.dims, keep)
-    basis = _operators(v.layout, b @ _null_space(t, v.tol.rank_cut))
-    return OperatorSubspace(v.layout, basis, basis, v.tol)
+    return OperatorSubspace(v.layout, b @ _null_space(t, v.tol.rank_cut), tol=v.tol)
 
 
 def symmetric_sector(r: OperatorSubspace) -> OperatorSubspace:
@@ -236,14 +240,9 @@ def symmetric_sector(r: OperatorSubspace) -> OperatorSubspace:
     """
     if r.layout.n_factors != 1:
         raise ValueError("symmetric_sector expects a single-factor operator subspace")
-    gens = []
-    for i, bi in enumerate(r.basis):
-        for bj in r.basis[i:]:
-            gens.append(tensor(bi, bj) + tensor(bj, bi))
-    if not gens:
-        doubled = r.layout.concat(r.layout)
-        return OperatorSubspace(doubled, (), (), r.tol)
-    return span_from_generators(gens, r.tol)
+    gens = [tensor(bi, bj) + tensor(bj, bi) for i, bi in enumerate(r.basis) for bj in r.basis[i:]]
+    doubled = r.layout.concat(r.layout)
+    return _span_of_columns(doubled, _vec_columns(gens, doubled.total_dim), r.tol)
 
 
 def check_state_spanned(
@@ -260,16 +259,15 @@ def check_state_spanned(
     """
     if v.dim == 0:
         return False
-    # The basis is orthonormal, so each residual bound is residual_tol itself.
-    _, residuals = v._coordinates_of(_dagger_columns(v.basis_matrix(), v.layout.total_dim))
-    if not np.all(residuals <= v.tol.residual_tol):
+    n = v.layout.total_dim
+    if not v._contains_columns(_dagger_columns(v.basis_matrix(), n)):
         return False
-    ident = identity(v.layout)
-    if v.contains(ident):
+    ident = vec(np.eye(n, dtype=complex))[:, None]
+    if v._contains_columns(ident):
         return True
     if positive_witness is not None:
         if v.contains(positive_witness) and positive_witness.min_eigenvalue() > v.tol.psd_slack:
             return True
-    projected = v.project(ident)
-    hermitized = (projected + projected.dagger()) * 0.5
-    return v.contains(hermitized) and hermitized.min_eigenvalue() > v.tol.psd_slack
+    projected = unvec(v.basis_matrix() @ v._coordinates_of(ident)[0][:, 0], n)
+    h = (projected + projected.conj().T) * complex(0.5)
+    return v._contains_columns(vec(h)[:, None]) and float(_min_eigenvalues(h)) > v.tol.psd_slack

@@ -332,11 +332,11 @@ def test_transformation_space_derives_what_no_member_changes_once(
     gibbs_v, phase_family, count_calls
 ):
     counts = count_calls(
-        (subspaces, "check_state_spanned"), (subspaces, "span_from_generators")
+        (subspaces, "check_state_spanned"), (subspaces, "_span_of_columns")
     )
     vprime = transformation_space(gibbs_v, phase_family)
     assert counts["check_state_spanned"] == 1
-    assert counts["span_from_generators"] == 2  # v + v-hat, and the reduced basis of v
+    assert counts["_span_of_columns"] == 2  # v + v-hat, and the reduced basis of v
     expected = subspace_sum(gibbs_v, consistent_kernel(phase_family, gibbs_v.layout))
     assert np.array_equal(vprime.basis_matrix(), expected.basis_matrix())
 

@@ -376,6 +376,23 @@ def test_is_cp_rejects_non_finite_map():
         is_cp(_identity_map_with_nan())
 
 
+# eigvalsh returns finite numbers for a NaN matrix, so without the refusal these
+# scans report a counterexample or accept |0><0|.
+def test_positivity_scan_rejects_non_finite_map():
+    with pytest.raises(ValueError, match="positivity_scan: .* finite"):
+        positivity_scan(_identity_map_with_nan(), 16, seed=0)
+
+
+def test_sample_positive_domain_rejects_non_finite_map():
+    with pytest.raises(ValueError, match="sample_positive_domain: .* finite"):
+        sample_positive_domain(_identity_map_with_nan(), 4, seed=0)
+
+
+def test_positive_domain_membership_rejects_non_finite_map():
+    with pytest.raises(ValueError, match="positive_domain_membership: .* finite"):
+        positive_domain_membership(_identity_map_with_nan(), operator([[1, 0], [0, 0]], 2))
+
+
 def test_map_from_kraus_rejects_non_finite_operator():
     m = np.eye(2)
     m[0, 1] = np.nan

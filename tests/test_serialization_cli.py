@@ -506,6 +506,32 @@ def test_cli_catalog_repolarizer_passes_from_its_epsilon_bound_up(capsys):
         assert all(v["passed"] for v in doc["verdicts"]), epsilon
 
 
+@pytest.mark.parametrize("epsilon", ["1e-7", "1e-300"])
+def test_cli_violations_refuses_an_uncheckable_epsilon(capsys, epsilon):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # no RuntimeWarning on the way to the refusal
+        code = run_cli(["violations", "--epsilon", epsilon])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert f"--epsilon {float(epsilon)!r} is below 4.44e-07" in captured.err
+
+
+def test_cli_violations_demonstrates_from_its_epsilon_bound_up(capsys):
+    expected = {
+        "trace_norm_contractivity": False,
+        "relative_entropy_monotonicity": False,
+        "cptp_control_contractive": True,
+    }
+    for epsilon in np.geomspace(4.45e-7, 1e-4, 8):
+        for pairs in ("1", "5"):
+            code, doc = _run(
+                capsys, ["violations", "--epsilon", repr(float(epsilon)), "--pairs", pairs]
+            )
+            assert code == 1, (epsilon, pairs)
+            assert {v["name"]: v["passed"] for v in doc["verdicts"]} == expected
+
+
 def test_cli_repeated_calls_in_one_process_match_the_first(capsys, tmp_path):
     from beyondcp.catalog import controlled_phase_unitary
 

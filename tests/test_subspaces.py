@@ -4,6 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from beyondcp import (
+    OperatorSubspace,
     PAULI_I,
     PAULI_X,
     PAULI_Y,
@@ -16,14 +17,24 @@ from beyondcp import (
     partial_trace,
     span_from_generators,
     subspace_intersection,
+    subspace_leq,
     subspace_sum,
     subspaces_equal,
     symmetric_sector,
     tensor,
 )
-from beyondcp.catalog import GibbsParams, gibbs_state_closed_form, gibbs_subspace, transpose_subspace
-from beyondcp.operators import adjoint_action, swap_unitary
-from beyondcp.sampling import random_density
+from beyondcp import maps
+from beyondcp.catalog import (
+    GibbsParams,
+    controlled_phase_unitary,
+    gibbs_state_closed_form,
+    gibbs_subspace,
+    transpose_subspace,
+)
+from beyondcp.consistency import UnitaryFamily, consistent_kernel
+from beyondcp.operators import Operator, SpaceLayout, adjoint_action, swap_unitary, vec
+from beyondcp.sampling import haar_unitary, random_density
+from beyondcp.serialization import emit_subspace
 
 
 def rank_oracle(ops, tol=1e-9):
@@ -259,3 +270,140 @@ def test_state_spanned_fails_without_adjoint_closure():
     raiser = operator([[0, 1], [0, 0]], 2)
     v = span_from_generators([raiser])
     assert not check_state_spanned(v)
+
+
+# ---------------------------------------------------------------------------
+# array-native storage: basis and generator matrices, Operator tuples on first read
+# ---------------------------------------------------------------------------
+
+
+@pytest.fixture
+def operators_built(monkeypatch):
+    """``operators_built(f, *args)`` gives f(*args) and the number of Operators it built."""
+    built = []
+    original = Operator.__post_init__
+
+    def counting(self):
+        built.append(self)
+        original(self)
+
+    monkeypatch.setattr(Operator, "__post_init__", counting)
+
+    def run(f, *args):
+        built.clear()
+        result = f(*args)
+        return result, len(built)
+
+    return run
+
+
+def _haar_family(dims, rng):
+    return UnitaryFamily(tuple(haar_unitary(dims, rng) for _ in range(4)))
+
+
+@pytest.mark.parametrize("dims", [(2, 4), (4, 4)])
+def test_consistent_kernel_builds_no_operator(operators_built, rng, dims):
+    family = _haar_family(dims, rng)
+    kernel, built = operators_built(consistent_kernel, family, family.members[0].layout)
+    assert kernel.dim > 0
+    assert built == 0
+
+
+def test_subspace_algebra_builds_no_operator(operators_built):
+    v, w = gibbs_subspace(), transpose_subspace()
+    for f, args in (
+        (kernel_of_partial_trace, (v,)),
+        (subspace_sum, (v, w)),
+        (subspace_intersection, (v, w)),
+        (subspaces_equal, (v, w)),
+    ):
+        _, built = operators_built(f, *args)
+        assert built == 0, f.__name__
+
+
+def test_derivation_builds_no_operator(operators_built):
+    v = gibbs_subspace()
+    u = controlled_phase_unitary(0.7)
+    (derivation,), built = operators_built(maps._derive, v, [u], (0,), True)
+    assert derivation.map is not None
+    assert built == 0
+
+
+def test_operator_tuples_are_built_on_first_read_only():
+    v = gibbs_subspace()
+    assert "basis" not in vars(v) and "generators" not in vars(v)
+    assert v.dim == 6 and len(v.generators) == 25
+    assert v.basis is v.basis
+
+
+def _same_bits(a, b) -> bool:
+    return np.ascontiguousarray(a).tobytes() == np.ascontiguousarray(b).tobytes()
+
+
+@pytest.mark.parametrize(
+    "make",
+    [gibbs_subspace, transpose_subspace, lambda: kernel_of_partial_trace(gibbs_subspace())],
+    ids=["gibbs", "transpose", "gibbs_kernel"],
+)
+def test_operator_tuples_hold_the_stored_columns_bit_for_bit(make):
+    v = make()
+    for ops, cols in ((v.basis, v.basis_matrix()), (v.generators, v._generator_matrix)):
+        assert len(ops) == cols.shape[1]
+        for i, op in enumerate(ops):
+            assert _same_bits(vec(op.entries), cols[:, i])
+
+
+def test_span_keeps_its_generators_entry_for_entry(rng):
+    gens = [random_density(2, rng) for _ in range(5)] + [PAULI_X, -0.0 * PAULI_Z]
+    v = span_from_generators(gens)
+    assert len(v.generators) == len(gens)
+    for got, given_op in zip(v.generators, gens):
+        assert got.layout == given_op.layout
+        assert _same_bits(got.entries, given_op.entries)
+
+
+def _zero_dimensional_results():
+    x, z = span_from_generators([PAULI_X]), span_from_generators([PAULI_Z])
+    product = span_from_generators([tensor(b, identity(2) / 2) for b in (PAULI_I, PAULI_X)])
+    zero = subspace_intersection(x, z)
+    return {
+        "kernel": kernel_of_partial_trace(product),
+        "intersection": zero,
+        "sum": subspace_sum(zero, zero),
+        "symmetric_sector": symmetric_sector(zero),
+    }
+
+
+@pytest.mark.parametrize("name", ["kernel", "intersection", "sum", "symmetric_sector"])
+def test_zero_dimensional_results_construct_compare_and_serialise(name):
+    v = _zero_dimensional_results()[name]
+    n2 = v.layout.total_dim**2
+    assert v.dim == 0 and v.basis == () and v.generators == ()
+    assert v.basis_matrix().shape == (n2, 0)
+    assert subspaces_equal(v, v)
+    assert subspace_leq(v, full_operator_space(v.layout))
+    assert not subspaces_equal(v, full_operator_space(v.layout))
+    assert not check_state_spanned(v)
+    doc = emit_subspace(v)
+    assert doc == {"dims": list(v.layout.dims), "generators": [], "basis": []}
+
+
+def test_subspace_constructor_checks_its_matrices():
+    layout = SpaceLayout((2,))
+    with pytest.raises(ValueError, match="not orthonormal"):
+        OperatorSubspace(layout, 2 * np.eye(4)[:, :2])
+    with pytest.raises(ValueError, match="outside the span"):
+        OperatorSubspace(layout, np.eye(4)[:, :2], np.eye(4)[:, 1:3])
+    with pytest.raises(ValueError, match="do not match the layout"):
+        OperatorSubspace(layout, np.eye(9)[:, :2])
+    v = OperatorSubspace(layout, np.eye(4)[:, :2], np.eye(4)[:, :2] * 3)
+    assert v.dim == 2 and len(v.generators) == 2
+
+
+def test_subspace_matrices_are_read_only_copies():
+    cols = np.eye(4)[:, :2].astype(complex)
+    v = OperatorSubspace(SpaceLayout((2,)), cols)
+    cols[0, 0] = 5.0
+    assert v.basis_matrix()[0, 0] == 1.0
+    with pytest.raises(ValueError):
+        v.basis_matrix()[0, 0] = 5.0
