@@ -33,6 +33,7 @@ from .dilations import (
 )
 from .maps import (
     InconsistentPairError,
+    _positive_domain_mask,
     choi_matrix,
     compose,
     derive_map,
@@ -40,7 +41,6 @@ from .maps import (
     is_cp,
     map_from_kraus,
     map_residual,
-    positive_domain_membership,
     positivity_scan,
     sample_positive_domain,
 )
@@ -402,18 +402,17 @@ def _catalog_repolarizer(args, tol: ToleranceConfig, seed: int, report: Report) 
     report.add(
         "swap_subspace_matches_printed_basis", subspaces_equal(rep.subspace, printed)
     )
-    worst_boundary = 0.0
-    for sigma in (PAULI_X, PAULI_Z):
-        for sign in (1.0, -1.0):
-            lo, hi = 0.0, 1.0
-            for _ in range(60):
-                mid = (lo + hi) / 2
-                rho = (PAULI_I + (sign * mid) * sigma) * 0.5
-                if positive_domain_membership(phi, rho):
-                    lo = mid
-                else:
-                    hi = mid
-            worst_boundary = max(worst_boundary, abs((lo + hi) / 2 - eps))
+    # Bisect the domain boundary along +X, -X, +Z, -Z in lockstep, one stacked
+    # membership test per step; each state is (1 + (sign * mid) sigma) / 2.
+    sigmas = np.array([PAULI_X.entries, PAULI_X.entries, PAULI_Z.entries, PAULI_Z.entries])
+    signs = np.array([1.0, -1.0, 1.0, -1.0])
+    lo, hi = np.zeros(4), np.ones(4)
+    for _ in range(60):
+        mid = (lo + hi) / 2
+        states = (PAULI_I.entries + (signs * mid)[:, None, None] * sigmas) * 0.5
+        inside = _positive_domain_mask(phi, states)
+        lo, hi = np.where(inside, mid, lo), np.where(inside, hi, mid)
+    worst_boundary = float(np.max(np.abs((lo + hi) / 2 - eps)))
     report.add("positive_domain_boundary_at_epsilon", worst_boundary <= 1e-8, worst_boundary)
     scan = positivity_scan(phi, 64, seed)
     expected = -(1 - eps) / (2 * eps)

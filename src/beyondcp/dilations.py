@@ -31,6 +31,7 @@ from .maps import (
 from .operators import (
     Operator,
     SpaceLayout,
+    _min_eigenvalues,
     _reduced_evolution,
     _unvec_stack,
     _vec_stack,
@@ -244,18 +245,23 @@ def _sampled_physical_domain_check(
 ) -> tuple[np.ndarray, np.ndarray]:
     """Images of sampled physical-domain states must be covered by the new subspace.
 
-    The samples are Dirichlet mixtures of the state generators of rep, evolved,
+    The samples are Dirichlet mixtures of the state generators of rep (those of
+    its generators that are density matrices, tested as one stack), evolved,
     tested and mapped as one stack.  Raises at the first sample that escapes
     the new subspace or whose reduced image differs from phi of its reduced
     state; returns both residuals of every sample.
     """
     state_tol = max(tol.residual_tol, tol.psd_slack)
-    state_gens = [g.entries for g in rep.subspace.generators if g.is_density(state_tol)]
-    if not state_gens:
+    gens = _unvec_stack(rep.subspace._generator_matrix.T, rep.subspace.layout.total_dim)
+    # the bounds of Operator.is_density(state_tol)
+    hermitian = np.linalg.norm(gens - gens.conj().swapaxes(-1, -2), axis=(-2, -1)) <= state_tol
+    unit_trace = np.abs(np.trace(gens, axis1=-2, axis2=-1) - 1.0) <= state_tol
+    state_gens = gens[hermitian & unit_trace & (_min_eigenvalues(gens) >= -state_tol)]
+    if not len(state_gens):
         return np.zeros(0), np.zeros(0)
     rng = np.random.default_rng(20260811)
     weights = np.array([rng.dirichlet(np.ones(len(state_gens))) for _ in range(n_samples)])
-    joint = np.tensordot(weights, np.array(state_gens), axes=1)
+    joint = np.tensordot(weights, state_gens, axes=1)
     u = rep.unitary.entries
     evolved = _vec_stack(u @ joint @ u.conj().T)[:, :, 0].T  # (N^2, n_samples) columns
     _, escaped = new_rep.subspace._coordinates_of(evolved)

@@ -2,7 +2,10 @@
 
 Complex scalars are encoded as [re, im] pairs; all documents validate against
 the JSON Schemas shipped in ``schemas/``.  Each schema is checked against its
-metaschema and compiled into a validator once per process, on first use.
+metaschema and compiled into a validator once per process, on first use.  A
+valid document is accepted by a structural check read from the same schema;
+a document that check cannot accept goes through jsonschema, whose best match
+gives the error message.
 Serialization is lossless for the float values involved (Python's float repr
 round-trips), so emitted documents parse back bit-exactly.
 """
@@ -13,6 +16,7 @@ import functools
 import hashlib
 import json
 import math
+import re
 from dataclasses import dataclass, field
 from importlib import resources
 from typing import Any
@@ -81,10 +85,107 @@ def _validator(name: str):
     return cls(_inline_refs(schema, schema))
 
 
+_ANNOTATIONS = frozenset({"$schema", "$id", "title", "description", "definitions"})
+_PLAIN_TYPES = {
+    "object": lambda x: isinstance(x, dict),
+    "array": lambda x: isinstance(x, list),
+    "string": lambda x: isinstance(x, str),
+    "boolean": lambda x: isinstance(x, bool),
+    "null": lambda x: x is None,
+    "number": lambda x: type(x) in (int, float),  # never bool, numpy or Decimal
+    "integer": lambda x: type(x) is int,  # jsonschema also counts 1.0; that case defers
+}
+_SCALARS = (str, int, float, bool, type(None))
+
+
+def _certainly_valid(schema: Any, doc: Any) -> bool:
+    """True only if ``doc`` is valid against the inlined draft-07 ``schema``.
+
+    False means "not shown", never "invalid": a keyword outside the few the
+    packaged schemas use, or a value that jsonschema types more broadly than
+    the plain check here, defers to jsonschema.  ``const`` and ``enum`` match
+    scalars type-exactly.  ``oneOf`` accepts only when one branch accepts and
+    every other branch is certainly refuted: a branch that is not shown valid
+    may still be valid.
+    """
+    if not isinstance(schema, dict):
+        return False  # a boolean subschema; the packaged schemas have none
+    for key, value in schema.items():
+        if key == "type":
+            if isinstance(value, str):
+                ok = _PLAIN_TYPES[value](doc)
+            else:
+                ok = any(_PLAIN_TYPES[name](doc) for name in value)
+        elif key == "items" and isinstance(value, dict):
+            if not isinstance(doc, list):
+                continue
+            if len(value) == 1 and isinstance(value.get("type"), str):  # e.g. an [re, im] pair
+                ok = all(map(_PLAIN_TYPES[value["type"]], doc))
+            else:
+                ok = all(_certainly_valid(value, item) for item in doc)
+        elif key == "minItems":
+            ok = not isinstance(doc, list) or len(doc) >= value
+        elif key == "maxItems":
+            ok = not isinstance(doc, list) or len(doc) <= value
+        elif key == "minimum":
+            ok = type(doc) in (int, float) and doc >= value
+        elif key == "properties":
+            ok = not isinstance(doc, dict) or all(
+                name not in doc or _certainly_valid(sub, doc[name]) for name, sub in value.items()
+            )
+        elif key == "required":
+            ok = not isinstance(doc, dict) or all(name in doc for name in value)
+        elif key == "additionalProperties" and value is False:
+            known = schema.get("properties", {})
+            ok = not isinstance(doc, dict) or all(name in known for name in doc)
+        elif key in ("const", "enum"):
+            options = (value,) if key == "const" else value
+            ok = type(doc) in _SCALARS and any(
+                type(doc) is type(option) and doc == option for option in options
+            )
+        elif key == "pattern":
+            ok = not isinstance(doc, str) or re.search(value, doc) is not None
+        elif key == "anyOf":
+            ok = any(_certainly_valid(branch, doc) for branch in value)
+        elif key == "oneOf":
+            # The branches not certainly refuted: doc lacks a key the branch
+            # requires, or holds a string where the branch has another string const.
+            live = [
+                branch
+                for branch in value
+                if not (isinstance(doc, dict) and isinstance(branch, dict))
+                or (
+                    all(name in doc for name in branch.get("required", ()))
+                    and not any(
+                        isinstance(sub, dict)
+                        and isinstance(sub.get("const"), str)
+                        and isinstance(doc.get(name), str)
+                        and doc[name] != sub["const"]
+                        for name, sub in branch.get("properties", {}).items()
+                    )
+                )
+            ]
+            ok = len(live) == 1 and _certainly_valid(live[0], doc)
+        elif key in _ANNOTATIONS:
+            continue
+        else:
+            return False
+        if not ok:
+            return False
+    return True
+
+
 def validate_document(doc: Any, schema_name: str) -> None:
-    """Validate a JSON document, raising ValueError with a JSON pointer path."""
+    """Validate a JSON document, raising ValueError with a JSON pointer path.
+
+    A document the structural check accepts is valid; any other goes through
+    jsonschema, which gives the error message.
+    """
+    validator = _validator(schema_name)
+    if _certainly_valid(validator.schema, doc):
+        return
     # best_match, as jsonschema.validate uses, not the validator's first error.
-    err = jsonschema.exceptions.best_match(_validator(schema_name).iter_errors(doc))
+    err = jsonschema.exceptions.best_match(validator.iter_errors(doc))
     if err is not None:
         pointer = "/" + "/".join(str(part) for part in err.absolute_path)
         raise ValueError(
@@ -157,7 +258,8 @@ def emit_subspace(v: OperatorSubspace) -> dict:
     doc: dict[str, Any] = {"dims": list(v.layout.dims)}
     if v.layout.labels is not None:
         doc["labels"] = list(v.layout.labels)
-    doc["generators"] = _emit_matrix(_unvec_stack(v._generator_matrix.T, v.layout.total_dim))
+    if v._generator_matrix.shape[1]:  # the schema allows no empty generator list
+        doc["generators"] = _emit_matrix(_unvec_stack(v._generator_matrix.T, v.layout.total_dim))
     doc["basis"] = _emit_matrix(_unvec_stack(v.basis_matrix().T, v.layout.total_dim))
     return doc
 
@@ -168,11 +270,10 @@ def parse_subspace(doc: dict, tol: ToleranceConfig = DEFAULT_TOL) -> OperatorSub
     n = layout.total_dim
     generators = _parse_columns(doc, "generators", n)
     basis = _parse_columns(doc, "basis", n)
-    if basis.shape[1]:
-        return OperatorSubspace(layout, basis, generators if generators.shape[1] else None, tol)
-    if not generators.shape[1]:
-        raise ValueError("span_from_generators requires at least one generator")
-    return _span_of_columns(layout, generators, tol)
+    if generators.shape[1] and not basis.shape[1]:
+        return _span_of_columns(layout, generators, tol)
+    # an empty basis without generators is the zero subspace
+    return OperatorSubspace(layout, basis, generators if generators.shape[1] else None, tol)
 
 
 def parse_unitary_family(doc: dict, tol: ToleranceConfig = DEFAULT_TOL):

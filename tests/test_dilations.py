@@ -513,3 +513,42 @@ def test_stacked_physical_domain_check_raises_where_the_loop_raises():
             reference_physical_domain_check(*args, phi.tol)
         with pytest.raises(RuntimeError, match=message):
             dilations._sampled_physical_domain_check(*args, phi.tol)
+
+
+@pytest.mark.parametrize("name", ["repolarizer", "transpose", "kraus"])
+def test_physical_domain_check_selects_the_generators_is_density_selects(name):
+    rep, new_rep, phi = _inverse_cases()[name]
+    state_tol = max(phi.tol.residual_tol, phi.tol.psd_slack)
+    gens = rep.subspace._generator_matrix
+    s0, s1 = gens[:, 0], gens[:, 1]
+    # in the span, but of trace 2, not Hermitian, traceless, not positive
+    mixed = np.column_stack([gens, 2 * s0, s0 + 1j * (s0 - s1), s0 - s1, 1.5 * s0 - 0.5 * s1])
+
+    def with_generators(cols):
+        sub = subspaces.OperatorSubspace(rep.subspace.layout, rep.subspace.basis_matrix(), cols)
+        return Representation(rep.bath_dim, rep.unitary, sub, rep.target_domain)
+
+    mixed_rep = with_generators(mixed)
+    keep = [g.is_density(state_tol) for g in mixed_rep.subspace.generators]
+    assert 0 < sum(keep) < len(keep) - 1
+    got = dilations._sampled_physical_domain_check(mixed_rep, new_rep, phi, phi.tol)
+    want = dilations._sampled_physical_domain_check(
+        with_generators(mixed[:, keep]), new_rep, phi, phi.tol
+    )
+    for g, w in zip(got, want):
+        assert g.size == 8 and np.array_equal(g, w)
+
+
+def test_inverse_representation_builds_no_generator_operators(monkeypatch):
+    phi = repolarizer(0.1)
+    rep = swap_representation(phi, axis_states(0.1))
+    built = []
+    original = Operator.__post_init__
+
+    def counting(self):
+        built.append(self)
+        original(self)
+
+    monkeypatch.setattr(Operator, "__post_init__", counting)
+    inverse_representation(rep, phi)
+    assert len(built) <= 2  # was 23, 21 of them the subspace's generators

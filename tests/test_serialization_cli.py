@@ -1,13 +1,29 @@
+import contextlib
+import copy
+import functools
+import io
 import json
 import math
+import pathlib
+import tempfile
 import warnings
 from importlib import resources
 
 import jsonschema
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
-from beyondcp import PAULI_X, map_residual, operator, serialization
+from beyondcp import (
+    PAULI_I,
+    PAULI_X,
+    PAULI_Z,
+    map_residual,
+    operator,
+    positive_domain_membership,
+    serialization,
+)
 from beyondcp.catalog import depolarizer_kraus, gibbs_subspace, repolarizer
 from beyondcp.cli import _smallest_checkable_epsilon, run_cli
 from beyondcp.config import DEFAULT_TOL
@@ -200,13 +216,21 @@ def _malformed_corpus():
     ]
 
 
-def _reference_message(doc, name):
+def _reference_outcome(doc, name):
+    """jsonschema.validate's error as validate_document words it, or None if doc is valid."""
     try:
         jsonschema.validate(doc, load_schema(name))
     except jsonschema.ValidationError as err:
         pointer = "/" + "/".join(str(part) for part in err.absolute_path)
         return f"{name} document invalid at {pointer}: {err.message}"
-    raise AssertionError(f"corpus {name} document is valid: {doc!r}")
+    return None
+
+
+def _reference_message(doc, name):
+    message = _reference_outcome(doc, name)
+    if message is None:
+        raise AssertionError(f"corpus {name} document is valid: {doc!r}")
+    return message
 
 
 @pytest.mark.parametrize("name,doc", _malformed_corpus())
@@ -576,3 +600,331 @@ def test_cli_represent_kraus_validates_the_map_once(capsys, tmp_path, monkeypatc
     assert code == 0
     assert doc["verdicts"][1]["name"] == "derived_map_matches_kraus"
     assert validated == ["map", "report"]
+
+
+@pytest.mark.parametrize("epsilon", ["9.5e-4", "0.05", "0.1", "0.45"])
+def test_cli_catalog_repolarizer_bisection_matches_the_per_state_loop(capsys, epsilon):
+    eps = float(epsilon)
+    phi = repolarizer(eps)
+    worst = 0.0
+    for sigma in (PAULI_X, PAULI_Z):
+        for sign in (1.0, -1.0):
+            lo, hi = 0.0, 1.0
+            for _ in range(60):
+                mid = (lo + hi) / 2
+                if positive_domain_membership(phi, (PAULI_I + (sign * mid) * sigma) * 0.5):
+                    lo = mid
+                else:
+                    hi = mid
+            worst = max(worst, abs((lo + hi) / 2 - eps))
+    code, doc = _run(capsys, ["catalog", "repolarizer", "--epsilon", epsilon])
+    boundary = next(
+        v for v in doc["verdicts"] if v["name"] == "positive_domain_boundary_at_epsilon"
+    )
+    assert code == 0
+    assert boundary["residual"] == worst and boundary["passed"]
+
+
+def test_cli_derive_map_on_the_zero_subspace_is_an_input_error(capsys, tmp_path):
+    from beyondcp.catalog import controlled_phase_unitary
+
+    sub = _write(tmp_path, "zero.json", {"dims": [2, 2], "basis": []})
+    uni = _write(tmp_path, "u.json", emit_operator(controlled_phase_unitary(0.7)))
+    assert run_cli(["derive-map", "--subspace", sub, "--unitary", uni]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: cannot derive a map from a zero-dimensional subspace\n"
+
+
+# ---------------------------------------------------------------------------
+# the structural fast path of validate_document, against jsonschema
+# ---------------------------------------------------------------------------
+
+
+def _cli_workload(workdir, seed):
+    """The benchmark's 15 cli commands and exit codes, with its inputs for ``seed``."""
+    from beyondcp.catalog import (
+        controlled_phase_family,
+        controlled_phase_unitary,
+    )
+
+    rng = np.random.default_rng(seed)
+    t = float(rng.uniform(0.1, 2 * math.pi - 0.1))
+    eps = float(rng.uniform(0.05, 0.45))
+    theta, beta = float(rng.uniform(-2.0, 2.0)), float(rng.uniform(0.1, 2.0))
+    cli_seed = str(int(rng.integers(1, 2**31)))
+    inputs = {
+        "gibbs": emit_subspace(gibbs_subspace()),
+        "cphase": emit_operator(controlled_phase_unitary(t)),
+        "family": {"members": [emit_operator(u) for u in controlled_phase_family().members]},
+        "transpose": {"kind": "builtin", "name": "transpose"},
+        "repolarizer": emit_map(repolarizer(eps)),
+        "kraus": {
+            "kind": "kraus",
+            "dims": [2],
+            "operators": [emit_operator(k)["matrix"] for k in depolarizer_kraus(eps)],
+        },
+        "malformed": {"kind": "matrix", "dims": [2]},
+    }
+    path = {name: _write(workdir, f"{name}.json", doc) for name, doc in inputs.items()}
+    commands = [
+        (["catalog", "gibbs", "--theta", repr(theta), "--beta", repr(beta)], 0),
+        (["catalog", "example1", "--t", repr(t)], 0),
+        (["catalog", "transpose"], 0),
+        (["catalog", "repolarizer", "--epsilon", repr(eps)], 0),
+        *(
+            (["catalog", "witness", "--bath-witness", witness], 0)
+            for witness in ("bell", "classical", "product")
+        ),
+        (["violations", "--epsilon", "0.1", "--pairs", "5"], 1),
+        (
+            ["check-consistency", "--subspace", path["gibbs"], "--unitary", path["cphase"],
+             "--family", path["family"]],
+            0,
+        ),
+        (["derive-map", "--subspace", path["gibbs"], "--unitary", path["cphase"]], 0),
+        (
+            ["analyze-map", "--map", path["transpose"], "--cp", "--choi", "--positivity", "64",
+             "--positive-domain", "12"],
+            1,
+        ),
+        (["analyze-map", "--map", path["repolarizer"], "--cp", "--positivity", "64"], 1),
+        (["represent", "--map", path["repolarizer"], "--method", "swap"], 0),
+        (["represent", "--map", path["kraus"], "--method", "kraus"], 0),
+        (["analyze-map", "--map", path["malformed"], "--cp"], 2),
+    ]
+    return inputs, [(argv + ["--seed", cli_seed], code) for argv, code in commands]
+
+
+def _input_documents(inputs):
+    """(schema name, document) of each valid workload input, family members one by one."""
+    yield "subspace", inputs["gibbs"]
+    yield "operator", inputs["cphase"]
+    for member in inputs["family"]["members"]:
+        yield "operator", member
+    for name in ("transpose", "repolarizer", "kraus"):
+        yield "map", inputs[name]
+
+
+_ARTIFACT_SCHEMAS = {
+    "map": "map",
+    "subspace": "subspace",
+    "choi": "operator",
+    "state": "operator",
+    "evolved_true": "operator",
+    "evolved_factored": "operator",
+}
+
+
+def _artifact_documents(report):
+    """(schema name, document) of each map, subspace and operator a report embeds."""
+    for key, doc in report["artifacts"].items():
+        if key in _ARTIFACT_SCHEMAS:
+            yield _ARTIFACT_SCHEMAS[key], doc
+        elif key == "kraus":
+            yield from (("operator", op) for op in doc)
+        elif key == "representation":
+            yield "operator", doc["unitary"]
+            yield "subspace", doc["subspace"]
+            yield "subspace", doc["target_domain"]
+
+
+@pytest.fixture
+def full_validations(monkeypatch):
+    """The list of documents that went through jsonschema's own walk."""
+    walked = []
+    original = jsonschema.Draft7Validator.iter_errors
+
+    def counting(self, instance, *args, **kwargs):
+        walked.append(instance)
+        return original(self, instance, *args, **kwargs)
+
+    monkeypatch.setattr(jsonschema.Draft7Validator, "iter_errors", counting)
+    return walked
+
+
+def _fast_path_accepts(doc, name):
+    return serialization._certainly_valid(serialization._validator(name).schema, doc)
+
+
+def test_valid_documents_skip_the_jsonschema_walk(full_validations):
+    validate_document({"dims": [2], "labels": ["s"], "matrix": _I2}, "operator")
+    validate_document(emit_subspace(gibbs_subspace()), "subspace")
+    validate_document({"dims": [2], "basis": []}, "subspace")
+    validate_document(emit_map(repolarizer(0.1)), "map")
+    validate_document({"kind": "builtin", "name": "identity", "dim": 3}, "map")
+    validate_document({"kind": "builtin", "name": "repolarizer", "epsilon": 1}, "map")
+    validate_document(_valid_report(), "report")
+    assert full_validations == []
+
+
+def test_cli_workload_inputs_and_reports_skip_the_jsonschema_walk(
+    capsys, tmp_path, full_validations
+):
+    inputs, commands = _cli_workload(tmp_path, seed=1)
+    for name, doc in _input_documents(inputs):
+        validate_document(json.loads(json.dumps(doc)), name)
+    assert full_validations == []
+    for argv, expected in commands:
+        code = run_cli(argv)
+        out = capsys.readouterr().out
+        assert code == expected, argv
+        if code == 2:  # the malformed map: jsonschema gives the message
+            assert full_validations and out == ""
+            full_validations.clear()
+            continue
+        report = json.loads(out)
+        validate_document(report, "report")
+        for name, doc in _artifact_documents(report):
+            validate_document(doc, name)
+        assert full_validations == [], argv
+
+
+@pytest.mark.parametrize(
+    "name,doc",
+    [
+        ("operator", {"dims": [2.0], "matrix": _I2}),  # jsonschema counts 2.0 as an integer
+        ("map", {"kind": "builtin", "name": "identity", "dim": 3.0}),
+        ("map", {"kind": "builtin", "name": "repolarizer", "epsilon": np.float64(0.1)}),
+        ("map", {"kind": "builtin", "name": "depolarizer", "epsilon": complex(0.1, 0)}),
+    ],
+)
+def test_valid_documents_outside_the_plain_checks_defer_and_pass(name, doc):
+    jsonschema.validate(doc, load_schema(name))
+    assert not _fast_path_accepts(doc, name)
+    validate_document(doc, name)
+
+
+_KIND_BRANCHES = {
+    "oneOf": [
+        {"required": ["kind"], "properties": {"kind": {"const": "a"}}},
+        {"required": ["kind", "x"], "properties": {"kind": {"const": "b"}}},
+        {"required": ["y"]},
+    ]
+}
+
+
+@pytest.mark.parametrize(
+    "schema,doc,accepted",
+    [
+        (_KIND_BRANCHES, {"kind": "a", "x": 1}, True),  # the other branches are refuted
+        (_KIND_BRANCHES, {"kind": "a", "y": 1}, False),  # two branches match: invalid
+        ({"oneOf": [{"type": "number"}, {"type": "integer"}]}, 3, False),  # both match
+        ({"oneOf": [{"type": "number"}, {"type": "string"}]}, 3, False),  # no refutation
+        ({"anyOf": [{"type": "string"}, {"type": "number", "minimum": 0}]}, 0.5, True),
+        ({"const": 1}, True, False),  # bool is not 1 in JSON Schema
+        ({"enum": [1.0, "a"]}, 1, False),  # equal, but not type-exactly: defers
+        ({"type": ["integer", "null"]}, None, True),
+        ({"maxLength": 1}, "ab", False),  # a keyword outside the supported set
+        ({"items": [{"type": "string"}]}, [1], False),  # tuple-form items
+        ({"additionalProperties": {"type": "string"}}, {"a": 1}, False),
+        ({"type": "array", "items": {"type": "number"}, "maxItems": 2}, [1, 2.5], True),
+        ({"type": "object", "properties": {"a": True}}, {"a": 1}, False),  # boolean subschema
+    ],
+)
+def test_fast_path_on_schemas_beyond_the_packaged_ones(schema, doc, accepted):
+    assert serialization._certainly_valid(schema, doc) is accepted
+    if accepted:
+        assert jsonschema.Draft7Validator(schema).is_valid(doc)
+
+
+@functools.cache
+def _valid_corpus():
+    """(schema name, document) of small valid documents: workload inputs, reports, artifacts.
+
+    Subspaces are cut to two generators and one basis element, and the family
+    to two members, to keep the reference walk short.
+    """
+    docs = [
+        ("operator", {"dims": [2], "labels": ["s"], "matrix": _I2}),
+        ("subspace", {"dims": [2], "basis": []}),
+        ("map", {"kind": "builtin", "name": "identity", "dim": 3}),
+        ("map", {"kind": "builtin", "name": "repolarizer", "epsilon": 0.1}),
+        ("report", _valid_report()),
+    ]
+    with tempfile.TemporaryDirectory() as workdir:
+        inputs, commands = _cli_workload(pathlib.Path(workdir), seed=2)
+        for argv, code in commands[:-1]:  # not the malformed map
+            with contextlib.redirect_stdout(io.StringIO()) as out:
+                run_cli(argv)
+            report = json.loads(out.getvalue())
+            docs += [("report", report), *_artifact_documents(report)]
+    inputs["family"]["members"] = inputs["family"]["members"][:2]
+    docs += _input_documents(inputs)
+
+    def shorter(doc):
+        cut = {"generators": 2, "basis": 1}
+        return {key: value[: cut[key]] if key in cut else value for key, value in doc.items()}
+
+    return [
+        (name, json.loads(json.dumps(shorter(doc) if name == "subspace" else doc)))
+        for name, doc in docs
+    ]
+
+
+_REPLACEMENTS = [True, False, None, "1", "matrix", 0, 1, 2, 4, -1, 1.0, 0.5, [], {}, [1.0, 0.0]]
+_KEYS = [
+    "extra", "dims", "labels", "matrix", "generators", "basis", "kind", "name", "dim",
+    "epsilon", "t", "operators", "coord_matrix", "provenance", "seed", "residual",
+]
+
+
+@st.composite
+def _mutated_documents(draw):
+    """A valid corpus document after one to three random edits at random depths.
+
+    Edits: replace a node (a number by a bool, a string, 1.0, None, ...), drop
+    or add a key or an item (which changes pair and row lengths), or change the
+    top-level ``kind``.  Integers stay at most 4, since ``dims`` and ``dim``
+    values size what a parser would allocate.
+    """
+    def position(node):  # a key of a non-empty dict or an index of a non-empty list
+        return draw(st.sampled_from(list(node) if isinstance(node, dict) else range(len(node))))
+
+    def replacement():
+        return copy.deepcopy(draw(st.sampled_from(_REPLACEMENTS)))
+
+    name, doc = draw(st.sampled_from(_valid_corpus()))
+    doc = copy.deepcopy(doc)
+    for _ in range(draw(st.integers(1, 3))):
+        parent, key, node = None, None, doc
+        for _ in range(draw(st.integers(0, 6))):
+            if not isinstance(node, (dict, list)) or not node:
+                break
+            parent, key = node, position(node)
+            node = parent[key]
+        edit = draw(st.sampled_from(["replace", "drop", "add", "kind"]))
+        if edit == "replace" and parent is None:
+            doc = replacement()
+        elif edit == "replace":
+            parent[key] = replacement()
+        elif edit == "drop" and isinstance(node, (dict, list)) and node:
+            del node[position(node)]
+        elif edit == "add" and isinstance(node, dict):
+            node[draw(st.sampled_from(_KEYS))] = replacement()
+        elif edit == "add" and isinstance(node, list):
+            node.append(copy.deepcopy(node[0]) if node else replacement())
+        elif edit == "kind" and isinstance(doc, dict):
+            doc["kind"] = draw(st.sampled_from(["matrix", "kraus", "builtin", "mystery", 1]))
+    return name, doc
+
+
+@settings(
+    max_examples=300,
+    derandomize=True,
+    database=None,
+    deadline=None,
+    suppress_health_check=[HealthCheck.too_slow, HealthCheck.data_too_large],
+)
+@given(_mutated_documents())
+def test_fast_path_agrees_with_jsonschema_on_mutated_documents(case):
+    name, doc = case
+    expected = _reference_outcome(doc, name)
+    if _fast_path_accepts(doc, name):
+        assert expected is None
+    if expected is None:
+        validate_document(doc, name)
+    else:
+        with pytest.raises(ValueError) as info:
+            validate_document(doc, name)
+        assert str(info.value) == expected

@@ -34,7 +34,7 @@ from beyondcp.catalog import (
 from beyondcp.consistency import UnitaryFamily, consistent_kernel
 from beyondcp.operators import Operator, SpaceLayout, adjoint_action, swap_unitary, vec
 from beyondcp.sampling import haar_unitary, random_density
-from beyondcp.serialization import emit_subspace
+from beyondcp.serialization import emit_subspace, parse_subspace, validate_document
 
 
 def rank_oracle(ops, tol=1e-9):
@@ -385,7 +385,10 @@ def test_zero_dimensional_results_construct_compare_and_serialise(name):
     assert not subspaces_equal(v, full_operator_space(v.layout))
     assert not check_state_spanned(v)
     doc = emit_subspace(v)
-    assert doc == {"dims": list(v.layout.dims), "generators": [], "basis": []}
+    assert doc == {"dims": list(v.layout.dims), "basis": []}
+    validate_document(doc, "subspace")
+    again = parse_subspace(doc)
+    assert again.layout == v.layout and again.dim == 0 and again.generators == ()
 
 
 def test_subspace_constructor_checks_its_matrices():
