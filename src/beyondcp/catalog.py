@@ -11,6 +11,7 @@ breaks.  Pauli matrices follow the standard convention fixed in
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -233,6 +234,25 @@ class RepolarizerParams:
             raise ValueError(f"epsilon must lie in (0, 1], got {self.epsilon!r}")
 
 
+def _smallest_state_checkable_epsilon(tol: ToleranceConfig) -> float:
+    """Below this epsilon, repolarized states may fail their own state checks.
+
+    They err by up to 0.99 machine epsilon / epsilon (seeded sweep), against the
+    state checks' max(residual_tol, psd_slack); the floor keeps a factor of 2.
+    """
+    state_tol = max(tol.residual_tol, tol.psd_slack)
+    return 2.0 * sys.float_info.epsilon / state_tol if state_tol > 0 else math.inf
+
+
+def _require_checkable_epsilon(name: str, eps: float, floor: float, tol: ToleranceConfig) -> None:
+    """Refuse 0 < eps < floor as an input error that names the input."""
+    if 0 < eps < floor:
+        raise ValueError(
+            f"{name} {eps!r} is below {floor:.3g}, the smallest epsilon whose "
+            f"constructions can be checked at residual tolerance {tol.residual_tol:g}"
+        )
+
+
 def repolarizer(epsilon: float, tol: ToleranceConfig = DEFAULT_TOL) -> SubsystemMap:
     """A -> (1/e) A - ((1-e)/(2e)) Tr(A) 1: linear, TP, HP, not positive."""
     p = RepolarizerParams(epsilon)
@@ -301,34 +321,28 @@ def axis_states(radius: float = 1.0) -> list[Operator]:
     return states
 
 
+def _ball_pair(rng: np.random.Generator, radius) -> tuple[Operator, Operator]:
+    """Two states (1 + r n.sigma)/2, each drawing a uniform direction n, then r = radius(rng)."""
+    out = []
+    for _ in range(2):
+        direction = rng.standard_normal(3)
+        direction /= np.linalg.norm(direction)
+        r = radius(rng)
+        bloch = direction[0] * PAULI_X + direction[1] * PAULI_Y + direction[2] * PAULI_Z
+        out.append((PAULI_I + r * bloch) * 0.5)
+    return out[0], out[1]
+
+
 def interior_ball_pair(
     epsilon: float, rng: np.random.Generator, radius_fraction: float = 0.5
 ) -> tuple[Operator, Operator]:
     """Two random full-rank states strictly inside the epsilon ball."""
-    out = []
-    for _ in range(2):
-        direction = rng.standard_normal(3)
-        direction /= np.linalg.norm(direction)
-        r = epsilon * radius_fraction * rng.uniform(0.3, 1.0)
-        bloch = (
-            direction[0] * PAULI_X + direction[1] * PAULI_Y + direction[2] * PAULI_Z
-        )
-        out.append((PAULI_I + r * bloch) * 0.5)
-    return out[0], out[1]
+    return _ball_pair(rng, lambda g: epsilon * radius_fraction * g.uniform(0.3, 1.0))
 
 
 def ball_pair(epsilon: float, rng: np.random.Generator) -> tuple[Operator, Operator]:
     """Two distinct random states drawn from the closed epsilon ball."""
-    out = []
-    for _ in range(2):
-        direction = rng.standard_normal(3)
-        direction /= np.linalg.norm(direction)
-        r = epsilon * rng.uniform(0.0, 1.0) ** (1.0 / 3.0)
-        bloch = (
-            direction[0] * PAULI_X + direction[1] * PAULI_Y + direction[2] * PAULI_Z
-        )
-        out.append((PAULI_I + r * bloch) * 0.5)
-    return out[0], out[1]
+    return _ball_pair(rng, lambda g: epsilon * g.uniform(0.0, 1.0) ** (1.0 / 3.0))
 
 
 # -- inequality checks ----------------------------------------------------------

@@ -385,17 +385,9 @@ def _smallest_checkable_epsilon(tol: ToleranceConfig) -> float:
     return 2.0 * math.sqrt(sys.float_info.epsilon / tol.residual_tol)
 
 
-def _require_checkable_epsilon(eps: float, floor: float, tol: ToleranceConfig) -> None:
-    if 0 < eps < floor:
-        raise ValueError(
-            f"--epsilon {eps!r} is below {floor:.3g}, the smallest epsilon whose "
-            f"constructions can be checked at residual tolerance {tol.residual_tol:g}"
-        )
-
-
 def _catalog_repolarizer(args, tol: ToleranceConfig, seed: int, report: Report) -> None:
     eps = args.epsilon
-    _require_checkable_epsilon(eps, _smallest_checkable_epsilon(tol), tol)
+    catalog._require_checkable_epsilon("--epsilon", eps, _smallest_checkable_epsilon(tol), tol)
     phi = catalog.repolarizer(eps, tol)
     printed = catalog.repolarizer_subspace(eps, tol)
     rep = swap_representation(phi, catalog.axis_states(radius=eps))
@@ -480,10 +472,8 @@ def _cmd_catalog(args, tol: ToleranceConfig, seed: int) -> Report:
 
 def _cmd_violations(args, tol: ToleranceConfig, seed: int) -> Report:
     eps = args.epsilon
-    # Repolarized states err by up to 0.99 machine epsilon / eps (seeded sweep), against
-    # the state checks' max(residual_tol, psd_slack); the floor keeps a factor of 2.
-    floor = 2.0 * sys.float_info.epsilon / max(tol.residual_tol, tol.psd_slack)
-    _require_checkable_epsilon(eps, floor, tol)
+    floor = catalog._smallest_state_checkable_epsilon(tol)
+    catalog._require_checkable_epsilon("--epsilon", eps, floor, tol)
     payload = {"epsilon": eps, "pairs": args.pairs}
     report = Report("violations", inputs_digest(payload), seed, tol)
     phi = catalog.repolarizer(eps, tol)

@@ -19,6 +19,7 @@ from .operators import (
     SpaceLayout,
     _reduced_evolution,
     _reduced_evolution_matrix,
+    _stacked,
     adjoint_action,
     identity,
     partial_trace,
@@ -29,6 +30,7 @@ from .operators import (
 )
 from .subspaces import (
     OperatorSubspace,
+    _keep_indices,
     _null_space,
     kernel_of_partial_trace,
     span_from_generators,
@@ -80,15 +82,11 @@ class ConsistencyVerdict:
     violating_pair: tuple[Operator, Operator] | None = None
 
 
-def _keep_indices(layout: SpaceLayout, bath_factor: int) -> tuple[int, ...]:
-    return tuple(i for i in range(layout.n_factors) if i != bath_factor)
-
-
 def _unitary_stack(members, layout: SpaceLayout, tol: float) -> np.ndarray:
     """The members as one (f, N, N) array, refusing a layout mismatch or a non-unitary."""
     if members[0].layout.dims != layout.dims:
         raise ValueError("unitary layout does not match the subspace layout")
-    u = np.array([m.entries for m in members])
+    u = _stacked(members)
     gram = np.swapaxes(u, -1, -2).conj() @ u
     residual = np.max(np.linalg.norm(gram - np.eye(layout.total_dim), axis=(-2, -1)))
     if not (residual <= tol):
@@ -245,10 +243,9 @@ def witness_factorization_gap(
     mismatch is their trace distance.
     """
     state_tol = max(tol.residual_tol, tol.psd_slack)
-    if not rho_s.is_density(state_tol):
-        raise ValueError("rho_s must be a density matrix")
-    if not rho_bw.is_density(state_tol):
-        raise ValueError("rho_bw must be a density matrix")
+    for name, rho in (("rho_s", rho_s), ("rho_bw", rho_bw)):
+        if not rho.is_density(state_tol):
+            raise ValueError(f"{name} must be a density matrix")
     if rho_bw.layout.n_factors != 2:
         raise ValueError("rho_bw must live on a bath (x) witness layout")
     if rho_s.layout.n_factors != 1:

@@ -18,8 +18,11 @@ from .config import DEFAULT_TOL, ToleranceConfig
 from .consistency import ConsistencyVerdict, is_unitary_consistent
 from .operators import (
     Operator,
+    _columns,
+    _density_mask,
     _min_eigenvalues,
     _reduced_evolution,
+    _stacked,
     _unvec_stack,
     _vec_stack,
     identity,
@@ -30,6 +33,8 @@ from .sampling import axis_grid_states, random_pure_state
 from .subspaces import (
     OperatorSubspace,
     _dagger_columns,
+    _keep_indices,
+    _numerical_rank,
     _span_of_columns,
     check_state_spanned,
     full_operator_space,
@@ -101,26 +106,13 @@ class SubsystemMap:
         return self.domain.tol
 
     def apply(self, a: Operator) -> Operator:
-        if a.layout.dims != self.domain.layout.dims:
-            raise ValueError(f"layout mismatch: {a.layout.dims} vs {self.domain.layout.dims}")
-        image = self._apply_columns(vec(a.entries)[:, None])
+        image = self._apply_columns(self.domain._column(a))
         return Operator(self.domain.layout, unvec(image[:, 0], self.dim))
-
-    def _coordinates(self, cols: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """Domain coordinates and residuals of vectorized operators, as
-        ``OperatorSubspace._coordinates_of`` gives them, and whether each lies in
-        the domain: residual <= residual_tol * max(1, norm).
-        """
-        coeffs, residuals = self.domain._coordinates_of(cols)
-        inside = residuals <= self.tol.residual_tol * np.maximum(
-            1.0, np.linalg.norm(cols, axis=-2)
-        )
-        return coeffs, residuals, inside
 
     def _apply_columns(self, cols: np.ndarray) -> np.ndarray:
         """The map on vectorized operators (an (N^2, k) block or a (k, N^2, 1)
         stack of columns), refusing any outside the domain."""
-        coeffs, residuals, inside = self._coordinates(cols)
+        coeffs, residuals, inside = self.domain._coordinates_of(cols)
         if not np.all(inside):
             raise MapDomainError(
                 f"operator lies outside the map's domain (residual {np.max(residuals):.3e})"
@@ -149,14 +141,12 @@ class SubsystemMap:
         except MapDomainError:
             return False
         drift = images - _dagger_columns(self.coord_matrix, self.dim)
-        return bool(np.max(np.linalg.norm(drift, axis=0)) <= tol)  # False on NaN
+        return bool(np.max(np.linalg.norm(drift, axis=0), initial=0.0) <= tol)  # False on NaN
 
     # Linear combinations are used for analysis (for example Choi linearity);
     # they require the identical stored basis so coordinates line up.
     def _check_combinable(self, other: "SubsystemMap") -> None:
-        if self.domain.dim != other.domain.dim or not np.allclose(
-            self.domain.basis_matrix(), other.domain.basis_matrix()
-        ):
+        if not np.array_equal(self.domain.basis_matrix(), other.domain.basis_matrix()):
             raise ValueError("maps must share the same stored domain basis")
 
     def __add__(self, other: "SubsystemMap") -> "SubsystemMap":
@@ -194,8 +184,7 @@ def derive_map(
             "the reduced map is not well defined",
             verdict,
         )
-    keep = tuple(i for i in range(v.layout.n_factors) if i != bath_factor)
-    return _derive(v, [u], keep, consistent=True)[0].map
+    return _derive(v, [u], _keep_indices(v.layout, bath_factor), consistent=True)[0].map
 
 
 class _Derivation(NamedTuple):
@@ -223,7 +212,7 @@ def _derive(
             f"derived from a consistent pair (subspace dim {v.dim}; "
             f"state-spanned check: {'verified' if spanned else 'not verified'})"
         )
-        p, _ = domain._coordinates_of(reduced[:, basis])
+        p = domain._coordinates_of(reduced[:, basis])[0]
         p_inv = np.linalg.pinv(p, rcond=v.tol.rank_cut)
         scale = np.maximum(1.0, np.linalg.norm(ops, axis=0))
     derivations = []
@@ -409,29 +398,20 @@ def _random_domain_states(
         yield rho
 
 
-def _stacked(states: Sequence[Operator]) -> np.ndarray:
-    """The entries of the operators as one (k, N, N) array."""
-    return np.array([rho.entries for rho in states])
-
-
 def _positive_domain_mask(phi: SubsystemMap, states: np.ndarray) -> np.ndarray:
     """positive_domain_membership of each matrix of a (k, N, N) stack, as a (k,) bool array.
 
-    One containment test (the domain check of the map as well), Hermiticity
-    and trace on the whole stack, then one eigvalsh on the states and one on
-    their images.  Every product is taken per state (see ``_vec_stack``), so
-    a state's verdict does not depend on the rest of the stack.
+    One containment test (the domain check of the map as well), one state
+    test on the whole stack, then one eigvalsh on the images.  Every product is
+    taken per state (see ``_vec_stack``), so a state's verdict does not depend
+    on the rest of the stack.
     """
     tol = phi.tol
-    coeffs, _, inside = phi._coordinates(_vec_stack(states))
-    hermitian = np.linalg.norm(states - states.conj().swapaxes(-1, -2), axis=(-2, -1))
-    unit_trace = np.abs(np.trace(states, axis1=-2, axis2=-1) - 1.0)
+    coeffs, _, inside = phi.domain._coordinates_of(_vec_stack(states))
     images = _unvec_stack(phi.coord_matrix @ coeffs, phi.dim)
     return (
         inside[:, 0]
-        & (hermitian <= tol.residual_tol)
-        & (unit_trace <= tol.residual_tol)
-        & (_min_eigenvalues(states) >= -tol.psd_slack)
+        & _density_mask(states, tol.residual_tol, tol.psd_slack)
         & (_min_eigenvalues(images) >= -tol.psd_slack)
     )
 
@@ -540,7 +520,5 @@ def sample_positive_domain(
         members += [rho for rho in found if rho is not None]
     if not members:
         return PositiveDomainSample((), 0)
-    m = np.column_stack([vec(r.entries) for r in members])
-    s = np.linalg.svd(m, compute_uv=False)
-    span = int(np.sum(s > phi.tol.rank_cut * s[0])) if s.size else 0
-    return PositiveDomainSample(tuple(members), span)
+    s = np.linalg.svd(_columns(_stacked(members)), compute_uv=False)
+    return PositiveDomainSample(tuple(members), _numerical_rank(s, phi.tol.rank_cut))

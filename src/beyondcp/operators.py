@@ -141,15 +141,10 @@ class Operator:
         return float(np.linalg.norm(self.entries - self.entries.conj().T)) <= tol
 
     def is_unitary(self, tol: float = DEFAULT_TOL.residual_tol) -> bool:
-        gram = self.entries.conj().T @ self.entries
-        return float(np.linalg.norm(gram - np.eye(self.dim))) <= tol
+        return self.unitarity_residual() <= tol
 
     def is_density(self, tol: float = DEFAULT_TOL.residual_tol) -> bool:
-        if not self.is_hermitian(tol):
-            return False
-        if abs(self.trace() - 1.0) > tol:
-            return False
-        return self.min_eigenvalue() >= -tol
+        return bool(_density_mask(self.entries[None], tol, tol)[0])
 
     def unitarity_residual(self) -> float:
         gram = self.entries.conj().T @ self.entries
@@ -187,6 +182,14 @@ def _min_eigenvalues(entries: np.ndarray) -> np.ndarray:
     One eigvalsh call; each matrix gets the arithmetic it gets alone.
     """
     return np.linalg.eigvalsh((entries + entries.conj().swapaxes(-1, -2)) / 2)[..., 0]
+
+
+def _density_mask(stack: np.ndarray, tol: float, slack: float) -> np.ndarray:
+    """Which matrices of a (k, n, n) stack are states, as a (k,) bool array: Hermitian and
+    of unit trace within ``tol``, no eigenvalue below ``-slack``.  NaN gives False."""
+    hermitian = np.linalg.norm(stack - stack.conj().swapaxes(-1, -2), axis=(-2, -1)) <= tol
+    unit_trace = np.abs(np.trace(stack, axis1=-2, axis2=-1) - 1.0) <= tol
+    return hermitian & unit_trace & (_min_eigenvalues(stack) >= -slack)
 
 
 def _check_same_layout(a: Operator, b: Operator) -> None:
@@ -274,6 +277,16 @@ def _vec_stack(stack: np.ndarray) -> np.ndarray:
     """
     k, n, _ = stack.shape
     return stack.swapaxes(-1, -2).reshape(k, n * n, 1)
+
+
+def _columns(stack: np.ndarray) -> np.ndarray:
+    """vec of each matrix of a (k, n, n) stack, as the columns of an (n^2, k) block; k may be 0."""
+    return _vec_stack(stack)[:, :, 0].T
+
+
+def _stacked(ops: Sequence[Operator]) -> np.ndarray:
+    """The entries of the operators as one (k, N, N) array."""
+    return np.array([op.entries for op in ops])
 
 
 def _unvec_stack(cols: np.ndarray, n: int) -> np.ndarray:

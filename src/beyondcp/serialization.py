@@ -25,7 +25,7 @@ import jsonschema
 import numpy as np
 
 from .config import DEFAULT_TOL, ToleranceConfig
-from .operators import Operator, SpaceLayout, _unvec_stack, vec
+from .operators import Operator, SpaceLayout, _columns, _unvec_stack
 from .maps import SubsystemMap, map_from_kraus
 from .subspaces import OperatorSubspace, _operators, _span_of_columns
 
@@ -127,8 +127,8 @@ def _certainly_valid(schema: Any, doc: Any) -> bool:
             ok = not isinstance(doc, list) or len(doc) >= value
         elif key == "maxItems":
             ok = not isinstance(doc, list) or len(doc) <= value
-        elif key == "minimum":
-            ok = type(doc) in (int, float) and doc >= value
+        elif key in ("minimum", "maximum"):
+            ok = type(doc) in (int, float) and (doc >= value if key == "minimum" else doc <= value)
         elif key == "properties":
             ok = not isinstance(doc, dict) or all(
                 name not in doc or _certainly_valid(sub, doc[name]) for name, sub in value.items()
@@ -215,13 +215,13 @@ def _parse_matrix(obj: list, where: str) -> np.ndarray:
 
 def _parse_columns(doc: dict, key: str, n: int) -> np.ndarray:
     """The n x n matrices listed under ``doc[key]`` (none if absent), vectorized as columns."""
-    cols = []
+    mats = []
     for i, mat in enumerate(doc.get(key, [])):
         arr = _parse_matrix(mat, f"/{key}/{i}")
         if arr.shape != (n, n):
             raise ValueError(f"/{key}/{i}: shape {arr.shape} does not match dims")
-        cols.append(vec(arr))
-    return np.array(cols, dtype=complex).reshape(-1, n * n).T
+        mats.append(arr)
+    return _columns(np.array(mats, dtype=complex).reshape(-1, n, n))
 
 
 def _layout_from_doc(doc: dict) -> SpaceLayout:
@@ -311,7 +311,9 @@ def _builtin_map(doc: dict, tol: ToleranceConfig) -> SubsystemMap:
     if name == "repolarizer":
         if "epsilon" not in doc:
             raise ValueError('/epsilon: builtin "repolarizer" requires epsilon')
-        return catalog.repolarizer(float(doc["epsilon"]), tol)
+        eps, floor = float(doc["epsilon"]), catalog._smallest_state_checkable_epsilon(tol)
+        catalog._require_checkable_epsilon("/epsilon:", eps, floor, tol)
+        return catalog.repolarizer(eps, tol)
     if name == "depolarizer":
         if "epsilon" not in doc:
             raise ValueError('/epsilon: builtin "depolarizer" requires epsilon')

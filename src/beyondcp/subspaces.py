@@ -20,8 +20,11 @@ from .operators import (
     Operator,
     SpaceLayout,
     _as_layout,
+    _columns,
     _min_eigenvalues,
     _reduced_evolution,
+    _stacked,
+    _unvec_stack,
     tensor,
     unvec,
     vec,
@@ -90,21 +93,28 @@ class OperatorSubspace:
         """Columns are the vectorized basis operators, shape (N^2, dim)."""
         return self._basis_matrix
 
-    def _coordinates_of(self, cols: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """Coordinates of vectorized operators and their out-of-span residuals.
+    def _coordinates_of(self, cols: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Coordinates of vectorized operators, their out-of-span residuals, and
+        whether each lies in the span: residual <= residual_tol * max(1, norm).
 
-        ``cols`` is an (N^2, k) block, giving (dim, k) and (k,), or a (k, N^2, 1)
-        stack of columns, giving (k, dim, 1) and (k, 1).
+        ``cols`` is an (N^2, k) block, giving (dim, k), (k,) and (k,), or a
+        (k, N^2, 1) stack of columns, giving (k, dim, 1), (k, 1) and (k, 1).
         """
         b = self.basis_matrix()
         coeffs = b.conj().T @ cols
-        return coeffs, np.linalg.norm(cols - b @ coeffs, axis=-2)
+        residuals = np.linalg.norm(cols - b @ coeffs, axis=-2)
+        bound = self.tol.residual_tol * np.maximum(1.0, np.linalg.norm(cols, axis=-2))
+        return coeffs, residuals, residuals <= bound
+
+    def _column(self, a: Operator) -> np.ndarray:
+        """vec(a) as an (N^2, 1) block, refusing a layout mismatch."""
+        if a.layout.dims != self.layout.dims:
+            raise ValueError(f"layout mismatch: {a.layout.dims} vs {self.layout.dims}")
+        return vec(a.entries)[:, None]
 
     def coordinates(self, a: Operator) -> tuple[np.ndarray, float]:
         """Coordinates of ``a`` in the basis plus the out-of-span residual."""
-        if a.layout.dims != self.layout.dims:
-            raise ValueError(f"layout mismatch: {a.layout.dims} vs {self.layout.dims}")
-        coeffs, residual = self._coordinates_of(vec(a.entries)[:, None])
+        coeffs, residual, _ = self._coordinates_of(self._column(a))
         return coeffs[:, 0], float(residual[0])
 
     def project(self, a: Operator) -> Operator:
@@ -113,14 +123,11 @@ class OperatorSubspace:
 
     def contains(self, a: Operator) -> bool:
         """True iff ||A - proj(A)|| <= residual_tol * max(1, ||A||)."""
-        _, residual = self.coordinates(a)
-        return residual <= self.tol.residual_tol * max(1.0, a.hs_norm())
+        return self._contains_columns(self._column(a))
 
     def _contains_columns(self, cols: np.ndarray) -> bool:
         """``contains`` for every column of an (N^2, k) block or (k, N^2, 1) stack."""
-        _, residuals = self._coordinates_of(cols)
-        bound = self.tol.residual_tol * np.maximum(1.0, np.linalg.norm(cols, axis=-2))
-        return bool(np.all(residuals <= bound))
+        return bool(np.all(self._coordinates_of(cols)[2]))
 
 
 def _numerical_rank(s: np.ndarray, cut: float, floor: float | None = None) -> int:
@@ -143,12 +150,7 @@ def _null_space(a: np.ndarray, cut: float) -> np.ndarray:
 
 def _dagger_columns(cols: np.ndarray, n: int) -> np.ndarray:
     """vec(X^dag) for each column vec(X) of ``cols``."""
-    stack = cols.reshape(n, n, -1, order="F")
-    return stack.transpose(1, 0, 2).conj().reshape(n * n, -1, order="F")
-
-
-def _vec_columns(ops, n: int) -> np.ndarray:
-    return np.array([vec(op.entries) for op in ops], dtype=complex).reshape(len(ops), n * n).T
+    return _columns(_unvec_stack(cols.T, n).conj().swapaxes(-1, -2))
 
 
 def _operators(layout: SpaceLayout, cols: np.ndarray) -> tuple[Operator, ...]:
@@ -176,7 +178,7 @@ def span_from_generators(
     for g in generators[1:]:
         if g.layout.dims != layout.dims:
             raise ValueError("generators must share a single layout")
-    return _span_of_columns(layout, _vec_columns(generators, layout.total_dim), tol)
+    return _span_of_columns(layout, _columns(_stacked(generators)), tol)
 
 
 def full_operator_space(dims, tol: ToleranceConfig = DEFAULT_TOL) -> OperatorSubspace:
@@ -214,6 +216,11 @@ def subspaces_equal(v: OperatorSubspace, w: OperatorSubspace) -> bool:
     return v.dim == w.dim and subspace_leq(v, w) and subspace_leq(w, v)
 
 
+def _keep_indices(layout: SpaceLayout, bath_factor: int) -> tuple[int, ...]:
+    """The factors left after tracing out the bath factor."""
+    return tuple(i for i in range(layout.n_factors) if i != bath_factor)
+
+
 def kernel_of_partial_trace(
     v: OperatorSubspace, bath_factor: int = 1
 ) -> OperatorSubspace:
@@ -226,9 +233,8 @@ def kernel_of_partial_trace(
         raise ValueError("kernel_of_partial_trace needs at least two tensor factors")
     if not 0 <= bath_factor < v.layout.n_factors:
         raise ValueError(f"bath factor {bath_factor} out of range")
-    keep = tuple(i for i in range(v.layout.n_factors) if i != bath_factor)
     b = v.basis_matrix()
-    t = _reduced_evolution(b, v.layout.dims, keep)
+    t = _reduced_evolution(b, v.layout.dims, _keep_indices(v.layout, bath_factor))
     return OperatorSubspace(v.layout, b @ _null_space(t, v.tol.rank_cut), tol=v.tol)
 
 
@@ -242,7 +248,8 @@ def symmetric_sector(r: OperatorSubspace) -> OperatorSubspace:
         raise ValueError("symmetric_sector expects a single-factor operator subspace")
     gens = [tensor(bi, bj) + tensor(bj, bi) for i, bi in enumerate(r.basis) for bj in r.basis[i:]]
     doubled = r.layout.concat(r.layout)
-    return _span_of_columns(doubled, _vec_columns(gens, doubled.total_dim), r.tol)
+    m = doubled.total_dim  # the reshape keeps an empty list a (0, m, m) stack
+    return _span_of_columns(doubled, _columns(_stacked(gens).reshape(-1, m, m)), r.tol)
 
 
 def check_state_spanned(

@@ -205,6 +205,23 @@ def test_choi_linearity(rng):
     assert (combined - split).hs_norm() <= 1e-12
 
 
+def test_maps_combine_only_on_the_identical_stored_basis():
+    from beyondcp import OperatorSubspace
+
+    phi = repolarizer(0.01)
+    c, s = math.cos(9e-9), math.sin(9e-9)
+    rotation = np.eye(4, dtype=complex)
+    rotation[:2, :2] = [[c, -s], [s, c]]
+    rotated = OperatorSubspace(phi.domain.layout, phi.domain.basis_matrix() @ rotation)
+    psi = SubsystemMap(rotated, phi.linear_operator() @ rotated.basis_matrix())
+    assert map_residual(phi, psi) <= 1e-9  # the same map, stored on another basis
+    with pytest.raises(ValueError, match="same stored domain basis"):
+        (phi + psi) * 0.5
+    with pytest.raises(ValueError, match="same stored domain basis"):
+        phi - psi
+    assert map_residual((phi + phi) * 0.5, phi) == 0.0
+
+
 def test_is_cp_verdicts():
     for t in (0.0, 0.4, math.pi / 3):
         from beyondcp.catalog import controlled_phase_kraus

@@ -636,6 +636,52 @@ def test_cli_derive_map_on_the_zero_subspace_is_an_input_error(capsys, tmp_path)
     assert captured.err == "error: cannot derive a map from a zero-dimensional subspace\n"
 
 
+def test_cli_derive_map_on_a_subspace_inside_the_trace_kernel(capsys, tmp_path):
+    from beyondcp import identity, span_from_generators, tensor
+
+    v = span_from_generators([tensor(PAULI_X, PAULI_Z)])  # Tr_B(X (x) Z) = 0
+    sub = _write(tmp_path, "kernel.json", emit_subspace(v))
+    uni = _write(tmp_path, "u.json", emit_operator(identity((2, 2))))
+    code, doc = _run(capsys, ["derive-map", "--subspace", sub, "--unitary", uni])
+    assert code == 0
+    assert [(v["name"], v["passed"]) for v in doc["verdicts"]] == [
+        ("unitary_consistent", True),
+        ("trace_and_hermiticity_preserving", True),
+    ]
+    assert doc["artifacts"]["map"]["basis"] == []
+
+
+def test_cli_builtin_identity_refuses_a_huge_dim_before_building_it(capsys, tmp_path):
+    path = _write(tmp_path, "huge.json", {"kind": "builtin", "name": "identity", "dim": 1000000})
+    assert run_cli(["analyze-map", "--map", path]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (
+        "error: map document invalid at /dim: 1000000 is greater than the maximum of 16\n"
+    )
+    assert parse_map({"kind": "builtin", "name": "identity", "dim": 16}).domain.dim == 256
+
+
+@pytest.mark.parametrize("epsilon", [1e-300, 1e-7, 4.4e-7])
+def test_builtin_repolarizer_refuses_an_uncheckable_epsilon(capsys, tmp_path, epsilon):
+    path = _write(tmp_path, "r.json", {"kind": "builtin", "name": "repolarizer", "epsilon": epsilon})
+    assert run_cli(["analyze-map", "--map", path]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith(f"error: /epsilon: {epsilon!r} is below 4.44e-07,")
+
+
+def test_builtin_repolarizer_is_tp_and_hp_from_its_epsilon_bound_up(capsys, tmp_path):
+    from beyondcp.catalog import _smallest_state_checkable_epsilon
+
+    bound = _smallest_state_checkable_epsilon(DEFAULT_TOL)
+    for epsilon in np.geomspace(bound, 1e-3, 8):
+        doc = {"kind": "builtin", "name": "repolarizer", "epsilon": float(epsilon)}
+        code, report = _run(capsys, ["analyze-map", "--map", _write(tmp_path, "r.json", doc)])
+        assert code == 0, epsilon
+        assert all(v["passed"] for v in report["verdicts"]), epsilon
+
+
 # ---------------------------------------------------------------------------
 # the structural fast path of validate_document, against jsonschema
 # ---------------------------------------------------------------------------
@@ -820,6 +866,10 @@ _KIND_BRANCHES = {
         ({"additionalProperties": {"type": "string"}}, {"a": 1}, False),
         ({"type": "array", "items": {"type": "number"}, "maxItems": 2}, [1, 2.5], True),
         ({"type": "object", "properties": {"a": True}}, {"a": 1}, False),  # boolean subschema
+        ({"type": "integer", "minimum": 1, "maximum": 16}, 16, True),
+        ({"maximum": 16}, 16.0, True),
+        ({"maximum": 16}, 17, False),  # invalid
+        ({"maximum": 16}, "a", False),  # valid (not a number), but not shown: defers
     ],
 )
 def test_fast_path_on_schemas_beyond_the_packaged_ones(schema, doc, accepted):
