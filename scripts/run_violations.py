@@ -12,6 +12,9 @@ import argparse
 import numpy as np
 
 from beyondcp.catalog import (
+    RepolarizerParams,
+    _require_checkable_epsilon,
+    _smallest_state_checkable_epsilon,
     ball_pair,
     contractivity_ratio,
     depolarizer,
@@ -20,6 +23,7 @@ from beyondcp.catalog import (
     uhlmann_check,
 )
 from beyondcp.cli import _positive_int
+from beyondcp.config import DEFAULT_TOL
 
 
 def main() -> None:
@@ -28,6 +32,13 @@ def main() -> None:
     parser.add_argument("--pairs", type=_positive_int, default=20)
     parser.add_argument("--seed", type=int, default=0)
     args = parser.parse_args()
+    floor = _smallest_state_checkable_epsilon(DEFAULT_TOL)
+    for eps in args.epsilons:  # refused as `beyondcp violations --epsilon` refuses them
+        try:
+            _require_checkable_epsilon("--epsilons", eps, floor, DEFAULT_TOL)
+            RepolarizerParams(eps)
+        except ValueError as err:
+            parser.error(str(err))
 
     print(f"{'eps':>6} {'1/eps':>8} {'trace-norm ratio':>18} {'uhlmann min ratio':>18} {'cptp control max':>17}")
     for eps in args.epsilons:
@@ -48,9 +59,11 @@ def main() -> None:
         contraction = [r for r in contraction if r is not None]
         uhlmann = [r for r in uhlmann if r is not None]
         control = [r for r in control if r is not None]
+        # at small epsilon every input entropy is at noise level, so no ratio is defined
+        uhlmann_min = f"{min(uhlmann):>18.6f}" if uhlmann else f"{'undefined':>18}"
         print(
             f"{eps:>6.3f} {1 / eps:>8.2f} {np.mean(contraction):>18.6f} "
-            f"{min(uhlmann):>18.6f} {max(control):>17.6f}"
+            f"{uhlmann_min} {max(control):>17.6f}"
         )
 
 

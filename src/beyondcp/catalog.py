@@ -30,7 +30,6 @@ from .operators import (
     PAULI_Y,
     PAULI_Z,
     gibbs_state,
-    identity,
     relative_entropy,
     schatten_distance,
     tensor,
@@ -63,6 +62,11 @@ __all__ = [
 ]
 
 
+# The sixteen two-qubit Pauli products, keyed by their letters: "ZX" is Z (x) X.
+_PAULIS = dict(zip("IXYZ", (PAULI_I, PAULI_X, PAULI_Y, PAULI_Z)))
+_PAULI_PAIRS = {a + b: tensor(pa, pb) for a, pa in _PAULIS.items() for b, pb in _PAULIS.items()}
+
+
 # -- thermal qubit-pair family -------------------------------------------------
 
 
@@ -86,9 +90,7 @@ class GibbsParams:
 
 def gibbs_hamiltonian(theta: float) -> Operator:
     """H(theta) = theta (X + Z) (x) 1 + X (x) X on a qubit pair."""
-    return theta * (tensor(PAULI_X, PAULI_I) + tensor(PAULI_Z, PAULI_I)) + tensor(
-        PAULI_X, PAULI_X
-    )
+    return theta * (_PAULI_PAIRS["XI"] + _PAULI_PAIRS["ZI"]) + _PAULI_PAIRS["XX"]
 
 
 def gibbs_state_closed_form(p: GibbsParams) -> Operator:
@@ -103,13 +105,14 @@ def gibbs_state_closed_form(p: GibbsParams) -> Operator:
     c_x1 = -((p.theta + 1) * sl + (p.theta - 1) * sg) / denom
     c_xx = -((p.theta + 1) * sl - (p.theta - 1) * sg) / denom
     c_zx = -p.theta * (sl - sg) / denom
+    pp = _PAULI_PAIRS
     state = (
-        tensor(PAULI_I, PAULI_I)
-        + c_bath_x * tensor(PAULI_I, PAULI_X)
-        + c_z1 * tensor(PAULI_Z, PAULI_I)
-        + c_x1 * tensor(PAULI_X, PAULI_I)
-        + c_xx * tensor(PAULI_X, PAULI_X)
-        + c_zx * tensor(PAULI_Z, PAULI_X)
+        pp["II"]
+        + c_bath_x * pp["IX"]
+        + c_z1 * pp["ZI"]
+        + c_x1 * pp["XI"]
+        + c_xx * pp["XX"]
+        + c_zx * pp["ZX"]
     )
     return state / 4.0
 
@@ -132,21 +135,19 @@ def gibbs_subspace(
     return span_from_generators(gens, tol)
 
 
+_CONTROLLED_PHASE_GENERATOR = (
+    _PAULI_PAIRS["II"] + _PAULI_PAIRS["ZI"] + _PAULI_PAIRS["IZ"] - _PAULI_PAIRS["ZZ"]
+) * 0.5
+
+
 def controlled_phase_generator() -> Operator:
     """K = (1 + Z(x)1 + 1(x)Z - Z(x)Z) / 2, the controlled-phase generator."""
-    return (
-        tensor(PAULI_I, PAULI_I)
-        + tensor(PAULI_Z, PAULI_I)
-        + tensor(PAULI_I, PAULI_Z)
-        - tensor(PAULI_Z, PAULI_Z)
-    ) * 0.5
+    return _CONTROLLED_PHASE_GENERATOR
 
 
 def controlled_phase_unitary(t: float) -> Operator:
     """U(t) = exp(-i t K); K squares to the identity so U = cos t - i sin t K."""
-    k = controlled_phase_generator()
-    ident = identity(k.layout)
-    return math.cos(t) * ident + (-1j * math.sin(t)) * k
+    return math.cos(t) * _PAULI_PAIRS["II"] + (-1j * math.sin(t)) * _CONTROLLED_PHASE_GENERATOR
 
 
 def controlled_phase_family(n: int = 16, t_max: float = 2 * math.pi) -> UnitaryFamily:
@@ -207,18 +208,18 @@ def transpose_map(tol: ToleranceConfig = DEFAULT_TOL) -> SubsystemMap:
 
 def transpose_subspace(tol: ToleranceConfig = DEFAULT_TOL) -> OperatorSubspace:
     """The 10-dimensional swap-consistent subspace inducing the transpose map."""
-    i2, x, y, z = PAULI_I, PAULI_X, PAULI_Y, PAULI_Z
+    pp = _PAULI_PAIRS
     gens = [
-        tensor(i2, i2),
-        tensor(x, i2) + tensor(i2, x),
-        tensor(y, i2) - tensor(i2, y),
-        tensor(z, i2) + tensor(i2, z),
-        tensor(x, x),
-        tensor(y, y),
-        tensor(z, z),
-        tensor(x, y) - tensor(y, x),
-        tensor(y, z) - tensor(z, y),
-        tensor(z, x) + tensor(x, z),
+        pp["II"],
+        pp["XI"] + pp["IX"],
+        pp["YI"] - pp["IY"],
+        pp["ZI"] + pp["IZ"],
+        pp["XX"],
+        pp["YY"],
+        pp["ZZ"],
+        pp["XY"] - pp["YX"],
+        pp["YZ"] - pp["ZY"],
+        pp["ZX"] + pp["XZ"],
     ]
     return span_from_generators(gens, tol)
 
@@ -288,18 +289,18 @@ def repolarizer_subspace(
     """
     p = RepolarizerParams(epsilon)
     w = 1.0 / p.epsilon
-    i2, x, y, z = PAULI_I, PAULI_X, PAULI_Y, PAULI_Z
+    pp = _PAULI_PAIRS
     gens = [
-        tensor(i2, i2),
-        tensor(x, i2) + w * tensor(i2, x),
-        tensor(y, i2) + w * tensor(i2, y),
-        tensor(z, i2) + w * tensor(i2, z),
-        tensor(x, x),
-        tensor(y, y),
-        tensor(z, z),
-        tensor(x, y) + tensor(y, x),
-        tensor(y, z) + tensor(z, y),
-        tensor(z, x) + tensor(x, z),
+        pp["II"],
+        pp["XI"] + w * pp["IX"],
+        pp["YI"] + w * pp["IY"],
+        pp["ZI"] + w * pp["IZ"],
+        pp["XX"],
+        pp["YY"],
+        pp["ZZ"],
+        pp["XY"] + pp["YX"],
+        pp["YZ"] + pp["ZY"],
+        pp["ZX"] + pp["XZ"],
     ]
     return span_from_generators(gens, tol)
 

@@ -310,15 +310,7 @@ def _catalog_gibbs(args, tol: ToleranceConfig, seed: int, report: Report) -> Non
     family = catalog.gibbs_subspace(tol)
     report.add("family_span_dimension_6", family.dim == 6, dimension=family.dim)
     printed = span_from_generators(
-        [
-            tensor(PAULI_I, PAULI_I),
-            tensor(PAULI_X, PAULI_I),
-            tensor(PAULI_Z, PAULI_I),
-            tensor(PAULI_I, PAULI_X),
-            tensor(PAULI_X, PAULI_X),
-            tensor(PAULI_Z, PAULI_X),
-        ],
-        tol,
+        [catalog._PAULI_PAIRS[p] for p in ("II", "XI", "ZI", "IX", "XX", "ZX")], tol
     )
     report.add("span_matches_pauli_basis", subspaces_equal(family, printed))
     witness = catalog.gibbs_state_closed_form(catalog.GibbsParams(args.theta, args.beta))
@@ -560,12 +552,6 @@ def run_cli(argv=None) -> int:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return 0 if exc.code == 0 else 2
-    tol = ToleranceConfig(
-        rank_cut=args.tol_rank,
-        residual_tol=args.tol_residual,
-        psd_slack=DEFAULT_TOL.psd_slack,
-        entropy_support_tol=DEFAULT_TOL.entropy_support_tol,
-    )
     seed = args.seed
     env_seed = os.environ.get("BEYONDCP_SEED")
     if env_seed is not None:
@@ -575,6 +561,12 @@ def run_cli(argv=None) -> int:
             print(f"error: BEYONDCP_SEED must be an integer, got {env_seed!r}", file=sys.stderr)
             return 2
     try:
+        tol = ToleranceConfig(
+            rank_cut=args.tol_rank,
+            residual_tol=args.tol_residual,
+            psd_slack=DEFAULT_TOL.psd_slack,
+            entropy_support_tol=DEFAULT_TOL.entropy_support_tol,
+        )
         report = _HANDLERS[args.subcommand](args, tol, seed)
         doc = emit_report(report)
     except (ValueError, OSError, json.JSONDecodeError) as err:

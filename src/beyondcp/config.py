@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 
@@ -24,8 +25,8 @@ class ToleranceConfig:
     def __post_init__(self) -> None:
         for name in ("rank_cut", "residual_tol", "psd_slack", "entropy_support_tol"):
             value = getattr(self, name)
-            if not value >= 0:
-                raise ValueError(f"{name} must be non-negative, got {value!r}")
+            if not 0 <= value < math.inf:
+                raise ValueError(f"{name} must be finite and non-negative, got {value!r}")
 
 
 DEFAULT_TOL = ToleranceConfig()

@@ -12,7 +12,6 @@ __all__ = [
     "haar_unitary",
     "random_pure_state",
     "random_density",
-    "random_hermitian",
     "random_kraus_channel",
     "axis_grid_states",
 ]
@@ -48,12 +47,6 @@ def random_density(
     rho = g @ g.conj().T
     rho /= np.trace(rho).real
     return Operator(layout, rho)
-
-
-def random_hermitian(dims: Sequence[int] | int, rng: np.random.Generator) -> Operator:
-    layout = _as_layout(dims)
-    g = _ginibre(layout.total_dim, layout.total_dim, rng)
-    return Operator(layout, (g + g.conj().T) / 2)
 
 
 def random_kraus_channel(

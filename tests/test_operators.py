@@ -442,4 +442,7 @@ def test_tolerance_config_rejects_negative_fields():
 
     with pytest.raises(ValueError):
         ToleranceConfig(rank_cut=-1e-9)
+    for value in (math.inf, math.nan):  # an infinite tolerance would pass every verdict
+        with pytest.raises(ValueError, match="residual_tol must be finite and non-negative"):
+            ToleranceConfig(residual_tol=value)
     assert ToleranceConfig().residual_tol == 1e-9

@@ -31,6 +31,27 @@ def test_run_violations_rejects_empty_sample(pairs):
     assert "Traceback" not in result.stderr
 
 
+@pytest.mark.parametrize(
+    "epsilon,message",
+    [
+        ("1e-9", "--epsilons 1e-09 is below 4.44e-07, the smallest epsilon whose constructions"),
+        ("0", "epsilon must lie in (0, 1], got 0.0"),
+    ],
+)
+def test_run_violations_refuses_epsilon_as_the_cli_does(epsilon, message):
+    result = _run_script("run_violations.py", "--epsilons", "0.5", epsilon, "--pairs", "2")
+    assert result.returncode == 2
+    assert result.stdout == ""  # refused before the header
+    assert f"run_violations.py: error: {message}" in result.stderr
+    assert "Traceback" not in result.stderr
+
+
+def test_run_violations_prints_an_undefined_entropy_ratio_at_the_epsilon_floor():
+    result = _run_script("run_violations.py", "--epsilons", "5e-7", "--pairs", "2")
+    assert result.returncode == 0, result.stderr
+    assert result.stdout.splitlines()[1].split()[3] == "undefined"
+
+
 def test_reproduce_catalog_stops_with_the_cli_input_error():
     result = _run_script("reproduce_catalog.py", "--epsilon", "0")
     assert result.returncode == 2

@@ -167,6 +167,8 @@ def test_parse_operator_rejects_non_finite_entries():
 # ---------------------------------------------------------------------------
 
 _I2 = [[[1, 0], [0, 0]], [[0, 0], [1, 0]]]
+# a map on the zero subspace of one qubit: no basis, and four empty coordinate rows
+_ZERO_DOMAIN_MAP = {"kind": "matrix", "dims": [2], "basis": [], "coord_matrix": [[], [], [], []]}
 
 
 def _valid_report():
@@ -476,6 +478,23 @@ def test_cli_nan_unitary_entry_exits_two(capsys, tmp_path):
     assert capsys.readouterr().out == ""
 
 
+@pytest.mark.parametrize(
+    "flag,value,message",
+    [
+        ("--tol-residual", "-1", "residual_tol must be finite and non-negative, got -1.0"),
+        ("--tol-rank", "nan", "rank_cut must be finite and non-negative, got nan"),
+        ("--tol-residual", "inf", "residual_tol must be finite and non-negative, got inf"),
+    ],
+)
+def test_cli_refuses_a_tolerance_flag_that_is_not_finite_and_non_negative(
+    capsys, flag, value, message
+):
+    assert run_cli(["catalog", "transpose", flag, value]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: {message}\n"
+
+
 @pytest.mark.parametrize("pairs", ["0", "-3"])
 def test_cli_violations_rejects_empty_sample(capsys, pairs):
     assert run_cli(["violations", "--epsilon", "0.1", "--pairs", pairs]) == 2
@@ -648,7 +667,25 @@ def test_cli_derive_map_on_a_subspace_inside_the_trace_kernel(capsys, tmp_path):
         ("unitary_consistent", True),
         ("trace_and_hermiticity_preserving", True),
     ]
-    assert doc["artifacts"]["map"]["basis"] == []
+    artifact = doc["artifacts"]["map"]  # a map on the zero subspace, which map.json accepts
+    assert {k: artifact[k] for k in _ZERO_DOMAIN_MAP} == _ZERO_DOMAIN_MAP
+    code, report = _run(capsys, ["analyze-map", "--map", _write(tmp_path, "m.json", artifact)])
+    assert code == 0
+    assert [(v["name"], v["passed"]) for v in report["verdicts"]] == [
+        ("trace_preserving", True),
+        ("hermiticity_preserving", True),
+    ]
+    assert parse_map(artifact).coord_matrix.shape == (4, 0)
+
+
+def test_map_schema_keeps_non_empty_rows_outside_coord_matrix():
+    empty_row = {"kind": "kraus", "dims": [2], "operators": [[[], []]]}
+    with pytest.raises(ValueError, match="/operators/0/0"):
+        validate_document(empty_row, "map")
+    with pytest.raises(ValueError, match="/coord_matrix"):  # one row per output entry
+        validate_document({"kind": "matrix", "dims": [2], "basis": [], "coord_matrix": []}, "map")
+    with pytest.raises(ValueError, match=r"/coord_matrix: shape \(4, 0\), expected \(4, 4\)"):
+        parse_map({**emit_map(repolarizer(0.1)), "coord_matrix": [[], [], [], []]})
 
 
 def test_cli_builtin_identity_refuses_a_huge_dim_before_building_it(capsys, tmp_path):
@@ -798,6 +835,7 @@ def test_valid_documents_skip_the_jsonschema_walk(full_validations):
     validate_document(emit_subspace(gibbs_subspace()), "subspace")
     validate_document({"dims": [2], "basis": []}, "subspace")
     validate_document(emit_map(repolarizer(0.1)), "map")
+    validate_document(_ZERO_DOMAIN_MAP, "map")
     validate_document({"kind": "builtin", "name": "identity", "dim": 3}, "map")
     validate_document({"kind": "builtin", "name": "repolarizer", "epsilon": 1}, "map")
     validate_document(_valid_report(), "report")
@@ -888,6 +926,7 @@ def _valid_corpus():
     docs = [
         ("operator", {"dims": [2], "labels": ["s"], "matrix": _I2}),
         ("subspace", {"dims": [2], "basis": []}),
+        ("map", _ZERO_DOMAIN_MAP),
         ("map", {"kind": "builtin", "name": "identity", "dim": 3}),
         ("map", {"kind": "builtin", "name": "repolarizer", "epsilon": 0.1}),
         ("report", _valid_report()),
