@@ -4,7 +4,9 @@
 For each epsilon the repolarizer multiplies trace-norm distances of
 positive-domain pairs by exactly 1/epsilon and amplifies relative entropy by
 at least the same factor, while its inverse (the depolarizing channel) stays
-contractive.
+contractive.  Each row tabulates the ratios that
+``beyondcp violations --epsilon eps --pairs N --seed S`` reports: both draw
+them with ``catalog._violation_sample``.
 """
 
 import argparse
@@ -15,12 +17,7 @@ from beyondcp.catalog import (
     RepolarizerParams,
     _require_checkable_epsilon,
     _smallest_state_checkable_epsilon,
-    ball_pair,
-    contractivity_ratio,
-    depolarizer,
-    interior_ball_pair,
-    repolarizer,
-    uhlmann_check,
+    _violation_sample,
 )
 from beyondcp.cli import _positive_int
 from beyondcp.config import DEFAULT_TOL
@@ -40,29 +37,15 @@ def main() -> None:
         except ValueError as err:
             parser.error(str(err))
 
-    print(f"{'eps':>6} {'1/eps':>8} {'trace-norm ratio':>18} {'uhlmann min ratio':>18} {'cptp control max':>17}")
+    print(f"{'eps':>11} {'1/eps':>8} {'trace-norm ratio':>18} {'uhlmann min ratio':>18} {'cptp control max':>17}")
     for eps in args.epsilons:
-        rng = np.random.default_rng(args.seed)
-        phi = repolarizer(eps)
-        inverse = depolarizer(eps)
-        contraction = [
-            contractivity_ratio(phi, *ball_pair(eps, rng), p=1) for _ in range(args.pairs)
-        ]
-        uhlmann = [
-            uhlmann_check(phi, *interior_ball_pair(eps, rng)).ratio
-            for _ in range(args.pairs)
-        ]
-        control = [
-            contractivity_ratio(inverse, *ball_pair(1.0, rng), p=1)
-            for _ in range(args.pairs)
-        ]
-        contraction = [r for r in contraction if r is not None]
-        uhlmann = [r for r in uhlmann if r is not None]
-        control = [r for r in control if r is not None]
+        contraction, uhlmann, _, control = _violation_sample(
+            eps, args.pairs, np.random.default_rng(args.seed), DEFAULT_TOL
+        )
         # at small epsilon every input entropy is at noise level, so no ratio is defined
         uhlmann_min = f"{min(uhlmann):>18.6f}" if uhlmann else f"{'undefined':>18}"
         print(
-            f"{eps:>6.3f} {1 / eps:>8.2f} {np.mean(contraction):>18.6f} "
+            f"{eps:>11g} {1 / eps:>8.2f} {np.mean(contraction):>18.6f} "
             f"{uhlmann_min} {max(control):>17.6f}"
         )
 

@@ -239,10 +239,9 @@ def _smallest_state_checkable_epsilon(tol: ToleranceConfig) -> float:
     """Below this epsilon, repolarized states may fail their own state checks.
 
     They err by up to 0.99 machine epsilon / epsilon (seeded sweep), against the
-    state checks' max(residual_tol, psd_slack); the floor keeps a factor of 2.
+    state checks' ``tol.state_tol``; the floor keeps a factor of 2.
     """
-    state_tol = max(tol.residual_tol, tol.psd_slack)
-    return 2.0 * sys.float_info.epsilon / state_tol if state_tol > 0 else math.inf
+    return 2.0 * sys.float_info.epsilon / tol.state_tol if tol.state_tol > 0 else math.inf
 
 
 def _require_checkable_epsilon(name: str, eps: float, floor: float, tol: ToleranceConfig) -> None:
@@ -389,3 +388,27 @@ def uhlmann_check(phi: SubsystemMap, r1: Operator, r2: Operator) -> UhlmannRepor
     if math.isinf(s_in) or abs(s_in) <= 10 * tol.entropy_support_tol:
         return UhlmannReport(s_in, s_out, None)
     return UhlmannReport(s_in, s_out, s_out / s_in)
+
+
+def _violation_sample(
+    epsilon: float, pairs: int, rng: np.random.Generator, tol: ToleranceConfig
+) -> tuple[list[float], list[float], bool, list[float]]:
+    """The repolarizer's violations, as ``beyondcp violations`` reports them.
+
+    Draws, in this order, ``pairs`` trace-norm ratios of the repolarizer on
+    epsilon-ball pairs, ``pairs`` relative-entropy checks on interior pairs and
+    ``pairs`` trace-norm ratios of its inverse, the depolarizer, on Bloch-ball
+    pairs.  Returns (contraction ratios, entropy ratios, monotone, control
+    ratios) with the undefined ratios dropped; ``monotone`` says that no check's
+    output entropy exceeds its input entropy by more than residual_tol.
+    """
+    phi, inverse = repolarizer(epsilon, tol), depolarizer(epsilon, tol)
+    contraction = [contractivity_ratio(phi, *ball_pair(epsilon, rng), p=1) for _ in range(pairs)]
+    checks = [uhlmann_check(phi, *interior_ball_pair(epsilon, rng)) for _ in range(pairs)]
+    control = [contractivity_ratio(inverse, *ball_pair(1.0, rng), p=1) for _ in range(pairs)]
+    return (
+        [r for r in contraction if r is not None],
+        [c.ratio for c in checks if c.ratio is not None],
+        not any(c.entropy_out > c.entropy_in + tol.residual_tol for c in checks),
+        [r for r in control if r is not None],
+    )

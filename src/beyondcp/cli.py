@@ -247,7 +247,11 @@ def _cmd_analyze_map(args, tol: ToleranceConfig, seed: int) -> Report:
         if scan.violation_found:
             details["counterexample"] = emit_operator(scan.counterexample)
             details["min_eigenvalue"] = scan.min_eigenvalue
-        report.add("positive_on_sampled_states", not scan.violation_found, **details)
+        if scan.n_tested == 0:  # the domain holds no state: fail closed, not a pass on no samples
+            details["undecided"] = True
+        report.add(
+            "positive_on_sampled_states", scan.n_tested > 0 and not scan.violation_found, **details
+        )
     if args.positive_domain is not None:
         sample = sample_positive_domain(phi, args.positive_domain, seed)
         report.add(
@@ -468,15 +472,9 @@ def _cmd_violations(args, tol: ToleranceConfig, seed: int) -> Report:
     catalog._require_checkable_epsilon("--epsilon", eps, floor, tol)
     payload = {"epsilon": eps, "pairs": args.pairs}
     report = Report("violations", inputs_digest(payload), seed, tol)
-    phi = catalog.repolarizer(eps, tol)
-    inverse = catalog.depolarizer(eps, tol)
-    rng = np.random.default_rng(seed)
-    ratios = []
-    for _ in range(args.pairs):
-        r1, r2 = catalog.ball_pair(eps, rng)
-        ratio = catalog.contractivity_ratio(phi, r1, r2, p=1)
-        if ratio is not None:
-            ratios.append(ratio)
+    ratios, uhlmann_ratios, monotone, control_ratios = catalog._violation_sample(
+        eps, args.pairs, np.random.default_rng(seed), tol
+    )
     contractive = all(r <= 1 + tol.residual_tol for r in ratios)
     report.add(
         "trace_norm_contractivity",
@@ -486,15 +484,6 @@ def _cmd_violations(args, tol: ToleranceConfig, seed: int) -> Report:
         expected_ratio=1 / eps,
         violation_demonstrated=not contractive,
     )
-    uhlmann_ratios = []
-    monotone = True
-    for _ in range(args.pairs):
-        r1, r2 = catalog.interior_ball_pair(eps, rng)
-        check = catalog.uhlmann_check(phi, r1, r2)
-        if check.ratio is not None:
-            uhlmann_ratios.append(check.ratio)
-        if check.entropy_out > check.entropy_in + tol.residual_tol:
-            monotone = False
     report.add(
         "relative_entropy_monotonicity",
         monotone,
@@ -502,12 +491,6 @@ def _cmd_violations(args, tol: ToleranceConfig, seed: int) -> Report:
         lower_bound=1 / eps,
         violation_demonstrated=not monotone,
     )
-    control_ratios = []
-    for _ in range(args.pairs):
-        r1, r2 = catalog.ball_pair(1.0, rng)
-        ratio = catalog.contractivity_ratio(inverse, r1, r2, p=1)
-        if ratio is not None:
-            control_ratios.append(ratio)
     report.add(
         "cptp_control_contractive",
         all(r <= 1 + tol.residual_tol for r in control_ratios),

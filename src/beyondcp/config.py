@@ -28,5 +28,10 @@ class ToleranceConfig:
             if not 0 <= value < math.inf:
                 raise ValueError(f"{name} must be finite and non-negative, got {value!r}")
 
+    @property
+    def state_tol(self) -> float:
+        """The tolerance of every state test: max(residual_tol, psd_slack)."""
+        return max(self.residual_tol, self.psd_slack)
+
 
 DEFAULT_TOL = ToleranceConfig()

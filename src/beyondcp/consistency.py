@@ -200,8 +200,7 @@ def extension_is_consistent(
 
     This is a per-state probe; it does not certify that v is maximal.
     """
-    state_tol = max(v.tol.residual_tol, v.tol.psd_slack)
-    if not rho.is_density(state_tol):
+    if not rho.is_density(v.tol.state_tol):
         raise ValueError("extension probe requires a density matrix")
     extended = subspace_sum(v, span_from_generators([rho], v.tol))
     return is_family_consistent(extended, family, bath_factor).consistent
@@ -242,9 +241,8 @@ def witness_factorization_gap(
     system-witness state.  For correlated rho_bw the two can differ; the
     mismatch is their trace distance.
     """
-    state_tol = max(tol.residual_tol, tol.psd_slack)
     for name, rho in (("rho_s", rho_s), ("rho_bw", rho_bw)):
-        if not rho.is_density(state_tol):
+        if not rho.is_density(tol.state_tol):
             raise ValueError(f"{name} must be a density matrix")
     if rho_bw.layout.n_factors != 2:
         raise ValueError("rho_bw must live on a bath (x) witness layout")

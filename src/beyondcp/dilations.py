@@ -250,7 +250,7 @@ def _sampled_physical_domain_check(
     the new subspace or whose reduced image differs from phi of its reduced
     state; returns both residuals of every sample.
     """
-    state_tol = max(tol.residual_tol, tol.psd_slack)
+    state_tol = tol.state_tol
     gens = _unvec_stack(rep.subspace._generator_matrix.T, rep.subspace.layout.total_dim)
     state_gens = gens[_density_mask(gens, state_tol, state_tol)]  # Operator.is_density(state_tol)
     if not len(state_gens):

@@ -378,7 +378,6 @@ def _random_domain_states(
     the projection is again a state.
     """
     full = phi.domain.dim == phi.dim**2
-    state_tol = max(phi.tol.residual_tol, phi.tol.psd_slack)
     produced = 0
     attempts = 0
     budget = 50 * n_samples + 200
@@ -392,7 +391,7 @@ def _random_domain_states(
             if abs(tr) < 0.1:
                 continue
             rho = hermitized / tr
-            if not (phi.domain.contains(rho) and rho.is_density(state_tol)):
+            if not (phi.domain.contains(rho) and rho.is_density(phi.tol.state_tol)):
                 continue
         produced += 1
         yield rho

@@ -426,9 +426,8 @@ def relative_entropy(
     ``entropy_support_tol`` treated as zero.  Returns ``math.inf`` when the
     support of t1 is not contained in the support of t2.
     """
-    state_tol = max(tol.residual_tol, tol.psd_slack)
     for name, t in (("t1", t1), ("t2", t2)):
-        if not t.is_density(state_tol):
+        if not t.is_density(tol.state_tol):
             raise ValueError(f"relative_entropy requires density matrices; {name} is not one")
     _check_same_layout(t1, t2)
     cut = tol.entropy_support_tol

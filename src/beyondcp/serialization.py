@@ -6,6 +6,10 @@ metaschema and compiled into a validator once per process, on first use.  A
 valid document is accepted by a structural check read from the same schema;
 a document that check cannot accept goes through jsonschema, whose best match
 gives the error message.
+A report holds each verdict as its document from the moment it is added, and
+its artifacts are walked once when the report is written: non-finite floats
+become the strings "nan", "inf" and "-inf", complex and numpy scalars become
+plain JSON values, and dictionary keys become strings.
 Serialization is lossless for the float values involved (Python's float repr
 round-trips), so emitted documents parse back bit-exactly.
 """
@@ -38,7 +42,6 @@ __all__ = [
     "emit_map",
     "parse_unitary_family",
     "emit_representation",
-    "Verdict",
     "Report",
     "emit_report",
     "parse_report",
@@ -372,25 +375,9 @@ def _jsonable_number(x: float | None):
     return x
 
 
-@dataclass
-class Verdict:
-    """One named pass/fail outcome with an optional residual and details."""
-
-    name: str
-    passed: bool
-    residual: float | None = None
-    details: dict = field(default_factory=dict)
-
-    def to_doc(self) -> dict:
-        return {
-            "name": self.name,
-            "passed": bool(self.passed),
-            "residual": _jsonable_number(self.residual),
-            "details": _jsonable_details(self.details),
-        }
-
-
 def _jsonable_details(value):
+    if type(value) is float:  # most values: the entries of emitted matrices
+        return value if math.isfinite(value) else _jsonable_number(value)
     if isinstance(value, dict):
         return {str(k): _jsonable_details(v) for k, v in value.items()}
     if isinstance(value, (list, tuple)):
@@ -416,15 +403,23 @@ class Report:
     inputs_digest: str
     seed: int | None
     tolerances: ToleranceConfig
-    verdicts: list[Verdict] = field(default_factory=list)
+    verdicts: list[dict] = field(default_factory=list)
     artifacts: dict = field(default_factory=dict)
 
     def add(self, name: str, passed: bool, residual: float | None = None, **details) -> None:
-        self.verdicts.append(Verdict(name, passed, residual, details))
+        """Append one named pass/fail outcome, as its report document."""
+        self.verdicts.append(
+            {
+                "name": name,
+                "passed": bool(passed),
+                "residual": _jsonable_number(residual),
+                "details": _jsonable_details(details),
+            }
+        )
 
     @property
     def all_passed(self) -> bool:
-        return all(v.passed for v in self.verdicts)
+        return all(v["passed"] for v in self.verdicts)
 
     def to_doc(self) -> dict:
         return {
@@ -437,19 +432,9 @@ class Report:
                 "psd_slack": self.tolerances.psd_slack,
                 "entropy_support_tol": self.tolerances.entropy_support_tol,
             },
-            "verdicts": [v.to_doc() for v in self.verdicts],
-            "artifacts": _jsonable_details(self.artifacts)
-            if not _artifacts_already_jsonable(self.artifacts)
-            else self.artifacts,
+            "verdicts": list(self.verdicts),
+            "artifacts": _jsonable_details(self.artifacts),
         }
-
-
-def _artifacts_already_jsonable(artifacts: dict) -> bool:
-    try:
-        json.dumps(artifacts, allow_nan=False)  # bare NaN/Infinity is not JSON
-        return True
-    except (TypeError, ValueError):
-        return False
 
 
 def emit_report(report: Report) -> dict:

@@ -446,3 +446,10 @@ def test_tolerance_config_rejects_negative_fields():
         with pytest.raises(ValueError, match="residual_tol must be finite and non-negative"):
             ToleranceConfig(residual_tol=value)
     assert ToleranceConfig().residual_tol == 1e-9
+
+
+def test_state_tol_is_the_larger_of_residual_tol_and_psd_slack():
+    from beyondcp import ToleranceConfig
+
+    assert ToleranceConfig(residual_tol=1e-9, psd_slack=1e-10).state_tol == 1e-9
+    assert ToleranceConfig(residual_tol=0.0, psd_slack=1e-10).state_tol == 1e-10

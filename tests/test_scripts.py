@@ -1,9 +1,13 @@
+import json
 import os
 import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
+
+from beyondcp.cli import run_cli
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -50,6 +54,30 @@ def test_run_violations_prints_an_undefined_entropy_ratio_at_the_epsilon_floor()
     result = _run_script("run_violations.py", "--epsilons", "5e-7", "--pairs", "2")
     assert result.returncode == 0, result.stderr
     assert result.stdout.splitlines()[1].split()[3] == "undefined"
+
+
+def test_run_violations_prints_small_epsilons_apart():
+    result = _run_script("run_violations.py", "--epsilons", "1e-4", "1e-5", "--pairs", "2")
+    assert result.returncode == 0, result.stderr
+    rows = result.stdout.splitlines()[1:]
+    assert [row.split()[0] for row in rows] == ["0.0001", "1e-05"]
+
+
+def test_run_violations_row_matches_the_cli_violations_report(capsys, monkeypatch):
+    monkeypatch.delenv("BEYONDCP_SEED", raising=False)  # it would override --seed in run_cli
+    eps, pairs, seed = "0.2", "6", "11"
+    result = _run_script("run_violations.py", "--epsilons", eps, "--pairs", pairs, "--seed", seed)
+    assert result.returncode == 0, result.stderr
+    row = result.stdout.splitlines()[1].split()
+    assert run_cli(["violations", "--epsilon", eps, "--pairs", pairs, "--seed", seed]) == 1
+    contraction, uhlmann, control = (
+        v["details"]["ratios"] for v in json.loads(capsys.readouterr().out)["verdicts"]
+    )
+    assert row[2:] == [
+        f"{np.mean(contraction):.6f}",
+        f"{min(uhlmann):.6f}",
+        f"{max(control):.6f}",
+    ]
 
 
 def test_reproduce_catalog_stops_with_the_cli_input_error():

@@ -669,13 +669,23 @@ def test_cli_derive_map_on_a_subspace_inside_the_trace_kernel(capsys, tmp_path):
     ]
     artifact = doc["artifacts"]["map"]  # a map on the zero subspace, which map.json accepts
     assert {k: artifact[k] for k in _ZERO_DOMAIN_MAP} == _ZERO_DOMAIN_MAP
-    code, report = _run(capsys, ["analyze-map", "--map", _write(tmp_path, "m.json", artifact)])
+    zero_domain = _write(tmp_path, "m.json", artifact)
+    code, report = _run(capsys, ["analyze-map", "--map", zero_domain])
     assert code == 0
     assert [(v["name"], v["passed"]) for v in report["verdicts"]] == [
         ("trace_preserving", True),
         ("hermiticity_preserving", True),
     ]
     assert parse_map(artifact).coord_matrix.shape == (4, 0)
+    # A positivity scan of a domain without states is undecided, never a pass.
+    code, report = _run(capsys, ["analyze-map", "--map", zero_domain, "--positivity", "8"])
+    assert code == 1
+    scan = report["verdicts"][-1]
+    assert (scan["name"], scan["passed"]) == ("positive_on_sampled_states", False)
+    assert scan["details"]["n_tested"] == 0 and scan["details"]["undecided"] is True
+    transpose = _write(tmp_path, "t.json", {"kind": "builtin", "name": "transpose"})
+    code, report = _run(capsys, ["analyze-map", "--map", transpose, "--positivity", "8"])
+    assert code == 0 and "undecided" not in report["verdicts"][-1]["details"]
 
 
 def test_map_schema_keeps_non_empty_rows_outside_coord_matrix():
