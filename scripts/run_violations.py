@@ -23,6 +23,15 @@ from beyondcp.cli import _positive_int
 from beyondcp.config import DEFAULT_TOL
 
 
+def _cell(value: float, decimals: int, width: int) -> str:
+    """``value`` right-aligned in ``width`` characters: with ``decimals`` decimals,
+    or in exponent form where those would outgrow the column."""
+    text = f"{value:.{decimals}f}"
+    if len(text) > width:
+        text = f"{value:.{min(decimals, width - 6)}e}"  # d.<n digits>e+XX is n + 6 wide
+    return f"{text:>{width}}"
+
+
 def main() -> None:
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("--epsilons", type=float, nargs="+", default=[0.5, 0.25, 0.1, 0.05])
@@ -43,10 +52,10 @@ def main() -> None:
             eps, args.pairs, np.random.default_rng(args.seed), DEFAULT_TOL
         )
         # at small epsilon every input entropy is at noise level, so no ratio is defined
-        uhlmann_min = f"{min(uhlmann):>18.6f}" if uhlmann else f"{'undefined':>18}"
+        uhlmann_min = _cell(min(uhlmann), 6, 18) if uhlmann else f"{'undefined':>18}"
         print(
-            f"{eps:>11g} {1 / eps:>8.2f} {np.mean(contraction):>18.6f} "
-            f"{uhlmann_min} {max(control):>17.6f}"
+            f"{eps:>11g} {_cell(1 / eps, 2, 8)} {_cell(np.mean(contraction), 6, 18)} "
+            f"{uhlmann_min} {_cell(max(control), 6, 17)}"
         )
 
 

@@ -147,7 +147,9 @@ def consistent_kernel(
     where T is the bath-trace matrix on vectorized operators and
     S = conj(U) (x) U is conjugation by a member.  The rows are built directly
     from the member stack [1; U_1; ...; U_k] by ``_reduced_evolution_matrix``.
-    Adding members can only shrink the result.
+    Adding members can only shrink the result.  The stack has (k+1) d_S^2 rows
+    and N^2 columns, far wider than tall, so from N^2 = 100 on ``_null_space``
+    takes it by QR rather than by a full SVD with its N^2 x N^2 right factor.
     """
     if not family.members:
         raise ValueError("consistent_kernel requires a nonempty family")

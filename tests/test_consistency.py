@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from beyondcp import (
+    OperatorSubspace,
     PAULI_I,
     PAULI_X,
     UnitaryFamily,
@@ -35,8 +36,10 @@ from beyondcp.catalog import (
     controlled_phase_generator,
     gibbs_subspace,
 )
-from beyondcp.operators import SpaceLayout, adjoint_action
+from beyondcp.config import DEFAULT_TOL
+from beyondcp.operators import SpaceLayout, _reduced_evolution_matrix, adjoint_action
 from beyondcp.sampling import haar_unitary, random_density
+from beyondcp.serialization import emit_subspace, parse_subspace, validate_document
 
 
 def kraus_subspace(rho_b):
@@ -219,6 +222,44 @@ def test_consistent_kernel_matches_iterated_intersection(rng, dims, members):
     assert kernel.dim == reference.dim > 0
     assert _containment(kernel, reference) <= 1e-10
     assert _containment(reference, kernel) <= 1e-10
+
+
+def null_space_kernel(family, layout, bath_factor=1):
+    """Reference for the QR null space: the consistent kernel as the tail of
+    a full SVD's right factor of the stacked constraints, with the rank cut
+    of ``_null_space``.  Returns the constraints and the kernel's basis."""
+    n2 = layout.total_dim**2
+    u = np.stack([np.eye(layout.total_dim)] + [m.entries for m in family.members])
+    keep = subspaces._keep_indices(layout, bath_factor)
+    a = _reduced_evolution_matrix(layout.dims, keep, u).reshape(-1, n2)
+    _, s, vh = np.linalg.svd(a, full_matrices=True)
+    return a, vh[int(np.sum(s > DEFAULT_TOL.rank_cut * max(s[0], 1.0))) :].conj().T
+
+
+@pytest.mark.parametrize(
+    "dims, bath_factor", [((2, 2), 1), ((2, 4), 1), ((4, 4), 1), ((4, 8), 1), ((4, 2), 0)]
+)
+def test_consistent_kernel_matches_the_full_svd_null_space(rng, dims, bath_factor):
+    layout = SpaceLayout(dims)
+    family = UnitaryFamily(tuple(haar_unitary(dims, rng) for _ in range(4)))
+    kernel = consistent_kernel(family, layout, bath_factor=bath_factor)
+    a, reference = null_space_kernel(family, layout, bath_factor)
+    basis = kernel.basis_matrix()
+    assert kernel.dim == reference.shape[1] == basis.shape[1]
+    assert _containment(kernel, OperatorSubspace(layout, reference)) <= 1e-10
+    assert _containment(OperatorSubspace(layout, reference), kernel) <= 1e-10
+    assert np.max(np.linalg.norm(a @ basis, axis=0), initial=0.0) <= 1e-9
+
+
+def test_consistent_kernel_reads_as_any_subspace():
+    layout = SpaceLayout((2, 2))
+    family = UnitaryFamily((swap_unitary(2),))
+    kernel = consistent_kernel(family, layout)
+    doc = emit_subspace(kernel)
+    validate_document(doc, "subspace")
+    assert subspaces_equal(parse_subspace(doc), kernel)
+    assert derive_map(kernel, family.members[0]).domain.layout.dims == (2,)
+    assert subspaces_equal(transformation_space(kernel, family), kernel)
 
 
 # ---------------------------------------------------------------------------

@@ -1,5 +1,6 @@
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -61,6 +62,20 @@ def test_run_violations_prints_small_epsilons_apart():
     assert result.returncode == 0, result.stderr
     rows = result.stdout.splitlines()[1:]
     assert [row.split()[0] for row in rows] == ["0.0001", "1e-05"]
+
+
+def test_run_violations_rows_keep_the_header_columns():
+    result = _run_script("run_violations.py", "--epsilons", "0.5", "1e-4", "1e-5", "--pairs", "3")
+    assert result.returncode == 0, result.stderr
+    header, *rows = result.stdout.splitlines()
+    labels = ["eps", "1/eps", "trace-norm ratio", "uhlmann min ratio", "cptp control max"]
+    ends, start = [], 0
+    for label in labels:  # every column is right-aligned, so it ends where its label does
+        start = header.index(label, start) + len(label)
+        ends.append(start)
+    assert len(rows) == 3
+    for row in rows:
+        assert [m.end() for m in re.finditer(r"\S+", row)] == ends, row
 
 
 def test_run_violations_row_matches_the_cli_violations_report(capsys, monkeypatch):

@@ -23,7 +23,7 @@ from beyondcp import (
     symmetric_sector,
     tensor,
 )
-from beyondcp import maps
+from beyondcp import maps, subspaces
 from beyondcp.catalog import (
     GibbsParams,
     controlled_phase_unitary,
@@ -410,3 +410,52 @@ def test_subspace_matrices_are_read_only_copies():
     assert v.basis_matrix()[0, 0] == 1.0
     with pytest.raises(ValueError):
         v.basis_matrix()[0, 0] = 5.0
+
+
+def _complex_normal(rng, shape):
+    return rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+
+
+def _projector(cols):
+    return cols @ cols.conj().T
+
+
+def _full_svd_null_space(a, cut):
+    """The null space as the tail of a full SVD's right factor, rank cut as in _null_space."""
+    _, s, vh = np.linalg.svd(a, full_matrices=True)
+    return vh[int(np.sum(s > cut * max(s[0], 1.0))) :].conj().T
+
+
+@pytest.mark.parametrize(
+    "rows",
+    [
+        lambda rng: np.kron([[1.0], [2.0]], _complex_normal(rng, (3, 120))),  # wide, rank 3
+        lambda rng: _complex_normal(rng, (130, 110)),  # tall
+        lambda rng: rng.standard_normal((5, 120)),  # real
+        lambda rng: 1e-12 * rng.standard_normal((3, 100)),  # numerically zero: the floor keeps it
+        lambda rng: np.eye(100),  # full rank: no null space
+        lambda rng: np.eye(100)[[0, 2]] * [[0.0], [1.0]],  # a zero row: an identity reflector
+        lambda rng: _complex_normal(rng, (20, 64)),  # below the switch: a full SVD
+    ],
+)
+def test_null_space_matches_the_full_svd(rng, rows):
+    a = rows(rng)
+    reference = _full_svd_null_space(a, 1e-9)
+    basis = subspaces._null_space(a, 1e-9)
+    assert basis.shape == reference.shape
+    assert np.linalg.norm(basis.conj().T @ basis - np.eye(basis.shape[1])) <= 1e-12
+    assert np.linalg.norm(_projector(basis) - _projector(reference)) <= 1e-10
+
+
+def test_consistent_kernel_at_4x4_takes_no_full_svd(rng, monkeypatch):
+    full = []
+    svd = np.linalg.svd
+
+    def recording_svd(a, full_matrices=True, **kwargs):
+        full.append(full_matrices and kwargs.get("compute_uv", True))
+        return svd(a, full_matrices=full_matrices, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "svd", recording_svd)
+    kernel = consistent_kernel(_haar_family((4, 4), rng), SpaceLayout((4, 4)))
+    assert kernel.dim == 180
+    assert full and not any(full)
