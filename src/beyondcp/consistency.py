@@ -20,6 +20,7 @@ from .operators import (
     _reduced_evolution,
     _reduced_evolution_matrix,
     _stacked,
+    _trace_matrix,
     adjoint_action,
     identity,
     partial_trace,
@@ -144,9 +145,9 @@ def consistent_kernel(
     """Operators whose reduced evolution vanishes under {1} union the family.
 
     This is the null space of the stacked constraints [T; T S_1; ...; T S_k],
-    where T is the bath-trace matrix on vectorized operators and
-    S = conj(U) (x) U is conjugation by a member.  The rows are built directly
-    from the member stack [1; U_1; ...; U_k] by ``_reduced_evolution_matrix``.
+    where T is the bath-trace matrix on vectorized operators (``_trace_matrix``)
+    and S = conj(U) (x) U is conjugation by a member; the rows T S_i are built
+    directly from the member stack by ``_reduced_evolution_matrix``.
     Adding members can only shrink the result.  The stack has (k+1) d_S^2 rows
     and N^2 columns, far wider than tall, so from N^2 = 100 on ``_null_space``
     takes it by QR rather than by a full SVD with its N^2 x N^2 right factor.
@@ -155,10 +156,10 @@ def consistent_kernel(
         raise ValueError("consistent_kernel requires a nonempty family")
     n2 = layout.total_dim**2
     u = _unitary_stack(family.members, layout, tol.residual_tol)
-    u = np.concatenate([np.eye(layout.total_dim)[None], u])  # the identity gives T
     keep = _keep_indices(layout, bath_factor)
-    stacked = _reduced_evolution_matrix(layout.dims, keep, u)
-    return OperatorSubspace(layout, _null_space(stacked.reshape(-1, n2), tol.rank_cut), tol=tol)
+    evolved = _reduced_evolution_matrix(layout.dims, keep, u).reshape(-1, n2)
+    stacked = np.vstack([_trace_matrix(layout.dims, keep), evolved])
+    return OperatorSubspace(layout, _null_space(stacked, tol.rank_cut), tol=tol)
 
 
 def transformation_space(

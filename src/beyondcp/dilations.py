@@ -25,6 +25,7 @@ from .maps import (
     _positive_domain_mask,
     derive_map,
     map_from_kraus,
+    map_residual,
     sample_positive_domain,
 )
 from .operators import (
@@ -329,9 +330,8 @@ def verify_representation(
     # Grade the defining relation against the target directly; this stays
     # finite for perturbed unitaries where the derived map does not exist.
     # The subspace basis is orthonormal, so residuals need no normalization.
-    basis = slice(rep.subspace._generator_matrix.shape[1], None)
     try:
-        drift = phi._apply_columns(derivation.reduced[:, basis]) - derivation.evolved[:, basis]
+        drift = phi._apply_columns(derivation.reduced) - derivation.evolved
         residual_map = float(np.max(np.linalg.norm(drift, axis=0), initial=0.0))
     except ValueError:
         residual_map = float("inf")
@@ -340,12 +340,7 @@ def verify_representation(
         and domain_residual <= tol.residual_tol
         and consistency <= tol.residual_tol
     ):
-        l1 = rep.derived_map().linear_operator()
-        l2 = phi.linear_operator()
-        residual_map = max(
-            residual_map,
-            float(np.linalg.norm(l1 - l2) / max(1.0, np.linalg.norm(l2))),
-        )
+        residual_map = max(residual_map, map_residual(phi, rep.derived_map()))
     passed = (
         consistency <= tol.residual_tol
         and domain_residual <= tol.residual_tol

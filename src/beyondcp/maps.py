@@ -188,7 +188,7 @@ def derive_map(
 
 
 class _Derivation(NamedTuple):
-    reduced: np.ndarray  # generators then basis of v, vectorized and bath-reduced
+    reduced: np.ndarray  # the basis of v, vectorized and bath-reduced
     evolved: np.ndarray  # the same, conjugated by u before the reduction
     domain: OperatorSubspace  # span of the reduced basis
     map: SubsystemMap | None  # the derived map; None unless the pair is consistent
@@ -205,7 +205,9 @@ def _derive(
     ops = np.hstack([v._generator_matrix, v.basis_matrix()])
     reduced = _reduced_evolution(ops, v.layout.dims, keep)
     basis = slice(v._generator_matrix.shape[1], None)
-    domain = _span_of_columns(v.layout.subset(keep), reduced[:, basis], v.tol)
+    # the reduced basis of v has columns of norm at most 1, so its rank cut is
+    # floored at 1: a stack of rounding noise spans nothing
+    domain = _span_of_columns(v.layout.subset(keep), reduced[:, basis], v.tol, floor=1.0)
     if consistent:
         spanned = check_state_spanned(v)
         provenance = (
@@ -227,7 +229,7 @@ def _derive(
                 raise RuntimeError(
                     f"derived map fails its defining relation with residual {residual:.3e}"
                 )
-        derivations.append(_Derivation(reduced, evolved, domain, phi))
+        derivations.append(_Derivation(reduced[:, basis], evolved[:, basis], domain, phi))
     return derivations
 
 
@@ -238,21 +240,17 @@ def map_from_kraus(
     kraus = list(kraus)
     if not kraus:
         raise ValueError("at least one Kraus operator is required")
-    layout = kraus[0].layout
-    n = layout.total_dim
-    acc = np.zeros((n, n), dtype=complex)
-    for m in kraus:
-        if m.layout.dims != layout.dims:
-            raise ValueError("Kraus operators must share one layout")
-        acc += m.entries.conj().T @ m.entries
+    m = _stacked(kraus)
+    n = m.shape[-1]
+    acc = (m.conj().swapaxes(-1, -2) @ m).sum(axis=0)
     completeness = float(np.linalg.norm(acc - np.eye(n)))
     if not (completeness <= tol.residual_tol):
         raise ValueError(
             f"Kraus list is not trace preserving; ||sum M^dag M - 1|| = {completeness:.3e}"
         )
-    domain = full_operator_space(layout, tol)
+    domain = full_operator_space(kraus[0].layout, tol)
     # vec(M A M^dag) = (conj(M) (x) M) vec A, and the domain basis is the matrix units
-    superop = sum(np.kron(m.entries.conj(), m.entries) for m in kraus)
+    superop = sum(np.kron(mi.conj(), mi) for mi in m)
     return SubsystemMap(domain, superop @ domain.basis_matrix(), provenance=f"kraus({len(kraus)})")
 
 

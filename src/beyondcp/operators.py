@@ -10,6 +10,7 @@ interchangeable because both conventions are fixed here.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from typing import Sequence
@@ -285,7 +286,9 @@ def _columns(stack: np.ndarray) -> np.ndarray:
 
 
 def _stacked(ops: Sequence[Operator]) -> np.ndarray:
-    """The entries of the operators as one (k, N, N) array."""
+    """The entries of operators that share one layout, as one (k, N, N) array."""
+    for op in ops[1:]:
+        _check_same_layout(ops[0], op)
     return np.array([op.entries for op in ops])
 
 
@@ -324,23 +327,20 @@ def partial_trace(a: Operator, keep: Sequence[int] | int) -> Operator:
 def _reduced_evolution(cols: np.ndarray, dims: tuple, keep: tuple, u=None) -> np.ndarray:
     """vec Tr_{not keep}(U X U^dag) for each column vec X of ``cols`` (N^2, k).
 
-    Without ``u`` (or with one (N, N) unitary) the shape is (m^2, k); a stack
-    ``u`` of shape (f, N, N) gives (f, m^2, k).  With ``u`` it multiplies
-    ``cols`` by :func:`_reduced_evolution_matrix`.  Without ``u`` the trace
-    works on X^T, the row-major reshape of vec X, and the row-major reshape of
-    Tr(X^T) = Tr(X)^T is vec Tr(X).
+    ``cols`` is multiplied by :func:`_reduced_evolution_matrix` of ``u``, or by
+    :func:`_trace_matrix` without ``u`` (U = 1).  Without ``u`` or with one
+    (N, N) unitary the shape is (m^2, k); a stack (f, N, N) gives (f, m^2, k).
     """
-    if u is not None:
-        return _reduced_evolution_matrix(dims, keep, u) @ cols
-    n = math.prod(dims)
-    xt = cols.T.reshape(cols.shape[1], n, n)
-    f = len(dims)  # axis labels: row factor i is i, column factor j is f + j or i if traced
-    col = [f + j if j in keep else j for j in range(f)]
-    out = [*keep, *(f + j for j in keep)]
-    t = xt.reshape(xt.shape[:-2] + dims + dims)
-    reduced = np.einsum(t, [..., *range(f), *col], [..., *out])
-    m = math.prod(dims[k] for k in keep)
-    return np.swapaxes(reduced.reshape(xt.shape[:-2] + (m * m,)), -1, -2)
+    t = _trace_matrix(dims, keep) if u is None else _reduced_evolution_matrix(dims, keep, u)
+    return t @ cols
+
+
+@functools.cache
+def _trace_matrix(dims: tuple, keep: tuple) -> np.ndarray:
+    """The (m^2, N^2) matrix of vec X -> vec Tr_{not keep} X, built once per layout, read-only."""
+    t = _reduced_evolution_matrix(dims, keep, np.eye(math.prod(dims), dtype=complex))
+    t.setflags(write=False)
+    return t
 
 
 def _reduced_evolution_matrix(dims: tuple, keep: tuple, u: np.ndarray) -> np.ndarray:

@@ -190,11 +190,15 @@ def _operators(layout: SpaceLayout, cols: np.ndarray) -> tuple[Operator, ...]:
 
 
 def _span_of_columns(
-    layout: SpaceLayout, cols: np.ndarray, tol: ToleranceConfig
+    layout: SpaceLayout, cols: np.ndarray, tol: ToleranceConfig, floor: float | None = None
 ) -> OperatorSubspace:
-    """The span of the vectorized operators ``cols`` (N^2, g), which become its generators."""
+    """The span of the vectorized operators ``cols`` (N^2, g), which become its generators.
+
+    The rank cut is relative to the largest singular value, or to ``floor`` where
+    that is larger (see :func:`_numerical_rank`).
+    """
     u, s, _ = np.linalg.svd(cols, full_matrices=False)
-    return OperatorSubspace(layout, u[:, : _numerical_rank(s, tol.rank_cut)], cols, tol)
+    return OperatorSubspace(layout, u[:, : _numerical_rank(s, tol.rank_cut, floor)], cols, tol)
 
 
 def span_from_generators(
@@ -204,11 +208,7 @@ def span_from_generators(
     generators = tuple(generators)
     if not generators:
         raise ValueError("span_from_generators requires at least one generator")
-    layout = generators[0].layout
-    for g in generators[1:]:
-        if g.layout.dims != layout.dims:
-            raise ValueError("generators must share a single layout")
-    return _span_of_columns(layout, _columns(_stacked(generators)), tol)
+    return _span_of_columns(generators[0].layout, _columns(_stacked(generators)), tol)
 
 
 def full_operator_space(dims, tol: ToleranceConfig = DEFAULT_TOL) -> OperatorSubspace:

@@ -10,9 +10,12 @@ from beyondcp import (
     PAULI_X,
     PAULI_Y,
     PAULI_Z,
+    SpaceLayout,
     SubsystemMap,
+    UnitaryFamily,
     choi_matrix,
     compose,
+    consistent_kernel,
     derive_map,
     full_operator_space,
     identity,
@@ -130,6 +133,17 @@ def test_derivation_unique_against_subset_oracle(rng):
         coeffs, *_ = np.linalg.lstsq(basis_mat, rho.entries.reshape(-1), rcond=None)
         expected = (image_mat @ coeffs).reshape(2, 2)
         assert np.linalg.norm(phi.apply(rho).entries - expected) <= 1e-9
+
+
+def test_derived_domain_of_rounding_noise_is_the_zero_subspace():
+    """The SWAP kernel's bath traces are rounding noise without being exactly
+    zero; its derived domain is empty, as for an exactly traceless kernel."""
+    kernel = consistent_kernel(UnitaryFamily((swap_unitary(2),)), SpaceLayout((2, 2)))
+    reduced = [partial_trace(b, keep=0).hs_norm() for b in kernel.basis]
+    assert 0 < max(reduced) <= 1e-15
+    phi = derive_map(kernel, swap_unitary(2))
+    assert phi.domain.dim == 0
+    assert phi.coord_matrix.shape == (4, 0)
 
 
 # ---------------------------------------------------------------------------

@@ -23,7 +23,14 @@ from beyondcp import (
     swap_unitary,
     tensor,
 )
-from beyondcp.operators import _reduced_evolution, _reduced_evolution_matrix
+from beyondcp.maps import map_from_kraus
+from beyondcp.operators import (
+    _reduced_evolution,
+    _reduced_evolution_matrix,
+    _stacked,
+    _trace_matrix,
+)
+from beyondcp.subspaces import span_from_generators
 from beyondcp.sampling import haar_unitary, random_density
 
 # ---------------------------------------------------------------------------
@@ -262,6 +269,64 @@ def test_reduced_evolution_matrix_matches_per_column_loop(rng, dims, keep):
     stacked = _reduced_evolution_matrix(dims, keep, stack) @ eye
     assert stacked.shape == expected.shape
     assert np.max(np.abs(stacked - expected)) <= 1e-12
+
+
+def bath_trace_loop(cols, dims, keep):
+    """vec Tr_{not keep} X for each column vec X, one matrix entry at a time."""
+    n = math.prod(dims)
+    kept = [dims[k] for k in keep]
+    m = math.prod(kept)
+    traced = [i for i in range(len(dims)) if i not in keep]
+    out = np.zeros((m * m, cols.shape[1]), dtype=complex)
+    for c, x in enumerate(cols.T):
+        reduced = np.zeros((m, m), dtype=complex)
+        x = x.reshape((n, n), order="F")
+        for row in itertools.product(*map(range, dims)):
+            for col in itertools.product(*map(range, dims)):
+                if all(row[t] == col[t] for t in traced):
+                    a = np.ravel_multi_index([row[k] for k in keep], kept)
+                    b = np.ravel_multi_index([col[k] for k in keep], kept)
+                    i, j = np.ravel_multi_index(row, dims), np.ravel_multi_index(col, dims)
+                    reduced[a, b] += x[i, j]
+        out[:, c] = reduced.reshape(-1, order="F")
+    return out
+
+
+BATH_TRACE_CASES = [
+    ((2, 2), (0,)),
+    ((2, 3), (0,)),
+    ((3, 2), (0,)),
+    ((4, 4), (0,)),
+    ((2, 2, 2), (0, 2)),
+    ((2, 2, 2), (0,)),
+]
+
+
+@pytest.mark.parametrize("dims, keep", BATH_TRACE_CASES)
+def test_bath_trace_matches_per_column_loop(rng, dims, keep):
+    n = math.prod(dims)
+    cols = rng.standard_normal((n * n, 3)) + 1j * rng.standard_normal((n * n, 3))
+    reduced = _reduced_evolution(cols, dims, keep)
+    expected = bath_trace_loop(cols, dims, keep)
+    assert reduced.shape == expected.shape
+    assert np.max(np.abs(reduced - expected)) <= 1e-14
+
+
+def test_trace_matrix_is_built_once_per_layout():
+    t = _trace_matrix((2, 3), (0,))
+    assert _trace_matrix((2, 3), (0,)) is t
+    assert not t.flags.writeable
+    assert t.shape == (4, 36)
+
+
+def test_stacked_refuses_operators_of_different_layouts():
+    # both act on a 4-dimensional space, but on different factorizations
+    with pytest.raises(ValueError, match="layout mismatch"):
+        _stacked([identity((4,)), identity((2, 2))])
+    with pytest.raises(ValueError, match="layout mismatch"):
+        span_from_generators([identity((2, 2)), identity((4,))])
+    with pytest.raises(ValueError, match="layout mismatch"):
+        map_from_kraus([identity((4,)) * 0.5**0.5, identity((2, 2)) * 0.5**0.5])
 
 
 # ---------------------------------------------------------------------------

@@ -688,6 +688,27 @@ def test_cli_derive_map_on_a_subspace_inside_the_trace_kernel(capsys, tmp_path):
     assert code == 0 and "undecided" not in report["verdicts"][-1]["details"]
 
 
+def test_cli_derive_map_on_a_kernel_whose_bath_traces_are_rounding_noise(capsys, tmp_path):
+    from beyondcp import SpaceLayout, UnitaryFamily, consistent_kernel, swap_unitary
+
+    # Every bath-reduced basis element of the SWAP kernel is at most ~2e-16, not
+    # exactly zero: the derived map must still live on the zero subspace.
+    kernel = consistent_kernel(UnitaryFamily((swap_unitary(2),)), SpaceLayout((2, 2)))
+    sub = _write(tmp_path, "kernel.json", emit_subspace(kernel))
+    uni = _write(tmp_path, "swap.json", emit_operator(swap_unitary(2)))
+    code, doc = _run(capsys, ["derive-map", "--subspace", sub, "--unitary", uni])
+    assert code == 0
+    assert [(v["name"], v["passed"]) for v in doc["verdicts"]] == [
+        ("unitary_consistent", True),
+        ("trace_and_hermiticity_preserving", True),
+    ]
+    artifact = doc["artifacts"]["map"]
+    assert artifact["basis"] == []
+    code, report = _run(capsys, ["analyze-map", "--map", _write(tmp_path, "m.json", artifact)])
+    assert code == 0
+    assert all(v["passed"] for v in report["verdicts"])
+
+
 def test_map_schema_keeps_non_empty_rows_outside_coord_matrix():
     empty_row = {"kind": "kraus", "dims": [2], "operators": [[[], []]]}
     with pytest.raises(ValueError, match="/operators/0/0"):
