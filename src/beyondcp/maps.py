@@ -23,11 +23,11 @@ from .operators import (
     _min_eigenvalues,
     _reduced_evolution,
     _stacked,
+    _stored,
     _unvec_stack,
     _vec_stack,
     identity,
     unvec,
-    vec,
 )
 from .sampling import axis_grid_states, random_pure_state
 from .subspaces import (
@@ -79,7 +79,7 @@ class SubsystemMap:
     """A linear map on a domain subspace, as coordinates-to-vector matrix.
 
     ``coord_matrix`` has shape (N^2, d): column i is the vectorized image of
-    the i-th domain basis operator.
+    the i-th domain basis operator.  It is stored read-only and column-major.
     """
 
     domain: OperatorSubspace
@@ -87,14 +87,13 @@ class SubsystemMap:
     provenance: str = ""
 
     def __post_init__(self) -> None:
-        mat = np.array(self.coord_matrix, dtype=complex)
+        mat = _stored(self.coord_matrix)
         n = self.domain.layout.total_dim
         if mat.shape != (n * n, self.domain.dim):
             raise ValueError(
                 f"coord_matrix shape {mat.shape} does not match domain "
                 f"(expected {(n * n, self.domain.dim)})"
             )
-        mat.setflags(write=False)
         object.__setattr__(self, "coord_matrix", mat)
 
     @property
@@ -261,9 +260,9 @@ def map_from_action(
 ) -> SubsystemMap:
     """Build a map by applying a matrix-level action to each domain basis element."""
     n = domain.layout.total_dim
-    cols = [vec(action(unvec(c, n))) for c in domain.basis_matrix().T]
-    mat = np.column_stack(cols) if cols else np.zeros((n * n, 0), dtype=complex)
-    return SubsystemMap(domain, mat, provenance)
+    images = [action(x) for x in _unvec_stack(domain.basis_matrix().T, n)]
+    stack = np.array(images, dtype=complex).reshape(-1, n, n)  # (0, n, n) on the zero domain
+    return SubsystemMap(domain, _columns(stack), provenance)
 
 
 def identity_map(dims, tol: ToleranceConfig = DEFAULT_TOL) -> SubsystemMap:

@@ -94,21 +94,21 @@ def _as_layout(layout: SpaceLayout | Sequence[int] | int) -> SpaceLayout:
 class Operator:
     """A square complex matrix together with its tensor-factor layout.
 
-    Values are immutable: the entry array is copied on construction and marked
-    read-only, so operators can be shared freely across threads.
+    Values are immutable: the entry array is copied on construction (column-major,
+    see :func:`_stored`) and marked read-only, so operators can be shared freely
+    across threads.
     """
 
     layout: SpaceLayout
     entries: np.ndarray
 
     def __post_init__(self) -> None:
-        entries = np.array(self.entries, dtype=complex)
+        entries = _stored(self.entries)
         n = self.layout.total_dim
         if entries.shape != (n, n):
             raise ValueError(
                 f"entries shape {entries.shape} does not match layout dimension {n}"
             )
-        entries.setflags(write=False)
         object.__setattr__(self, "entries", entries)
 
     # -- basic queries ------------------------------------------------------
@@ -175,6 +175,17 @@ class Operator:
     def __matmul__(self, other: "Operator") -> "Operator":
         _check_same_layout(self, other)
         return Operator(self.layout, self.entries @ other.entries)
+
+
+def _stored(values) -> np.ndarray:
+    """A read-only complex copy in column-major order, the order of every stored matrix.
+
+    BLAS rounds differently by memory order, so one fixed order keeps results
+    independent of how a producer laid out its array.
+    """
+    m = np.array(values, dtype=complex, order="F")
+    m.setflags(write=False)
+    return m
 
 
 def _min_eigenvalues(entries: np.ndarray) -> np.ndarray:

@@ -24,6 +24,7 @@ from .operators import (
     _min_eigenvalues,
     _reduced_evolution,
     _stacked,
+    _stored,
     _unvec_stack,
     tensor,
     unvec,
@@ -70,10 +71,9 @@ class OperatorSubspace:
             raise ValueError("a generator lies outside the span of the basis")
 
     def _frozen(self, cols) -> np.ndarray:
-        m = np.array(cols, dtype=complex, order="F")  # a read-only copy, column-major like vec
+        m = _stored(cols)
         if m.ndim != 2 or m.shape[0] != self.layout.total_dim**2:
             raise ValueError(f"subspace columns of shape {m.shape} do not match the layout")
-        m.setflags(write=False)
         return m
 
     @cached_property

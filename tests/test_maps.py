@@ -175,6 +175,42 @@ def test_apply_outside_domain_errors():
         phi.apply(PAULI_Y)
 
 
+@pytest.mark.parametrize("d", [2, 3])
+def test_map_results_do_not_depend_on_the_producers_memory_order(rng, d):
+    """BLAS rounds differently by memory order; a map stores one order, so the
+    same values give the same bits however the producer laid them out."""
+    domain = full_operator_space(d)
+    values = rng.standard_normal((d * d, d * d)) + 1j * rng.standard_normal((d * d, d * d))
+    c = SubsystemMap(domain, np.ascontiguousarray(values))
+    f = SubsystemMap(domain, np.asfortranarray(values))
+    rho = random_density(d, rng)
+    assert np.array_equal(c.apply(rho).entries, f.apply(rho).entries)
+    assert np.array_equal(c.linear_operator(), f.linear_operator())
+    scan_c, scan_f = positivity_scan(c, 64, 1), positivity_scan(f, 64, 1)
+    assert (scan_c.violation_found, scan_c.min_eigenvalue, scan_c.n_tested) == (
+        scan_f.violation_found,
+        scan_f.min_eigenvalue,
+        scan_f.n_tested,
+    )
+    assert scan_c.violation_found  # a random map is not positive
+    assert np.array_equal(scan_c.counterexample.entries, scan_f.counterexample.entries)
+
+
+def test_every_stored_matrix_is_column_major_and_read_only():
+    from beyondcp import OperatorSubspace
+
+    values = np.arange(16.0).reshape(4, 4) + 1j
+    for order in ("C", "F"):
+        m = np.array(values, order=order)
+        stored = [
+            operator(m, (2, 2)).entries,
+            OperatorSubspace(SpaceLayout((2,)), np.eye(4, order=order)).basis_matrix(),
+            SubsystemMap(full_operator_space(2), m).coord_matrix,
+        ]
+        for a in stored:
+            assert a.flags.f_contiguous and not a.flags.writeable
+
+
 # ---------------------------------------------------------------------------
 # Choi matrix and complete positivity
 # ---------------------------------------------------------------------------
