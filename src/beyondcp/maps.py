@@ -79,7 +79,7 @@ class SubsystemMap:
     """A linear map on a domain subspace, as coordinates-to-vector matrix.
 
     ``coord_matrix`` has shape (N^2, d): column i is the vectorized image of
-    the i-th domain basis operator.  It is stored read-only and column-major.
+    the i-th domain basis operator.
     """
 
     domain: OperatorSubspace
@@ -204,8 +204,7 @@ def _derive(
     ops = np.hstack([v._generator_matrix, v.basis_matrix()])
     reduced = _reduced_evolution(ops, v.layout.dims, keep)
     basis = slice(v._generator_matrix.shape[1], None)
-    # the reduced basis of v has columns of norm at most 1, so its rank cut is
-    # floored at 1: a stack of rounding noise spans nothing
+    # reduced orthonormal columns: a floor of 1 keeps rounding noise from spanning anything
     domain = _span_of_columns(v.layout.subset(keep), reduced[:, basis], v.tol, floor=1.0)
     if consistent:
         spanned = check_state_spanned(v)
@@ -240,9 +239,8 @@ def map_from_kraus(
     if not kraus:
         raise ValueError("at least one Kraus operator is required")
     m = _stacked(kraus)
-    n = m.shape[-1]
     acc = (m.conj().swapaxes(-1, -2) @ m).sum(axis=0)
-    completeness = float(np.linalg.norm(acc - np.eye(n)))
+    completeness = float(np.linalg.norm(acc - np.eye(m.shape[-1])))
     if not (completeness <= tol.residual_tol):
         raise ValueError(
             f"Kraus list is not trace preserving; ||sum M^dag M - 1|| = {completeness:.3e}"

@@ -94,9 +94,8 @@ def _as_layout(layout: SpaceLayout | Sequence[int] | int) -> SpaceLayout:
 class Operator:
     """A square complex matrix together with its tensor-factor layout.
 
-    Values are immutable: the entry array is copied on construction (column-major,
-    see :func:`_stored`) and marked read-only, so operators can be shared freely
-    across threads.
+    Values are immutable: the entries are stored as a read-only column-major copy
+    (:func:`_stored`), so operators can be shared freely across threads.
     """
 
     layout: SpaceLayout
@@ -178,11 +177,8 @@ class Operator:
 
 
 def _stored(values) -> np.ndarray:
-    """A read-only complex copy in column-major order, the order of every stored matrix.
-
-    BLAS rounds differently by memory order, so one fixed order keeps results
-    independent of how a producer laid out its array.
-    """
+    """A read-only complex column-major copy.  Every stored matrix is one, because BLAS
+    rounds differently by memory order and results must not depend on the producer's."""
     m = np.array(values, dtype=complex, order="F")
     m.setflags(write=False)
     return m

@@ -192,11 +192,7 @@ def _operators(layout: SpaceLayout, cols: np.ndarray) -> tuple[Operator, ...]:
 def _span_of_columns(
     layout: SpaceLayout, cols: np.ndarray, tol: ToleranceConfig, floor: float | None = None
 ) -> OperatorSubspace:
-    """The span of the vectorized operators ``cols`` (N^2, g), which become its generators.
-
-    The rank cut is relative to the largest singular value, or to ``floor`` where
-    that is larger (see :func:`_numerical_rank`).
-    """
+    """The span of the vectorized operators ``cols`` (N^2, g), which become its generators."""
     u, s, _ = np.linalg.svd(cols, full_matrices=False)
     return OperatorSubspace(layout, u[:, : _numerical_rank(s, tol.rank_cut, floor)], cols, tol)
 
