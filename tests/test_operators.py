@@ -16,21 +16,21 @@ from beyondcp import (
     gibbs_state,
     identity,
     ket_projector,
+    map_from_kraus,
     operator,
     partial_trace,
     relative_entropy,
     schatten_distance,
+    span_from_generators,
     swap_unitary,
     tensor,
 )
-from beyondcp.maps import map_from_kraus
 from beyondcp.operators import (
     _reduced_evolution,
     _reduced_evolution_matrix,
     _stacked,
     _trace_matrix,
 )
-from beyondcp.subspaces import span_from_generators
 from beyondcp.sampling import haar_unitary, random_density
 
 # ---------------------------------------------------------------------------
