@@ -17,6 +17,7 @@ from .config import DEFAULT_TOL, ToleranceConfig
 from .operators import (
     Operator,
     SpaceLayout,
+    _check_same_layout,
     _reduced_evolution,
     _reduced_evolution_matrix,
     _stacked,
@@ -63,11 +64,8 @@ class UnitaryFamily:
     def __post_init__(self) -> None:
         members = tuple(self.members)
         object.__setattr__(self, "members", members)
-        if members:
-            dims = members[0].layout.dims
-            for u in members[1:]:
-                if u.layout.dims != dims:
-                    raise ValueError("family members must share one layout")
+        for u in members[1:]:
+            _check_same_layout(members[0], u)
 
 
 @dataclass(frozen=True)
@@ -85,8 +83,7 @@ class ConsistencyVerdict:
 
 def _unitary_stack(members, layout: SpaceLayout, tol: float) -> np.ndarray:
     """The members as one (f, N, N) array, refusing a layout mismatch or a non-unitary."""
-    if members[0].layout.dims != layout.dims:
-        raise ValueError("unitary layout does not match the subspace layout")
+    _check_same_layout(members[0], layout)
     u = _stacked(members)
     gram = np.swapaxes(u, -1, -2).conj() @ u
     residual = np.max(np.linalg.norm(gram - np.eye(layout.total_dim), axis=(-2, -1)))
@@ -147,10 +144,12 @@ def consistent_kernel(
     This is the null space of the stacked constraints [T; T S_1; ...; T S_k],
     where T is the bath-trace matrix on vectorized operators (``_trace_matrix``)
     and S = conj(U) (x) U is conjugation by a member; the rows T S_i are built
-    directly from the member stack by ``_reduced_evolution_matrix``.
-    Adding members can only shrink the result.  The stack has (k+1) d_S^2 rows
-    and N^2 columns, far wider than tall, so from N^2 = 100 on ``_null_space``
-    takes it by QR rather than by a full SVD with its N^2 x N^2 right factor.
+    directly from the member stack by ``_reduced_evolution_matrix``.  Adding
+    members can only shrink the result.  A member off ``layout``, or a
+    ``bath_factor`` that names none of its two or more factors, raises
+    ValueError.  The stack has (k+1) d_S^2 rows and N^2 columns, far wider
+    than tall, so from N^2 = 100 on ``_null_space`` takes it by QR rather than
+    by a full SVD with its N^2 x N^2 right factor.
     """
     if not family.members:
         raise ValueError("consistent_kernel requires a nonempty family")
@@ -274,6 +273,7 @@ def lie_generator_check(
     to the given order must keep a vanishing bath trace.  Returns the worst
     normalized residual; 0 means the probe found no leakage.
     """
+    _check_same_layout(k, v)
     if not k.is_hermitian(v.tol.residual_tol):
         raise ValueError("the family generator must be Hermitian")
     kernel = kernel_of_partial_trace(v, bath_factor)

@@ -31,6 +31,7 @@ from .maps import (
 from .operators import (
     Operator,
     SpaceLayout,
+    _check_same_layout,
     _columns,
     _density_mask,
     _reduced_evolution,
@@ -79,15 +80,10 @@ class Representation:
     target_domain: OperatorSubspace
 
     def __post_init__(self) -> None:
+        _check_same_layout(self.unitary, self.subspace)
         dims = self.subspace.layout.dims
-        if self.unitary.layout.dims != dims:
-            raise ValueError("unitary and subspace layouts differ")
-        if len(dims) != 2:
-            raise ValueError(f"layout {dims} is not a (system, bath) layout")
-        if dims[1] != self.bath_dim:
-            raise ValueError(
-                f"layout {dims} does not carry a bath factor of dimension {self.bath_dim}"
-            )
+        if len(dims) != 2 or dims[1] != self.bath_dim:
+            raise ValueError(f"layout {dims} is not a (system, bath) layout, bath {self.bath_dim}")
 
     @cached_property
     def _verdict(self) -> ConsistencyVerdict:
@@ -159,15 +155,15 @@ def swap_representation(
         raise ValueError("swap representation requires a Hermiticity-preserving map")
     if not omega_gens:
         raise ValueError("at least one positive-domain generator is required")
-    if any(w.layout.dims != phi.domain.layout.dims for w in omega_gens) or not np.all(
-        _positive_domain_mask(phi, _stacked(omega_gens))
-    ):
+    _check_same_layout(omega_gens[0], phi.domain)
+    states = _stacked(omega_gens)
+    if not np.all(_positive_domain_mask(phi, states)):
         raise ValueError(
             "a supplied generator is not a positive-domain member "
             "(state in the domain mapped to a state)"
         )
     d = phi.dim
-    cols = _columns(_stacked(omega_gens))
+    cols = _columns(states)
     if not subspaces_equal(_span_of_columns(phi.domain.layout, cols, tol), phi.domain):
         raise ValueError(
             "the positive-domain generators do not span the map's domain; "
@@ -285,16 +281,14 @@ def kraus_dilation(
     (an isometry by trace preservation) and the remaining block columns are an
     orthonormal completion; any completion gives the same reduced map.  The
     joint subspace is the system algebra tensored with |0><0|, whose reduced
-    dynamics under the dilated unitary is exactly the Kraus map.
+    dynamics under the dilated unitary is exactly the Kraus map.  Each operator
+    must act on one factor; ``map_from_kraus`` checks the rest of the list.
     """
     kraus = list(kraus)
-    if not kraus:
-        raise ValueError("at least one Kraus operator is required")
+    if any(m.layout.n_factors != 1 for m in kraus):
+        raise ValueError("Kraus operators must act on a single system factor")
+    target = map_from_kraus(kraus, tol)  # refuses an empty, mixed-layout or non-TP list
     d = kraus[0].dim
-    for m in kraus:
-        if m.layout.n_factors != 1 or m.dim != d:
-            raise ValueError("Kraus operators must act on a single system factor")
-    target = map_from_kraus(kraus, tol)  # refuses a list that is not trace preserving
     k = len(kraus)
     n = d * k
     w = np.stack([m.entries for m in kraus], axis=1).reshape(n, d)  # isometry, <s,i|W = <s|M_i
@@ -322,8 +316,7 @@ def verify_representation(
     consistency = rep._verdict.worst_residual
     derivation = rep._derivation
     reduced = derivation.domain
-    if reduced.layout.dims != phi.domain.layout.dims:
-        raise ValueError(f"layout mismatch: {reduced.layout.dims} vs {phi.domain.layout.dims}")
+    _check_same_layout(reduced, phi.domain)
     out_of_target = phi.domain._coordinates_of(reduced.basis_matrix())[1]
     out_of_reduced = reduced._coordinates_of(phi.domain.basis_matrix())[1]
     domain_residual = float(np.max(np.concatenate([out_of_target, out_of_reduced]), initial=0.0))

@@ -18,6 +18,7 @@ from .config import DEFAULT_TOL, ToleranceConfig
 from .consistency import ConsistencyVerdict, is_unitary_consistent
 from .operators import (
     Operator,
+    _check_same_layout,
     _columns,
     _density_mask,
     _min_eigenvalues,
@@ -145,6 +146,7 @@ class SubsystemMap:
     # Linear combinations are used for analysis (for example Choi linearity);
     # they require the identical stored basis so coordinates line up.
     def _check_combinable(self, other: "SubsystemMap") -> None:
+        _check_same_layout(self.domain, other.domain)
         if not np.array_equal(self.domain.basis_matrix(), other.domain.basis_matrix()):
             raise ValueError("maps must share the same stored domain basis")
 
@@ -278,12 +280,14 @@ def map_residual(phi1: SubsystemMap, phi2: SubsystemMap) -> float:
 
 
 def compose(outer: SubsystemMap, inner: SubsystemMap) -> SubsystemMap:
-    """Composition outer(inner(.)) for full-domain maps only.
+    """Composition outer(inner(.)) for full-domain maps on one layout only.
 
-    Experimental helper: composing maps on proper subspaces is deliberately
-    unsupported because the intermediate operator can leave the outer domain
-    and the chained physical interpretation needs extra care.
+    Layouts (4,) and (2, 2) differ.  Experimental helper: composing maps on
+    proper subspaces is deliberately unsupported because the intermediate
+    operator can leave the outer domain and the chained physical
+    interpretation needs extra care.
     """
+    _check_same_layout(outer.domain, inner.domain)
     n = inner.dim
     if inner.domain.dim != n * n or outer.domain.dim != n * n:
         raise ValueError("compose is only defined for maps on the full operator algebra")

@@ -200,9 +200,12 @@ def _density_mask(stack: np.ndarray, tol: float, slack: float) -> np.ndarray:
     return hermitian & unit_trace & (_min_eigenvalues(stack) >= -slack)
 
 
-def _check_same_layout(a: Operator, b: Operator) -> None:
-    if a.layout.dims != b.layout.dims:
-        raise ValueError(f"layout mismatch: {a.layout.dims} vs {b.layout.dims}")
+def _check_same_layout(a, b) -> None:
+    """The one test of layout agreement; an operand is a SpaceLayout or has one as ``layout``."""
+    a = getattr(a, "layout", a).dims
+    b = getattr(b, "layout", b).dims
+    if a != b:
+        raise ValueError(f"layout mismatch: {a} vs {b}")
 
 
 # -- constructors ------------------------------------------------------------

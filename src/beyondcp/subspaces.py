@@ -20,6 +20,7 @@ from .operators import (
     Operator,
     SpaceLayout,
     _as_layout,
+    _check_same_layout,
     _columns,
     _min_eigenvalues,
     _reduced_evolution,
@@ -108,8 +109,7 @@ class OperatorSubspace:
 
     def _column(self, a: Operator) -> np.ndarray:
         """vec(a) as an (N^2, 1) block, refusing a layout mismatch."""
-        if a.layout.dims != self.layout.dims:
-            raise ValueError(f"layout mismatch: {a.layout.dims} vs {self.layout.dims}")
+        _check_same_layout(a, self)
         return vec(a.entries)[:, None]
 
     def coordinates(self, a: Operator) -> tuple[np.ndarray, float]:
@@ -214,15 +214,13 @@ def full_operator_space(dims, tol: ToleranceConfig = DEFAULT_TOL) -> OperatorSub
 
 
 def subspace_sum(v: OperatorSubspace, w: OperatorSubspace) -> OperatorSubspace:
-    if v.layout.dims != w.layout.dims:
-        raise ValueError("subspace_sum requires matching layouts")
+    _check_same_layout(v, w)
     return _span_of_columns(v.layout, np.hstack([v.basis_matrix(), w.basis_matrix()]), v.tol)
 
 
 def subspace_intersection(v: OperatorSubspace, w: OperatorSubspace) -> OperatorSubspace:
     """Intersection via the nullspace of the stacked projector complements."""
-    if v.layout.dims != w.layout.dims:
-        raise ValueError("subspace_intersection requires matching layouts")
+    _check_same_layout(v, w)
     bv = v.basis_matrix()
     bw = w.basis_matrix()
     eye = np.eye(v.layout.total_dim**2, dtype=complex)
@@ -233,8 +231,7 @@ def subspace_intersection(v: OperatorSubspace, w: OperatorSubspace) -> OperatorS
 
 def subspace_leq(v: OperatorSubspace, w: OperatorSubspace) -> bool:
     """True iff every basis element of v lies in w."""
-    if v.layout.dims != w.layout.dims:
-        raise ValueError(f"layout mismatch: {v.layout.dims} vs {w.layout.dims}")
+    _check_same_layout(v, w)
     return w._contains_columns(v.basis_matrix().T[:, :, None])  # one product per element
 
 
@@ -243,7 +240,12 @@ def subspaces_equal(v: OperatorSubspace, w: OperatorSubspace) -> bool:
 
 
 def _keep_indices(layout: SpaceLayout, bath_factor: int) -> tuple[int, ...]:
-    """The factors left after tracing out the bath factor."""
+    """The factors left after tracing out the bath factor, the one check that it names
+    one of two or more factors."""
+    if layout.n_factors < 2:
+        raise ValueError("a bath trace needs at least two tensor factors")
+    if not 0 <= bath_factor < layout.n_factors:
+        raise ValueError(f"bath factor {bath_factor} out of range")
     return tuple(i for i in range(layout.n_factors) if i != bath_factor)
 
 
@@ -255,10 +257,6 @@ def kernel_of_partial_trace(
     Computed as the nullspace of the partial-trace matrix applied to the
     whole basis stack at once.  The returned basis is orthonormal.
     """
-    if v.layout.n_factors < 2:
-        raise ValueError("kernel_of_partial_trace needs at least two tensor factors")
-    if not 0 <= bath_factor < v.layout.n_factors:
-        raise ValueError(f"bath factor {bath_factor} out of range")
     b = v.basis_matrix()
     t = _reduced_evolution(b, v.layout.dims, _keep_indices(v.layout, bath_factor))
     return OperatorSubspace(v.layout, b @ _null_space(t, v.tol.rank_cut), tol=v.tol)
