@@ -77,6 +77,11 @@ class GibbsParams:
     theta: float
     beta: float
 
+    def __post_init__(self) -> None:
+        for name, value in (("theta", self.theta), ("beta", self.beta)):
+            if not math.isfinite(value):
+                raise ValueError(f"{name} must be finite, got {value!r}")
+
     @property
     def lam(self) -> float:
         """sqrt(2 theta^2 + 2 theta + 1), always >= 1/sqrt(2)."""
@@ -94,10 +99,18 @@ def gibbs_hamiltonian(theta: float) -> Operator:
 
 
 def gibbs_state_closed_form(p: GibbsParams) -> Operator:
-    """Closed-form thermal state of gibbs_hamiltonian, six coefficient terms."""
-    lam, gam = p.lam, p.gam
+    """Closed-form thermal state of gibbs_hamiltonian, six coefficient terms.
+
+    Raises ValueError where the terms overflow: from |beta| lam of about 710 on.
+    """
     beta = p.beta
-    denom = math.cosh(beta * lam) + math.cosh(beta * gam)
+    try:
+        lam, gam = p.lam, p.gam
+        denom = math.cosh(beta * lam) + math.cosh(beta * gam)
+    except OverflowError:
+        denom = math.inf  # theta**2 or a cosh overflowed
+    if denom == math.inf:  # then so does every coefficient below
+        raise ValueError(f"the closed form overflows at theta={p.theta!r}, beta={beta!r}")
     sl = math.sinh(beta * lam) / lam
     sg = math.sinh(beta * gam) / gam
     c_bath_x = (math.cosh(beta * lam) - math.cosh(beta * gam)) / denom

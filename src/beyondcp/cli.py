@@ -304,6 +304,7 @@ def _cmd_represent(args, tol: ToleranceConfig, seed: int) -> Report:
 
 
 def _catalog_gibbs(args, tol: ToleranceConfig, seed: int, report: Report) -> None:
+    witness = catalog.gibbs_state_closed_form(catalog.GibbsParams(args.theta, args.beta))
     worst = 0.0
     for th in np.linspace(-2.0, 2.0, 7):
         for b in np.linspace(0.1, 2.0, 7):
@@ -317,7 +318,6 @@ def _catalog_gibbs(args, tol: ToleranceConfig, seed: int, report: Report) -> Non
         [catalog._PAULI_PAIRS[p] for p in ("II", "XI", "ZI", "IX", "XX", "ZX")], tol
     )
     report.add("span_matches_pauli_basis", subspaces_equal(family, printed))
-    witness = catalog.gibbs_state_closed_form(catalog.GibbsParams(args.theta, args.beta))
     report.add("state_spanned_verified", check_state_spanned(family, witness))
     report.artifacts["state"] = emit_operator(witness)
     report.artifacts["subspace"] = emit_subspace(family)

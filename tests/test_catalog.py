@@ -95,6 +95,20 @@ def test_closed_form_infinite_temperature():
     assert np.allclose(closed.entries, np.eye(4) / 4)
 
 
+def test_gibbs_params_refuse_non_finite_values():
+    for theta, beta in ((math.nan, 0.5), (1.0, math.inf), (-math.inf, 0.5)):
+        with pytest.raises(ValueError, match="must be finite"):
+            GibbsParams(theta, beta)
+
+
+def test_closed_form_refuses_where_its_terms_overflow():
+    for theta, beta in ((1.0, 800.0), (1.0, -800.0), (1e200, 0.5), (1e10, 1e300)):
+        with pytest.raises(ValueError, match="the closed form overflows"):
+            gibbs_state_closed_form(GibbsParams(theta, beta))
+    # at theta = 0, lam = gam = 1, so beta = 700 stays below the overflow of cosh
+    assert gibbs_state_closed_form(GibbsParams(0.0, 700.0)).is_density(1e-9)
+
+
 def test_gibbs_subspace_state_spanned_with_closed_form_witness():
     witness = gibbs_state_closed_form(GibbsParams(1.0, 0.5))
     assert check_state_spanned(gibbs_subspace(), witness)
