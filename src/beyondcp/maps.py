@@ -324,9 +324,13 @@ class CpVerdict:
 
 
 def _require_finite(phi: SubsystemMap, caller: str) -> None:
-    """Refuse a map with a non-finite coordinate: eigvalsh gives finite garbage on NaN."""
+    """Refuse a map with a non-finite coordinate (eigvalsh gives finite garbage on NaN) or
+    with coordinates whose norm overflows: the Hermitian part of an image then can too."""
     if not np.all(np.isfinite(phi.coord_matrix)):
         raise ValueError(f"{caller}: the map's coordinates must be finite")
+    with np.errstate(over="ignore"):
+        if np.linalg.norm(phi.coord_matrix) == np.inf:
+            raise ValueError(f"{caller}: the norm of the map's coordinates overflows")
 
 
 def is_cp(phi: SubsystemMap) -> CpVerdict:
