@@ -197,6 +197,21 @@ def test_consistent_kernel_requires_members():
         consistent_kernel(UnitaryFamily(()), SpaceLayout((2, 2)))
 
 
+@pytest.mark.parametrize("bath_factor", [2, 5, -1])
+def test_consistent_kernel_refuses_a_bath_factor_outside_the_layout(bath_factor):
+    # -1 used to keep every factor and so trace out nothing: a zero kernel, no error
+    family = UnitaryFamily((swap_unitary(2),))
+    with pytest.raises(ValueError, match=f"bath factor {bath_factor} out of range"):
+        consistent_kernel(family, SpaceLayout((2, 2)), bath_factor=bath_factor)
+
+
+@pytest.mark.parametrize("bath_factor", [0, 1])
+def test_consistent_kernel_refuses_a_single_factor_layout(bath_factor):
+    family = UnitaryFamily((identity((4,)),))
+    with pytest.raises(ValueError, match="at least two tensor factors"):
+        consistent_kernel(family, SpaceLayout((4,)), bath_factor=bath_factor)
+
+
 def reference_consistent_kernel(family, layout):
     """The consistent kernel by iterated intersection of conjugated trace kernels."""
     ambient = kernel_of_partial_trace(full_operator_space(layout))
@@ -522,6 +537,12 @@ def test_witness_gap_validates_inputs():
 
 def test_lie_generator_check_controlled_phase(gibbs_v):
     assert lie_generator_check(gibbs_v, controlled_phase_generator()) <= 1e-12
+
+
+def test_lie_generator_check_refuses_a_generator_on_another_layout(gibbs_v):
+    flat = operator(controlled_phase_generator().entries, (4,))  # same matrix, one factor
+    with pytest.raises(ValueError, match=r"layout mismatch: \(4,\) vs \(2, 2\)"):
+        lie_generator_check(gibbs_v, flat)
 
 
 def test_lie_generator_check_detects_bad_generator(gibbs_v):

@@ -387,6 +387,13 @@ def test_compose_requires_full_domain():
         compose(controlled_phase_map(0.2), identity_map(2))
 
 
+@pytest.mark.parametrize("combine", [compose, SubsystemMap.__add__, SubsystemMap.__sub__])
+def test_maps_on_different_layouts_neither_compose_nor_combine(combine):
+    # both are the identity on a 4-dimensional space, with the same stored basis
+    with pytest.raises(ValueError, match=r"layout mismatch: \(4,\) vs \(2, 2\)"):
+        combine(identity_map((4,)), identity_map((2, 2)))
+
+
 def test_map_residual_requires_equal_domains():
     with pytest.raises(ValueError):
         map_residual(controlled_phase_map(0.2), identity_map(2))
@@ -458,6 +465,25 @@ def test_sample_positive_domain_rejects_non_finite_map():
 def test_positive_domain_membership_rejects_non_finite_map():
     with pytest.raises(ValueError, match="positive_domain_membership: .* finite"):
         positive_domain_membership(_identity_map_with_nan(), operator([[1, 0], [0, 0]], 2))
+
+
+# Finite coordinates of 1e308: the Hermitian part (A + A^dag) / 2 of an image
+# overflowed to inf, after which the scans gave verdicts.
+@pytest.mark.parametrize(
+    "check",
+    [
+        is_cp,
+        lambda phi: positivity_scan(phi, 8, seed=0),
+        lambda phi: sample_positive_domain(phi, 3, seed=0),
+        lambda phi: positive_domain_membership(phi, operator([[1, 0], [0, 0]], 2)),
+    ],
+    ids=["is_cp", "positivity_scan", "sample_positive_domain", "positive_domain_membership"],
+)
+def test_positivity_verdicts_refuse_coordinates_whose_norm_overflows(check):
+    phi = identity_map((2,))
+    huge = SubsystemMap(phi.domain, 1e308 * np.array(phi.coord_matrix))
+    with pytest.raises(ValueError, match="norm of the map's coordinates overflows"):
+        check(huge)
 
 
 def test_map_from_kraus_rejects_non_finite_operator():

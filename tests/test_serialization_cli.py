@@ -27,7 +27,7 @@ from beyondcp import (
 from beyondcp.catalog import depolarizer_kraus, gibbs_subspace, repolarizer
 from beyondcp.cli import _smallest_checkable_epsilon, run_cli
 from beyondcp.config import DEFAULT_TOL
-from beyondcp.maps import map_from_kraus
+from beyondcp.maps import identity_map, map_from_kraus
 from beyondcp.serialization import (
     Report,
     emit_map,
@@ -527,6 +527,58 @@ def test_cli_catalog_gibbs_and_transpose_and_repolarizer(capsys):
         code, doc = _run(capsys, argv)
         assert code == 0, argv
         assert all(v["passed"] for v in doc["verdicts"]), argv
+
+
+@pytest.mark.parametrize(
+    "flag,value",
+    [
+        *(("--theta", v) for v in ("nan", "inf", "1e200", "1e300")),
+        *(("--beta", v) for v in ("nan", "inf", "800", "-800", "1e200", "1e300")),
+    ],
+)
+def test_cli_catalog_gibbs_refuses_what_its_closed_form_cannot_evaluate(capsys, flag, value):
+    # non-finite values printed a state of "nan" strings; the others overflowed in math
+    assert run_cli(["catalog", "gibbs", f"{flag}={value}"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ") and flag[2:] in captured.err
+
+
+def test_cli_analyze_map_refuses_a_map_whose_hermitian_parts_overflow(capsys, tmp_path):
+    doc = emit_map(identity_map((2,)))
+    doc["coord_matrix"] = [[[re * 1e308, im] for re, im in row] for row in doc["coord_matrix"]]
+    huge = _write(tmp_path, "huge.json", doc)  # finite, so the parser accepts it
+    for flag, caller in (
+        ("--positivity", "positivity_scan"),
+        ("--positive-domain", "sample_positive_domain"),
+    ):
+        assert run_cli(["analyze-map", "--map", huge, flag, "3"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: {caller}: the norm of the map's coordinates overflows\n"
+
+
+_FLOAT_FLAGS = [
+    ("catalog", "gibbs", "--theta"),
+    ("catalog", "gibbs", "--beta"),
+    ("catalog", "example1", "--t"),
+    ("catalog", "repolarizer", "--epsilon"),
+    ("catalog", "transpose", "--tol-residual"),
+    ("violations", "--pairs", "2", "--epsilon"),
+]
+_FLOAT_VALUES = ["0", "-0.0", "1e-300", "0.5", "-3", "800", "-800", "1e200", "1e300", "nan", "inf", "-inf"]
+
+
+@settings(max_examples=100, derandomize=True, database=None, deadline=None)
+@given(st.sampled_from(_FLOAT_FLAGS), st.sampled_from(_FLOAT_VALUES))
+def test_cli_float_flags_exit_cleanly_and_never_print_nan(command, value):
+    *words, flag = command
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = run_cli([*words, f"{flag}={value}"])  # an exception or a warning fails the test
+    assert code in (0, 1, 2)
+    if code == 0:
+        assert '"nan"' not in out.getvalue()
 
 
 @pytest.mark.parametrize("epsilon", ["3e-4", "1e-7", "1e-300"])
