@@ -101,3 +101,13 @@ def test_reproduce_catalog_stops_with_the_cli_input_error():
     assert "error: epsilon must lie in (0, 1], got 0.0" in result.stderr
     assert "Traceback" not in result.stderr
     assert "repolarizer" not in result.stdout  # no summary of a report that was not written
+
+
+def test_output_digest_is_deterministic():
+    runs = [_run_script("output_digest.py", "--seeds", "1", "--trials", "2") for _ in range(2)]
+    assert [r.returncode for r in runs] == [0, 0], runs[0].stderr
+    assert runs[0].stdout == runs[1].stdout
+    lines = runs[0].stdout.splitlines()
+    assert len(lines) == 15 + 1 + 2 + 1  # the cli commands at one seed, two trials, two totals
+    assert lines[15].startswith("cli total (15 items) ")
+    assert lines[-1].startswith("trials total (2 items) ")
