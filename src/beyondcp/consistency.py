@@ -129,6 +129,7 @@ def is_family_consistent(
 ) -> ConsistencyVerdict:
     """Conjunction of per-unitary checks, reporting the worst violating pair."""
     if not family.members:
+        _keep_indices(v.layout, bath_factor)  # no member to test, but the factor must exist
         return ConsistencyVerdict(True, 0.0, None)
     return _family_verdict(v, family.members, bath_factor)
 

@@ -212,6 +212,12 @@ def test_consistent_kernel_refuses_a_single_factor_layout(bath_factor):
         consistent_kernel(family, SpaceLayout((4,)), bath_factor=bath_factor)
 
 
+def test_an_empty_family_still_refuses_a_bath_factor_outside_the_layout(gibbs_v):
+    assert is_family_consistent(gibbs_v, UnitaryFamily(())).consistent  # vacuously
+    with pytest.raises(ValueError, match="bath factor 5 out of range"):
+        is_family_consistent(gibbs_v, UnitaryFamily(()), bath_factor=5)
+
+
 def reference_consistent_kernel(family, layout):
     """The consistent kernel by iterated intersection of conjugated trace kernels."""
     ambient = kernel_of_partial_trace(full_operator_space(layout))
