@@ -324,13 +324,13 @@ class CpVerdict:
 
 
 def _require_finite(phi: SubsystemMap, caller: str) -> None:
-    """Refuse a map with a non-finite coordinate (eigvalsh gives finite garbage on NaN) or
-    with coordinates whose norm overflows: the Hermitian part of an image then can too."""
-    if not np.all(np.isfinite(phi.coord_matrix)):
-        raise ValueError(f"{caller}: the map's coordinates must be finite")
-    with np.errstate(over="ignore"):
-        if np.linalg.norm(phi.coord_matrix) == np.inf:
-            raise ValueError(f"{caller}: the norm of the map's coordinates overflows")
+    """Refuse a map whose coordinates are not finite (eigvalsh gives finite garbage on NaN)
+    or have a norm that overflows, since the Hermitian part of an image then can too."""
+    with np.errstate(over="ignore"):  # NaN and inf entries give a NaN or inf norm as well
+        if not np.isfinite(np.linalg.norm(phi.coord_matrix)):
+            raise ValueError(
+                f"{caller}: the map's coordinates must be finite and their norm must not overflow"
+            )
 
 
 def is_cp(phi: SubsystemMap) -> CpVerdict:

@@ -482,7 +482,7 @@ def test_positive_domain_membership_rejects_non_finite_map():
 def test_positivity_verdicts_refuse_coordinates_whose_norm_overflows(check):
     phi = identity_map((2,))
     huge = SubsystemMap(phi.domain, 1e308 * np.array(phi.coord_matrix))
-    with pytest.raises(ValueError, match="norm of the map's coordinates overflows"):
+    with pytest.raises(ValueError, match="their norm must not overflow"):
         check(huge)
 
 

@@ -555,7 +555,8 @@ def test_cli_analyze_map_refuses_a_map_whose_hermitian_parts_overflow(capsys, tm
         assert run_cli(["analyze-map", "--map", huge, flag, "3"]) == 2
         captured = capsys.readouterr()
         assert captured.out == ""
-        assert captured.err == f"error: {caller}: the norm of the map's coordinates overflows\n"
+        message = "the map's coordinates must be finite and their norm must not overflow"
+        assert captured.err == f"error: {caller}: {message}\n"
 
 
 _FLOAT_FLAGS = [
