@@ -107,9 +107,9 @@ def gibbs_state_closed_form(p: GibbsParams) -> Operator:
     try:
         lam, gam = p.lam, p.gam
         denom = math.cosh(beta * lam) + math.cosh(beta * gam)
-    except OverflowError:
-        denom = math.inf  # theta**2 or a cosh overflowed
-    if denom == math.inf:  # then so does every coefficient below
+    except OverflowError:  # from theta**2 or a cosh
+        denom = math.inf
+    if denom == math.inf:  # also where beta * lam is inf, of which cosh raises nothing
         raise ValueError(f"the closed form overflows at theta={p.theta!r}, beta={beta!r}")
     sl = math.sinh(beta * lam) / lam
     sg = math.sinh(beta * gam) / gam

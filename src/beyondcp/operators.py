@@ -202,8 +202,7 @@ def _density_mask(stack: np.ndarray, tol: float, slack: float) -> np.ndarray:
 
 def _check_same_layout(a, b) -> None:
     """The one test of layout agreement; an operand is a SpaceLayout or has one as ``layout``."""
-    a = getattr(a, "layout", a).dims
-    b = getattr(b, "layout", b).dims
+    a, b = getattr(a, "layout", a).dims, getattr(b, "layout", b).dims
     if a != b:
         raise ValueError(f"layout mismatch: {a} vs {b}")
 
