@@ -91,6 +91,11 @@ def _positive_int(text: str) -> int:
     return value
 
 
+# A relative rank cut nearer to rounding noise keeps noise directions: the catalog
+# constructions fail their checks from about 2 epsilons down; the floor keeps 8x on that.
+_RANK_CUT_FLOOR = 16 * sys.float_info.epsilon
+
+
 def _common_flags(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--seed", type=int, default=0, help="random seed (BEYONDCP_SEED overrides)")
     parser.add_argument("--format", choices=("json", "csv"), default="json")
@@ -550,6 +555,8 @@ def run_cli(argv=None) -> int:
             psd_slack=DEFAULT_TOL.psd_slack,
             entropy_support_tol=DEFAULT_TOL.entropy_support_tol,
         )
+        if tol.rank_cut < _RANK_CUT_FLOOR:  # after ToleranceConfig has refused NaN
+            raise ValueError(f"--tol-rank {tol.rank_cut!r} is below 16 machine epsilons")
         report = _HANDLERS[args.subcommand](args, tol, seed)
         doc = emit_report(report)
     except (ValueError, OSError, json.JSONDecodeError) as err:

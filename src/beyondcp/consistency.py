@@ -18,10 +18,11 @@ from .operators import (
     Operator,
     SpaceLayout,
     _check_same_layout,
+    _columns,
     _reduced_evolution,
     _reduced_evolution_matrix,
     _stacked,
-    _trace_matrix,
+    _unvec_stack,
     adjoint_action,
     identity,
     partial_trace,
@@ -143,10 +144,10 @@ def consistent_kernel(
     """Operators whose reduced evolution vanishes under {1} union the family.
 
     This is the null space of the stacked constraints [T; T S_1; ...; T S_k],
-    where T is the bath-trace matrix on vectorized operators (``_trace_matrix``)
-    and S = conj(U) (x) U is conjugation by a member; the rows T S_i are built
-    directly from the member stack by ``_reduced_evolution_matrix``.  Adding
-    members can only shrink the result.  A member off ``layout``, or a
+    where T is the bath trace on vectorized operators and S = conj(U) (x) U is
+    conjugation by a member.  With the identity in front of the member stack,
+    ``_reduced_evolution_matrix`` builds all the rows in one call, T first.
+    Adding members can only shrink the result.  A member off ``layout``, or a
     ``bath_factor`` that names none of its two or more factors, raises
     ValueError.  The stack has (k+1) d_S^2 rows and N^2 columns, far wider
     than tall, so from N^2 = 100 on ``_null_space`` takes it by QR rather than
@@ -154,12 +155,11 @@ def consistent_kernel(
     """
     if not family.members:
         raise ValueError("consistent_kernel requires a nonempty family")
-    n2 = layout.total_dim**2
+    n = layout.total_dim
     u = _unitary_stack(family.members, layout, tol.residual_tol)
     keep = _keep_indices(layout, bath_factor)
-    evolved = _reduced_evolution_matrix(layout.dims, keep, u).reshape(-1, n2)
-    stacked = np.vstack([_trace_matrix(layout.dims, keep), evolved])
-    return OperatorSubspace(layout, _null_space(stacked, tol.rank_cut), tol=tol)
+    rows = _reduced_evolution_matrix(layout.dims, keep, np.array([np.eye(n), *u]))
+    return OperatorSubspace(layout, _null_space(rows.reshape(-1, n * n), tol.rank_cut), tol=tol)
 
 
 def transformation_space(
@@ -279,12 +279,11 @@ def lie_generator_check(
         raise ValueError("the family generator must be Hermitian")
     kernel = kernel_of_partial_trace(v, bath_factor)
     keep = _keep_indices(v.layout, bath_factor)
-    ident = np.eye(v.layout.total_dim)
-    commutator = np.kron(ident, k.entries) - np.kron(k.entries.T, ident)  # on vec X
     cols = kernel.basis_matrix()
     worst = 0.0
     for _ in range(order):
-        cols = commutator @ cols
+        x = _unvec_stack(cols.T, v.layout.total_dim)
+        cols = _columns(k.entries @ x - x @ k.entries)
         norms = np.linalg.norm(cols, axis=0)
         live = norms >= 1e-300  # a vanished commutator stays vanished
         cols = cols[:, live]

@@ -10,7 +10,6 @@ interchangeable because both conventions are fixed here.
 
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import dataclass
 from typing import Sequence
@@ -336,20 +335,17 @@ def partial_trace(a: Operator, keep: Sequence[int] | int) -> Operator:
 def _reduced_evolution(cols: np.ndarray, dims: tuple, keep: tuple, u=None) -> np.ndarray:
     """vec Tr_{not keep}(U X U^dag) for each column vec X of ``cols`` (N^2, k).
 
-    ``cols`` is multiplied by :func:`_reduced_evolution_matrix` of ``u``, or by
-    :func:`_trace_matrix` without ``u`` (U = 1).  Without ``u`` or with one
-    (N, N) unitary the shape is (m^2, k); a stack (f, N, N) gives (f, m^2, k).
+    Without ``u`` (U = 1) one einsum sums the traced axes of each X, read with
+    axes ``dims + dims``, giving (m^2, k).  Otherwise ``cols`` is multiplied by
+    :func:`_reduced_evolution_matrix`: (m^2, k) for one (N, N) unitary, (f, m^2, k)
+    for a stack (f, N, N).
     """
-    t = _trace_matrix(dims, keep) if u is None else _reduced_evolution_matrix(dims, keep, u)
-    return t @ cols
-
-
-@functools.cache
-def _trace_matrix(dims: tuple, keep: tuple) -> np.ndarray:
-    """The (m^2, N^2) matrix of vec X -> vec Tr_{not keep} X, built once per layout, read-only."""
-    t = _reduced_evolution_matrix(dims, keep, np.eye(math.prod(dims), dtype=complex))
-    t.setflags(write=False)
-    return t
+    if u is not None:
+        return _reduced_evolution_matrix(dims, keep, u) @ cols
+    f, k = len(dims), cols.shape[1]  # axis labels: column factor i is i, row factor f + i
+    rows = [f + i if i in keep else i for i in range(f)]
+    out = [*keep, *(f + i for i in keep), 2 * f]
+    return np.einsum(cols.reshape(dims * 2 + (k,)), [*range(f), *rows, 2 * f], out).reshape(-1, k)
 
 
 def _reduced_evolution_matrix(dims: tuple, keep: tuple, u: np.ndarray) -> np.ndarray:

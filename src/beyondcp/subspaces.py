@@ -219,14 +219,12 @@ def subspace_sum(v: OperatorSubspace, w: OperatorSubspace) -> OperatorSubspace:
 
 
 def subspace_intersection(v: OperatorSubspace, w: OperatorSubspace) -> OperatorSubspace:
-    """Intersection via the nullspace of the stacked projector complements."""
+    """B_w times the null space of (1 - P_v) B_w, whose singular values are the sines
+    of the principal angles between w and v (Bjorck & Golub, 1973)."""
     _check_same_layout(v, w)
-    bv = v.basis_matrix()
-    bw = w.basis_matrix()
-    eye = np.eye(v.layout.total_dim**2, dtype=complex)
-    stacked = np.vstack([eye - bv @ bv.conj().T, eye - bw @ bw.conj().T])
-    # Vectors with singular value ~0 lie in both spaces.
-    return OperatorSubspace(v.layout, _null_space(stacked, v.tol.rank_cut), tol=v.tol)
+    bv, bw = v.basis_matrix(), w.basis_matrix()
+    residual = bw - bv @ (bv.conj().T @ bw)
+    return OperatorSubspace(v.layout, bw @ _null_space(residual, v.tol.rank_cut), tol=v.tol)
 
 
 def subspace_leq(v: OperatorSubspace, w: OperatorSubspace) -> bool:
@@ -254,8 +252,8 @@ def kernel_of_partial_trace(
 ) -> OperatorSubspace:
     """The elements of v whose bath partial trace vanishes.
 
-    Computed as the nullspace of the partial-trace matrix applied to the
-    whole basis stack at once.  The returned basis is orthonormal.
+    Computed as the basis times the null space of the bath traces of the
+    whole basis stack, taken at once.  The returned basis is orthonormal.
     """
     b = v.basis_matrix()
     t = _reduced_evolution(b, v.layout.dims, _keep_indices(v.layout, bath_factor))

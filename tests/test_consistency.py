@@ -545,6 +545,31 @@ def test_lie_generator_check_controlled_phase(gibbs_v):
     assert lie_generator_check(gibbs_v, controlled_phase_generator()) <= 1e-12
 
 
+def kron_lie_check(v, k, order):
+    """Reference for ``lie_generator_check``: commutators by the superoperator
+    1 (x) K - K^T (x) 1 on vec X, bath traces by einsum."""
+    n = v.layout.total_dim
+    d_s, d_b = v.layout.dims
+    commutator = np.kron(np.eye(n), k.entries) - np.kron(k.entries.T, np.eye(n))
+    cols = kernel_of_partial_trace(v).basis_matrix()
+    worst = 0.0
+    for _ in range(order):
+        cols = commutator @ cols
+        for col in cols.T:
+            x = col.reshape((n, n), order="F").reshape(d_s, d_b, d_s, d_b)
+            reduced = np.einsum("abcb->ac", x)
+            worst = max(worst, np.linalg.norm(reduced) / np.linalg.norm(col))
+    return worst
+
+
+def test_lie_generator_check_matches_a_kron_superoperator(gibbs_v, rng):
+    a = rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4))
+    k = operator(a + a.conj().T, (2, 2))
+    expected = kron_lie_check(gibbs_v, k, order=3)
+    assert expected > 0.1
+    assert lie_generator_check(gibbs_v, k, order=3) == pytest.approx(expected, rel=1e-12)
+
+
 def test_lie_generator_check_refuses_a_generator_on_another_layout(gibbs_v):
     flat = operator(controlled_phase_generator().entries, (4,))  # same matrix, one factor
     with pytest.raises(ValueError, match=r"layout mismatch: \(4,\) vs \(2, 2\)"):

@@ -29,7 +29,6 @@ from beyondcp.operators import (
     _reduced_evolution,
     _reduced_evolution_matrix,
     _stacked,
-    _trace_matrix,
 )
 from beyondcp.sampling import haar_unitary, random_density
 
@@ -312,11 +311,13 @@ def test_bath_trace_matches_per_column_loop(rng, dims, keep):
     assert np.max(np.abs(reduced - expected)) <= 1e-14
 
 
-def test_trace_matrix_is_built_once_per_layout():
-    t = _trace_matrix((2, 3), (0,))
-    assert _trace_matrix((2, 3), (0,)) is t
-    assert not t.flags.writeable
-    assert t.shape == (4, 36)
+def test_partial_trace_of_a_large_three_factor_layout_matches_einsum(rng):
+    n = 8**3
+    x = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+    reduced = partial_trace(operator(x, (8, 8, 8)), keep=(0, 2))
+    expected = np.einsum("abcdbf->acdf", x.reshape((8,) * 6)).reshape(64, 64)
+    assert reduced.layout.dims == (8, 8)
+    assert np.max(np.abs(reduced.entries - expected)) <= 1e-12
 
 
 def test_stacked_refuses_operators_of_different_layouts():

@@ -1,10 +1,11 @@
-"""The two numerical rules every verdict rests on, tested at their bounds.
+"""The numerical rules every verdict rests on, tested at their bounds.
 
 Span membership: X lies in a subspace iff ||X - proj(X)|| <= residual_tol *
 max(1, ||X||).  The state test: Hermitian and of unit trace within a
 tolerance, with no eigenvalue below minus a slack.  Each rule has one owner;
 every caller must reach the same verdict a relative 1e-6 inside and outside
-each bound.
+each bound.  Intersection: two subspaces share a direction iff the sine of
+its principal angle is at most rank_cut.
 """
 
 import math
@@ -22,12 +23,14 @@ from beyondcp import (
     operator,
     positive_domain_membership,
     span_from_generators,
+    subspace_intersection,
     subspace_leq,
 )
 from beyondcp.maps import _positive_domain_mask
 from beyondcp.operators import PAULI_X, PAULI_Z, _density_mask
 
 TOL = DEFAULT_TOL.residual_tol
+CUT = DEFAULT_TOL.rank_cut
 SLACK = DEFAULT_TOL.psd_slack
 SIDES = [(1 - 1e-6, True), (1 + 1e-6, False)]  # (factor on the bound, inside)
 
@@ -60,6 +63,13 @@ def test_every_membership_test_reads_the_same_bound(factor, inside):
         with pytest.raises(MapDomainError):
             phi.apply(rho)
     assert positive_domain_membership(phi, rho) is inside
+
+
+@pytest.mark.parametrize("factor,shared", [(0.5, True), (1.5, False)])
+def test_an_intersection_shares_a_direction_up_to_a_sine_of_rank_cut(factor, shared):
+    tilted = span_from_generators([_unit(factor * CUT)])  # at angle asin(factor * CUT)
+    assert subspace_intersection(DOMAIN, tilted).dim == int(shared)
+    assert subspace_intersection(tilted, DOMAIN).dim == int(shared)
 
 
 def _hermiticity_drift(d):

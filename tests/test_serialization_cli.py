@@ -25,7 +25,7 @@ from beyondcp import (
     serialization,
 )
 from beyondcp.catalog import depolarizer_kraus, gibbs_subspace, repolarizer
-from beyondcp.cli import _smallest_checkable_epsilon, run_cli
+from beyondcp.cli import _RANK_CUT_FLOOR, _smallest_checkable_epsilon, run_cli
 from beyondcp.config import DEFAULT_TOL
 from beyondcp.maps import identity_map, map_from_kraus
 from beyondcp.serialization import (
@@ -495,6 +495,27 @@ def test_cli_refuses_a_tolerance_flag_that_is_not_finite_and_non_negative(
     assert captured.err == f"error: {message}\n"
 
 
+_CATALOG_TOPICS = ["transpose", "repolarizer", "gibbs", "example1"]
+
+
+@pytest.mark.parametrize("topic", _CATALOG_TOPICS)
+@pytest.mark.parametrize("value", ["0", "-0.0", "1e-300", "1e-17", "2.3e-16", "1e-15"])
+def test_cli_refuses_a_rank_cut_below_its_floor(capsys, topic, value):
+    # these kept rounding noise: a traceback, a failed dimension verdict or "not consistent"
+    assert run_cli(["catalog", topic, "--tol-rank", value]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: --tol-rank {float(value)!r} is below 16 machine epsilons\n"
+
+
+@pytest.mark.parametrize("topic", _CATALOG_TOPICS)
+@pytest.mark.parametrize("value", [repr(_RANK_CUT_FLOOR), repr(DEFAULT_TOL.rank_cut)])
+def test_cli_catalog_passes_from_the_rank_cut_floor_up(capsys, topic, value):
+    code, doc = _run(capsys, ["catalog", topic, "--tol-rank", value])
+    assert code == 0
+    assert all(v["passed"] for v in doc["verdicts"])
+
+
 @pytest.mark.parametrize("pairs", ["0", "-3"])
 def test_cli_violations_rejects_empty_sample(capsys, pairs):
     assert run_cli(["violations", "--epsilon", "0.1", "--pairs", pairs]) == 2
@@ -559,6 +580,12 @@ def test_cli_analyze_map_refuses_a_map_whose_hermitian_parts_overflow(capsys, tm
         assert captured.err == f"error: {caller}: {message}\n"
 
 
+_FILE_COMMANDS = [
+    ("check-consistency", "--subspace", "{subspace}", "--unitary", "{unitary}"),
+    ("derive-map", "--subspace", "{subspace}", "--unitary", "{unitary}"),
+    ("analyze-map", "--map", "{map}", "--cp", "--positivity", "8"),
+    ("represent", "--map", "{map}", "--method", "swap"),
+]
 _FLOAT_FLAGS = [
     ("catalog", "gibbs", "--theta"),
     ("catalog", "gibbs", "--beta"),
@@ -566,17 +593,33 @@ _FLOAT_FLAGS = [
     ("catalog", "repolarizer", "--epsilon"),
     ("catalog", "transpose", "--tol-residual"),
     ("violations", "--pairs", "2", "--epsilon"),
+    *(("catalog", topic, "--tol-rank") for topic in ["gibbs", "example1", "repolarizer", "transpose"]),
+    *((*command, flag) for command in _FILE_COMMANDS for flag in ["--tol-rank", "--tol-residual"]),
 ]
 _FLOAT_VALUES = ["0", "-0.0", "1e-300", "0.5", "-3", "800", "-800", "1e200", "1e300", "nan", "inf", "-inf"]
 
 
-@settings(max_examples=100, derandomize=True, database=None, deadline=None)
+@pytest.fixture(scope="module")
+def cli_input_files(tmp_path_factory):
+    """The input files of ``_FILE_COMMANDS``, written once for every example."""
+    from beyondcp.catalog import controlled_phase_unitary
+
+    workdir = tmp_path_factory.mktemp("cli_inputs")
+    return {
+        "subspace": _write(workdir, "sub.json", emit_subspace(gibbs_subspace())),
+        "unitary": _write(workdir, "u.json", emit_operator(controlled_phase_unitary(0.7))),
+        "map": _write(workdir, "map.json", emit_map(repolarizer(0.1))),
+    }
+
+
+@settings(max_examples=300, derandomize=True, database=None, deadline=None)
 @given(st.sampled_from(_FLOAT_FLAGS), st.sampled_from(_FLOAT_VALUES))
-def test_cli_float_flags_exit_cleanly_and_never_print_nan(command, value):
+def test_cli_float_flags_exit_cleanly_and_never_print_nan(cli_input_files, command, value):
     *words, flag = command
+    argv = [word.format(**cli_input_files) for word in words]
     out, err = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-        code = run_cli([*words, f"{flag}={value}"])  # an exception or a warning fails the test
+        code = run_cli([*argv, f"{flag}={value}"])  # an exception or a warning fails the test
     assert code in (0, 1, 2)
     if code == 0:
         assert '"nan"' not in out.getvalue()

@@ -176,6 +176,36 @@ def test_intersection_with_engineered_overlap():
     assert inter.contains(tensor(PAULI_Z, PAULI_X))
 
 
+def stacked_intersection(v, w):
+    """Reference intersection: the null space of the stacked projector complements
+    [1 - P_v; 1 - P_w] by a full SVD, with the rank cut of ``_null_space``."""
+    bv, bw = v.basis_matrix(), w.basis_matrix()
+    eye = np.eye(bv.shape[0])
+    stacked = np.vstack([eye - bv @ bv.conj().T, eye - bw @ bw.conj().T])
+    _, s, vh = np.linalg.svd(stacked)
+    return vh[int(np.sum(s > v.tol.rank_cut * max(s[0], 1.0))) :].conj().T
+
+
+def _containment(b, c):
+    """Largest residual of a column of b outside the span of the orthonormal columns c."""
+    return float(np.max(np.linalg.norm(b - c @ (c.conj().T @ b), axis=0), initial=0.0))
+
+
+@pytest.mark.parametrize("dims, members", [((2, 2), 1), ((2, 4), 4), ((4, 4), 4)])
+def test_intersection_matches_the_stacked_projector_reference(rng, dims, members):
+    layout = SpaceLayout(dims)
+    v, w = (
+        consistent_kernel(UnitaryFamily(tuple(haar_unitary(dims, rng) for _ in range(members))), layout)
+        for _ in range(2)
+    )
+    inter = subspace_intersection(v, w).basis_matrix()
+    reference = stacked_intersection(v, w)
+    assert inter.shape == reference.shape
+    assert inter.shape[1] > 0
+    assert _containment(inter, reference) <= 1e-10
+    assert _containment(reference, inter) <= 1e-10
+
+
 # ---------------------------------------------------------------------------
 # kernel of the partial trace
 # ---------------------------------------------------------------------------
