@@ -93,22 +93,29 @@ def _unitary_stack(members, layout: SpaceLayout, tol: float) -> np.ndarray:
     return u
 
 
-def _family_verdict(v: OperatorSubspace, members, bath_factor: int) -> ConsistencyVerdict:
-    """Worst bath-trace residual of the kernel of v under all members at once.
-
-    The kernel basis is orthonormal, so residuals are the column norms of the
-    stacked reduced evolution; a NaN residual makes the verdict inconsistent.
+def _kernel_residuals(v: OperatorSubspace, members, keep: tuple):
+    """The consistency decision on v's orthonormal basis B: the checked unitaries
+    u (f, N, N), R = T B (m^2, k), E = T S_U B (f, m^2, k), the null space n of R
+    and the residuals ||E n|| (f, kernel dim).  B n is an orthonormal basis of the
+    trace kernel, so a member is consistent when its largest residual is at most
+    residual_tol, with no normalization; a NaN residual makes it inconsistent.
     """
     u = _unitary_stack(members, v.layout, v.tol.residual_tol)
-    kernel = kernel_of_partial_trace(v, bath_factor)
-    if kernel.dim == 0:
+    b = v.basis_matrix()
+    reduced = _reduced_evolution(b, v.layout.dims, keep)
+    evolved = _reduced_evolution(b, v.layout.dims, keep, u)
+    n = _null_space(reduced, v.tol.rank_cut)
+    return u, reduced, evolved, n, np.linalg.norm(evolved @ n, axis=-2)
+
+
+def _family_verdict(v: OperatorSubspace, members, bath_factor: int) -> ConsistencyVerdict:
+    """Worst bath-trace residual of the kernel of v under all members at once."""
+    *_, n, residuals = _kernel_residuals(v, members, _keep_indices(v.layout, bath_factor))
+    if n.shape[1] == 0:
         return ConsistencyVerdict(True, 0.0, None)
-    keep = _keep_indices(v.layout, bath_factor)
-    evolved = _reduced_evolution(kernel.basis_matrix(), v.layout.dims, keep, u)
-    residuals = np.linalg.norm(evolved, axis=1)  # (members, kernel elements)
     member, element = np.unravel_index(np.argmax(residuals), residuals.shape)
     worst = float(residuals[member, element])  # argmax stops at the first NaN
-    x = unvec(kernel.basis_matrix()[:, element], v.layout.total_dim)
+    x = unvec(v.basis_matrix() @ n[:, element], v.layout.total_dim)
     pair = (Operator(v.layout, x), members[member])
     return ConsistencyVerdict(worst <= v.tol.residual_tol, worst, pair)
 
@@ -171,22 +178,19 @@ def transformation_space(
     result is verified to evolve, under each family member, to the same
     reduced operator as its representative in v.
     """
-    verdict = is_family_consistent(v, family, bath_factor)
-    if not verdict.consistent:
-        raise ValueError(
-            f"subspace is not consistent for the family (worst residual {verdict.worst_residual:.3e})"
-        )
-    vhat = consistent_kernel(family, v.layout, v.tol, bath_factor)
-    vprime = subspace_sum(v, vhat)
+    vhat = consistent_kernel(family, v.layout, v.tol, bath_factor)  # refuses an empty family
     from .maps import _derive  # local import: maps depends on this module
 
     keep = _keep_indices(v.layout, bath_factor)
+    derivations = _derive(v, family.members, keep)
+    if derivations[0].map is None:  # maps are built only for a consistent family
+        worst = np.max([d.residual for d in derivations])
+        raise ValueError(f"subspace is not consistent for the family (worst residual {worst:.3e})")
+    vprime = subspace_sum(v, vhat)
     b = vprime.basis_matrix()  # orthonormal, so residuals need no normalization
     reduced = _reduced_evolution(b, v.layout.dims, keep)
-    u = _unitary_stack(family.members, v.layout, v.tol.residual_tol)
-    evolved = _reduced_evolution(b, v.layout.dims, keep, u)
-    # the family verdict above covers every member: no per-member verdict
-    for lhs, derivation in zip(evolved, _derive(v, family.members, keep, consistent=True)):
+    evolved = _reduced_evolution(b, v.layout.dims, keep, _stacked(family.members))
+    for lhs, derivation in zip(evolved, derivations):
         rhs = derivation.map._apply_columns(reduced)
         residual = float(np.max(np.linalg.norm(lhs - rhs, axis=0), initial=0.0))
         if not (residual <= v.tol.residual_tol):

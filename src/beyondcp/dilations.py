@@ -17,7 +17,6 @@ from typing import Sequence
 import numpy as np
 
 from .config import DEFAULT_TOL, ToleranceConfig
-from .consistency import ConsistencyVerdict, is_unitary_consistent
 from .maps import (
     SubsystemMap,
     _derive,
@@ -70,7 +69,7 @@ class Representation:
     every factory in this module and re-checkable with
     :func:`verify_representation`; the dataclass itself can hold an unverified
     claim so that externally supplied or perturbed triples can be graded.  The
-    triple is immutable, so its derivation (consistency verdict, reduced
+    triple is immutable, so its derivation (consistency residual, reduced
     stacks, their span, derived map) is computed once, on first use.
     """
 
@@ -86,27 +85,23 @@ class Representation:
             raise ValueError(f"layout {dims} is not a (system, bath) layout, bath {self.bath_dim}")
 
     @cached_property
-    def _verdict(self) -> ConsistencyVerdict:
-        return is_unitary_consistent(self.subspace, self.unitary)
-
-    @cached_property
     def _derivation(self) -> _Derivation:
-        return _derive(self.subspace, [self.unitary], (0,), self._verdict.consistent)[0]
+        return _derive(self.subspace, [self.unitary], (0,))[0]
 
     def derived_map(self) -> SubsystemMap:
-        if self.subspace.dim == 0 or not self._verdict.consistent:
+        if self.subspace.dim == 0 or self._derivation.map is None:
             return derive_map(self.subspace, self.unitary)  # raises: no map is defined
         return self._derivation.map
 
     def validate(self) -> None:
         """Raise unless the semantic invariants hold."""
-        verdict = self._verdict
-        if not verdict.consistent:
+        derivation = self._derivation
+        if derivation.map is None:
             raise ValueError(
                 "the representation subspace is not consistent with its unitary "
-                f"(worst residual {verdict.worst_residual:.3e})"
+                f"(worst residual {derivation.residual:.3e})"
             )
-        if not subspaces_equal(self._derivation.domain, self.target_domain):
+        if not subspaces_equal(derivation.domain, self.target_domain):
             raise ValueError(
                 "the bath partial trace of the subspace does not equal the target domain"
             )
@@ -313,8 +308,8 @@ def verify_representation(
     equality of the derived map with the target, reporting each residual.
     """
     tol = phi.tol
-    consistency = rep._verdict.worst_residual
     derivation = rep._derivation
+    consistency = derivation.residual
     reduced = derivation.domain
     _check_same_layout(reduced, phi.domain)
     out_of_target = phi.domain._coordinates_of(reduced.basis_matrix())[1]

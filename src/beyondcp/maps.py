@@ -15,7 +15,7 @@ from typing import Callable, Iterator, NamedTuple, Sequence
 import numpy as np
 
 from .config import DEFAULT_TOL, ToleranceConfig
-from .consistency import ConsistencyVerdict, is_unitary_consistent
+from .consistency import ConsistencyVerdict, _kernel_residuals, is_unitary_consistent
 from .operators import (
     Operator,
     _check_same_layout,
@@ -177,60 +177,57 @@ def derive_map(
     """
     if v.dim == 0:
         raise ValueError("cannot derive a map from a zero-dimensional subspace")
-    verdict = is_unitary_consistent(v, u, bath_factor)
-    if not verdict.consistent:
+    (derivation,) = _derive(v, [u], _keep_indices(v.layout, bath_factor))
+    if derivation.map is None:
         raise InconsistentPairError(
             "the subspace is not consistent with the unitary "
-            f"(worst kernel residual {verdict.worst_residual:.3e}); "
+            f"(worst kernel residual {derivation.residual:.3e}); "
             "the reduced map is not well defined",
-            verdict,
+            is_unitary_consistent(v, u, bath_factor),
         )
-    return _derive(v, [u], _keep_indices(v.layout, bath_factor), consistent=True)[0].map
+    return derivation.map
 
 
 class _Derivation(NamedTuple):
     reduced: np.ndarray  # the basis of v, vectorized and bath-reduced
     evolved: np.ndarray  # the same, conjugated by u before the reduction
     domain: OperatorSubspace  # span of the reduced basis
-    map: SubsystemMap | None  # the derived map; None unless the pair is consistent
+    residual: float  # the worst kernel residual under u, as is_unitary_consistent's
+    map: SubsystemMap | None  # the derived map; None unless the family is consistent
 
 
-def _derive(
-    v: OperatorSubspace, unitaries: Sequence[Operator], keep: tuple, consistent: bool
-) -> list[_Derivation]:
-    """derive_map past its consistency verdict, which the caller holds, for each
-    unitary: the reduced stacks and their span for any pair, the checked map only
-    for a consistent one.  What does not depend on the unitary (the reduced
-    stacks, their span, the state-spanned check) is computed once.
+def _derive(v: OperatorSubspace, unitaries: Sequence[Operator], keep: tuple) -> list[_Derivation]:
+    """derive_map for each unitary at once: the reduced stacks, their span and the
+    consistency residual for any family, the checked maps only for a consistent one.
+    What does not depend on the unitary (the reduced stacks, their span, the
+    state-spanned check) is computed once.
     """
-    ops = np.hstack([v._generator_matrix, v.basis_matrix()])
-    reduced = _reduced_evolution(ops, v.layout.dims, keep)
-    basis = slice(v._generator_matrix.shape[1], None)
+    u, reduced, evolved, _, residuals = _kernel_residuals(v, unitaries, keep)
+    worst = np.max(residuals, axis=1, initial=0.0)
     # reduced orthonormal columns: a floor of 1 keeps rounding noise from spanning anything
-    domain = _span_of_columns(v.layout.subset(keep), reduced[:, basis], v.tol, floor=1.0)
-    if consistent:
+    domain = _span_of_columns(v.layout.subset(keep), reduced, v.tol, floor=1.0)
+    phis = [None] * len(u)
+    if np.all(worst <= v.tol.residual_tol):  # False on NaN
         spanned = check_state_spanned(v)
         provenance = (
             f"derived from a consistent pair (subspace dim {v.dim}; "
             f"state-spanned check: {'verified' if spanned else 'not verified'})"
         )
-        p = domain._coordinates_of(reduced[:, basis])[0]
-        p_inv = np.linalg.pinv(p, rcond=v.tol.rank_cut)
+        p_inv = np.linalg.pinv(domain._coordinates_of(reduced)[0], rcond=v.tol.rank_cut)
+        ops = np.hstack([v._generator_matrix, v.basis_matrix()])  # where the relation is checked
+        lhs, rhs = (_reduced_evolution(ops, v.layout.dims, keep, w) for w in (None, u))
         scale = np.maximum(1.0, np.linalg.norm(ops, axis=0))
-    derivations = []
-    for u in unitaries:
-        evolved = _reduced_evolution(ops, v.layout.dims, keep, u.entries)
-        phi = None
-        if consistent:
-            phi = SubsystemMap(domain, evolved[:, basis] @ p_inv, provenance)
-            mismatch = np.linalg.norm(phi._apply_columns(reduced) - evolved, axis=0)
+        phis = [SubsystemMap(domain, e @ p_inv, provenance) for e in evolved]
+        for phi, target in zip(phis, rhs):
+            mismatch = np.linalg.norm(phi._apply_columns(lhs) - target, axis=0)
             residual = float(np.max(mismatch / scale))
             if not (residual <= v.tol.residual_tol):
                 raise RuntimeError(
                     f"derived map fails its defining relation with residual {residual:.3e}"
                 )
-        derivations.append(_Derivation(reduced[:, basis], evolved[:, basis], domain, phi))
-    return derivations
+    return [
+        _Derivation(reduced, e, domain, float(w), phi) for e, w, phi in zip(evolved, worst, phis)
+    ]
 
 
 def map_from_kraus(

@@ -1,7 +1,10 @@
+import inspect
+
 import numpy as np
 import pytest
 
 from beyondcp import (
+    InconsistentPairError,
     OperatorSubspace,
     PAULI_I,
     PAULI_X,
@@ -12,6 +15,7 @@ from beyondcp import (
     extension_is_consistent,
     full_operator_space,
     identity,
+    identity_map,
     is_family_consistent,
     is_unitary_consistent,
     kernel_of_partial_trace,
@@ -19,6 +23,7 @@ from beyondcp import (
     matrix_unit,
     operator,
     partial_trace,
+    Representation,
     span_from_generators,
     subspace_intersection,
     subspace_leq,
@@ -27,17 +32,23 @@ from beyondcp import (
     swap_unitary,
     tensor,
     transformation_space,
+    verify_representation,
     witness_extension_consistent,
     witness_factorization_gap,
 )
-from beyondcp import maps, subspaces
+from beyondcp import consistency, maps, subspaces
 from beyondcp.catalog import (
     controlled_phase_family,
     controlled_phase_generator,
     gibbs_subspace,
 )
 from beyondcp.config import DEFAULT_TOL
-from beyondcp.operators import SpaceLayout, _reduced_evolution_matrix, adjoint_action
+from beyondcp.operators import (
+    SpaceLayout,
+    _reduced_evolution,
+    _reduced_evolution_matrix,
+    adjoint_action,
+)
 from beyondcp.sampling import haar_unitary, random_density
 from beyondcp.serialization import emit_subspace, parse_subspace, validate_document
 
@@ -384,10 +395,10 @@ def test_transformation_space_identity_family(gibbs_v):
 
 
 def test_transformation_space_computes_the_trace_kernel_once(gibbs_v, phase_family, count_calls):
-    counts = count_calls((subspaces, "kernel_of_partial_trace"))
+    counts = count_calls((consistency, "_kernel_residuals"))
     vprime = transformation_space(gibbs_v, phase_family)
     assert subspace_leq(gibbs_v, vprime)
-    assert counts["kernel_of_partial_trace"] == 1  # the family verdict's; none per member
+    assert counts["_kernel_residuals"] == 1  # the derivation's decision; none per member
 
 
 def test_transformation_space_derives_what_no_member_changes_once(
@@ -405,7 +416,7 @@ def test_transformation_space_derives_what_no_member_changes_once(
 
 def test_shared_derivation_gives_each_member_its_own_derived_map(gibbs_v, phase_family):
     # the maps behind the transformation-space self-check, bit for bit
-    derivations = maps._derive(gibbs_v, phase_family.members, (0,), consistent=True)
+    derivations = maps._derive(gibbs_v, phase_family.members, (0,))
     assert len(derivations) == len(phase_family.members)
     for derivation, u in zip(derivations, phase_family.members):
         alone = derive_map(gibbs_v, u)
@@ -416,6 +427,79 @@ def test_shared_derivation_gives_each_member_its_own_derived_map(gibbs_v, phase_
 def test_transformation_space_rejects_inconsistent(gibbs_v):
     with pytest.raises(ValueError, match="not consistent"):
         transformation_space(gibbs_v, UnitaryFamily((swap_unitary(2),)))
+
+
+# ---------------------------------------------------------------------------
+# one consistency decision for verdicts and derivations
+# ---------------------------------------------------------------------------
+
+
+def kernel_subspace_verdict(v, family):
+    """Reference verdict: the trace kernel built as a subspace, then the column
+    norms of the reduced evolution of its orthonormal basis under every member."""
+    kernel = kernel_of_partial_trace(v)
+    if kernel.dim == 0:
+        return True, 0.0
+    u = np.array([m.entries for m in family.members])
+    evolved = _reduced_evolution(kernel.basis_matrix(), v.layout.dims, (0,), u)
+    worst = float(np.max(np.linalg.norm(evolved, axis=1)))
+    return worst <= v.tol.residual_tol, worst
+
+
+def decision_cases(dims, rng):
+    """A consistent and an inconsistent (subspace, family) pair at ``dims``.
+
+    The consistent subspace is B(H_S) (x) sigma plus the family's consistent
+    kernel, whose trace kernel is that kernel; the inconsistent one is spanned
+    by d_S^2 + 3 random states, so its trace kernel is not empty.
+    """
+    d_s, d_b = dims
+    family = UnitaryFamily(tuple(haar_unitary(dims, rng) for _ in range(1 if dims == (2, 2) else 4)))
+    sigma = random_density(d_b, rng)
+    product = span_from_generators([tensor(b, sigma) for b in full_operator_space(d_s).basis])
+    consistent = subspace_sum(product, consistent_kernel(family, SpaceLayout(dims)))
+    states = span_from_generators([random_density(dims, rng) for _ in range(d_s**2 + 3)])
+    return [(consistent, family, True), (states, family, False)]
+
+
+@pytest.mark.parametrize("dims", [(2, 2), (2, 4), (4, 4)])
+def test_family_verdict_matches_the_kernel_subspace_route(dims, rng):
+    for v, family, expected in decision_cases(dims, rng):
+        assert kernel_of_partial_trace(v).dim > 0
+        verdict = is_family_consistent(v, family)
+        consistent, worst = kernel_subspace_verdict(v, family)
+        assert verdict.consistent is consistent is expected
+        assert abs(verdict.worst_residual - worst) <= 1e-14
+
+
+@pytest.mark.parametrize("dims", [(2, 2), (2, 4), (4, 4)])
+def test_derivations_decide_as_the_verdict_does(dims, rng):
+    for v, family, expected in decision_cases(dims, rng):
+        for u in family.members:
+            verdict = is_unitary_consistent(v, u)
+            assert verdict.consistent is expected
+            rep = Representation(dims[1], u, v, full_operator_space(dims[0]))
+            graded = verify_representation(rep, identity_map(dims[0]))
+            assert graded.consistency_residual == verdict.worst_residual  # bit for bit
+            if expected:
+                assert subspaces_equal(derive_map(v, u).domain, full_operator_space(dims[0]))
+                continue
+            with pytest.raises(InconsistentPairError, match="not consistent") as err:
+                derive_map(v, u)
+            carried = err.value.verdict
+            assert (carried.consistent, carried.worst_residual) == (False, verdict.worst_residual)
+
+
+def test_family_verdict_builds_no_subspace(gibbs_v, phase_family, monkeypatch):
+    built = []
+    original = OperatorSubspace.__post_init__
+    monkeypatch.setattr(
+        OperatorSubspace, "__post_init__", lambda self: built.append(original(self))
+    )
+    assert is_family_consistent(gibbs_v, phase_family).consistent
+    assert not is_family_consistent(gibbs_v, UnitaryFamily((swap_unitary(2),))).consistent
+    assert built == []
+    assert "consistent" not in inspect.signature(maps._derive).parameters
 
 
 # ---------------------------------------------------------------------------

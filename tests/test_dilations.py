@@ -32,7 +32,7 @@ from beyondcp import (
     tensor,
     verify_representation,
 )
-from beyondcp import dilations, maps, subspaces
+from beyondcp import consistency, dilations, maps, subspaces
 from beyondcp.catalog import (
     axis_states,
     controlled_phase_kraus,
@@ -361,7 +361,7 @@ def test_representation_refuses_layouts_other_than_system_bath():
 
 def test_swap_verify_and_derived_map_compute_each_check_once(count_calls):
     counts = count_calls(
-        (subspaces, "kernel_of_partial_trace"),
+        (consistency, "_kernel_residuals"),
         (maps, "_derive"),
         (subspaces, "check_state_spanned"),
     )
@@ -369,7 +369,7 @@ def test_swap_verify_and_derived_map_compute_each_check_once(count_calls):
     rep = swap_representation(phi, axis_states(radius=0.1))
     assert verify_representation(rep, phi).passed
     assert map_residual(rep.derived_map(), phi) <= 1e-10
-    assert counts == {"kernel_of_partial_trace": 1, "_derive": 1, "check_state_spanned": 1}
+    assert counts == {"_kernel_residuals": 1, "_derive": 1, "check_state_spanned": 1}
 
 
 def _unstacked_verify(rep, phi):

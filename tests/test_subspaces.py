@@ -354,7 +354,7 @@ def test_subspace_algebra_builds_no_operator(operators_built):
 def test_derivation_builds_no_operator(operators_built):
     v = gibbs_subspace()
     u = controlled_phase_unitary(0.7)
-    (derivation,), built = operators_built(maps._derive, v, [u], (0,), True)
+    (derivation,), built = operators_built(maps._derive, v, [u], (0,))
     assert derivation.map is not None
     assert built == 0
 
