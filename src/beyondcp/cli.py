@@ -557,6 +557,8 @@ def run_cli(argv=None) -> int:
         )
         if tol.rank_cut < _RANK_CUT_FLOOR:  # after ToleranceConfig has refused NaN
             raise ValueError(f"--tol-rank {tol.rank_cut!r} is below 16 machine epsilons")
+        if tol.rank_cut >= 1:
+            raise ValueError(f"--tol-rank {tol.rank_cut!r} is not below 1; it keeps no direction")
         report = _HANDLERS[args.subcommand](args, tol, seed)
         doc = emit_report(report)
     except (ValueError, OSError, json.JSONDecodeError) as err:

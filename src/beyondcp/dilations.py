@@ -40,6 +40,7 @@ from .operators import (
 )
 from .subspaces import (
     OperatorSubspace,
+    _null_space,
     _numerical_rank,
     _span_of_columns,
     full_operator_space,
@@ -289,7 +290,7 @@ def kraus_dilation(
     w = np.stack([m.entries for m in kraus], axis=1).reshape(n, d)  # isometry, <s,i|W = <s|M_i
     u_mat = np.zeros((n, n), dtype=complex)
     u_mat[:, 0::k] = w
-    u_mat[:, np.arange(n) % k != 0] = np.linalg.svd(w.conj().T)[2][d:].conj().T  # completion
+    u_mat[:, np.arange(n) % k != 0] = _null_space(w.conj().T, tol.rank_cut)  # completion
     u = Operator(SpaceLayout((d, k)), u_mat)
     system = full_operator_space((d,), tol)
     ref = np.eye(k)[0]  # the bath reference state |0>

@@ -68,8 +68,13 @@ class OperatorSubspace:
         gram = b.conj().T @ b
         if not (float(np.linalg.norm(gram - np.eye(b.shape[1]))) <= self.tol.residual_tol):
             raise ValueError("basis is not orthonormal within residual_tol")
-        if g is not b and not self._contains_columns(g):  # a basis lies in its own span
-            raise ValueError("a generator lies outside the span of the basis")
+        if g is not b:  # a basis lies in its own span
+            _, residuals, inside = self._coordinates_of(g)
+            if not np.all(inside):
+                raise ValueError(
+                    f"a generator lies outside the span of the basis (worst residual "
+                    f"{np.max(residuals):.3e}; relative rank cut {self.tol.rank_cut!r})"
+                )
 
     def _frozen(self, cols) -> np.ndarray:
         m = _stored(cols)

@@ -620,6 +620,16 @@ def test_witness_gap_validates_inputs():
         witness_factorization_gap(identity(2) / 2, identity(2) / 2)
 
 
+def test_witness_gap_refuses_layouts_without_a_swap():
+    bell = bell_projector()
+    with pytest.raises(ValueError, match="^rho_s must live on a single-factor system layout$"):
+        witness_factorization_gap(tensor(identity(2) / 2, identity(2) / 2), bell)
+    with pytest.raises(
+        ValueError, match="^system and bath dimensions must match for the SWAP evolution$"
+    ):
+        witness_factorization_gap(identity(3) / 3, bell)
+
+
 # ---------------------------------------------------------------------------
 # generator-level probe
 # ---------------------------------------------------------------------------
@@ -658,6 +668,11 @@ def test_lie_generator_check_refuses_a_generator_on_another_layout(gibbs_v):
     flat = operator(controlled_phase_generator().entries, (4,))  # same matrix, one factor
     with pytest.raises(ValueError, match=r"layout mismatch: \(4,\) vs \(2, 2\)"):
         lie_generator_check(gibbs_v, flat)
+
+
+def test_lie_generator_check_refuses_a_non_hermitian_generator(gibbs_v):
+    with pytest.raises(ValueError, match="^the family generator must be Hermitian$"):
+        lie_generator_check(gibbs_v, operator(np.triu(np.ones((4, 4))), (2, 2)))
 
 
 def test_lie_generator_check_detects_bad_generator(gibbs_v):

@@ -45,7 +45,7 @@ from beyondcp.catalog import (
     transpose_subspace,
 )
 from beyondcp.operators import _reduced_evolution, adjoint_action
-from beyondcp.sampling import random_density
+from beyondcp.sampling import random_density, random_kraus_channel
 
 
 def id_tensor_apply(phi, w: Operator) -> Operator:
@@ -127,6 +127,23 @@ def test_swap_representation_rejects_states_outside_positive_domain():
         swap_representation(phi, axis_states(radius=0.5))
 
 
+def test_swap_representation_refuses_maps_it_cannot_represent():
+    doubled = 2.0 * identity_map(2)  # not trace preserving
+    phased = map_from_action(  # trace preserving, not Hermiticity preserving
+        lambda a: np.array([[a[0, 0], 1j * a[0, 1]], [1j * a[1, 0], a[1, 1]]]),
+        full_operator_space(2),
+    )
+    states = axis_states(radius=0.1)
+    with pytest.raises(ValueError, match="^swap representation requires a trace-preserving map$"):
+        swap_representation(doubled, states)
+    with pytest.raises(
+        ValueError, match="^swap representation requires a Hermiticity-preserving map$"
+    ):
+        swap_representation(phased, states)
+    with pytest.raises(ValueError, match="^at least one positive-domain generator is required$"):
+        swap_representation(repolarizer(0.1), [])
+
+
 # ---------------------------------------------------------------------------
 # restriction to the physical part
 # ---------------------------------------------------------------------------
@@ -195,6 +212,20 @@ def test_inverse_of_transpose_is_transpose():
     assert map_residual(inv.derived_map(), phi) <= 1e-10
 
 
+def test_inverse_representation_refuses_a_triple_of_another_map():
+    rep = swap_representation(repolarizer(0.1), axis_states(radius=0.1))
+    with pytest.raises(ValueError, match=r"^the given triple does not represent the map \(max"):
+        inverse_representation(rep, depolarizer(0.3))
+
+
+def test_inverse_representation_refuses_a_map_on_a_proper_domain():
+    diagonal = [operator(np.diag([1, 0]), 2), operator(np.diag([0, 1]), 2)]
+    phi = map_from_action(lambda a: a, span_from_generators(diagonal))
+    rep = swap_representation(phi, diagonal)
+    with pytest.raises(ValueError, match="^inverse representations require a full-domain map$"):
+        inverse_representation(rep, phi)
+
+
 def test_inverse_requires_invertible_map():
     # full dephasing is singular on the X, Y directions
     phi = map_from_action(
@@ -257,6 +288,22 @@ def test_kraus_dilation_first_block_column_reproduces_kraus():
             [[u[s * k + i, sp * k + 0] for sp in range(2)] for s in range(2)]
         )
         assert np.allclose(block, m.entries, atol=1e-12)
+
+
+def test_kraus_dilation_completes_the_isometry_as_the_full_svd_tail(rng):
+    lists = [random_kraus_channel(d, k, rng) for d in (2, 3, 4) for k in (1, 2, 3, 6)]
+    lists += [depolarizer_kraus(0.1), list(controlled_phase_kraus(0.7))]
+    for kraus in lists:
+        d, k = kraus[0].dim, len(kraus)
+        w = np.stack([m.entries for m in kraus], axis=1).reshape(d * k, d)
+        tail = np.linalg.svd(w.conj().T)[2][d:].conj().T  # the completion before _null_space
+        u = kraus_dilation(kraus).unitary.entries
+        assert np.array_equal(u[:, np.arange(d * k) % k != 0], tail), (d, k)
+
+
+def test_kraus_dilation_refuses_a_two_factor_operator():
+    with pytest.raises(ValueError, match="^Kraus operators must act on a single system factor$"):
+        kraus_dilation([identity((2, 2))])
 
 
 def test_kraus_dilation_rejects_non_finite_operator():

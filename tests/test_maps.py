@@ -486,6 +486,22 @@ def test_positivity_verdicts_refuse_coordinates_whose_norm_overflows(check):
         check(huge)
 
 
+def test_map_from_kraus_refuses_an_empty_list():
+    with pytest.raises(ValueError, match="^at least one Kraus operator is required$"):
+        map_from_kraus([])
+
+
+def test_sample_positive_domain_refuses_an_empty_sample():
+    with pytest.raises(ValueError, match="^sample size must be >= 1, got 0$"):
+        sample_positive_domain(repolarizer(0.1), 0, 1)
+
+
+def test_subsystem_map_refuses_coordinates_of_the_wrong_shape():
+    message = r"^coord_matrix shape \(4, 3\) does not match domain \(expected \(4, 4\)\)$"
+    with pytest.raises(ValueError, match=message):
+        SubsystemMap(full_operator_space(2), np.zeros((4, 3)))
+
+
 def test_map_from_kraus_rejects_non_finite_operator():
     m = np.eye(2)
     m[0, 1] = np.nan

@@ -508,6 +508,24 @@ def test_cli_refuses_a_rank_cut_below_its_floor(capsys, topic, value):
 
 
 @pytest.mark.parametrize("topic", _CATALOG_TOPICS)
+@pytest.mark.parametrize("value", ["1", "800", "1e300"])
+def test_cli_refuses_a_rank_cut_of_one_or_more(capsys, topic, value):
+    assert run_cli(["catalog", topic, "--tol-rank", value]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    expected = f"error: --tol-rank {float(value)!r} is not below 1; it keeps no direction\n"
+    assert captured.err == expected
+
+
+def test_cli_names_the_rank_cut_when_it_drops_a_generator(capsys):
+    assert run_cli(["catalog", "transpose", "--tol-rank", "0.5"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: a generator lies outside the span of the basis")
+    assert captured.err.endswith("relative rank cut 0.5)\n")
+
+
+@pytest.mark.parametrize("topic", _CATALOG_TOPICS)
 @pytest.mark.parametrize("value", [repr(_RANK_CUT_FLOOR), repr(DEFAULT_TOL.rank_cut)])
 def test_cli_catalog_passes_from_the_rank_cut_floor_up(capsys, topic, value):
     code, doc = _run(capsys, ["catalog", topic, "--tol-rank", value])
@@ -622,6 +640,89 @@ def test_cli_float_flags_exit_cleanly_and_never_print_nan(cli_input_files, comma
     assert code in (0, 1, 2)
     if code == 0:
         assert '"nan"' not in out.getvalue()
+
+
+def _short_row_operator():
+    from beyondcp.catalog import controlled_phase_unitary
+
+    doc = emit_operator(controlled_phase_unitary(0.7))
+    doc["matrix"][1] = doc["matrix"][1][:3]
+    return doc
+
+
+def _wrong_size_basis_subspace():
+    doc = emit_subspace(gibbs_subspace())
+    doc["basis"][0] = [row[:2] for row in doc["basis"][0][:2]]
+    return doc
+
+
+_CLI_INPUT_REFUSALS = {
+    "omega_without_operators": (
+        lambda: {"states": []},
+        ["represent", "--map", "{map}", "--method", "swap", "--omega", "{doc}"],
+        'omega file requires an "operators" array',
+    ),
+    "depolarizer_without_epsilon": (
+        lambda: {"kind": "builtin", "name": "depolarizer"},
+        ["analyze-map", "--map", "{doc}"],
+        '/epsilon: builtin "depolarizer" requires epsilon',
+    ),
+    "controlled_phase_without_t": (
+        lambda: {"kind": "builtin", "name": "controlled_phase"},
+        ["analyze-map", "--map", "{doc}"],
+        '/t: builtin "controlled_phase" requires t',
+    ),
+    "family_without_members": (
+        lambda: {"description": "no members"},
+        ["check-consistency", "--subspace", "{subspace}", "--unitary", "{unitary}", "--family", "{doc}"],
+        'unitary family document requires a "members" array',
+    ),
+    "matrix_with_a_short_row": (
+        _short_row_operator,
+        ["check-consistency", "--subspace", "{subspace}", "--unitary", "{doc}"],
+        "/matrix: row 1 has length 3, expected 4",
+    ),
+    "basis_matrix_of_the_wrong_size": (
+        _wrong_size_basis_subspace,
+        ["check-consistency", "--subspace", "{doc}", "--unitary", "{unitary}"],
+        "/basis/0: shape (2, 2) does not match dims",
+    ),
+}
+
+
+@pytest.mark.parametrize("case", list(_CLI_INPUT_REFUSALS))
+def test_cli_refuses_an_input_document_it_cannot_use(capsys, tmp_path, cli_input_files, case):
+    make, words, message = _CLI_INPUT_REFUSALS[case]
+    files = dict(cli_input_files, doc=_write(tmp_path, "doc.json", make()))
+    assert run_cli([word.format(**files) for word in words]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: {message}\n"
+
+
+def test_cli_represent_swap_builds_on_an_omega_file(capsys, tmp_path, cli_input_files):
+    from beyondcp.catalog import axis_states
+
+    omega = {"operators": [emit_operator(rho) for rho in axis_states(radius=0.1)]}
+    argv = ["represent", "--map", cli_input_files["map"], "--method", "swap"]
+    code, doc = _run(capsys, [*argv, "--omega", _write(tmp_path, "omega.json", omega)])
+    assert code == 0
+    assert all(v["passed"] for v in doc["verdicts"])
+
+
+def test_cli_analyze_map_reads_a_builtin_depolarizer(capsys, tmp_path):
+    builtin = {"kind": "builtin", "name": "depolarizer", "epsilon": 0.1}
+    code, doc = _run(capsys, ["analyze-map", "--map", _write(tmp_path, "dep.json", builtin)])
+    assert code == 0
+    assert all(v["passed"] for v in doc["verdicts"])
+
+
+def test_cli_refuses_a_seed_variable_that_is_not_an_integer(capsys, monkeypatch):
+    monkeypatch.setenv("BEYONDCP_SEED", "7.5")
+    assert run_cli(["catalog", "transpose"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: BEYONDCP_SEED must be an integer, got '7.5'\n"
 
 
 @pytest.mark.parametrize("epsilon", ["3e-4", "1e-7", "1e-300"])
@@ -1143,3 +1244,38 @@ def test_fast_path_agrees_with_jsonschema_on_mutated_documents(case):
         with pytest.raises(ValueError) as info:
             validate_document(doc, name)
         assert str(info.value) == expected
+
+
+_PARSER_COMMANDS = {
+    "subspace": [
+        ["check-consistency", "--subspace", "{doc}", "--unitary", "{unitary}"],
+        ["derive-map", "--subspace", "{doc}", "--unitary", "{unitary}"],
+    ],
+    "operator": [["check-consistency", "--subspace", "{subspace}", "--unitary", "{doc}"]],
+    "map": [
+        ["analyze-map", "--map", "{doc}", "--cp", "--positivity", "8", "--positive-domain", "4"],
+        ["represent", "--map", "{doc}", "--method", "swap"],
+        ["represent", "--map", "{doc}", "--method", "kraus"],
+    ],
+}
+
+
+@settings(
+    max_examples=300,
+    derandomize=True,
+    database=None,
+    deadline=None,
+    suppress_health_check=[HealthCheck.too_slow, HealthCheck.data_too_large],
+)
+@given(_mutated_documents().filter(lambda case: case[0] in _PARSER_COMMANDS))
+def test_cli_reads_mutated_input_documents_without_a_traceback(cli_input_files, case):
+    name, doc = case
+    with tempfile.TemporaryDirectory() as workdir:
+        files = dict(cli_input_files, doc=_write(pathlib.Path(workdir), "doc.json", doc))
+        for words in _PARSER_COMMANDS[name]:
+            out = io.StringIO()
+            with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):
+                code = run_cli([word.format(**files) for word in words])  # nothing may raise
+            assert code in (0, 1, 2), words
+            if code == 0:
+                assert '"nan"' not in out.getvalue(), words

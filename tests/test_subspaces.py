@@ -421,6 +421,14 @@ def test_zero_dimensional_results_construct_compare_and_serialise(name):
     assert again.layout == v.layout and again.dim == 0 and again.generators == ()
 
 
+def test_generator_refusal_names_its_residual_and_the_rank_cut():
+    # the relative cut drops the 1e-7 direction, which the membership rule then refuses
+    a, b = operator(np.diag([1e3, 0]), 2), operator(np.diag([0, 1e-7]), 2)
+    message = r"^a generator lies outside the span of the basis \(worst residual 1\.000e-07; "
+    with pytest.raises(ValueError, match=message + r"relative rank cut 1e-09\)$"):
+        span_from_generators([a, b])
+
+
 def test_subspace_constructor_checks_its_matrices():
     layout = SpaceLayout((2,))
     with pytest.raises(ValueError, match="not orthonormal"):
