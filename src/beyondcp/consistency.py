@@ -94,18 +94,19 @@ def _unitary_stack(members, layout: SpaceLayout, tol: float) -> np.ndarray:
 
 
 def _kernel_residuals(v: OperatorSubspace, members, keep: tuple):
-    """The consistency decision on v's orthonormal basis B: the checked unitaries
-    u (f, N, N), R = T B (m^2, k), E = T S_U B (f, m^2, k), the null space n of R
-    and the residuals ||E n|| (f, kernel dim).  B n is an orthonormal basis of the
-    trace kernel, so a member is consistent when its largest residual is at most
-    residual_tol, with no normalization; a NaN residual makes it inconsistent.
+    """The consistency decision on v's orthonormal basis B: the reduced-evolution
+    matrices S (f, m^2, N^2) of the checked unitaries, R = T B (m^2, k),
+    E = S B (f, m^2, k), the null space n of R and the residuals ||E n||
+    (f, kernel dim).  B n is an orthonormal basis of the trace kernel, so a
+    member is consistent when its largest residual is at most residual_tol,
+    with no normalization; a NaN residual makes it inconsistent.
     """
     u = _unitary_stack(members, v.layout, v.tol.residual_tol)
+    evolution = _reduced_evolution_matrix(v.layout.dims, keep, u)
     b = v.basis_matrix()
-    reduced = _reduced_evolution(b, v.layout.dims, keep)
-    evolved = _reduced_evolution(b, v.layout.dims, keep, u)
+    reduced, evolved = _reduced_evolution(b, v.layout.dims, keep), evolution @ b
     n = _null_space(reduced, v.tol.rank_cut)
-    return u, reduced, evolved, n, np.linalg.norm(evolved @ n, axis=-2)
+    return evolution, reduced, evolved, n, np.linalg.norm(evolved @ n, axis=-2)
 
 
 def _family_verdict(v: OperatorSubspace, members, bath_factor: int) -> ConsistencyVerdict:

@@ -202,11 +202,11 @@ def _derive(v: OperatorSubspace, unitaries: Sequence[Operator], keep: tuple) -> 
     What does not depend on the unitary (the reduced stacks, their span, the
     state-spanned check) is computed once.
     """
-    u, reduced, evolved, _, residuals = _kernel_residuals(v, unitaries, keep)
+    evolution, reduced, evolved, _, residuals = _kernel_residuals(v, unitaries, keep)
     worst = np.max(residuals, axis=1, initial=0.0)
     # reduced orthonormal columns: a floor of 1 keeps rounding noise from spanning anything
     domain = _span_of_columns(v.layout.subset(keep), reduced, v.tol, floor=1.0)
-    phis = [None] * len(u)
+    phis = [None] * len(evolved)
     if np.all(worst <= v.tol.residual_tol):  # False on NaN
         spanned = check_state_spanned(v)
         provenance = (
@@ -215,7 +215,7 @@ def _derive(v: OperatorSubspace, unitaries: Sequence[Operator], keep: tuple) -> 
         )
         p_inv = np.linalg.pinv(domain._coordinates_of(reduced)[0], rcond=v.tol.rank_cut)
         ops = np.hstack([v._generator_matrix, v.basis_matrix()])  # where the relation is checked
-        lhs, rhs = (_reduced_evolution(ops, v.layout.dims, keep, w) for w in (None, u))
+        lhs, rhs = _reduced_evolution(ops, v.layout.dims, keep), evolution @ ops
         scale = np.maximum(1.0, np.linalg.norm(ops, axis=0))
         phis = [SubsystemMap(domain, e @ p_inv, provenance) for e in evolved]
         for phi, target in zip(phis, rhs):
