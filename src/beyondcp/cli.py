@@ -57,6 +57,7 @@ from .operators import (
 from .serialization import (
     Report,
     _kraus_operators,
+    _report_text,
     emit_map,
     emit_operator,
     emit_report,
@@ -567,7 +568,7 @@ def run_cli(argv=None) -> int:
     if args.format == "csv":
         sys.stdout.write(_render_csv(doc))
     else:
-        print(json.dumps(doc, indent=2))
+        print(_report_text(doc))
     return 0 if report.all_passed else 1
 
 

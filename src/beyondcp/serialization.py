@@ -9,7 +9,10 @@ gives the error message.
 A report holds each verdict as its document from the moment it is added, and
 its artifacts are walked once when the report is written: non-finite floats
 become the strings "nan", "inf" and "-inf", complex and numpy scalars become
-plain JSON values, and dictionary keys become strings.
+plain JSON values, and dictionary keys become strings.  A rectangular block of
+finite floats, such as an emitted matrix, is kept as it is.  The report text
+is the bytes ``json.dumps(doc, indent=2)`` gives, written with each such block
+rendered in one pass.
 Serialization is lossless for the float values involved (Python's float repr
 round-trips), so emitted documents parse back bit-exactly.
 """
@@ -18,11 +21,13 @@ from __future__ import annotations
 
 import functools
 import hashlib
+import itertools
 import json
 import math
 import re
 from dataclasses import dataclass, field
 from importlib import resources
+from json.encoder import encode_basestring_ascii
 from typing import Any
 
 import jsonschema
@@ -375,11 +380,84 @@ def _jsonable_number(x: float | None):
     return x
 
 
+def _float_block(value: list) -> tuple[list[int], list[float]] | None:
+    """The shape and flattened entries of a rectangular nested list of finite
+    floats (such as an emitted [re, im] matrix), or None for any other list."""
+    shape, flat = [len(value)], value
+    while flat:
+        types = set(map(type, flat))
+        if types == {float}:
+            return (shape, flat) if all(map(math.isfinite, flat)) else None
+        if types != {list}:
+            return None
+        lengths = set(map(len, flat))
+        if len(lengths) != 1:
+            return None
+        shape.append(lengths.pop())
+        flat = list(itertools.chain.from_iterable(flat))
+    return shape, flat
+
+
+def _block_layout(shape: list[int], level: int) -> str:
+    """The indent=2 text of a nested list of ``shape`` at depth ``level``, with a
+    %r field for each float."""
+    if not shape:
+        return "%r"
+    if not shape[0]:
+        return "[]"
+    inner = _block_layout(shape[1:], level + 1)
+    pad = "\n" + "  " * (level + 1)
+    return "[" + pad + ("," + pad).join([inner] * shape[0]) + "\n" + "  " * level + "]"
+
+
+def _report_text(value: Any, level: int = 0) -> str:
+    """``json.dumps(value, indent=2)`` for a plain JSON document.
+
+    Only exact dicts with string keys, lists, strings, ints, bools, None and
+    finite floats are plain; anything else raises TypeError.
+    """
+    kind = type(value)
+    if kind is list:
+        block = _float_block(value)
+        if block is not None:
+            shape, flat = block
+            return _block_layout(shape, level) % tuple(flat)
+        items = [_report_text(item, level + 1) for item in value]
+    elif kind is dict:
+        if any(type(key) is not str for key in value):
+            raise TypeError("report keys must be strings")
+        items = [
+            encode_basestring_ascii(key) + ": " + _report_text(item, level + 1)
+            for key, item in value.items()
+        ]
+    elif kind is str:
+        return encode_basestring_ascii(value)
+    elif kind is float:
+        if not math.isfinite(value):
+            raise TypeError(f"report float {value!r} is not finite")
+        return float.__repr__(value)
+    elif kind is bool:
+        return "true" if value else "false"
+    elif kind is int:
+        return int.__repr__(value)
+    elif value is None:
+        return "null"
+    else:
+        raise TypeError(f"{kind.__name__} is not a plain JSON value")
+    if not items:
+        return "[]" if kind is list else "{}"
+    pad = "\n" + "  " * (level + 1)
+    close = "\n" + "  " * level + ("]" if kind is list else "}")
+    return ("[" if kind is list else "{") + pad + ("," + pad).join(items) + close
+
+
 def _jsonable_details(value):
     if type(value) is float:  # most values: the entries of emitted matrices
         return value if math.isfinite(value) else _jsonable_number(value)
     if isinstance(value, dict):
         return {str(k): _jsonable_details(v) for k, v in value.items()}
+    if type(value) is list and _float_block(value) is not None:
+        return value  # already plain JSON, as emitted matrices are
     if isinstance(value, (list, tuple)):
         return [_jsonable_details(v) for v in value]
     if isinstance(value, (bool, int, str)) or value is None:

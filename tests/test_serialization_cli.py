@@ -5,6 +5,7 @@ import io
 import json
 import math
 import pathlib
+import sys
 import tempfile
 import warnings
 from importlib import resources
@@ -339,6 +340,104 @@ def test_finite_report_text_is_unchanged():
     )
 
 
+# the report writer, against json.dumps(doc, indent=2) as the oracle
+
+_EDGE_FLOATS = [-0.0, 0.0, 1e16, 1e-7, 0.1, 5e-324, sys.float_info.max, -sys.float_info.max]
+_JSON_FLOATS = st.one_of(
+    st.floats(allow_nan=False, allow_infinity=False), st.sampled_from(_EDGE_FLOATS)
+)
+_JSON_INTS = st.one_of(st.integers(), st.sampled_from([-(2**200), 2**64, -1, 0]))
+_JSON_TEXT = st.text(
+    st.one_of(st.sampled_from('"\\\n\t\x00\x1f\x7f/\u00e9\u2028\ud800\U0001f600'), st.characters()),
+    max_size=6,
+)
+
+
+@st.composite
+def _json_blocks(draw):
+    """A rectangular nested list of floats (any dimension may be 0), sometimes with
+    one entry swapped for a bool, an int or None, or one row cut short."""
+    shape = draw(st.lists(st.sampled_from([2, 1, 3, 0]), min_size=1, max_size=4))
+    flat = draw(st.lists(_JSON_FLOATS, min_size=math.prod(shape), max_size=math.prod(shape)))
+    block = np.array(flat, dtype=float).reshape(shape).tolist()
+    if flat and draw(st.booleans()):
+        odd = draw(st.one_of(st.booleans(), _JSON_INTS, st.none()))
+        *index, last = np.unravel_index(draw(st.integers(0, len(flat) - 1)), shape)
+        row = functools.reduce(lambda node, i: node[i], index, block)
+        if draw(st.booleans()):
+            row[last] = odd
+        else:
+            del row[last]  # ragged
+    return block
+
+
+_JSON_DOCS = st.recursive(
+    st.one_of(st.none(), st.booleans(), _JSON_INTS, _JSON_FLOATS, _JSON_TEXT, _json_blocks()),
+    lambda children: st.one_of(
+        st.lists(children, max_size=4), st.dictionaries(_JSON_TEXT, children, max_size=4)
+    ),
+    max_leaves=20,
+)
+
+
+@settings(max_examples=200, derandomize=True, database=None, deadline=None)
+@given(_JSON_DOCS)
+def test_report_text_matches_json_dumps_on_plain_documents(doc):
+    assert serialization._report_text(doc) == json.dumps(doc, indent=2)
+
+
+def test_report_text_matches_json_dumps_on_edge_values():
+    doc = {
+        "floats": _EDGE_FLOATS,
+        "block": [[[-0.0, 1e16], [5e-324, sys.float_info.max]], [[1.0, 2.0], [0.1, -3.5]]],
+        "ints": [-(2**200), 2**64, 0, -1],
+        "mixed": [[1.0, True], [2, 3.0], [False, None]],
+        "ragged": [[1.0], [2.0, 3.0], []],
+        "empty": [[], {}, [[]], [{}], {"a": []}, {"b": {}}, [[[]]], [[], []]],
+        'q"uo\\te\n\x00\x1f\u00e9\U0001f600': 'va"l\\ue\t\x7f\u2028\udc00',
+    }
+    assert serialization._report_text(doc) == json.dumps(doc, indent=2)
+    for value in ([], {}, "", 0, 1.5, True, None, [[[]]]):
+        assert serialization._report_text(value) == json.dumps(value, indent=2)
+
+
+@pytest.mark.parametrize(
+    "doc",
+    [
+        math.nan,
+        math.inf,
+        [1.0, -math.inf],
+        [[0.5, 1.0], [math.nan, 0.0]],
+        {"x": [[1.0, math.inf]]},
+        (1.0, 2.0),
+        [(1.0, 2.0)],
+        np.float64(1.0),
+        [np.float64(1.0), 2.0],
+        np.int64(3),
+        {1: "a"},
+        {"a": {None: 1.0}},
+    ],
+    ids=repr,
+)
+def test_report_text_refuses_what_is_not_plain_json(doc):
+    with pytest.raises(TypeError):
+        serialization._report_text(doc)
+
+
+def test_report_text_writes_non_finite_matrix_entries_as_strings():
+    report = Report("demo", inputs_digest({}), None, DEFAULT_TOL)
+    report.artifacts["matrix"] = serialization._emit_matrix(
+        np.array([[1.0, np.nan], [np.inf, complex(0.0, -np.inf)]])
+    )
+    report.artifacts["finite"] = serialization._emit_matrix(np.eye(2))
+    doc = emit_report(report)
+    assert doc["artifacts"]["matrix"] == [
+        [[1.0, 0.0], ["nan", 0.0]],
+        [["inf", 0.0], [0.0, "-inf"]],
+    ]
+    assert serialization._report_text(doc) == json.dumps(doc, indent=2)
+
+
 # ---------------------------------------------------------------------------
 # CLI
 # ---------------------------------------------------------------------------
@@ -435,6 +534,24 @@ def test_cli_check_consistency_and_derive_map(capsys, tmp_path):
     code, doc = _run(capsys, ["derive-map", "--subspace", sub, "--unitary", bad_u])
     assert code == 1
     assert "map" not in doc["artifacts"]
+
+
+def test_cli_reports_are_the_text_json_dumps_gives(capsys, tmp_path, monkeypatch):
+    from beyondcp import cli
+
+    written = []
+
+    def checked_text(doc):
+        text = serialization._report_text(doc)
+        written.append(text == json.dumps(doc, indent=2))
+        return text
+
+    monkeypatch.setattr(cli, "_report_text", checked_text)
+    _, commands = _cli_workload(tmp_path, seed=2)
+    for argv, expected in commands:
+        assert run_cli(argv) == expected, argv
+    capsys.readouterr()
+    assert written == [True] * (len(commands) - 1)  # every command but the malformed map
 
 
 def test_cli_represent_swap_and_kraus(capsys, tmp_path):
