@@ -1,11 +1,11 @@
 """JSON serialization of operators, subspaces, maps, and CLI reports.
 
 Complex scalars are encoded as [re, im] pairs; all documents validate against
-the JSON Schemas shipped in ``schemas/``.  Each schema is checked against its
-metaschema and compiled into a validator once per process, on first use.  A
-valid document is accepted by a structural check read from the same schema;
-a document that check cannot accept goes through jsonschema, whose best match
-gives the error message.
+the JSON Schemas shipped in ``schemas/``.  A valid document is accepted by a
+structural check read from the schema with its refs inlined; a document that
+check cannot accept goes through jsonschema, whose best match gives the error
+message.  jsonschema is imported, and each schema checked against its
+metaschema and compiled, only when a first document defers to it.
 A report holds each verdict as its document from the moment it is added, and
 its artifacts are walked once when the report is written: non-finite floats
 become the strings "nan", "inf" and "-inf", complex and numpy scalars become
@@ -30,7 +30,6 @@ from importlib import resources
 from json.encoder import encode_basestring_ascii
 from typing import Any
 
-import jsonschema
 import numpy as np
 
 from .config import DEFAULT_TOL, ToleranceConfig
@@ -85,12 +84,22 @@ def _inline_refs(node: Any, root: dict, resolving: tuple[str, ...] = ()) -> Any:
 
 
 @functools.cache
+def _inlined_schema(name: str) -> dict:
+    """The packaged schema ``name`` with its refs inlined, read once."""
+    schema = load_schema(name)
+    return _inline_refs(schema, schema)
+
+
+@functools.cache
 def _validator(name: str):
-    """The packaged schema ``name``, checked once and compiled with its refs inlined."""
+    """The jsonschema validator of ``name``: the schema checked once against its
+    metaschema, then compiled with its refs inlined."""
+    import jsonschema
+
     schema = load_schema(name)
     cls = jsonschema.validators.validator_for(schema)
     cls.check_schema(schema)
-    return cls(_inline_refs(schema, schema))
+    return cls(_inlined_schema(name))
 
 
 _ANNOTATIONS = frozenset({"$schema", "$id", "title", "description", "definitions"})
@@ -189,11 +198,12 @@ def validate_document(doc: Any, schema_name: str) -> None:
     A document the structural check accepts is valid; any other goes through
     jsonschema, which gives the error message.
     """
-    validator = _validator(schema_name)
-    if _certainly_valid(validator.schema, doc):
+    if _certainly_valid(_inlined_schema(schema_name), doc):
         return
+    from jsonschema.exceptions import best_match
+
     # best_match, as jsonschema.validate uses, not the validator's first error.
-    err = jsonschema.exceptions.best_match(validator.iter_errors(doc))
+    err = best_match(_validator(schema_name).iter_errors(doc))
     if err is not None:
         pointer = "/" + "/".join(str(part) for part in err.absolute_path)
         raise ValueError(

@@ -4,7 +4,9 @@ import functools
 import io
 import json
 import math
+import os
 import pathlib
+import subprocess
 import sys
 import tempfile
 import warnings
@@ -277,11 +279,16 @@ def test_each_schema_is_checked_once_per_process(monkeypatch):
     monkeypatch.setattr(jsonschema.Draft7Validator, "check_schema", classmethod(counting_check))
     serialization._validator.cache_clear()
     try:
+        parse_operator({"dims": [2], "matrix": _I2})
+        parse_subspace(emit_subspace(gibbs_subspace()))
+        parse_map({"kind": "builtin", "name": "identity"})
+        emit_report(Report("demo", inputs_digest({}), None, DEFAULT_TOL))
+        assert checked == []  # no document deferred to jsonschema
         for _ in range(3):
-            parse_operator({"dims": [2], "matrix": _I2})
-            parse_subspace(emit_subspace(gibbs_subspace()))
-            parse_map({"kind": "builtin", "name": "identity"})
-            emit_report(Report("demo", inputs_digest({}), None, DEFAULT_TOL))
+            validate_document({"dims": [2.0], "matrix": _I2}, "operator")  # valid, deferred
+            for name, doc in (("subspace", {"dims": [2], "basis": "x"}), ("map", {}), ("report", {})):
+                with pytest.raises(ValueError, match=f"{name} document invalid"):
+                    validate_document(doc, name)
     finally:
         serialization._validator.cache_clear()
     assert sorted(checked) == ["map.json", "operator.json", "report.json", "subspace.json"]
@@ -552,6 +559,26 @@ def test_cli_reports_are_the_text_json_dumps_gives(capsys, tmp_path, monkeypatch
         assert run_cli(argv) == expected, argv
     capsys.readouterr()
     assert written == [True] * (len(commands) - 1)  # every command but the malformed map
+
+
+def test_cli_catalog_and_violations_never_import_jsonschema():
+    root = pathlib.Path(__file__).resolve().parents[1]
+    script = (
+        "import contextlib, io, sys\n"
+        "from beyondcp.cli import run_cli\n"
+        "with contextlib.redirect_stdout(io.StringIO()):\n"
+        "    codes = [run_cli(['catalog', topic]) for topic in\n"
+        "             ('gibbs', 'example1', 'transpose', 'repolarizer', 'witness')]\n"
+        "    codes.append(run_cli(['violations', '--epsilon', '0.1']))\n"
+        "print(codes, 'jsonschema' in sys.modules)\n"
+    )
+    env = {key: value for key, value in os.environ.items() if key != "BEYONDCP_SEED"}
+    env["PYTHONPATH"] = os.pathsep.join(p for p in (str(root / "src"), env.get("PYTHONPATH")) if p)
+    result = subprocess.run(
+        [sys.executable, "-c", script], capture_output=True, text=True, env=env, timeout=120
+    )
+    assert result.returncode == 0, result.stderr
+    assert result.stdout == "[0, 0, 0, 0, 0, 1] False\n"
 
 
 def test_cli_represent_swap_and_kraus(capsys, tmp_path):
