@@ -21,9 +21,9 @@ import numpy as np
 from . import catalog
 from .config import DEFAULT_TOL, ToleranceConfig
 from .consistency import (
+    _family_verdict,
     consistent_kernel,
     is_family_consistent,
-    is_unitary_consistent,
     witness_factorization_gap,
 )
 from .dilations import (
@@ -32,7 +32,7 @@ from .dilations import (
     verify_representation,
 )
 from .maps import (
-    InconsistentPairError,
+    _derive_pair,
     _positive_domain_mask,
     choi_matrix,
     compose,
@@ -71,7 +71,6 @@ from .serialization import (
 )
 from .subspaces import (
     check_state_spanned,
-    kernel_of_partial_trace,
     span_from_generators,
     subspace_leq,
     subspaces_equal,
@@ -178,14 +177,13 @@ def _cmd_check_consistency(args, tol: ToleranceConfig, seed: int) -> Report:
         payload["family"] = fam_doc
         family = parse_unitary_family(fam_doc, tol)
     report = Report("check-consistency", inputs_digest(payload), seed, tol)
-    verdict = is_unitary_consistent(v, u)
-    kernel = kernel_of_partial_trace(v)
+    verdict, kernel_dim = _family_verdict(v, (u,), 1)  # is_unitary_consistent's verdict
     report.add(
         "unitary_consistent",
         verdict.consistent,
         verdict.worst_residual,
         subspace_dim=v.dim,
-        kernel_dim=kernel.dim,
+        kernel_dim=kernel_dim,
     )
     report.add("state_spanned_verified", check_state_spanned(v))
     if family is not None:
@@ -212,17 +210,19 @@ def _cmd_derive_map(args, tol: ToleranceConfig, seed: int) -> Report:
     report = Report(
         "derive-map", inputs_digest({"subspace": sub_doc, "unitary": uni_doc}), seed, tol
     )
-    try:
-        phi = derive_map(v, u)
-    except InconsistentPairError as err:
+    derivation = _derive_pair(v, u)  # derive_map's one consistency decision
+    phi = derivation.map
+    if phi is None:
         report.add(
             "unitary_consistent",
             False,
-            err.verdict.worst_residual,
+            derivation.residual,
             reason="reduced map is not well defined",
         )
         return report
-    report.add("unitary_consistent", True, 0.0, state_spanned=check_state_spanned(v))
+    report.add(
+        "unitary_consistent", True, derivation.residual, state_spanned=derivation.spanned
+    )
     report.add(
         "trace_and_hermiticity_preserving",
         phi.is_trace_preserving() and phi.is_hermiticity_preserving(),

@@ -109,16 +109,19 @@ def _kernel_residuals(v: OperatorSubspace, members, keep: tuple):
     return evolution, reduced, evolved, n, np.linalg.norm(evolved @ n, axis=-2)
 
 
-def _family_verdict(v: OperatorSubspace, members, bath_factor: int) -> ConsistencyVerdict:
-    """Worst bath-trace residual of the kernel of v under all members at once."""
+def _family_verdict(
+    v: OperatorSubspace, members, bath_factor: int
+) -> tuple[ConsistencyVerdict, int]:
+    """Worst bath-trace residual of the kernel of v under all members at once,
+    and the dimension of that kernel."""
     *_, n, residuals = _kernel_residuals(v, members, _keep_indices(v.layout, bath_factor))
     if n.shape[1] == 0:
-        return ConsistencyVerdict(True, 0.0, None)
+        return ConsistencyVerdict(True, 0.0, None), 0
     member, element = np.unravel_index(np.argmax(residuals), residuals.shape)
     worst = float(residuals[member, element])  # argmax stops at the first NaN
     x = unvec(v.basis_matrix() @ n[:, element], v.layout.total_dim)
     pair = (Operator(v.layout, x), members[member])
-    return ConsistencyVerdict(worst <= v.tol.residual_tol, worst, pair)
+    return ConsistencyVerdict(worst <= v.tol.residual_tol, worst, pair), n.shape[1]
 
 
 def is_unitary_consistent(
@@ -130,7 +133,7 @@ def is_unitary_consistent(
     vanishing bath trace after conjugation by u; the verdict records the worst
     Hilbert-Schmidt residual over the kernel basis.
     """
-    return _family_verdict(v, (u,), bath_factor)
+    return _family_verdict(v, (u,), bath_factor)[0]
 
 
 def is_family_consistent(
@@ -140,7 +143,7 @@ def is_family_consistent(
     if not family.members:
         _keep_indices(v.layout, bath_factor)  # no member to test, but the factor must exist
         return ConsistencyVerdict(True, 0.0, None)
-    return _family_verdict(v, family.members, bath_factor)
+    return _family_verdict(v, family.members, bath_factor)[0]
 
 
 def consistent_kernel(

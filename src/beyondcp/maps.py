@@ -175,9 +175,7 @@ def derive_map(
     well-definedness and is checked first; the construction then verifies the
     defining relation on every generator of v.
     """
-    if v.dim == 0:
-        raise ValueError("cannot derive a map from a zero-dimensional subspace")
-    (derivation,) = _derive(v, [u], _keep_indices(v.layout, bath_factor))
+    derivation = _derive_pair(v, u, bath_factor)
     if derivation.map is None:
         raise InconsistentPairError(
             "the subspace is not consistent with the unitary "
@@ -194,6 +192,15 @@ class _Derivation(NamedTuple):
     domain: OperatorSubspace  # span of the reduced basis
     residual: float  # the worst kernel residual under u, as is_unitary_consistent's
     map: SubsystemMap | None  # the derived map; None unless the family is consistent
+    spanned: bool | None  # check_state_spanned(v), taken only for a consistent family
+
+
+def _derive_pair(v: OperatorSubspace, u: Operator, bath_factor: int = 1) -> _Derivation:
+    """derive_map's derivation, consistent or not, refusing the zero subspace."""
+    if v.dim == 0:
+        raise ValueError("cannot derive a map from a zero-dimensional subspace")
+    (derivation,) = _derive(v, [u], _keep_indices(v.layout, bath_factor))
+    return derivation
 
 
 def _derive(v: OperatorSubspace, unitaries: Sequence[Operator], keep: tuple) -> list[_Derivation]:
@@ -206,7 +213,7 @@ def _derive(v: OperatorSubspace, unitaries: Sequence[Operator], keep: tuple) -> 
     worst = np.max(residuals, axis=1, initial=0.0)
     # reduced orthonormal columns: a floor of 1 keeps rounding noise from spanning anything
     domain = _span_of_columns(v.layout.subset(keep), reduced, v.tol, floor=1.0)
-    phis = [None] * len(evolved)
+    phis, spanned = [None] * len(evolved), None
     if np.all(worst <= v.tol.residual_tol):  # False on NaN
         spanned = check_state_spanned(v)
         provenance = (
@@ -226,7 +233,8 @@ def _derive(v: OperatorSubspace, unitaries: Sequence[Operator], keep: tuple) -> 
                     f"derived map fails its defining relation with residual {residual:.3e}"
                 )
     return [
-        _Derivation(reduced, e, domain, float(w), phi) for e, w, phi in zip(evolved, worst, phis)
+        _Derivation(reduced, e, domain, float(w), phi, spanned)
+        for e, w, phi in zip(evolved, worst, phis)
     ]
 
 

@@ -543,6 +543,63 @@ def test_cli_check_consistency_and_derive_map(capsys, tmp_path):
     assert "map" not in doc["artifacts"]
 
 
+@pytest.mark.parametrize("consistent", [True, False])
+def test_cli_derive_map_reports_the_residual_check_consistency_reports(
+    capsys, tmp_path, consistent
+):
+    from beyondcp.catalog import controlled_phase_unitary
+    from beyondcp.operators import swap_unitary
+
+    u = controlled_phase_unitary(0.7) if consistent else swap_unitary(2)
+    sub = _write(tmp_path, "sub.json", emit_subspace(gibbs_subspace()))
+    uni = _write(tmp_path, "u.json", emit_operator(u))
+    _, checked = _run(capsys, ["check-consistency", "--subspace", sub, "--unitary", uni])
+    _, derived = _run(capsys, ["derive-map", "--subspace", sub, "--unitary", uni])
+    residual = checked["verdicts"][0]["residual"]
+    assert (0.0 < residual <= DEFAULT_TOL.residual_tol) == consistent
+    assert derived["verdicts"][0]["residual"] == residual  # bit for bit
+    assert derived["verdicts"][0]["passed"] == consistent
+    if consistent:
+        assert derived["verdicts"][0]["details"] == {"state_spanned": True}
+
+
+@pytest.mark.parametrize("topic", ["gibbs", "transpose", "repolarizer"])
+def test_cli_check_consistency_kernel_dim_is_the_trace_kernel_dim(capsys, tmp_path, topic):
+    from beyondcp import catalog
+    from beyondcp.catalog import controlled_phase_unitary
+    from beyondcp.subspaces import kernel_of_partial_trace
+
+    v = {
+        "gibbs": catalog.gibbs_subspace,
+        "transpose": catalog.transpose_subspace,
+        "repolarizer": lambda: catalog.repolarizer_subspace(0.1),
+    }[topic]()
+    sub = _write(tmp_path, "sub.json", emit_subspace(v))
+    uni = _write(tmp_path, "u.json", emit_operator(controlled_phase_unitary(0.7)))
+    _, doc = _run(capsys, ["check-consistency", "--subspace", sub, "--unitary", uni])
+    expected = kernel_of_partial_trace(parse_subspace(json.loads(pathlib.Path(sub).read_text())))
+    assert doc["verdicts"][0]["details"]["kernel_dim"] == expected.dim
+
+
+def test_cli_consistency_commands_repeat_no_library_work(capsys, tmp_path, count_calls):
+    from beyondcp import consistency, subspaces
+    from beyondcp.catalog import controlled_phase_unitary
+
+    sub = _write(tmp_path, "sub.json", emit_subspace(gibbs_subspace()))
+    uni = _write(tmp_path, "u.json", emit_operator(controlled_phase_unitary(0.7)))
+    counts = count_calls(
+        (consistency, "_kernel_residuals"),
+        (subspaces, "kernel_of_partial_trace"),
+        (subspaces, "check_state_spanned"),
+    )
+    assert run_cli(["check-consistency", "--subspace", sub, "--unitary", uni]) == 0
+    assert counts == {"_kernel_residuals": 1, "check_state_spanned": 1}
+    counts.clear()
+    assert run_cli(["derive-map", "--subspace", sub, "--unitary", uni]) == 0
+    assert counts == {"_kernel_residuals": 1, "check_state_spanned": 1}
+    capsys.readouterr()
+
+
 def test_cli_reports_are_the_text_json_dumps_gives(capsys, tmp_path, monkeypatch):
     from beyondcp import cli
 
