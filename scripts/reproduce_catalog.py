@@ -16,7 +16,7 @@ def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("--epsilon", type=float, default=0.1)
     parser.add_argument("--t", type=float, default=0.7853981633974483)
-    parser.add_argument("--json", action="store_true", help="dump the raw reports")
+    parser.add_argument("--json", action="store_true", help="print each report as the CLI wrote it")
     args = parser.parse_args()
 
     commands = [
@@ -40,7 +40,8 @@ def main() -> int:
         if code == 2:  # an input error: run_cli printed its message and no report
             return code
         worst = max(worst, code)
-        doc = json.loads(buffer.getvalue())
+        text = buffer.getvalue()
+        doc = json.loads(text)
         print(f"== {' '.join(argv)} (exit {code})")
         for verdict in doc["verdicts"]:
             flag = "ok " if verdict["passed"] else "FAIL"
@@ -48,7 +49,7 @@ def main() -> int:
             residual_txt = "" if residual is None else f"  residual={residual:.3e}" if isinstance(residual, float) else f"  residual={residual}"
             print(f"  [{flag}] {verdict['name']}{residual_txt}")
         if args.json:
-            print(json.dumps(doc, indent=2))
+            sys.stdout.write(text)  # the report as the CLI wrote it
     return worst
 
 

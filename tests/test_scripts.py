@@ -103,6 +103,20 @@ def test_reproduce_catalog_stops_with_the_cli_input_error():
     assert "repolarizer" not in result.stdout  # no summary of a report that was not written
 
 
+def test_reproduce_catalog_json_blocks_are_the_cli_stdout(capsys, monkeypatch):
+    monkeypatch.delenv("BEYONDCP_SEED", raising=False)
+    result = _run_script("reproduce_catalog.py", "--json")
+    assert result.returncode == 0, result.stderr
+    sections = result.stdout.split("== ")[1:]
+    assert len(sections) == 7
+    for section in sections:
+        header, rest = section.split("\n", 1)
+        argv, code = header.rsplit(" (exit ", 1)
+        block = rest[rest.index("{\n"):]
+        assert run_cli(argv.split()) == int(code.rstrip(")"))
+        assert block == capsys.readouterr().out, argv
+
+
 def test_output_digest_is_deterministic():
     runs = [_run_script("output_digest.py", "--seeds", "1", "--trials", "2") for _ in range(2)]
     assert [r.returncode for r in runs] == [0, 0], runs[0].stderr
