@@ -462,7 +462,7 @@ def _report_text(value: Any, level: int = 0) -> str:
 
 
 def _jsonable_details(value):
-    if type(value) is float:  # most values: the entries of emitted matrices
+    if type(value) is float:
         return value if math.isfinite(value) else _jsonable_number(value)
     if isinstance(value, dict):
         return {str(k): _jsonable_details(v) for k, v in value.items()}
