@@ -428,18 +428,20 @@ def _report_text(value: Any, level: int = 0) -> str:
     """
     kind = type(value)
     if kind is list:
-        block = _float_block(value)
+        block = _float_block(value)  # the empty list among them
         if block is not None:
             shape, flat = block
             return _block_layout(shape, level) % tuple(flat)
-        items = [_report_text(item, level + 1) for item in value]
+        items, brackets = [_report_text(item, level + 1) for item in value], "[]"
     elif kind is dict:
+        if not value:
+            return "{}"
         if any(type(key) is not str for key in value):
             raise TypeError("report keys must be strings")
-        items = [
+        items, brackets = [
             encode_basestring_ascii(key) + ": " + _report_text(item, level + 1)
             for key, item in value.items()
-        ]
+        ], "{}"
     elif kind is str:
         return encode_basestring_ascii(value)
     elif kind is float:
@@ -454,11 +456,9 @@ def _report_text(value: Any, level: int = 0) -> str:
         return "null"
     else:
         raise TypeError(f"{kind.__name__} is not a plain JSON value")
-    if not items:
-        return "[]" if kind is list else "{}"
     pad = "\n" + "  " * (level + 1)
-    close = "\n" + "  " * level + ("]" if kind is list else "}")
-    return ("[" if kind is list else "{") + pad + ("," + pad).join(items) + close
+    body = ("," + pad).join(items)
+    return f"{brackets[0]}{pad}{body}\n{'  ' * level}{brackets[1]}"  # one copy of body
 
 
 def _jsonable_details(value):
