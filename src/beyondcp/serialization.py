@@ -408,6 +408,14 @@ def _float_block(value: list) -> tuple[list[int], list[float]] | None:
     return shape, flat
 
 
+def _indented(items: list[str], brackets: str, level: int) -> str:
+    """The indent=2 text of a non-empty container at depth ``level`` from the
+    texts of its items."""
+    pad = "\n" + "  " * (level + 1)
+    body = ("," + pad).join(items)
+    return f"{brackets[0]}{pad}{body}\n{'  ' * level}{brackets[1]}"  # one copy of body
+
+
 def _block_layout(shape: list[int], level: int) -> str:
     """The indent=2 text of a nested list of ``shape`` at depth ``level``, with a
     %r field for each float."""
@@ -415,9 +423,7 @@ def _block_layout(shape: list[int], level: int) -> str:
         return "%r"
     if not shape[0]:
         return "[]"
-    inner = _block_layout(shape[1:], level + 1)
-    pad = "\n" + "  " * (level + 1)
-    return "[" + pad + ("," + pad).join([inner] * shape[0]) + "\n" + "  " * level + "]"
+    return _indented([_block_layout(shape[1:], level + 1)] * shape[0], "[]", level)
 
 
 def _report_text(value: Any, level: int = 0) -> str:
@@ -456,9 +462,7 @@ def _report_text(value: Any, level: int = 0) -> str:
         return "null"
     else:
         raise TypeError(f"{kind.__name__} is not a plain JSON value")
-    pad = "\n" + "  " * (level + 1)
-    body = ("," + pad).join(items)
-    return f"{brackets[0]}{pad}{body}\n{'  ' * level}{brackets[1]}"  # one copy of body
+    return _indented(items, brackets, level)
 
 
 def _jsonable_details(value):
