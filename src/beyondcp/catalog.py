@@ -29,12 +29,13 @@ from .operators import (
     PAULI_X,
     PAULI_Y,
     PAULI_Z,
-    gibbs_state,
+    _columns,
+    _gibbs_states,
     relative_entropy,
     schatten_distance,
     tensor,
 )
-from .subspaces import OperatorSubspace, full_operator_space, span_from_generators
+from .subspaces import OperatorSubspace, _span_of_columns, full_operator_space, span_from_generators
 
 __all__ = [
     "GibbsParams",
@@ -101,37 +102,49 @@ def gibbs_hamiltonian(theta: float) -> Operator:
 def gibbs_state_closed_form(p: GibbsParams) -> Operator:
     """Closed-form thermal state of gibbs_hamiltonian, six coefficient terms.
 
+    The one-element call of :func:`_gibbs_closed_forms`, which owns the formula.
     Raises ValueError where the terms overflow: from |beta| lam of about 710 on.
     """
-    beta = p.beta
-    try:
-        lam, gam = p.lam, p.gam
-        denom = math.cosh(beta * lam) + math.cosh(beta * gam)
-    except OverflowError:  # from theta**2 or a cosh
-        denom = math.inf
-    if denom == math.inf:  # also where beta * lam is inf, of which cosh raises nothing
-        raise ValueError(f"the closed form overflows at theta={p.theta!r}, beta={beta!r}")
-    sl = math.sinh(beta * lam) / lam
-    sg = math.sinh(beta * gam) / gam
-    c_bath_x = (math.cosh(beta * lam) - math.cosh(beta * gam)) / denom
-    c_z1 = -p.theta * (sl + sg) / denom
-    c_x1 = -((p.theta + 1) * sl + (p.theta - 1) * sg) / denom
-    c_xx = -((p.theta + 1) * sl - (p.theta - 1) * sg) / denom
-    c_zx = -p.theta * (sl - sg) / denom
-    pp = _PAULI_PAIRS
-    state = (
-        pp["II"]
-        + c_bath_x * pp["IX"]
-        + c_z1 * pp["ZI"]
-        + c_x1 * pp["XI"]
-        + c_xx * pp["XX"]
-        + c_zx * pp["ZX"]
-    )
-    return state / 4.0
+    return Operator(_PAULI_PAIRS["II"].layout, _gibbs_closed_forms([p])[0])
+
+
+def _gibbs_closed_forms(params) -> np.ndarray:
+    """Closed-form thermal states at a sequence of GibbsParams, as a (k, 4, 4) stack.
+
+    Scalar ``math`` coefficients for each point, then one stacked sum in the formula's order.
+    """
+    coefficients = []
+    for p in params:
+        beta = p.beta
+        try:
+            lam, gam = p.lam, p.gam
+            denom = math.cosh(beta * lam) + math.cosh(beta * gam)
+        except OverflowError:  # from theta**2 or a cosh
+            denom = math.inf
+        if denom == math.inf:  # also where beta * lam is inf, of which cosh raises nothing
+            raise ValueError(f"the closed form overflows at theta={p.theta!r}, beta={beta!r}")
+        sl = math.sinh(beta * lam) / lam
+        sg = math.sinh(beta * gam) / gam
+        c_bath_x = (math.cosh(beta * lam) - math.cosh(beta * gam)) / denom
+        c_z1 = -p.theta * (sl + sg) / denom
+        c_x1 = -((p.theta + 1) * sl + (p.theta - 1) * sg) / denom
+        c_xx = -((p.theta + 1) * sl - (p.theta - 1) * sg) / denom
+        c_zx = -p.theta * (sl - sg) / denom
+        coefficients.append((c_bath_x, c_z1, c_x1, c_xx, c_zx))
+    state, c = _PAULI_PAIRS["II"].entries, np.array(coefficients, dtype=complex).reshape(-1, 5)
+    for j, name in enumerate(("IX", "ZI", "XI", "XX", "ZX")):
+        state = state + _PAULI_PAIRS[name].entries * c[:, j, None, None]
+    return state / complex(4.0)
 
 
 _DEFAULT_THETAS = tuple(np.linspace(-2.0, 2.0, 5))
 _DEFAULT_BETAS = tuple(np.linspace(0.1, 2.0, 5))
+
+
+def _gibbs_grid(thetas, betas, tol: float) -> np.ndarray:
+    """The thermal states at each (theta, beta), theta-major, from one :func:`_gibbs_states`."""
+    hams = np.array([gibbs_hamiltonian(th).entries for th in thetas]).reshape(-1, 4, 4)
+    return _gibbs_states(np.repeat(hams, len(betas), axis=0), list(betas) * len(hams), tol)
 
 
 def gibbs_subspace(
@@ -140,12 +153,10 @@ def gibbs_subspace(
     betas=_DEFAULT_BETAS,
 ) -> OperatorSubspace:
     """Span of the thermal family over a (theta, beta) grid; dimension 6."""
-    gens = [
-        gibbs_state(gibbs_hamiltonian(th), b, tol=tol.residual_tol)
-        for th in thetas
-        for b in betas
-    ]
-    return span_from_generators(gens, tol)
+    states = _gibbs_grid(thetas, betas, tol.residual_tol)
+    if not len(states):
+        raise ValueError("gibbs_subspace requires at least one theta and one beta")
+    return _span_of_columns(_PAULI_PAIRS["II"].layout, _columns(states), tol)
 
 
 _CONTROLLED_PHASE_GENERATOR = (

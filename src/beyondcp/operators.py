@@ -387,23 +387,31 @@ def adjoint_action(u: Operator, a: Operator, tol: float = DEFAULT_TOL.residual_t
 
 
 def gibbs_state(h: Operator, beta: float, tol: float = DEFAULT_TOL.residual_tol) -> Operator:
-    """Thermal state exp(-beta H) / Tr exp(-beta H) of a Hermitian Hamiltonian.
+    """Thermal state exp(-beta H) / Tr exp(-beta H); the one-element :func:`_gibbs_states`."""
+    return Operator(h.layout, _gibbs_states(h.entries[None], [beta], tol)[0])
 
-    Computed by Hermitian eigendecomposition with the spectrum shifted so the
-    exponentials never overflow; exact for Hermitian input.
+
+def _gibbs_states(h: np.ndarray, betas: Sequence[float], tol: float) -> np.ndarray:
+    """Thermal states of a (k, N, N) stack of Hermitian Hamiltonians at k betas, as (k, N, N).
+
+    One Hermitian eigendecomposition, each spectrum shifted so that its exponentials
+    never overflow.  Any non-finite beta or non-Hermitian member refuses the stack.
     """
-    if not math.isfinite(beta):
-        raise ValueError(f"beta must be finite, got {beta!r}")
-    herm_residual = float(np.linalg.norm(h.entries - h.entries.conj().T))
-    if not (herm_residual <= tol):
-        raise ValueError(
-            f"gibbs_state requires a Hermitian Hamiltonian; ||H - H^dag|| = {herm_residual:.3e}"
-        )
-    w, v = np.linalg.eigh((h.entries + h.entries.conj().T) / 2)
-    x = -beta * (w - (w.min() if beta >= 0 else w.max()))
+    for beta in betas:
+        if not math.isfinite(beta):
+            raise ValueError(f"beta must be finite, got {beta!r}")
+    h_dag = h.conj().swapaxes(-1, -2)
+    for herm_residual in np.linalg.norm(h - h_dag, axis=(-2, -1)):
+        if not (herm_residual <= tol):
+            raise ValueError(
+                f"gibbs_state requires a Hermitian Hamiltonian; ||H - H^dag|| = {herm_residual:.3e}"
+            )
+    w, v = np.linalg.eigh((h + h_dag) / 2)
+    b = np.asarray(betas, dtype=float)[:, None]
+    x = -b * (w - np.where(b >= 0, w.min(axis=-1, keepdims=True), w.max(axis=-1, keepdims=True)))
     p = np.exp(x)
-    p /= p.sum()
-    return Operator(h.layout, (v * p) @ v.conj().T)
+    p /= p.sum(axis=-1, keepdims=True)
+    return (v * p[:, None, :]) @ v.conj().swapaxes(-1, -2)
 
 
 def schatten_distance(t1: Operator, t2: Operator, p: float) -> float:

@@ -1,3 +1,5 @@
+import contextlib
+import io
 import math
 
 import numpy as np
@@ -36,6 +38,7 @@ from beyondcp.catalog import (
     transpose_subspace,
     uhlmann_check,
 )
+from beyondcp.cli import run_cli
 from beyondcp.sampling import random_density
 
 
@@ -112,6 +115,36 @@ def test_closed_form_refuses_where_its_terms_overflow():
 def test_gibbs_subspace_state_spanned_with_closed_form_witness():
     witness = gibbs_state_closed_form(GibbsParams(1.0, 0.5))
     assert check_state_spanned(gibbs_subspace(), witness)
+
+
+def test_gibbs_subspace_refuses_an_empty_grid():
+    for grid in ({"thetas": ()}, {"betas": ()}, {"thetas": (), "betas": ()}):
+        with pytest.raises(ValueError, match="at least one theta and one beta"):
+            gibbs_subspace(**grid)
+
+
+def _eigh_calls(monkeypatch, argv):
+    """The stack shapes handed to np.linalg.eigh by one in-process CLI run."""
+    calls = []
+    eigh = np.linalg.eigh
+
+    def counted(a, *args, **kwargs):
+        calls.append(np.shape(a))
+        return eigh(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "eigh", counted)
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert run_cli(argv) == 0
+    return calls
+
+
+def test_catalog_gibbs_decomposes_each_thermal_stack_once(monkeypatch):
+    # the 7x7 closed-form check, then the 5x5 family
+    assert _eigh_calls(monkeypatch, ["catalog", "gibbs"]) == [(49, 4, 4), (25, 4, 4)]
+
+
+def test_catalog_example1_decomposes_the_family_once(monkeypatch):
+    assert _eigh_calls(monkeypatch, ["catalog", "example1"]) == [(25, 4, 4)]
 
 
 # ---------------------------------------------------------------------------

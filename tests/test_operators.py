@@ -26,6 +26,7 @@ from beyondcp import (
     tensor,
 )
 from beyondcp.operators import (
+    _gibbs_states,
     _reduced_evolution,
     _reduced_evolution_matrix,
     _stacked,
@@ -377,6 +378,56 @@ def test_gibbs_rejects_non_finite_hamiltonian():
     h[0, 1] = np.nan
     with pytest.raises(ValueError, match="Hermitian"):
         gibbs_state(operator(h, 2), 1.0)
+
+
+@pytest.mark.parametrize("beta, shown", [(math.nan, "nan"), (math.inf, "inf"), (-math.inf, "-inf")])
+def test_gibbs_refuses_a_non_finite_beta_by_name(beta, shown):
+    with pytest.raises(ValueError) as err:
+        gibbs_state(tensor(PAULI_X, PAULI_X), beta)
+    assert str(err.value) == f"beta must be finite, got {shown}"
+
+
+@pytest.mark.parametrize(
+    "entries, shown",
+    [
+        ([[0, 1], [0, 0]], "1.414e+00"),
+        ([[1, 2j], [2j, 0]], "5.657e+00"),
+        ([[np.nan, 0], [0, 1]], "nan"),
+    ],
+)
+def test_gibbs_names_the_hermiticity_residual(entries, shown):
+    with pytest.raises(ValueError) as err:
+        gibbs_state(operator(entries, 2), 0.5)
+    message = f"gibbs_state requires a Hermitian Hamiltonian; ||H - H^dag|| = {shown}"
+    assert str(err.value) == message
+
+
+def _counting_eigh(monkeypatch):
+    calls = []
+    eigh = np.linalg.eigh
+
+    def counted(a, *args, **kwargs):
+        calls.append(np.shape(a))
+        return eigh(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "eigh", counted)
+    return calls
+
+
+def test_gibbs_states_refuse_a_stack_whose_last_member_is_bad(monkeypatch):
+    calls = _counting_eigh(monkeypatch)
+    good = np.array([tensor(PAULI_X, PAULI_X).entries] * 3)
+    non_hermitian = good.copy()
+    non_hermitian[-1, 0, 1] = 1.0
+    with pytest.raises(ValueError, match="requires a Hermitian Hamiltonian; .* = 1.414e\\+00$"):
+        _gibbs_states(non_hermitian, [0.5, 1.0, 2.0], 1e-9)
+    with pytest.raises(ValueError, match="^beta must be finite, got inf$"):
+        _gibbs_states(good, [0.5, 1.0, math.inf], 1e-9)
+    assert calls == []  # refused before any eigendecomposition, so nothing partial is returned
+    states = _gibbs_states(good, [0.5, 1.0, 2.0], 1e-9)
+    assert calls == [(3, 4, 4)]
+    for beta, rho in zip([0.5, 1.0, 2.0], states):
+        np.testing.assert_array_equal(rho, gibbs_state(tensor(PAULI_X, PAULI_X), beta).entries)
 
 
 # ---------------------------------------------------------------------------
