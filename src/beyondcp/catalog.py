@@ -169,9 +169,17 @@ def controlled_phase_generator() -> Operator:
     return _CONTROLLED_PHASE_GENERATOR
 
 
+def _cos_sin(t: float) -> tuple[float, float]:
+    """(cos t, sin t), refusing a non-finite t for every controlled-phase construction."""
+    if not math.isfinite(t):
+        raise ValueError(f"t must be finite, got {t!r}")
+    return math.cos(t), math.sin(t)
+
+
 def controlled_phase_unitary(t: float) -> Operator:
     """U(t) = exp(-i t K); K squares to the identity so U = cos t - i sin t K."""
-    return math.cos(t) * _PAULI_PAIRS["II"] + (-1j * math.sin(t)) * _CONTROLLED_PHASE_GENERATOR
+    c, s = _cos_sin(t)
+    return c * _PAULI_PAIRS["II"] + (-1j * s) * _CONTROLLED_PHASE_GENERATOR
 
 
 def controlled_phase_family(n: int = 16, t_max: float = 2 * math.pi) -> UnitaryFamily:
@@ -197,7 +205,7 @@ def controlled_phase_map(t: float, tol: ToleranceConfig = DEFAULT_TOL) -> Subsys
     Closed form: A -> cos^2(t) A + sin^2(t)(A + Z A Z)/2 + (i/2) sin t cos t [A, Z].
     """
     z = PAULI_Z.entries
-    c, s = math.cos(t), math.sin(t)
+    c, s = _cos_sin(t)
 
     def action(a: np.ndarray) -> np.ndarray:
         return c * c * a + 0.5 * s * s * (a + z @ a @ z) + 0.5j * s * c * (a @ z - z @ a)
@@ -212,9 +220,10 @@ def controlled_phase_kraus(t: float) -> tuple[Operator, Operator]:
     E2 = sqrt((1-cos t)/2) (sin(t/2) 1 + i cos(t/2) Z)
     Completeness E1^dag E1 + E2^dag E2 = 1 holds identically.
     """
+    c, _ = _cos_sin(t)
     half = t / 2.0
-    w1 = math.sqrt(max(0.0, (1 + math.cos(t)) / 2))
-    w2 = math.sqrt(max(0.0, (1 - math.cos(t)) / 2))
+    w1 = math.sqrt(max(0.0, (1 + c) / 2))
+    w2 = math.sqrt(max(0.0, (1 - c) / 2))
     e1 = w1 * (math.cos(half) * PAULI_I + (-1j * math.sin(half)) * PAULI_Z)
     e2 = w2 * (math.sin(half) * PAULI_I + (1j * math.cos(half)) * PAULI_Z)
     return e1, e2

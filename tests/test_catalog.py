@@ -172,6 +172,16 @@ def test_controlled_phase_map_at_zero_is_identity():
         assert (phi.apply(b) - b).hs_norm() <= 1e-12
 
 
+@pytest.mark.parametrize("t, shown", [(math.nan, "nan"), (math.inf, "inf"), (-math.inf, "-inf")])
+@pytest.mark.parametrize(
+    "construction", [controlled_phase_unitary, controlled_phase_map, controlled_phase_kraus]
+)
+def test_controlled_phase_constructions_refuse_a_non_finite_t(construction, t, shown):
+    with pytest.raises(ValueError) as err:
+        construction(t)
+    assert str(err.value) == f"t must be finite, got {shown}"
+
+
 def test_controlled_phase_kraus_extension_is_cp_for_all_t():
     for t in np.linspace(0, 2 * math.pi, 9):
         e1, e2 = controlled_phase_kraus(t)

@@ -474,6 +474,14 @@ def test_cli_catalog_example1_passes(capsys):
     assert "map" in doc["artifacts"]
 
 
+@pytest.mark.parametrize("t", ["nan", "inf", "-inf"])
+def test_cli_catalog_example1_refuses_a_non_finite_t(capsys, t):
+    assert run_cli(["catalog", "example1", f"--t={t}"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: t must be finite, got {t}\n"
+
+
 def test_cli_analyze_transpose_cp_exits_one(capsys, tmp_path):
     path = _write(tmp_path, "map.json", {"kind": "builtin", "name": "transpose"})
     code, doc = _run(capsys, ["analyze-map", "--map", path, "--cp"])
