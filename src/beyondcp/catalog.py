@@ -100,19 +100,16 @@ def gibbs_hamiltonian(theta: float) -> Operator:
 
 
 def gibbs_state_closed_form(p: GibbsParams) -> Operator:
-    """Closed-form thermal state of gibbs_hamiltonian, six coefficient terms.
+    """Closed-form thermal state of gibbs_hamiltonian; the one-element :func:`_gibbs_closed_forms`.
 
-    The one-element call of :func:`_gibbs_closed_forms`, which owns the formula.
     Raises ValueError where the terms overflow: from |beta| lam of about 710 on.
     """
     return Operator(_PAULI_PAIRS["II"].layout, _gibbs_closed_forms([p])[0])
 
 
 def _gibbs_closed_forms(params) -> np.ndarray:
-    """Closed-form thermal states at a sequence of GibbsParams, as a (k, 4, 4) stack.
-
-    Scalar ``math`` coefficients for each point, then one stacked sum in the formula's order.
-    """
+    """Closed-form thermal states at a sequence of GibbsParams, as a (k, 4, 4) stack: scalar
+    ``math`` coefficients for each point, then the six terms summed in one stack, in order."""
     coefficients = []
     for p in params:
         beta = p.beta

@@ -392,11 +392,8 @@ def gibbs_state(h: Operator, beta: float, tol: float = DEFAULT_TOL.residual_tol)
 
 
 def _gibbs_states(h: np.ndarray, betas: Sequence[float], tol: float) -> np.ndarray:
-    """Thermal states of a (k, N, N) stack of Hermitian Hamiltonians at k betas, as (k, N, N).
-
-    One Hermitian eigendecomposition, each spectrum shifted so that its exponentials
-    never overflow.  Any non-finite beta or non-Hermitian member refuses the stack.
-    """
+    """Thermal states of a (k, N, N) stack of Hamiltonians at k betas: one eigh, each spectrum
+    shifted so that its exponentials never overflow.  One bad member refuses the whole stack."""
     for beta in betas:
         if not math.isfinite(beta):
             raise ValueError(f"beta must be finite, got {beta!r}")

@@ -19,6 +19,20 @@ def property_trial_failures():
 
 
 @pytest.fixture
+def eigh_shapes(monkeypatch):
+    """The shape of each array handed to ``np.linalg.eigh`` during the test, in call order."""
+    shapes = []
+    eigh = np.linalg.eigh
+
+    def counting(a, *args, **kwargs):
+        shapes.append(np.shape(a))
+        return eigh(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "eigh", counting)
+    return shapes
+
+
+@pytest.fixture
 def count_calls(monkeypatch):
     """Count the calls to functions of ``beyondcp``, in every module that holds them.
 

@@ -123,28 +123,19 @@ def test_gibbs_subspace_refuses_an_empty_grid():
             gibbs_subspace(**grid)
 
 
-def _eigh_calls(monkeypatch, argv):
-    """The stack shapes handed to np.linalg.eigh by one in-process CLI run."""
-    calls = []
-    eigh = np.linalg.eigh
-
-    def counted(a, *args, **kwargs):
-        calls.append(np.shape(a))
-        return eigh(a, *args, **kwargs)
-
-    monkeypatch.setattr(np.linalg, "eigh", counted)
+def _run_quietly(argv):
     with contextlib.redirect_stdout(io.StringIO()):
         assert run_cli(argv) == 0
-    return calls
 
 
-def test_catalog_gibbs_decomposes_each_thermal_stack_once(monkeypatch):
-    # the 7x7 closed-form check, then the 5x5 family
-    assert _eigh_calls(monkeypatch, ["catalog", "gibbs"]) == [(49, 4, 4), (25, 4, 4)]
+def test_catalog_gibbs_decomposes_each_thermal_stack_once(eigh_shapes):
+    _run_quietly(["catalog", "gibbs"])
+    assert eigh_shapes == [(49, 4, 4), (25, 4, 4)]  # the 7x7 closed-form check, the 5x5 family
 
 
-def test_catalog_example1_decomposes_the_family_once(monkeypatch):
-    assert _eigh_calls(monkeypatch, ["catalog", "example1"]) == [(25, 4, 4)]
+def test_catalog_example1_decomposes_the_family_once(eigh_shapes):
+    _run_quietly(["catalog", "example1"])
+    assert eigh_shapes == [(25, 4, 4)]
 
 
 # ---------------------------------------------------------------------------

@@ -402,20 +402,7 @@ def test_gibbs_names_the_hermiticity_residual(entries, shown):
     assert str(err.value) == message
 
 
-def _counting_eigh(monkeypatch):
-    calls = []
-    eigh = np.linalg.eigh
-
-    def counted(a, *args, **kwargs):
-        calls.append(np.shape(a))
-        return eigh(a, *args, **kwargs)
-
-    monkeypatch.setattr(np.linalg, "eigh", counted)
-    return calls
-
-
-def test_gibbs_states_refuse_a_stack_whose_last_member_is_bad(monkeypatch):
-    calls = _counting_eigh(monkeypatch)
+def test_gibbs_states_refuse_a_stack_whose_last_member_is_bad(eigh_shapes):
     good = np.array([tensor(PAULI_X, PAULI_X).entries] * 3)
     non_hermitian = good.copy()
     non_hermitian[-1, 0, 1] = 1.0
@@ -423,9 +410,9 @@ def test_gibbs_states_refuse_a_stack_whose_last_member_is_bad(monkeypatch):
         _gibbs_states(non_hermitian, [0.5, 1.0, 2.0], 1e-9)
     with pytest.raises(ValueError, match="^beta must be finite, got inf$"):
         _gibbs_states(good, [0.5, 1.0, math.inf], 1e-9)
-    assert calls == []  # refused before any eigendecomposition, so nothing partial is returned
+    assert eigh_shapes == []  # refused before any eigendecomposition: no partial result
     states = _gibbs_states(good, [0.5, 1.0, 2.0], 1e-9)
-    assert calls == [(3, 4, 4)]
+    assert eigh_shapes == [(3, 4, 4)]
     for beta, rho in zip([0.5, 1.0, 2.0], states):
         np.testing.assert_array_equal(rho, gibbs_state(tensor(PAULI_X, PAULI_X), beta).entries)
 
