@@ -140,8 +140,9 @@ _DEFAULT_BETAS = tuple(np.linspace(0.1, 2.0, 5))
 
 def _gibbs_grid(thetas, betas, tol: float) -> np.ndarray:
     """The thermal states at each (theta, beta), theta-major, from one :func:`_gibbs_states`."""
-    hams = np.array([gibbs_hamiltonian(th).entries for th in thetas]).reshape(-1, 4, 4)
-    return _gibbs_states(np.repeat(hams, len(betas), axis=0), list(betas) * len(hams), tol)
+    hams, betas = np.array([gibbs_hamiltonian(th).entries for th in thetas]), list(betas)
+    hams = hams.reshape(-1, 4, 4)  # keeps no thetas a (0, 4, 4) stack
+    return _gibbs_states(np.repeat(hams, len(betas), axis=0), betas * len(hams), tol)
 
 
 def gibbs_subspace(

@@ -117,6 +117,13 @@ def test_gibbs_subspace_state_spanned_with_closed_form_witness():
     assert check_state_spanned(gibbs_subspace(), witness)
 
 
+def test_gibbs_subspace_reads_each_grid_once():
+    from_lists = gibbs_subspace(thetas=[-1.0, 0.5], betas=[0.3, 1.1])
+    from_generators = gibbs_subspace(thetas=iter([-1.0, 0.5]), betas=iter([0.3, 1.1]))
+    assert len(from_generators.generators) == 4
+    np.testing.assert_array_equal(from_generators.basis_matrix(), from_lists.basis_matrix())
+
+
 def test_gibbs_subspace_refuses_an_empty_grid():
     for grid in ({"thetas": ()}, {"betas": ()}, {"thetas": (), "betas": ()}):
         with pytest.raises(ValueError, match="at least one theta and one beta"):

@@ -116,6 +116,12 @@ def test_map_builtin_requires_params():
         parse_map({"kind": "builtin", "name": "repolarizer"})
 
 
+@pytest.mark.parametrize("t", [math.nan, math.inf, -math.inf])
+def test_map_builtin_example1_refuses_a_non_finite_t(t):
+    with pytest.raises(ValueError, match=f"^t must be finite, got {t!r}$"):
+        parse_map({"kind": "builtin", "name": "example1", "t": t})
+
+
 def test_map_kraus_roundtrip():
     doc = {
         "kind": "kraus",
