@@ -343,25 +343,25 @@ def depolarizer_kraus(epsilon: float) -> list[Operator]:
     return [w0 * PAULI_I, wi * PAULI_X, wi * PAULI_Y, wi * PAULI_Z]
 
 
+def _bloch_states(directions, radii) -> np.ndarray:
+    """(1 + r n.sigma)/2 for each row n of a (k, 3) array of directions and each of k radii r,
+    as a (k, 2, 2) stack: n0 X + n1 Y + n2 Z, times r, plus 1, times 1/2, all in complex."""
+    x, y, z = np.asarray(directions, dtype=complex).T[:, :, None, None]
+    bloch = PAULI_X.entries * x + PAULI_Y.entries * y + PAULI_Z.entries * z
+    return (PAULI_I.entries + bloch * np.asarray(radii, dtype=complex)[:, None, None]) * 0.5
+
+
 def axis_states(radius: float = 1.0) -> list[Operator]:
-    """The six Bloch-axis states (1 +/- r sigma)/2 at the given radius."""
-    states = []
-    for sigma in (PAULI_X, PAULI_Y, PAULI_Z):
-        for sign in (1.0, -1.0):
-            states.append((PAULI_I + sign * radius * sigma) * 0.5)
-    return states
+    """The six Bloch-axis states (1 +/- r sigma)/2 at the given radius: +-x, +-y, +-z."""
+    states = _bloch_states(np.kron(np.eye(3), [[1.0], [-1.0]]), [radius] * 6)
+    return [Operator(PAULI_I.layout, s) for s in states]
 
 
 def _ball_pair(rng: np.random.Generator, radius) -> tuple[Operator, Operator]:
     """Two states (1 + r n.sigma)/2, each drawing a uniform direction n, then r = radius(rng)."""
-    out = []
-    for _ in range(2):
-        direction = rng.standard_normal(3)
-        direction /= np.linalg.norm(direction)
-        r = radius(rng)
-        bloch = direction[0] * PAULI_X + direction[1] * PAULI_Y + direction[2] * PAULI_Z
-        out.append((PAULI_I + r * bloch) * 0.5)
-    return out[0], out[1]
+    n, r = zip(*[(rng.standard_normal(3), radius(rng)) for _ in range(2)])
+    states = _bloch_states([v / np.linalg.norm(v) for v in n], r)
+    return tuple(Operator(PAULI_I.layout, s) for s in states)
 
 
 def interior_ball_pair(

@@ -513,13 +513,8 @@ def sample_positive_domain(
         retry = [j for j, rho in enumerate(found) if rho is None] if center_ok else []
         if retry:
             # (1 - t) rho + t center for every t, with the arithmetic of Operator
-            mixed = np.stack(
-                [
-                    states[retry] * complex(1.0 - t) + center.entries * complex(t)
-                    for t in _CENTER_WEIGHTS
-                ],
-                axis=1,
-            )
+            t = np.array(_CENTER_WEIGHTS, dtype=complex)[:, None, None]
+            mixed = states[retry, None] * (1 - t) + center.entries * t
             accepted = _positive_domain_mask(phi, mixed.reshape(-1, nn, nn))
             for j, row, mixtures in zip(retry, accepted.reshape(mixed.shape[:2]), mixed):
                 if row.any():

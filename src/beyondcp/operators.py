@@ -252,11 +252,9 @@ def bell_projector() -> Operator:
 
 
 def swap_unitary(d: int) -> Operator:
-    """The SWAP unitary exchanging two factors of equal dimension d."""
-    s = np.zeros((d * d, d * d), dtype=complex)
-    for a in range(d):
-        for b in range(d):
-            s[b * d + a, a * d + b] = 1.0
+    """The SWAP unitary exchanging two factors of equal dimension d: the identity with the
+    two row factors of its (d, d, d, d) reshape exchanged, so row (b, a) holds column (a, b)."""
+    s = np.eye(d * d, dtype=complex).reshape(d, d, d, d).swapaxes(0, 1).reshape(d * d, d * d)
     return Operator(SpaceLayout((d, d)), s)
 
 

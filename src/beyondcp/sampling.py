@@ -63,22 +63,13 @@ def random_kraus_channel(
 
 
 def axis_grid_states(dims: Sequence[int] | int) -> list[Operator]:
-    """Deterministic pure-state grid: basis states plus pairwise superpositions.
-
-    For a qubit this is exactly the six Bloch-axis states.
-    """
+    """Deterministic pure-state grid: the projectors of the basis vectors, then of |i> + p |j>
+    for each pair i < j and p in (1, -1, i, -i), pair-major.  For a qubit this is exactly the
+    six Bloch-axis states."""
     layout = _as_layout(dims)
     n = layout.total_dim
-    states = []
-    for i in range(n):
-        amp = np.zeros(n, dtype=complex)
-        amp[i] = 1.0
-        states.append(ket_projector(amp, layout))
-    for i in range(n):
-        for j in range(i + 1, n):
-            for phase in (1.0, -1.0, 1j, -1j):
-                amp = np.zeros(n, dtype=complex)
-                amp[i] = 1.0
-                amp[j] = phase
-                states.append(ket_projector(amp, layout))
-    return states
+    i, j = np.triu_indices(n, 1)
+    amps = np.eye(n, dtype=complex)[[*range(n), *np.repeat(i, 4)]]
+    amps[range(n, len(amps)), np.repeat(j, 4)] = np.tile([1.0, -1.0, 1j, -1j], len(i))
+    amps /= np.linalg.norm(amps, axis=1, keepdims=True)
+    return [Operator(layout, np.outer(v, v.conj())) for v in amps]

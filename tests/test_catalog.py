@@ -10,6 +10,7 @@ from beyondcp import (
     PAULI_I,
     PAULI_X,
     PAULI_Z,
+    Operator,
     check_state_spanned,
     identity,
     is_cp,
@@ -133,6 +134,26 @@ def test_gibbs_subspace_refuses_an_empty_grid():
 def _run_quietly(argv):
     with contextlib.redirect_stdout(io.StringIO()):
         assert run_cli(argv) == 0
+
+
+@pytest.mark.parametrize(
+    "argv, code, most",
+    [(["violations", "--epsilon", "0.1", "--pairs", "5"], 1, 60), (["catalog", "transpose"], 0, 14)],
+)
+def test_qubit_state_commands_build_operators_only_at_the_api_edge(monkeypatch, argv, code, most):
+    """Each Bloch state is one Operator, built from one stacked formula (the per-state
+    Operator arithmetic built 270 and 26)."""
+    built = []
+    post_init = Operator.__post_init__
+
+    def counting(self):
+        built.append(type(self))
+        post_init(self)
+
+    monkeypatch.setattr(Operator, "__post_init__", counting)
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert run_cli(argv) == code  # violations exits 1: the repolarizer breaks two inequalities
+    assert len(built) <= most
 
 
 def test_catalog_gibbs_decomposes_each_thermal_stack_once(eigh_shapes):

@@ -5,13 +5,17 @@ The reference functions below build every two-qubit Pauli product with a fresh
 keep the same coefficients and the same order of operations, so the catalog
 must agree with them bit for bit.  The thermal states are built the same way,
 one ``Operator`` and one eigendecomposition at a time, against the stacked
-``_gibbs_states`` and ``_gibbs_closed_forms``.
+``_gibbs_states`` and ``_gibbs_closed_forms``, and so are the Bloch-axis and
+Bloch-ball states, the pure-state grid, the SWAP unitary and the centre mixtures
+of ``sample_positive_domain``, one ``Operator`` or one entry at a time, against
+their stacked formulas.
 """
 
 import contextlib
 import io
 import json
 import math
+from itertools import chain
 
 import numpy as np
 import pytest
@@ -24,6 +28,9 @@ from beyondcp import (
     Operator,
     gibbs_state,
     identity,
+    ket_projector,
+    positive_domain_membership,
+    sample_positive_domain,
     span_from_generators,
     tensor,
     zero,
@@ -35,12 +42,19 @@ from beyondcp.catalog import (
     controlled_phase_unitary,
     gibbs_hamiltonian,
     gibbs_state_closed_form,
+    axis_states,
+    ball_pair,
     gibbs_subspace,
+    interior_ball_pair,
+    repolarizer,
     repolarizer_subspace,
     transpose_subspace,
 )
 from beyondcp.cli import run_cli
 from beyondcp.config import DEFAULT_TOL
+from beyondcp.maps import _CENTER_WEIGHTS, _grid_domain_states, _random_domain_states
+from beyondcp.operators import SpaceLayout, swap_unitary
+from beyondcp.sampling import axis_grid_states
 
 # -- the spelled-out reference ----------------------------------------------------
 
@@ -223,3 +237,116 @@ def test_gibbs_state_matches_its_own_eigendecomposition(h, beta):
     rho = gibbs_state(h, beta)
     assert rho.layout == h.layout
     assert_same_bits(rho.entries, reference_gibbs_state(h, beta).entries)
+
+
+# -- states and SWAP, one Operator or one entry at a time ------------------------------
+
+
+def reference_axis_states(radius):
+    return [
+        (PAULI_I + sign * radius * sigma) * 0.5
+        for sigma in (PAULI_X, PAULI_Y, PAULI_Z)
+        for sign in (1.0, -1.0)
+    ]
+
+
+def reference_ball_pair(rng, radius):
+    out = []
+    for _ in range(2):
+        direction = rng.standard_normal(3)
+        direction /= np.linalg.norm(direction)
+        r = radius(rng)
+        bloch = direction[0] * PAULI_X + direction[1] * PAULI_Y + direction[2] * PAULI_Z
+        out.append((PAULI_I + r * bloch) * 0.5)
+    return out
+
+
+def reference_axis_grid_states(dims):
+    n = math.prod(dims)
+    states = []
+    for i in range(n):
+        amp = np.zeros(n, dtype=complex)
+        amp[i] = 1.0
+        states.append(ket_projector(amp, dims))
+    for i in range(n):
+        for j in range(i + 1, n):
+            for phase in (1.0, -1.0, 1j, -1j):
+                amp = np.zeros(n, dtype=complex)
+                amp[i] = 1.0
+                amp[j] = phase
+                states.append(ket_projector(amp, dims))
+    return states
+
+
+def reference_swap_unitary(d):
+    s = np.zeros((d * d, d * d), dtype=complex)
+    for a in range(d):
+        for b in range(d):
+            s[b * d + a, a * d + b] = 1.0
+    return s
+
+
+def reference_positive_domain_members(phi, n, seed):
+    """sample_positive_domain's members, one candidate and one centre mixture at a time."""
+    rng = np.random.default_rng(seed)
+    center = identity(phi.domain.layout) / phi.dim
+    center_ok = positive_domain_membership(phi, center)
+    candidates = chain(_grid_domain_states(phi), _random_domain_states(phi, 60 * n + 300, rng))
+    members = []
+    while len(members) < n:
+        rho = next(candidates, None)
+        if rho is None:
+            break
+        tries = [rho] + [rho * (1.0 - t) + center * t for t in _CENTER_WEIGHTS] * center_ok
+        members += [s for s in tries if positive_domain_membership(phi, s)][:1]
+    return members
+
+
+def _assert_same_states(states, reference):
+    assert len(states) == len(reference)
+    for rho, ref in zip(states, reference):
+        assert rho.layout == ref.layout
+        assert_same_bits(rho.entries, ref.entries)
+
+
+@pytest.mark.parametrize("radius", [1.0, 0.1, 1e-3])
+def test_axis_states_match_the_operator_chain(radius):
+    _assert_same_states(axis_states(radius), reference_axis_states(radius))
+
+
+@pytest.mark.parametrize("seed", [1, 7, 20260811])
+@pytest.mark.parametrize(
+    "draw,radius",
+    [
+        (lambda rng: ball_pair(0.3, rng), lambda g: 0.3 * g.uniform(0.0, 1.0) ** (1.0 / 3.0)),
+        (lambda rng: interior_ball_pair(0.3, rng), lambda g: 0.3 * 0.5 * g.uniform(0.3, 1.0)),
+    ],
+    ids=["ball_pair", "interior_ball_pair"],
+)
+def test_ball_pairs_match_the_operator_chain_and_leave_the_same_generator(seed, draw, radius):
+    rng, reference_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+    _assert_same_states(draw(rng), reference_ball_pair(reference_rng, radius))
+    assert rng.bit_generator.state == reference_rng.bit_generator.state
+
+
+@pytest.mark.parametrize("dims", [(2,), (3,), (2, 2), (2, 3), (2, 2, 2)])
+def test_axis_grid_states_match_the_vector_by_vector_loop(dims):
+    _assert_same_states(axis_grid_states(dims), reference_axis_grid_states(dims))
+
+
+@pytest.mark.parametrize("d", [1, 2, 3, 4])
+def test_swap_unitary_matches_the_entry_by_entry_loop(d):
+    u = swap_unitary(d)
+    assert u.layout == SpaceLayout((d, d))
+    assert_same_bits(u.entries, reference_swap_unitary(d))
+
+
+@pytest.mark.parametrize("n,seed", [(8, 3), (12, 5)])
+def test_positive_domain_members_match_the_mixture_by_mixture_loop(n, seed):
+    phi = repolarizer(0.3)  # rejects the pure grid states; the centre is in its domain
+    sample = sample_positive_domain(phi, n, seed)
+    reference = reference_positive_domain_members(phi, n, seed)
+    assert len(reference) == n and any(
+        not positive_domain_membership(phi, rho) for rho in _grid_domain_states(phi)
+    )
+    _assert_same_states(sample.members, reference)
