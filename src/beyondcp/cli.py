@@ -56,6 +56,7 @@ from .operators import (
 from .serialization import (
     Report,
     _kraus_operators,
+    _parse_operator_list,
     _report_text,
     emit_map,
     emit_operator,
@@ -287,9 +288,8 @@ def _cmd_represent(args, tol: ToleranceConfig, seed: int) -> Report:
     if args.omega:
         omega_doc = _load_json(args.omega)
         payload["omega"] = omega_doc
-        if "operators" not in omega_doc:
-            raise ValueError('omega file requires an "operators" array')
-        omega = [parse_operator(o) for o in omega_doc["operators"]]
+        message = 'omega file requires an "operators" array'
+        omega = _parse_operator_list(omega_doc, "operators", message)
     else:
         sample = sample_positive_domain(phi, 12, seed)
         if not sample.members:

@@ -298,10 +298,17 @@ def parse_unitary_family(doc: dict, tol: ToleranceConfig = DEFAULT_TOL):
     """Parse {"members": [operator...], "description": ...} into a UnitaryFamily."""
     from .consistency import UnitaryFamily
 
-    if not isinstance(doc, dict) or "members" not in doc:
-        raise ValueError('unitary family document requires a "members" array')
-    members = tuple(parse_operator(m) for m in doc["members"])
-    return UnitaryFamily(members, description=str(doc.get("description", "")))
+    message = 'unitary family document requires a "members" array'
+    members = _parse_operator_list(doc, "members", message)
+    return UnitaryFamily(tuple(members), description=str(doc.get("description", "")))
+
+
+def _parse_operator_list(doc, key: str, message: str) -> list[Operator]:
+    """The operators of an operator-list document: an object whose ``key`` holds an array of
+    operator documents.  Anything else is refused with ``message``."""
+    if not isinstance(doc, dict) or not isinstance(doc.get(key), list):
+        raise ValueError(message)
+    return [parse_operator(o) for o in doc[key]]
 
 
 # -- maps --------------------------------------------------------------------------

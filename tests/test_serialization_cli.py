@@ -908,11 +908,40 @@ _CLI_INPUT_REFUSALS = {
 @pytest.mark.parametrize("case", list(_CLI_INPUT_REFUSALS))
 def test_cli_refuses_an_input_document_it_cannot_use(capsys, tmp_path, cli_input_files, case):
     make, words, message = _CLI_INPUT_REFUSALS[case]
-    files = dict(cli_input_files, doc=_write(tmp_path, "doc.json", make()))
+    _assert_refused(capsys, tmp_path, cli_input_files, words, make(), message)
+
+
+def _assert_refused(capsys, tmp_path, files, words, doc, message):
+    files = dict(files, doc=_write(tmp_path, "doc.json", doc))
     assert run_cli([word.format(**files) for word in words]) == 2
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err == f"error: {message}\n"
+
+
+_FAMILY_WORDS = [
+    "check-consistency", "--subspace", "{subspace}", "--unitary", "{unitary}", "--family", "{doc}"
+]
+_OMEGA_WORDS = ["represent", "--map", "{map}", "--method", "swap", "--omega", "{doc}"]
+
+
+@pytest.mark.parametrize(
+    "words,key,message",
+    [
+        (_FAMILY_WORDS, "members", 'unitary family document requires a "members" array'),
+        (_OMEGA_WORDS, "operators", 'omega file requires an "operators" array'),
+    ],
+    ids=["family", "omega"],
+)
+@pytest.mark.parametrize("value", [5, None, "ab", {"a": 1}, True], ids=repr)
+@pytest.mark.parametrize("wrapped", [False, True], ids=["as document", "under the key"])
+def test_cli_refuses_an_operator_list_document_without_its_array(
+    capsys, tmp_path, cli_input_files, words, key, message, value, wrapped
+):
+    """A document that is not an object, or whose list key holds no array, is an input
+    error: no TypeError, and no string or object read as a list of its characters or keys."""
+    doc = {key: value} if wrapped else value
+    _assert_refused(capsys, tmp_path, cli_input_files, words, doc, message)
 
 
 def test_cli_represent_swap_builds_on_an_omega_file(capsys, tmp_path, cli_input_files):
@@ -1400,9 +1429,20 @@ _KEYS = [
 ]
 
 
+@functools.cache
+def _parser_corpus():
+    """The valid corpus with a two-member unitary family and an omega file of six states:
+    the operator-list documents, which have no schema."""
+    from beyondcp.catalog import axis_states, controlled_phase_family
+
+    family = {"members": [emit_operator(u) for u in controlled_phase_family(2).members]}
+    omega = {"operators": [emit_operator(rho) for rho in axis_states(radius=0.1)]}
+    return [*_valid_corpus(), ("family", family), ("omega", omega)]
+
+
 @st.composite
-def _mutated_documents(draw):
-    """A valid corpus document after one to three random edits at random depths.
+def _mutated_documents(draw, corpus=_valid_corpus):
+    """A document of ``corpus()`` after one to three random edits at random depths.
 
     Edits: replace a node (a number by a bool, a string, 1.0, None, ...), drop
     or add a key or an item (which changes pair and row lengths), or change the
@@ -1415,7 +1455,7 @@ def _mutated_documents(draw):
     def replacement():
         return copy.deepcopy(draw(st.sampled_from(_REPLACEMENTS)))
 
-    name, doc = draw(st.sampled_from(_valid_corpus()))
+    name, doc = draw(st.sampled_from(corpus()))
     doc = copy.deepcopy(doc)
     for _ in range(draw(st.integers(1, 3))):
         parent, key, node = None, None, doc
@@ -1472,6 +1512,8 @@ _PARSER_COMMANDS = {
         ["represent", "--map", "{doc}", "--method", "swap"],
         ["represent", "--map", "{doc}", "--method", "kraus"],
     ],
+    "family": [_FAMILY_WORDS],
+    "omega": [_OMEGA_WORDS],
 }
 
 
@@ -1482,7 +1524,7 @@ _PARSER_COMMANDS = {
     deadline=None,
     suppress_health_check=[HealthCheck.too_slow, HealthCheck.data_too_large],
 )
-@given(_mutated_documents().filter(lambda case: case[0] in _PARSER_COMMANDS))
+@given(_mutated_documents(_parser_corpus).filter(lambda case: case[0] in _PARSER_COMMANDS))
 def test_cli_reads_mutated_input_documents_without_a_traceback(cli_input_files, case):
     name, doc = case
     with tempfile.TemporaryDirectory() as workdir:
