@@ -186,6 +186,10 @@ def controlled_phase_family(n: int = 16, t_max: float = 2 * math.pi) -> UnitaryF
     Continuous families are represented by grids; the generator-level probe in
     ``consistency.lie_generator_check`` complements this sampling.
     """
+    if n < 1:
+        raise ValueError(f"n must be at least 1, got {n!r}")
+    if not math.isfinite(t_max):
+        raise ValueError(f"t_max must be finite, got {t_max!r}")
     ts = [(i + 1) * t_max / (n + 1) for i in range(n)]
     return UnitaryFamily(
         tuple(controlled_phase_unitary(t) for t in ts),

@@ -24,6 +24,7 @@ from beyondcp.catalog import (
     RepolarizerParams,
     ball_pair,
     contractivity_ratio,
+    controlled_phase_family,
     controlled_phase_generator,
     controlled_phase_kraus,
     controlled_phase_map,
@@ -199,6 +200,29 @@ def test_controlled_phase_constructions_refuse_a_non_finite_t(construction, t, s
     with pytest.raises(ValueError) as err:
         construction(t)
     assert str(err.value) == f"t must be finite, got {shown}"
+
+
+@pytest.mark.parametrize(
+    "kwargs, message",
+    [
+        ({"t_max": math.inf}, "t_max must be finite, got inf"),
+        ({"t_max": -math.inf}, "t_max must be finite, got -inf"),
+        ({"t_max": math.nan}, "t_max must be finite, got nan"),
+        ({"n": 0}, "n must be at least 1, got 0"),
+        ({"n": -3}, "n must be at least 1, got -3"),
+    ],
+)
+def test_controlled_phase_family_refuses_its_arguments_by_name(kwargs, message):
+    with pytest.raises(ValueError) as err:
+        controlled_phase_family(**kwargs)
+    assert str(err.value) == message
+
+
+def test_controlled_phase_family_samples_the_open_interval():
+    family = controlled_phase_family(3, 1.0)
+    ts = [(i + 1) * 1.0 / 4 for i in range(3)]
+    for u, t in zip(family.members, ts, strict=True):
+        np.testing.assert_array_equal(u.entries, controlled_phase_unitary(t).entries)
 
 
 def test_controlled_phase_kraus_extension_is_cp_for_all_t():
