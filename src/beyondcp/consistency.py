@@ -22,6 +22,7 @@ from .operators import (
     _reduced_evolution,
     _reduced_evolution_matrix,
     _stacked,
+    _unitarity_residuals,
     _unvec_stack,
     adjoint_action,
     identity,
@@ -86,8 +87,7 @@ def _unitary_stack(members, layout: SpaceLayout, tol: float) -> np.ndarray:
     """The members as one (f, N, N) array, refusing a layout mismatch or a non-unitary."""
     _check_same_layout(members[0], layout)
     u = _stacked(members)
-    gram = np.swapaxes(u, -1, -2).conj() @ u
-    residual = np.max(np.linalg.norm(gram - np.eye(layout.total_dim), axis=(-2, -1)))
+    residual = np.max(_unitarity_residuals(u))
     if not (residual <= tol):
         raise ValueError(f"operator is not unitary; ||U^dag U - 1|| = {residual:.3e}")
     return u

@@ -25,6 +25,7 @@ from .operators import (
     _reduced_evolution,
     _stacked,
     _stored,
+    _unitarity_residuals,
     _unvec_stack,
     _vec_stack,
     identity,
@@ -246,8 +247,7 @@ def map_from_kraus(
     if not kraus:
         raise ValueError("at least one Kraus operator is required")
     m = _stacked(kraus)
-    acc = (m.conj().swapaxes(-1, -2) @ m).sum(axis=0)
-    completeness = float(np.linalg.norm(acc - np.eye(m.shape[-1])))
+    completeness = float(_unitarity_residuals(m.reshape(-1, m.shape[-1])))
     if not (completeness <= tol.residual_tol):
         raise ValueError(
             f"Kraus list is not trace preserving; ||sum M^dag M - 1|| = {completeness:.3e}"

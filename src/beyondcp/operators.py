@@ -137,7 +137,7 @@ class Operator:
     # -- tolerance-parameterized predicates ---------------------------------
 
     def is_hermitian(self, tol: float = DEFAULT_TOL.residual_tol) -> bool:
-        return float(np.linalg.norm(self.entries - self.entries.conj().T)) <= tol
+        return float(_hermiticity_residuals(self.entries)) <= tol
 
     def is_unitary(self, tol: float = DEFAULT_TOL.residual_tol) -> bool:
         return self.unitarity_residual() <= tol
@@ -146,8 +146,7 @@ class Operator:
         return bool(_density_mask(self.entries[None], tol, tol)[0])
 
     def unitarity_residual(self) -> float:
-        gram = self.entries.conj().T @ self.entries
-        return float(np.linalg.norm(gram - np.eye(self.dim)))
+        return float(_unitarity_residuals(self.entries))
 
     # -- arithmetic ----------------------------------------------------------
 
@@ -191,10 +190,22 @@ def _min_eigenvalues(entries: np.ndarray) -> np.ndarray:
     return np.linalg.eigvalsh((entries + entries.conj().swapaxes(-1, -2)) / 2)[..., 0]
 
 
+def _hermiticity_residuals(stack: np.ndarray) -> np.ndarray:
+    """||A - A^dag|| of each matrix of an (..., n, n) stack, the same bits alone or stacked."""
+    return np.linalg.norm(stack - stack.conj().swapaxes(-1, -2), axis=(-2, -1))
+
+
+def _unitarity_residuals(stack: np.ndarray) -> np.ndarray:
+    """||W^dag W - 1|| of each matrix of an (..., m, n) stack, the same bits alone or stacked;
+    for a stacked Kraus column W = [M_0; M_1; ...], the completeness residual."""
+    gram = stack.conj().swapaxes(-1, -2) @ stack
+    return np.linalg.norm(gram - np.eye(stack.shape[-1]), axis=(-2, -1))
+
+
 def _density_mask(stack: np.ndarray, tol: float, slack: float) -> np.ndarray:
     """Which matrices of a (k, n, n) stack are states, as a (k,) bool array: Hermitian and
     of unit trace within ``tol``, no eigenvalue below ``-slack``.  NaN gives False."""
-    hermitian = np.linalg.norm(stack - stack.conj().swapaxes(-1, -2), axis=(-2, -1)) <= tol
+    hermitian = _hermiticity_residuals(stack) <= tol
     unit_trace = np.abs(np.trace(stack, axis1=-2, axis2=-1) - 1.0) <= tol
     return hermitian & unit_trace & (_min_eigenvalues(stack) >= -slack)
 
@@ -395,13 +406,12 @@ def _gibbs_states(h: np.ndarray, betas: Sequence[float], tol: float) -> np.ndarr
     for beta in betas:
         if not math.isfinite(beta):
             raise ValueError(f"beta must be finite, got {beta!r}")
-    h_dag = h.conj().swapaxes(-1, -2)
-    for herm_residual in np.linalg.norm(h - h_dag, axis=(-2, -1)):
+    for herm_residual in _hermiticity_residuals(h):
         if not (herm_residual <= tol):
             raise ValueError(
                 f"gibbs_state requires a Hermitian Hamiltonian; ||H - H^dag|| = {herm_residual:.3e}"
             )
-    w, v = np.linalg.eigh((h + h_dag) / 2)
+    w, v = np.linalg.eigh((h + h.conj().swapaxes(-1, -2)) / 2)
     b = np.asarray(betas, dtype=float)[:, None]
     x = -b * (w - np.where(b >= 0, w.min(axis=-1, keepdims=True), w.max(axis=-1, keepdims=True)))
     p = np.exp(x)

@@ -1,3 +1,4 @@
+import dataclasses
 import itertools
 import math
 
@@ -25,13 +26,18 @@ from beyondcp import (
     swap_unitary,
     tensor,
 )
+from beyondcp.config import DEFAULT_TOL
+from beyondcp.consistency import _unitary_stack
 from beyondcp.operators import (
+    _density_mask,
     _gibbs_states,
+    _hermiticity_residuals,
     _reduced_evolution,
     _reduced_evolution_matrix,
     _stacked,
+    _unitarity_residuals,
 )
-from beyondcp.sampling import haar_unitary, random_density
+from beyondcp.sampling import haar_unitary, random_density, random_kraus_channel
 
 # ---------------------------------------------------------------------------
 # independent oracles
@@ -557,3 +563,69 @@ def test_state_tol_is_the_larger_of_residual_tol_and_psd_slack():
 
     assert ToleranceConfig(residual_tol=1e-9, psd_slack=1e-10).state_tol == 1e-9
     assert ToleranceConfig(residual_tol=0.0, psd_slack=1e-10).state_tol == 1e-10
+
+
+# ---------------------------------------------------------------------------
+# one Hermiticity and one unitarity residual for every layer
+# ---------------------------------------------------------------------------
+
+
+def _near_hermitian_states(rng, count, n=4):
+    """Density matrices plus a traceless anti-Hermitian part of size about 1e-10."""
+    states = []
+    for _ in range(count):
+        g = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+        skew = 1e-10 * (g - g.conj().T)
+        np.fill_diagonal(skew, 0)
+        states.append(random_density((n,), rng).entries + skew)
+    return np.array(states)
+
+
+def _near_unitaries(rng, count, dims):
+    """Haar unitaries U times 1 + 1e-10 g, with g complex Gaussian."""
+    n, layout = math.prod(dims), SpaceLayout(dims)
+    members = []
+    for _ in range(count):
+        g = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+        members.append(Operator(layout, haar_unitary(dims, rng).entries @ (np.eye(n) + 1e-10 * g)))
+    return members
+
+
+def test_hermitian_verdicts_agree_at_the_operators_own_residual(rng):
+    for entries in _near_hermitian_states(rng, 300):
+        rho = Operator(SpaceLayout((4,)), entries)
+        tol = float(_hermiticity_residuals(rho.entries))
+        assert tol > 0 and rho.is_hermitian(tol) and not rho.is_hermitian(tol * (1 - 1e-12))
+        assert rho.is_density(tol)
+        assert _density_mask(entries[None], tol, DEFAULT_TOL.psd_slack)[0]
+
+
+@pytest.mark.parametrize("dims", [(2, 2), (2, 4), (4, 4)])
+def test_unitary_verdicts_agree_at_the_operators_own_residual(rng, dims):
+    for u in _near_unitaries(rng, 100, dims):
+        tol = u.unitarity_residual()
+        assert tol > 0 and u.is_unitary(tol) and not u.is_unitary(tol * (1 - 1e-12))
+        adjoint_action(u, identity(dims), tol)
+        _unitary_stack([u], u.layout, tol)
+
+
+@pytest.mark.parametrize("dims", [(2, 2), (4, 4)])
+def test_a_members_residuals_do_not_depend_on_its_stack_or_storage_order(rng, dims):
+    members = _near_unitaries(rng, 16, dims)
+    stack = _stacked(members)  # row-major; each Operator stores its entries column-major
+    for u, r_u, r_h in zip(members, _unitarity_residuals(stack), _hermiticity_residuals(stack)):
+        assert u.unitarity_residual() == r_u  # positive floats: equal values, equal bits
+        for entries in (u.entries, np.ascontiguousarray(u.entries), u.entries[None]):
+            assert float(np.squeeze(_unitarity_residuals(entries))) == r_u
+            assert float(np.squeeze(_hermiticity_residuals(entries))) == r_h
+
+
+def test_kraus_completeness_is_the_stacked_columns_unitarity_residual(rng):
+    kraus = [k * (1 + 1e-11 * i) for i, k in enumerate(random_kraus_channel(3, 4, rng))]
+    w = _stacked(kraus).reshape(-1, 3)
+    residual = float(_unitarity_residuals(w))
+    assert residual > 0
+    map_from_kraus(kraus, dataclasses.replace(DEFAULT_TOL, residual_tol=residual))
+    below = dataclasses.replace(DEFAULT_TOL, residual_tol=residual * (1 - 1e-12))
+    with pytest.raises(ValueError, match="not trace preserving"):
+        map_from_kraus(kraus, below)
