@@ -68,8 +68,8 @@ def axis_grid_states(dims: Sequence[int] | int) -> list[Operator]:
     six Bloch-axis states."""
     layout = _as_layout(dims)
     n = layout.total_dim
-    i, j = np.triu_indices(n, 1)
+    i, j = np.nonzero(np.less.outer(range(n), range(n)))  # the pairs i < j, row-major
     amps = np.eye(n, dtype=complex)[[*range(n), *np.repeat(i, 4)]]
-    amps[range(n, len(amps)), np.repeat(j, 4)] = np.tile([1.0, -1.0, 1j, -1j], len(i))
+    amps[range(n, len(amps)), np.repeat(j, 4)] = [1.0, -1.0, 1j, -1j] * len(i)
     amps /= np.linalg.norm(amps, axis=1, keepdims=True)
-    return [Operator(layout, np.outer(v, v.conj())) for v in amps]
+    return [Operator(layout, p) for p in amps[:, :, None] * amps.conj()[:, None, :]]

@@ -297,7 +297,9 @@ def reference_positive_domain_members(phi, n, seed):
         rho = next(candidates, None)
         if rho is None:
             break
-        tries = [rho] + [rho * (1.0 - t) + center * t for t in _CENTER_WEIGHTS] * center_ok
+        tries = [rho]
+        if center_ok:
+            tries += [rho * (1.0 - t) + center * t for t in _CENTER_WEIGHTS]
         members += [s for s in tries if positive_domain_membership(phi, s)][:1]
     return members
 
