@@ -95,8 +95,15 @@ class GibbsParams:
 
 
 def gibbs_hamiltonian(theta: float) -> Operator:
-    """H(theta) = theta (X + Z) (x) 1 + X (x) X on a qubit pair."""
-    return theta * (_PAULI_PAIRS["XI"] + _PAULI_PAIRS["ZI"]) + _PAULI_PAIRS["XX"]
+    """H(theta) = theta (X + Z) (x) 1 + X (x) X on a qubit pair; one :func:`_gibbs_hamiltonians`."""
+    return Operator(_PAULI_PAIRS["II"].layout, _gibbs_hamiltonians([theta])[0])
+
+
+def _gibbs_hamiltonians(thetas) -> np.ndarray:
+    """H(theta) at each theta as a (k, 4, 4) stack: X (x) 1 + Z (x) 1, times theta as a complex
+    multiplier, plus X (x) X, in the order of the former ``Operator`` chain."""
+    coupling = _PAULI_PAIRS["XI"].entries + _PAULI_PAIRS["ZI"].entries
+    return coupling * np.fromiter(thetas, complex)[:, None, None] + _PAULI_PAIRS["XX"].entries
 
 
 def gibbs_state_closed_form(p: GibbsParams) -> Operator:
@@ -140,8 +147,7 @@ _DEFAULT_BETAS = tuple(np.linspace(0.1, 2.0, 5))
 
 def _gibbs_grid(thetas, betas, tol: float) -> np.ndarray:
     """The thermal states at each (theta, beta), theta-major, from one :func:`_gibbs_states`."""
-    hams, betas = np.array([gibbs_hamiltonian(th).entries for th in thetas]), list(betas)
-    hams = hams.reshape(-1, 4, 4)  # keeps no thetas a (0, 4, 4) stack
+    hams, betas = _gibbs_hamiltonians(thetas), list(betas)
     return _gibbs_states(np.repeat(hams, len(betas), axis=0), betas * len(hams), tol)
 
 

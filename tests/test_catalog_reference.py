@@ -5,10 +5,10 @@ The reference functions below build every two-qubit Pauli product with a fresh
 keep the same coefficients and the same order of operations, so the catalog
 must agree with them bit for bit.  The thermal states are built the same way,
 one ``Operator`` and one eigendecomposition at a time, against the stacked
-``_gibbs_states`` and ``_gibbs_closed_forms``, and so are the Bloch-axis and
-Bloch-ball states, the pure-state grid, the SWAP unitary and the centre mixtures
-of ``sample_positive_domain``, one ``Operator`` or one entry at a time, against
-their stacked formulas.
+``_gibbs_hamiltonians``, ``_gibbs_states`` and ``_gibbs_closed_forms``, and so are
+the Bloch-axis and Bloch-ball states, the pure-state grid, the SWAP unitary and the
+centre mixtures of ``sample_positive_domain``, one ``Operator`` or one entry at a
+time, against their stacked formulas.
 """
 
 import contextlib
@@ -37,6 +37,7 @@ from beyondcp import (
 )
 from beyondcp.catalog import (
     GibbsParams,
+    _gibbs_hamiltonians,
     RepolarizerParams,
     controlled_phase_generator,
     controlled_phase_unitary,
@@ -181,6 +182,17 @@ def test_gibbs_operators_match_the_spelled_out_products(theta):
     for beta in np.linspace(0.1, 2.0, 7):
         p = GibbsParams(theta, beta)
         assert_same_bits(gibbs_state_closed_form(p).entries, reference_closed_form(p).entries)
+
+
+def test_gibbs_hamiltonian_stack_matches_the_operator_chain():
+    """Every grid of the catalog, edge values and an empty grid, read as one stack."""
+    thetas = [
+        *np.linspace(-2.0, 2.0, 7), *np.linspace(-2.0, 2.0, 5), -0.0, 5e-324, 1e308, -1e308, 3
+    ]
+    hams = _gibbs_hamiltonians(thetas)
+    assert_same_bits(hams, np.array([reference_hamiltonian(th).entries for th in thetas]))
+    assert _gibbs_hamiltonians(iter(thetas)).tobytes() == hams.tobytes()
+    assert _gibbs_hamiltonians([]).shape == (0, 4, 4)
 
 
 def test_controlled_phase_operators_match_the_spelled_out_products():
