@@ -15,6 +15,7 @@ import json
 import math
 import os
 import sys
+from dataclasses import replace
 
 import numpy as np
 
@@ -165,12 +166,14 @@ def _build_parser() -> argparse.ArgumentParser:
 # -- handlers -----------------------------------------------------------------
 
 
+def _subspace_and_unitary(args, tol: ToleranceConfig):
+    """The documents of --subspace and --unitary, as the digest's payload, and what they hold."""
+    payload = {"subspace": _load_json(args.subspace), "unitary": _load_json(args.unitary)}
+    return payload, parse_subspace(payload["subspace"], tol), parse_operator(payload["unitary"])
+
+
 def _cmd_check_consistency(args, tol: ToleranceConfig, seed: int) -> Report:
-    sub_doc = _load_json(args.subspace)
-    uni_doc = _load_json(args.unitary)
-    payload = {"subspace": sub_doc, "unitary": uni_doc}
-    v = parse_subspace(sub_doc, tol)
-    u = parse_operator(uni_doc)
+    payload, v, u = _subspace_and_unitary(args, tol)
     family = None
     if args.family:
         fam_doc = _load_json(args.family)
@@ -203,13 +206,8 @@ def _cmd_check_consistency(args, tol: ToleranceConfig, seed: int) -> Report:
 
 
 def _cmd_derive_map(args, tol: ToleranceConfig, seed: int) -> Report:
-    sub_doc = _load_json(args.subspace)
-    uni_doc = _load_json(args.unitary)
-    v = parse_subspace(sub_doc, tol)
-    u = parse_operator(uni_doc)
-    report = Report(
-        "derive-map", inputs_digest({"subspace": sub_doc, "unitary": uni_doc}), seed, tol
-    )
+    payload, v, u = _subspace_and_unitary(args, tol)
+    report = Report("derive-map", inputs_digest(payload), seed, tol)
     derivation = _derive_pair(v, u)  # derive_map's one consistency decision
     phi = derivation.map
     if phi is None:
@@ -548,12 +546,7 @@ def run_cli(argv=None) -> int:
             print(f"error: BEYONDCP_SEED must be an integer, got {env_seed!r}", file=sys.stderr)
             return 2
     try:
-        tol = ToleranceConfig(
-            rank_cut=args.tol_rank,
-            residual_tol=args.tol_residual,
-            psd_slack=DEFAULT_TOL.psd_slack,
-            entropy_support_tol=DEFAULT_TOL.entropy_support_tol,
-        )
+        tol = replace(DEFAULT_TOL, rank_cut=args.tol_rank, residual_tol=args.tol_residual)
         if tol.rank_cut < _RANK_CUT_FLOOR:  # after ToleranceConfig has refused NaN
             raise ValueError(f"--tol-rank {tol.rank_cut!r} is below 16 machine epsilons")
         if tol.rank_cut >= 1:

@@ -2,10 +2,12 @@
 
 Complex scalars are encoded as [re, im] pairs; all documents validate against
 the JSON Schemas shipped in ``schemas/``.  A valid document is accepted by a
-structural check read from the schema with its refs inlined; a document that
-check cannot accept goes through jsonschema, whose best match gives the error
-message.  jsonschema is imported, and each schema checked against its
-metaschema and compiled, only when a first document defers to it.
+structural check read from the schema with its refs inlined, one schema node at
+a time: the rows of all matrices together, then all their pairs, then all the
+numbers.  A document that check cannot accept goes through jsonschema, whose
+best match gives the error message.  jsonschema is imported, and each schema
+checked against its metaschema and compiled, only when a first document defers
+to it.  Each matrix is parsed by one conversion to floats, viewed as complex.
 A report holds each verdict as its document from the moment it is added, and
 its artifacts are walked once when the report is written: non-finite floats
 become the strings "nan", "inf" and "-inf", complex and numpy scalars become
@@ -25,7 +27,7 @@ import itertools
 import json
 import math
 import re
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from importlib import resources
 from json.encoder import encode_basestring_ascii
 from typing import Any
@@ -103,86 +105,82 @@ def _validator(name: str):
 
 
 _ANNOTATIONS = frozenset({"$schema", "$id", "title", "description", "definitions"})
-_PLAIN_TYPES = {
-    "object": lambda x: isinstance(x, dict),
-    "array": lambda x: isinstance(x, list),
-    "string": lambda x: isinstance(x, str),
-    "boolean": lambda x: isinstance(x, bool),
-    "null": lambda x: x is None,
-    "number": lambda x: type(x) in (int, float),  # never bool, numpy or Decimal
-    "integer": lambda x: type(x) is int,  # jsonschema also counts 1.0; that case defers
+# Exact types: a number is never a bool, numpy or Decimal, and 1.0, which jsonschema also
+# counts as an integer, defers.
+_JSON_TYPES = {
+    "object": {dict}, "array": {list}, "string": {str}, "boolean": {bool},
+    "null": {type(None)}, "number": {int, float}, "integer": {int},
 }
-_SCALARS = (str, int, float, bool, type(None))
+_PLAIN = frozenset().union(*_JSON_TYPES.values())
+_SCALARS = _PLAIN - {dict, list}
 
 
-def _certainly_valid(schema: Any, doc: Any) -> bool:
-    """True only if ``doc`` is valid against the inlined draft-07 ``schema``.
+def _refuted(branch: Any, doc: Any) -> bool:
+    """Whether ``doc`` certainly fails a ``oneOf`` branch: it lacks a key the branch requires,
+    or holds a string where the branch has another string const."""
+    return isinstance(doc, dict) and isinstance(branch, dict) and (
+        any(name not in doc for name in branch.get("required", ()))
+        or any(
+            isinstance(sub, dict) and isinstance(sub.get("const"), str)
+            and isinstance(doc.get(name), str) and doc[name] != sub["const"]
+            for name, sub in branch.get("properties", {}).items()
+        )
+    )
+
+
+def _certainly_valid(schema: Any, doc: Any, *more: Any) -> bool:
+    """True only if ``doc`` and each of ``more`` are valid against the inlined draft-07 ``schema``.
 
     False means "not shown", never "invalid": a keyword outside the few the
     packaged schemas use, or a value that jsonschema types more broadly than
-    the plain check here, defers to jsonschema.  ``const`` and ``enum`` match
-    scalars type-exactly.  ``oneOf`` accepts only when one branch accepts and
-    every other branch is certainly refuted: a branch that is not shown valid
-    may still be valid.
+    the plain check here, defers to jsonschema.  One call checks all the values
+    that reach its schema node; ``const`` and ``enum`` match scalars type-exactly,
+    and ``anyOf`` and ``oneOf`` go value by value.
     """
-    if not isinstance(schema, dict):
-        return False  # a boolean subschema; the packaged schemas have none
+    docs = (doc, *more)
+    types = set(map(type, docs))
+    if not isinstance(schema, dict) or not types <= _PLAIN:
+        return False  # a boolean subschema (the packaged schemas have none), or a non-JSON type
+    arrays = [d for d in docs if type(d) is list] if list in types else ()
+    objects = [d for d in docs if type(d) is dict] if dict in types else ()
     for key, value in schema.items():
         if key == "type":
-            if isinstance(value, str):
-                ok = _PLAIN_TYPES[value](doc)
-            else:
-                ok = any(_PLAIN_TYPES[name](doc) for name in value)
+            names = [value] if isinstance(value, str) else value
+            ok = types <= set().union(*(_JSON_TYPES[name] for name in names))
         elif key == "items" and isinstance(value, dict):
-            if not isinstance(doc, list):
-                continue
-            if len(value) == 1 and isinstance(value.get("type"), str):  # e.g. an [re, im] pair
-                ok = all(map(_PLAIN_TYPES[value["type"]], doc))
-            else:
-                ok = all(_certainly_valid(value, item) for item in doc)
+            items = list(itertools.chain.from_iterable(arrays))
+            ok = not items or _certainly_valid(value, *items)
         elif key == "minItems":
-            ok = not isinstance(doc, list) or len(doc) >= value
+            ok = min(map(len, arrays), default=value) >= value
         elif key == "maxItems":
-            ok = not isinstance(doc, list) or len(doc) <= value
-        elif key in ("minimum", "maximum"):
-            ok = type(doc) in (int, float) and (doc >= value if key == "minimum" else doc <= value)
+            ok = max(map(len, arrays), default=value) <= value
+        elif key == "minimum":
+            ok = types <= {int, float} and min(docs) >= value
+        elif key == "maximum":
+            ok = types <= {int, float} and max(docs) <= value
         elif key == "properties":
-            ok = not isinstance(doc, dict) or all(
-                name not in doc or _certainly_valid(sub, doc[name]) for name, sub in value.items()
+            ok = all(
+                _certainly_valid(sub, *values)
+                for name, sub in value.items()
+                if (values := [obj[name] for obj in objects if name in obj])
             )
         elif key == "required":
-            ok = not isinstance(doc, dict) or all(name in doc for name in value)
+            ok = all(name in obj for obj in objects for name in value)
         elif key == "additionalProperties" and value is False:
             known = schema.get("properties", {})
-            ok = not isinstance(doc, dict) or all(name in known for name in doc)
+            ok = all(name in known for obj in objects for name in obj)
         elif key in ("const", "enum"):
             options = (value,) if key == "const" else value
-            ok = type(doc) in _SCALARS and any(
-                type(doc) is type(option) and doc == option for option in options
+            ok = types <= _SCALARS and all(
+                any(type(d) is type(option) and d == option for option in options) for d in docs
             )
         elif key == "pattern":
-            ok = not isinstance(doc, str) or re.search(value, doc) is not None
+            ok = all(re.search(value, d) is not None for d in docs if type(d) is str)
         elif key == "anyOf":
-            ok = any(_certainly_valid(branch, doc) for branch in value)
-        elif key == "oneOf":
-            # The branches not certainly refuted: doc lacks a key the branch
-            # requires, or holds a string where the branch has another string const.
-            live = [
-                branch
-                for branch in value
-                if not (isinstance(doc, dict) and isinstance(branch, dict))
-                or (
-                    all(name in doc for name in branch.get("required", ()))
-                    and not any(
-                        isinstance(sub, dict)
-                        and isinstance(sub.get("const"), str)
-                        and isinstance(doc.get(name), str)
-                        and doc[name] != sub["const"]
-                        for name, sub in branch.get("properties", {}).items()
-                    )
-                )
-            ]
-            ok = len(live) == 1 and _certainly_valid(live[0], doc)
+            ok = all(any(_certainly_valid(branch, d) for branch in value) for d in docs)
+        elif key == "oneOf":  # one branch accepts, and every other is certainly refuted
+            live = [[branch for branch in value if not _refuted(branch, d)] for d in docs]
+            ok = all(len(kept) == 1 and _certainly_valid(kept[0], d) for kept, d in zip(live, docs))
         elif key in _ANNOTATIONS:
             continue
         else:
@@ -220,15 +218,19 @@ def _emit_matrix(entries: np.ndarray) -> list:
 
 
 def _parse_matrix(obj: list, where: str) -> np.ndarray:
-    rows = len(obj)
+    """A validated list of rows of [re, im] pairs as one float array viewed as complex,
+    which has the bits ``complex(re, im)`` gives."""
     width = len(obj[0])
-    for r, row in enumerate(obj):
-        if len(row) != width:
-            raise ValueError(f"{where}: row {r} has length {len(row)}, expected {width}")
-    matrix = np.array([[complex(c[0], c[1]) for c in row] for row in obj], dtype=complex)
-    if not np.all(np.isfinite(matrix)):
+    for r, length in enumerate(map(len, obj)):
+        if length != width:
+            raise ValueError(f"{where}: row {r} has length {length}, expected {width}")
+    try:
+        pairs = np.array(obj, dtype=float).reshape(len(obj), width, 2)  # rows may be empty
+    except OverflowError:  # an integer too large for a float
+        raise ValueError(f"{where}: entries must be finite numbers") from None
+    if not np.isfinite(pairs).all():
         raise ValueError(f"{where}: entries must be finite numbers")
-    return matrix
+    return pairs.view(complex)[..., 0]
 
 
 def _parse_columns(doc: dict, key: str, n: int) -> np.ndarray:
@@ -329,24 +331,27 @@ def _builtin_map(doc: dict, tol: ToleranceConfig) -> SubsystemMap:
     from .maps import identity_map
 
     name = doc["name"]
+
+    def number(key: str) -> float:
+        if key not in doc:
+            raise ValueError(f'/{key}: builtin "{name}" requires {key}')
+        try:
+            return float(doc[key])
+        except OverflowError:  # an integer too large for a float
+            raise ValueError(f"/{key}: {key} must be finite, got an integer too large") from None
+
     if name == "identity":
         return identity_map((int(doc.get("dim", 2)),), tol)
     if name == "transpose":
         return catalog.transpose_map(tol)
     if name == "repolarizer":
-        if "epsilon" not in doc:
-            raise ValueError('/epsilon: builtin "repolarizer" requires epsilon')
-        eps, floor = float(doc["epsilon"]), catalog._smallest_state_checkable_epsilon(tol)
+        eps, floor = number("epsilon"), catalog._smallest_state_checkable_epsilon(tol)
         catalog._require_checkable_epsilon("/epsilon:", eps, floor, tol)
         return catalog.repolarizer(eps, tol)
     if name == "depolarizer":
-        if "epsilon" not in doc:
-            raise ValueError('/epsilon: builtin "depolarizer" requires epsilon')
-        return catalog.depolarizer(float(doc["epsilon"]), tol)
+        return catalog.depolarizer(number("epsilon"), tol)
     if name in ("controlled_phase", "example1"):
-        if "t" not in doc:
-            raise ValueError(f'/t: builtin "{name}" requires t')
-        return catalog.controlled_phase_map(float(doc["t"]), tol)
+        return catalog.controlled_phase_map(number("t"), tol)
     raise ValueError(f"/name: unknown builtin map {name!r}")
 
 
@@ -525,12 +530,7 @@ class Report:
             "command": self.command,
             "inputs_digest": self.inputs_digest,
             "seed": self.seed,
-            "tolerances": {
-                "rank_cut": self.tolerances.rank_cut,
-                "residual_tol": self.tolerances.residual_tol,
-                "psd_slack": self.tolerances.psd_slack,
-                "entropy_support_tol": self.tolerances.entropy_support_tol,
-            },
+            "tolerances": asdict(self.tolerances),
             "verdicts": list(self.verdicts),
             "artifacts": _jsonable_details(self.artifacts),
         }

@@ -171,6 +171,40 @@ def test_parse_operator_rejects_non_finite_entries():
             parse_operator(doc)
 
 
+def reference_parse_matrix(obj):
+    """The per-entry conversion that ``_parse_matrix`` replaced: one ``complex`` per pair."""
+    return np.array([[complex(c[0], c[1]) for c in row] for row in obj], dtype=complex)
+
+
+def _matrices(doc):
+    """Every [re, im] matrix of an operator, subspace, map or family document."""
+    if "matrix" in doc:
+        yield doc["matrix"]
+    for key in ("generators", "basis", "operators"):
+        yield from doc.get(key, [])
+    if "coord_matrix" in doc:
+        yield doc["coord_matrix"]
+    for member in doc.get("members", []):
+        yield from _matrices(member)
+
+
+_EDGE_VALUES = [0, 1, -3, 2**53 + 1, 2**70 + 1, -0.0, 5e-324, -2.2250738585072014e-308,
+                1e308, -1e308, 1.7976931348623157e308, 0.1]
+
+
+def test_parse_matrix_gives_the_bits_of_the_per_entry_conversion(tmp_path):
+    matrices = [[[[re, im] for im in _EDGE_VALUES] for re in _EDGE_VALUES], [[], [], []]]
+    for seed in (1, 2, 3):
+        inputs, _ = _cli_workload(tmp_path, seed)
+        for name in inputs:  # the documents as the CLI reads them from its input files
+            matrices += _matrices(json.loads((tmp_path / f"{name}.json").read_text()))
+    assert len(matrices) > 100
+    for obj in matrices:
+        parsed, reference = serialization._parse_matrix(obj, "/m"), reference_parse_matrix(obj)
+        assert parsed.shape == reference.shape
+        assert parsed.tobytes() == reference.tobytes()
+
+
 # ---------------------------------------------------------------------------
 # schema validation against jsonschema.validate as the oracle
 # ---------------------------------------------------------------------------
@@ -902,6 +936,31 @@ _CLI_INPUT_REFUSALS = {
         ["check-consistency", "--subspace", "{doc}", "--unitary", "{unitary}"],
         "/basis/0: shape (2, 2) does not match dims",
     ),
+    # JSON integers too large for a float: valid numbers to the schema, no float to the parser
+    "kraus_entry_too_large_for_a_float": (
+        lambda: {
+            "kind": "kraus",
+            "dims": [2],
+            "operators": [[[[10**400, 0], [0, 0]], [[0, 0], [1, 0]]]],
+        },
+        ["analyze-map", "--map", "{doc}"],
+        "/operators/0: entries must be finite numbers",
+    ),
+    "unitary_entry_too_large_for_a_float": (
+        lambda: {"dims": [2, 2], "matrix": [[[10**400, 0]] * 4] * 4},
+        ["check-consistency", "--subspace", "{subspace}", "--unitary", "{doc}"],
+        "/matrix: entries must be finite numbers",
+    ),
+    "depolarizer_epsilon_too_large_for_a_float": (
+        lambda: {"kind": "builtin", "name": "depolarizer", "epsilon": 10**400},
+        ["analyze-map", "--map", "{doc}"],
+        "/epsilon: epsilon must be finite, got an integer too large",
+    ),
+    "example1_t_too_large_for_a_float": (
+        lambda: {"kind": "builtin", "name": "example1", "t": 10**400},
+        ["analyze-map", "--map", "{doc}"],
+        "/t: t must be finite, got an integer too large",
+    ),
 }
 
 
@@ -1350,6 +1409,15 @@ def test_valid_documents_outside_the_plain_checks_defer_and_pass(name, doc):
     validate_document(doc, name)
 
 
+_COMPLEX_MATRIX = {  # the complexMatrix definition of the packaged schemas, inlined
+    "type": "array",
+    "minItems": 1,
+    "items": {
+        "type": "array",
+        "minItems": 1,
+        "items": {"type": "array", "items": {"type": "number"}, "minItems": 2, "maxItems": 2},
+    },
+}
 _KIND_BRANCHES = {
     "oneOf": [
         {"required": ["kind"], "properties": {"kind": {"const": "a"}}},
@@ -1379,12 +1447,52 @@ _KIND_BRANCHES = {
         ({"maximum": 16}, 16.0, True),
         ({"maximum": 16}, 17, False),  # invalid
         ({"maximum": 16}, "a", False),  # valid (not a number), but not shown: defers
+        # number blocks, checked level by level
+        (_COMPLEX_MATRIX, [[[1, 0.5], [0.0, -0.0]], [[0, 0], [1e308, 0]]], True),
+        (_COMPLEX_MATRIX, [[[1.0, 0.0], [0.0, True]]], False),  # a bool is not a number
+        (_COMPLEX_MATRIX, [[[1.0, 0.0], [0.0]]], False),  # a pair of length 1
+        (_COMPLEX_MATRIX, [[[1.0, 0.0], [0.0, 0.0, 2.0]]], False),  # a pair of length 3
+        (_COMPLEX_MATRIX, [[[1.0, 0.0]], []], False),  # an empty row under minItems: 1
+        (_COMPLEX_MATRIX, [], False),
+        (_COMPLEX_MATRIX, [[[1.0, 0.0], 5]], False),  # a number beside a pair
+        (_COMPLEX_MATRIX, [[[1.0, 0.0]], 5], False),  # a number beside a row
+        # ragged rows are valid; the parser refuses them (matrix_with_a_short_row)
+        (_COMPLEX_MATRIX, [[[1.0, 0.0], [0.0, 0.0]], [[1.0, 0.0]]], True),
+        ({"type": "array", "items": _COMPLEX_MATRIX}, [_I2, [[[1.0, 0.0], [0.0, "0"]]]], False),
+        ({"type": "array", "items": _COMPLEX_MATRIX}, [_I2, [[[1.0, 0.0], [0.0, 0.0]]]], True),
+        # array and object keywords skip the instances of other types at their level
+        ({"type": "array", "items": {"minItems": 2, "items": {"type": "number"}}},
+         [[1, 2], "a", {"b": 1}, None], True),
+        ({"type": "array", "items": {"required": ["a"], "properties": {"a": {"minimum": 0}}}},
+         [{"a": 1}, 5, "x", [0]], True),
     ],
 )
 def test_fast_path_on_schemas_beyond_the_packaged_ones(schema, doc, accepted):
     assert serialization._certainly_valid(schema, doc) is accepted
     if accepted:
         assert jsonschema.Draft7Validator(schema).is_valid(doc)
+
+
+def test_validation_walk_does_not_grow_with_the_document(monkeypatch, full_validations):
+    """One ``_certainly_valid`` call per schema node, however many matrices, rows and pairs
+    reach it."""
+    calls = []
+    original = serialization._certainly_valid
+
+    def counting(schema, *docs):
+        calls.append(schema)
+        return original(schema, *docs)
+
+    monkeypatch.setattr(serialization, "_certainly_valid", counting)
+    doc = json.loads(json.dumps(emit_subspace(gibbs_subspace())))
+    counts = []
+    for generators in (doc["generators"][:1], doc["generators"]):
+        assert len(generators) in (1, 25)
+        calls.clear()
+        validate_document(dict(doc, generators=generators), "subspace")
+        counts.append(len(calls))
+    assert full_validations == []
+    assert counts[0] == counts[1] < 20
 
 
 @functools.cache
