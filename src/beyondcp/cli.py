@@ -56,7 +56,7 @@ from .operators import (
 )
 from .serialization import (
     Report,
-    _kraus_operators,
+    _map_and_kraus_operators,
     _parse_operator_list,
     _report_text,
     emit_map,
@@ -269,13 +269,11 @@ def _cmd_analyze_map(args, tol: ToleranceConfig, seed: int) -> Report:
 
 def _cmd_represent(args, tol: ToleranceConfig, seed: int) -> Report:
     map_doc = _load_json(args.map_file)
-    phi = parse_map(map_doc, tol)
+    phi, ops = _map_and_kraus_operators(map_doc, tol)
     payload = {"map": map_doc, "method": args.method}
     if args.method == "kraus":
-        if map_doc.get("kind") != "kraus":
+        if ops is None:
             raise ValueError('represent --method kraus requires a map file of kind "kraus"')
-        # parse_map has validated the document and built phi from the same operators.
-        ops = _kraus_operators(map_doc)
         report = Report("represent", inputs_digest(payload), seed, tol)
         rep = kraus_dilation(ops, tol)
         report.add("unitary_dilation", True, rep.unitary.unitarity_residual(), bath_dim=rep.bath_dim)

@@ -22,6 +22,7 @@ from .operators import (
     _reduced_evolution,
     _reduced_evolution_matrix,
     _stacked,
+    _transposed_columns,
     _unitarity_residuals,
     _unvec_stack,
     adjoint_action,
@@ -163,6 +164,11 @@ def consistent_kernel(
     ValueError.  The stack has (k+1) d_S^2 rows and N^2 columns, far wider
     than tall, so from N^2 = 100 on ``_null_space`` takes it by QR rather than
     by a full SVD with its N^2 x N^2 right factor.
+
+    The constraints commute with ^dag, so the null space is taken in the real
+    coordinates of ``operators._transposed_columns``, where the stack keeps its
+    singular values and so its rank cut.  Each real null vector comes back as a
+    bitwise Hermitian element of an orthonormal basis, Gram-checked as any other.
     """
     if not family.members:
         raise ValueError("consistent_kernel requires a nonempty family")
@@ -170,7 +176,13 @@ def consistent_kernel(
     u = _unitary_stack(family.members, layout, tol.residual_tol)
     keep = _keep_indices(layout, bath_factor)
     rows = _reduced_evolution_matrix(layout.dims, keep, np.array([np.eye(n), *u]))
-    return OperatorSubspace(layout, _null_space(rows.reshape(-1, n * n), tol.rank_cut), tol=tol)
+    a = rows.reshape(-1, n * n)
+    h = _null_space(a.real + _transposed_columns(a.imag.T, n).T, tol.rank_cut) / 2
+    kh = _transposed_columns(h, n)
+    basis = np.empty(h.shape, dtype=complex)
+    np.add(h, kh, out=basis.real)
+    np.subtract(h, kh, out=basis.imag)
+    return OperatorSubspace(layout, basis, tol=tol)
 
 
 def transformation_space(

@@ -31,7 +31,7 @@ from .operators import (
     identity,
     unvec,
 )
-from .sampling import axis_grid_states, random_pure_state
+from .sampling import _axis_grid_projectors, _random_pure_states, random_pure_state
 from .subspaces import (
     OperatorSubspace,
     _dagger_columns,
@@ -371,38 +371,44 @@ class PositivityScanResult:
         )
 
 
-def _grid_domain_states(phi: SubsystemMap) -> list[Operator]:
-    """The deterministic axis-grid states that lie in the domain."""
-    full = phi.domain.dim == phi.dim**2
-    return [rho for rho in axis_grid_states(phi.domain.layout) if full or phi.domain.contains(rho)]
+def _grid_domain_states(phi: SubsystemMap) -> np.ndarray:
+    """The deterministic axis-grid states that lie in the domain, as a (k, N, N) stack."""
+    grid = _axis_grid_projectors(phi.dim)
+    if phi.domain.dim == phi.dim**2:
+        return grid
+    return grid[phi.domain._coordinates_of(_vec_stack(grid))[2][:, 0]]
 
 
 def _random_domain_states(
     phi: SubsystemMap, n_samples: int, rng: np.random.Generator
-) -> Iterator[Operator]:
-    """Yield at most ``n_samples`` random domain states, drawn in order from ``rng``.
+) -> Iterator[np.ndarray]:
+    """Yield at most ``n_samples`` random domain states as (N, N) arrays, drawn in order
+    from ``rng``.
 
+    A full domain takes every candidate, so they are drawn as stacks of up to
+    ``_SCAN_BLOCK``, one stacked call each: a sample reads only a few of its 60 n + 300.
     Random pure states are projected into proper domains and kept only when
     the projection is again a state.
     """
-    full = phi.domain.dim == phi.dim**2
+    if phi.domain.dim == phi.dim**2:
+        for start in range(0, n_samples, _SCAN_BLOCK):
+            yield from _random_pure_states(phi.dim, min(_SCAN_BLOCK, n_samples - start), rng)
+        return
     produced = 0
     attempts = 0
     budget = 50 * n_samples + 200
     while produced < n_samples and attempts < budget:
         attempts += 1
-        rho = random_pure_state(phi.domain.layout, rng)
-        if not full:
-            projected = phi.domain.project(rho)
-            hermitized = (projected + projected.dagger()) * 0.5
-            tr = hermitized.trace().real
-            if abs(tr) < 0.1:
-                continue
-            rho = hermitized / tr
-            if not (phi.domain.contains(rho) and rho.is_density(phi.tol.state_tol)):
-                continue
+        projected = phi.domain.project(random_pure_state(phi.domain.layout, rng))
+        hermitized = (projected + projected.dagger()) * 0.5
+        tr = hermitized.trace().real
+        if abs(tr) < 0.1:
+            continue
+        rho = hermitized / tr
+        if not (phi.domain.contains(rho) and rho.is_density(phi.tol.state_tol)):
+            continue
         produced += 1
-        yield rho
+        yield rho.entries
 
 
 def _positive_domain_mask(phi: SubsystemMap, states: np.ndarray) -> np.ndarray:
@@ -448,9 +454,9 @@ def positivity_scan(
     worst: float | None = None
     tested = 0
     for block in blocks:
-        if not block:
+        if not len(block):
             continue
-        images = phi._apply_columns(_vec_stack(_stacked(block)))
+        images = phi._apply_columns(_vec_stack(np.array(block)))
         mins = _min_eigenvalues(_unvec_stack(images, phi.dim))
         violations = np.flatnonzero(mins < -phi.tol.psd_slack)
         seen = mins[: violations[0] + 1] if violations.size else mins
@@ -458,7 +464,8 @@ def positivity_scan(
         lowest = float(np.min(seen))
         worst = lowest if worst is None else min(worst, lowest)
         if violations.size:
-            return PositivityScanResult(True, block[violations[0]], float(seen[-1]), tested)
+            counterexample = Operator(phi.domain.layout, block[violations[0]])
+            return PositivityScanResult(True, counterexample, float(seen[-1]), tested)
     return PositivityScanResult(False, None, worst, tested)
 
 
@@ -501,15 +508,15 @@ def sample_positive_domain(
     center = identity(layout) / nn
     center_ok = positive_domain_membership(phi, center)
     candidates = chain(_grid_domain_states(phi), _random_domain_states(phi, 60 * n + 300, rng))
-    members: list[Operator] = []
+    members: list[np.ndarray] = []  # an Operator is built only for each member at the end
     while len(members) < n:
         # Each candidate gives at most one member, so a block of the number still
         # needed holds only candidates that a one-at-a-time loop would also test.
         block = list(islice(candidates, n - len(members)))
         if not block:
             break
-        states = _stacked(block)
-        found = [rho if ok else None for rho, ok in zip(block, _positive_domain_mask(phi, states))]
+        states = np.array(block)
+        found = [rho if ok else None for rho, ok in zip(states, _positive_domain_mask(phi, states))]
         retry = [j for j, rho in enumerate(found) if rho is None] if center_ok else []
         if retry:
             # (1 - t) rho + t center for every t, with the arithmetic of Operator
@@ -518,9 +525,11 @@ def sample_positive_domain(
             accepted = _positive_domain_mask(phi, mixed.reshape(-1, nn, nn))
             for j, row, mixtures in zip(retry, accepted.reshape(mixed.shape[:2]), mixed):
                 if row.any():
-                    found[j] = Operator(layout, mixtures[row.argmax()])
+                    found[j] = mixtures[row.argmax()]
         members += [rho for rho in found if rho is not None]
     if not members:
         return PositiveDomainSample((), 0)
-    s = np.linalg.svd(_columns(_stacked(members)), compute_uv=False)
-    return PositiveDomainSample(tuple(members), _numerical_rank(s, phi.tol.rank_cut))
+    s = np.linalg.svd(_columns(np.array(members)), compute_uv=False)
+    return PositiveDomainSample(
+        tuple(Operator(layout, rho) for rho in members), _numerical_rank(s, phi.tol.rank_cut)
+    )

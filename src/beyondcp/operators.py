@@ -314,6 +314,15 @@ def _unvec_stack(cols: np.ndarray, n: int) -> np.ndarray:
     return cols.reshape(-1, n, n).swapaxes(-1, -2)
 
 
+def _transposed_columns(cols: np.ndarray, n: int) -> np.ndarray:
+    """K cols: vec(X^T) for each column vec X of an (n^2, k) block, the one part of the
+    isometry M = Re X + Im X from Hermitian onto real n x n matrices that is not entrywise.
+    Back, M gives X = (M + K M)/2 + i (M - K M)/2.  Forward, a C-linear map A (p, n^2) that
+    sends Hermitian matrices to Hermitian ones is the real Re A + Im A K, with A's singular
+    values."""
+    return cols.reshape(n, n, -1).swapaxes(0, 1).reshape(n * n, -1)
+
+
 # -- operations ---------------------------------------------------------------
 
 

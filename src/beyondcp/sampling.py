@@ -37,6 +37,18 @@ def random_pure_state(dims: Sequence[int] | int, rng: np.random.Generator) -> Op
     return ket_projector(v, layout)
 
 
+def _random_pure_states(n: int, k: int, rng: np.random.Generator) -> np.ndarray:
+    """k random pure states on C^n as one (k, n, n) stack, with the draws, the bits and the
+    generator state of k ``random_pure_state`` calls: one standard_normal((k, 2, n)) call
+    follows ``_ginibre``'s order, and each norm is a dot per row, as ``np.linalg.norm``
+    takes it for one vector."""
+    z = rng.standard_normal((k, 2, n))
+    v = (z[:, 0] + 1j * z[:, 1]) / np.sqrt(2)
+    re, im = v.real[:, None], v.imag[:, None]
+    v = v / np.sqrt(re @ re.swapaxes(1, 2) + im @ im.swapaxes(1, 2))[:, 0]
+    return v[:, :, None] * v.conj()[:, None, :]
+
+
 def random_density(
     dims: Sequence[int] | int, rng: np.random.Generator, rank: int | None = None
 ) -> Operator:
@@ -67,9 +79,13 @@ def axis_grid_states(dims: Sequence[int] | int) -> list[Operator]:
     for each pair i < j and p in (1, -1, i, -i), pair-major.  For a qubit this is exactly the
     six Bloch-axis states."""
     layout = _as_layout(dims)
-    n = layout.total_dim
+    return [Operator(layout, p) for p in _axis_grid_projectors(layout.total_dim)]
+
+
+def _axis_grid_projectors(n: int) -> np.ndarray:
+    """The states of ``axis_grid_states`` on C^n as one (k, n, n) stack."""
     i, j = np.nonzero(np.less.outer(range(n), range(n)))  # the pairs i < j, row-major
     amps = np.eye(n, dtype=complex)[[*range(n), *np.repeat(i, 4)]]
     amps[range(n, len(amps)), np.repeat(j, 4)] = [1.0, -1.0, 1j, -1j] * len(i)
     amps /= np.linalg.norm(amps, axis=1, keepdims=True)
-    return [Operator(layout, p) for p in amps[:, :, None] * amps.conj()[:, None, :]]
+    return amps[:, :, None] * amps.conj()[:, None, :]

@@ -355,28 +355,31 @@ def _builtin_map(doc: dict, tol: ToleranceConfig) -> SubsystemMap:
     raise ValueError(f"/name: unknown builtin map {name!r}")
 
 
-def _kraus_operators(doc: dict) -> list[Operator]:
-    """The Kraus operators of a map document already validated as kind "kraus"."""
-    layout = _layout_from_doc(doc)
-    return list(_operators(layout, _parse_columns(doc, "operators", layout.total_dim)))
-
-
 def parse_map(doc: dict, tol: ToleranceConfig = DEFAULT_TOL) -> SubsystemMap:
+    return _map_and_kraus_operators(doc, tol)[0]
+
+
+def _map_and_kraus_operators(
+    doc: dict, tol: ToleranceConfig
+) -> tuple[SubsystemMap, list[Operator] | None]:
+    """``parse_map`` and, for a document of kind "kraus", the operators it built the map from
+    (else None), so that each Kraus matrix is converted once."""
     validate_document(doc, "map")
     kind = doc["kind"]
     if kind == "builtin":
-        return _builtin_map(doc, tol)
-    if kind == "kraus":
-        return map_from_kraus(_kraus_operators(doc), tol)
+        return _builtin_map(doc, tol), None
     layout = _layout_from_doc(doc)
     n = layout.total_dim
+    if kind == "kraus":
+        ops = list(_operators(layout, _parse_columns(doc, "operators", n)))
+        return map_from_kraus(ops, tol), ops
     domain = OperatorSubspace(layout, _parse_columns(doc, "basis", n), tol=tol)
     coord = _parse_matrix(doc["coord_matrix"], "/coord_matrix")
     if coord.shape != (n * n, domain.dim):
         raise ValueError(
             f"/coord_matrix: shape {coord.shape}, expected {(n * n, domain.dim)}"
         )
-    return SubsystemMap(domain, coord, provenance=str(doc.get("provenance", "file")))
+    return SubsystemMap(domain, coord, provenance=str(doc.get("provenance", "file"))), None
 
 
 def emit_representation(rep) -> dict:

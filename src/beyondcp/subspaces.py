@@ -158,9 +158,11 @@ def _null_space(a: np.ndarray, cut: float) -> np.ndarray:
     a^dag = H [R; 0], where H = 1 - V T V^dag holds m = min(k, n) reflectors and
     T^-1 is the strict upper triangle of V^dag V plus diag(1 / tau).  R has the
     singular values of ``a``, and the null space is H applied to the last m - r
-    left singular vectors of R and to the trailing n - m unit vectors.  At a
-    (80, 256) consistent-kernel stack that takes a third less time, at
-    (80, 1024) a quarter of it; the two bases differ by a unitary rotation.
+    left singular vectors of R and to the trailing n - m unit vectors.  At the
+    real (80, 256) stack of a (4,4) consistent kernel that takes a quarter to
+    two fifths less time, at (80, 1024) about a sixth of it; the two bases
+    differ by a unitary rotation.  The basis keeps the input's dtype: a real
+    ``a`` gives real columns, with about a quarter of the complex flops.
     """
     k, n = a.shape
     if n < _QR_NULL_SPACE_COLUMNS:
@@ -176,7 +178,7 @@ def _null_space(a: np.ndarray, cut: float) -> np.ndarray:
     v[:, unit] = 0
     t_inv = np.triu(v.conj().T @ v, 1) + np.diag(1 / np.where(unit, 1, tau))
     small = u[:, r:]
-    c = np.zeros((n, n - r), dtype=complex)
+    c = np.zeros((n, n - r), dtype=small.dtype)
     c[:m, : m - r] = small
     c[m:, m - r :] = np.eye(n - m)
     v_dag_c = np.hstack([v[:m].conj().T @ small, v[m:].conj().T])

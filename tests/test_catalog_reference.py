@@ -29,7 +29,10 @@ from beyondcp import (
     gibbs_state,
     identity,
     ket_projector,
+    derive_map,
+    identity_map,
     positive_domain_membership,
+    positivity_scan,
     sample_positive_domain,
     span_from_generators,
     tensor,
@@ -49,13 +52,14 @@ from beyondcp.catalog import (
     interior_ball_pair,
     repolarizer,
     repolarizer_subspace,
+    transpose_map,
     transpose_subspace,
 )
 from beyondcp.cli import run_cli
 from beyondcp.config import DEFAULT_TOL
 from beyondcp.maps import _CENTER_WEIGHTS, _grid_domain_states, _random_domain_states
 from beyondcp.operators import SpaceLayout, swap_unitary
-from beyondcp.sampling import axis_grid_states
+from beyondcp.sampling import axis_grid_states, random_pure_state
 
 # -- the spelled-out reference ----------------------------------------------------
 
@@ -303,7 +307,8 @@ def reference_positive_domain_members(phi, n, seed):
     rng = np.random.default_rng(seed)
     center = identity(phi.domain.layout) / phi.dim
     center_ok = positive_domain_membership(phi, center)
-    candidates = chain(_grid_domain_states(phi), _random_domain_states(phi, 60 * n + 300, rng))
+    stack = chain(_grid_domain_states(phi), _random_domain_states(phi, 60 * n + 300, rng))
+    candidates = (Operator(phi.domain.layout, rho) for rho in stack)
     members = []
     while len(members) < n:
         rho = next(candidates, None)
@@ -361,6 +366,73 @@ def test_positive_domain_members_match_the_mixture_by_mixture_loop(n, seed):
     sample = sample_positive_domain(phi, n, seed)
     reference = reference_positive_domain_members(phi, n, seed)
     assert len(reference) == n and any(
-        not positive_domain_membership(phi, rho) for rho in _grid_domain_states(phi)
+        not positive_domain_membership(phi, Operator(phi.domain.layout, rho))
+        for rho in _grid_domain_states(phi)
     )
     _assert_same_states(sample.members, reference)
+
+
+def reference_random_domain_states(phi, n_samples, rng):
+    """``_random_domain_states`` one ``random_pure_state`` at a time, as it was for every
+    domain before a full domain drew its candidates in one stacked call."""
+    full = phi.domain.dim == phi.dim**2
+    produced = 0
+    attempts = 0
+    budget = 50 * n_samples + 200
+    while produced < n_samples and attempts < budget:
+        attempts += 1
+        rho = random_pure_state(phi.domain.layout, rng)
+        if not full:
+            projected = phi.domain.project(rho)
+            hermitized = (projected + projected.dagger()) * 0.5
+            tr = hermitized.trace().real
+            if abs(tr) < 0.1:
+                continue
+            rho = hermitized / tr
+            if not (phi.domain.contains(rho) and rho.is_density(phi.tol.state_tol)):
+                continue
+        produced += 1
+        yield rho
+
+
+@pytest.mark.parametrize("seed", [1, 7, 20260811])
+@pytest.mark.parametrize(
+    "make",
+    [
+        lambda: identity_map((2,)),
+        lambda: identity_map((3,)),
+        lambda: identity_map((2, 2)),
+        lambda: identity_map((2, 3)),
+        lambda: identity_map((8,)),
+        lambda: derive_map(gibbs_subspace(), controlled_phase_unitary(0.7)),  # a proper domain
+    ],
+    ids=["qubit", "qutrit", "two_qubits", "qubit_qutrit", "dim8", "proper"],
+)
+@pytest.mark.parametrize("n_samples", [1, 64, 1020])
+def test_random_domain_states_match_the_state_by_state_loop(make, seed, n_samples):
+    phi = make()
+    rng, reference_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+    states = list(_random_domain_states(phi, n_samples, rng))
+    reference = list(reference_random_domain_states(phi, n_samples, reference_rng))
+    assert len(states) == len(reference) > 0
+    for rho, ref in zip(states, reference):
+        assert_same_bits(rho, ref.entries)
+    assert rng.bit_generator.state == reference_rng.bit_generator.state
+
+
+def test_scan_and_sample_build_an_operator_only_per_member(monkeypatch):
+    built = []
+    original = Operator.__post_init__
+
+    def counting(self):
+        built.append(self)
+        original(self)
+
+    monkeypatch.setattr(Operator, "__post_init__", counting)
+    phi = transpose_map()
+    built.clear()
+    assert not positivity_scan(phi, 64, seed=5).violation_found
+    assert built == []
+    sample = sample_positive_domain(phi, 12, seed=5)
+    assert len(sample.members) == 12
+    assert len(built) == 2 + 12  # the centre (identity, then / 2) and each member

@@ -47,6 +47,8 @@ from beyondcp.operators import (
     SpaceLayout,
     _reduced_evolution,
     _reduced_evolution_matrix,
+    _transposed_columns,
+    _unvec_stack,
     adjoint_action,
 )
 from beyondcp.sampling import haar_unitary, random_density
@@ -281,6 +283,71 @@ def test_consistent_kernel_matches_the_full_svd_null_space(rng, dims, bath_facto
     assert _containment(kernel, OperatorSubspace(layout, reference)) <= 1e-10
     assert _containment(OperatorSubspace(layout, reference), kernel) <= 1e-10
     assert np.max(np.linalg.norm(a @ basis, axis=0), initial=0.0) <= 1e-9
+
+
+# The kernel is computed in the real coordinates M = Re X + Im X of Hermitian matrices.
+# The cases below are degenerate families, where the rank decision has the most room to
+# go wrong: a member that changes nothing, a bath-local member, SWAP, a large commuting
+# family, the bath as factor 0 and a three-factor layout.
+_REAL_ROUTE_CASES = {
+    "identity": lambda rng: ((identity((2, 4)),), (2, 4), 1),
+    "bath_local": lambda rng: ((tensor(identity(2), haar_unitary(4, rng)),), (2, 4), 1),
+    "swap": lambda rng: ((swap_unitary(2),), (2, 2), 1),
+    "swap_3": lambda rng: ((swap_unitary(3),), (3, 3), 1),
+    "controlled_phase": lambda rng: (controlled_phase_family().members, (2, 2), 1),
+    "bath_first": lambda rng: (tuple(haar_unitary((4, 2), rng) for _ in range(2)), (4, 2), 0),
+    "three_factors": lambda rng: ((haar_unitary((2, 2, 2), rng),), (2, 2, 2), 1),
+    "three_factors_local": lambda rng: (
+        (tensor(tensor(identity(2), haar_unitary(2, rng)), identity(2)),), (2, 2, 2), 1
+    ),
+}
+
+
+def _real_route_case(name, rng):
+    members, dims, bath_factor = _REAL_ROUTE_CASES[name](rng)
+    return UnitaryFamily(tuple(members)), SpaceLayout(dims), bath_factor
+
+
+def real_hermitian_stack(a, n):
+    """Re B + Im B with B = (1+i)/2 A + (1-i)/2 A K, K spelled out as a permutation matrix
+    that sends vec X to vec X^T: the constraints in the coordinates M = Re X + Im X."""
+    k = np.zeros((n * n, n * n))
+    for i in range(n):
+        for j in range(n):
+            k[j + n * i, i + n * j] = 1.0
+    b = (1 + 1j) / 2 * a + (1 - 1j) / 2 * (a @ k)
+    return b.real + b.imag
+
+
+@pytest.mark.parametrize("name", list(_REAL_ROUTE_CASES))
+def test_consistent_kernel_basis_is_exactly_hermitian(rng, name):
+    family, layout, bath_factor = _real_route_case(name, rng)
+    kernel = consistent_kernel(family, layout, bath_factor=bath_factor)
+    assert kernel.dim > 0
+    for x in _unvec_stack(kernel.basis_matrix().T, layout.total_dim):
+        assert np.array_equal(x, x.conj().T)
+
+
+@pytest.mark.parametrize("name", list(_REAL_ROUTE_CASES))
+def test_real_stack_has_the_singular_values_of_the_complex_one(rng, name):
+    family, layout, bath_factor = _real_route_case(name, rng)
+    a, _ = null_space_kernel(family, layout, bath_factor)
+    n = layout.total_dim
+    real = real_hermitian_stack(a, n)
+    # the stack consistent_kernel takes, Re A + Im A K, is that matrix
+    assert np.max(np.abs(real - (a.real + _transposed_columns(a.imag.T, n).T))) <= 1e-15
+    s_complex = np.linalg.svd(a, compute_uv=False)
+    s_real = np.linalg.svd(real, compute_uv=False)
+    assert np.max(np.abs(s_real - s_complex)) <= 1e-13 * s_complex[0]
+
+
+@pytest.mark.parametrize("name", list(_REAL_ROUTE_CASES))
+def test_real_route_matches_the_full_svd_null_space_on_degenerate_families(rng, name):
+    family, layout, bath_factor = _real_route_case(name, rng)
+    kernel = consistent_kernel(family, layout, bath_factor=bath_factor)
+    _, reference = null_space_kernel(family, layout, bath_factor)
+    assert kernel.dim == reference.shape[1] > 0
+    assert_same_subspace(kernel, OperatorSubspace(layout, reference))
 
 
 def test_consistent_kernel_reads_as_any_subspace():

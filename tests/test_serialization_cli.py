@@ -648,6 +648,15 @@ def test_cli_consistency_commands_repeat_no_library_work(capsys, tmp_path, count
     capsys.readouterr()
 
 
+def test_cli_represent_kraus_converts_each_kraus_matrix_once(capsys, tmp_path, count_calls):
+    _, commands = _cli_workload(tmp_path, seed=1)
+    argv, code = next((a, c) for a, c in commands if a[:1] == ["represent"] and "kraus" in a)
+    counts = count_calls((serialization, "_parse_matrix"))
+    assert run_cli(argv) == code == 0
+    assert counts == {"_parse_matrix": 4}  # the four depolarizer Kraus operators
+    capsys.readouterr()
+
+
 def test_cli_reports_are_the_text_json_dumps_gives(capsys, tmp_path, monkeypatch):
     from beyondcp import cli
 

@@ -485,6 +485,27 @@ def test_null_space_matches_the_full_svd(rng, rows):
     assert np.linalg.norm(_projector(basis) - _projector(reference)) <= 1e-10
 
 
+@pytest.mark.parametrize(
+    "rows",
+    [
+        lambda rng: rng.standard_normal((20, 64)),  # below the switch: a full SVD
+        lambda rng: np.kron([[1.0], [2.0]], rng.standard_normal((3, 99))),  # rank 3, SVD
+        lambda rng: rng.standard_normal((5, 120)),  # from the switch on: QR
+        lambda rng: np.kron([[1.0], [2.0]], rng.standard_normal((40, 256))),  # rank 40, QR
+        lambda rng: rng.standard_normal((130, 110)),  # tall, QR
+        lambda rng: np.eye(100)[[0, 2]] * [[0.0], [1.0]],  # a zero row: an identity reflector
+    ],
+)
+def test_null_space_of_a_real_matrix_is_real(rng, rows):
+    a = rows(rng)
+    reference = _full_svd_null_space(a, 1e-9)
+    basis = subspaces._null_space(a, 1e-9)
+    assert basis.dtype == np.float64
+    assert basis.shape == reference.shape
+    assert np.linalg.norm(basis.T @ basis - np.eye(basis.shape[1])) <= 1e-12
+    assert np.linalg.norm(_projector(basis) - _projector(reference)) <= 1e-10
+
+
 def test_consistent_kernel_at_4x4_takes_no_full_svd(rng, monkeypatch):
     full = []
     svd = np.linalg.svd
