@@ -380,20 +380,20 @@ def _grid_domain_states(phi: SubsystemMap) -> np.ndarray:
 
 
 def _random_domain_states(
-    phi: SubsystemMap, n_samples: int, rng: np.random.Generator
+    phi: SubsystemMap, n_samples: int, rng: np.random.Generator, block: int
 ) -> Iterator[np.ndarray]:
-    """Yield at most ``n_samples`` random domain states as (N, N) arrays, drawn in order
-    from ``rng``.
+    """Yield at most ``n_samples`` random domain states, drawn in order from ``rng``, as
+    (k, N, N) stacks of at most ``block`` states.
 
-    A full domain takes every candidate, so they are drawn as stacks of up to
-    ``_SCAN_BLOCK``, one stacked call each: a sample reads only a few of its 60 n + 300.
-    Random pure states are projected into proper domains and kept only when
-    the projection is again a state.
+    A full domain takes every candidate, so each stack is one draw of
+    ``_random_pure_states``.  Random pure states are projected into proper
+    domains and kept only when the projection is again a state.
     """
     if phi.domain.dim == phi.dim**2:
-        for start in range(0, n_samples, _SCAN_BLOCK):
-            yield from _random_pure_states(phi.dim, min(_SCAN_BLOCK, n_samples - start), rng)
+        for start in range(0, n_samples, block):
+            yield _random_pure_states(phi.dim, min(block, n_samples - start), rng)
         return
+    kept: list[np.ndarray] = []
     produced = 0
     attempts = 0
     budget = 50 * n_samples + 200
@@ -408,7 +408,12 @@ def _random_domain_states(
         if not (phi.domain.contains(rho) and rho.is_density(phi.tol.state_tol)):
             continue
         produced += 1
-        yield rho.entries
+        kept.append(rho.entries)
+        if len(kept) == block:
+            yield np.array(kept)
+            kept = []
+    if kept:
+        yield np.array(kept)
 
 
 def _positive_domain_mask(phi: SubsystemMap, states: np.ndarray) -> np.ndarray:
@@ -429,7 +434,7 @@ def _positive_domain_mask(phi: SubsystemMap, states: np.ndarray) -> np.ndarray:
     )
 
 
-_SCAN_BLOCK = 64  # random states per stacked test in positivity_scan
+_SCAN_BLOCK = 64  # random states per stacked draw or test
 
 
 def positivity_scan(
@@ -447,16 +452,15 @@ def positivity_scan(
         raise ValueError(f"n_samples must be positive, got {n_samples}")
     _require_finite(phi, "positivity_scan")
     rng = np.random.default_rng(seed)
-    randoms = _random_domain_states(phi, n_samples, rng)
     blocks = chain(
-        [_grid_domain_states(phi)], iter(lambda: list(islice(randoms, _SCAN_BLOCK)), [])
+        [_grid_domain_states(phi)], _random_domain_states(phi, n_samples, rng, _SCAN_BLOCK)
     )
     worst: float | None = None
     tested = 0
     for block in blocks:
         if not len(block):
             continue
-        images = phi._apply_columns(_vec_stack(np.array(block)))
+        images = phi._apply_columns(_vec_stack(block))
         mins = _min_eigenvalues(_unvec_stack(images, phi.dim))
         violations = np.flatnonzero(mins < -phi.tol.psd_slack)
         seen = mins[: violations[0] + 1] if violations.size else mins
@@ -507,7 +511,11 @@ def sample_positive_domain(
     layout = phi.domain.layout
     center = identity(layout) / nn
     center_ok = positive_domain_membership(phi, center)
-    candidates = chain(_grid_domain_states(phi), _random_domain_states(phi, 60 * n + 300, rng))
+    # A proper domain builds each candidate by Operator arithmetic, so a sample
+    # takes them one at a time and builds none that it does not test.
+    per_stack = _SCAN_BLOCK if phi.domain.dim == nn**2 else 1
+    randoms = _random_domain_states(phi, 60 * n + 300, rng, per_stack)
+    candidates = chain(_grid_domain_states(phi), chain.from_iterable(randoms))
     members: list[np.ndarray] = []  # an Operator is built only for each member at the end
     while len(members) < n:
         # Each candidate gives at most one member, so a block of the number still

@@ -6,7 +6,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .operators import Operator, _as_layout, ket_projector
+from .operators import Operator, _as_layout
 
 __all__ = [
     "haar_unitary",
@@ -33,15 +33,14 @@ def haar_unitary(dims: Sequence[int] | int, rng: np.random.Generator) -> Operato
 
 def random_pure_state(dims: Sequence[int] | int, rng: np.random.Generator) -> Operator:
     layout = _as_layout(dims)
-    v = _ginibre(layout.total_dim, 1, rng)[:, 0]
-    return ket_projector(v, layout)
+    return Operator(layout, _random_pure_states(layout.total_dim, 1, rng)[0])
 
 
 def _random_pure_states(n: int, k: int, rng: np.random.Generator) -> np.ndarray:
-    """k random pure states on C^n as one (k, n, n) stack, with the draws, the bits and the
-    generator state of k ``random_pure_state`` calls: one standard_normal((k, 2, n)) call
-    follows ``_ginibre``'s order, and each norm is a dot per row, as ``np.linalg.norm``
-    takes it for one vector."""
+    """k random pure states on C^n as one (k, n, n) stack; ``random_pure_state`` is its
+    one-state call.  One standard_normal((k, 2, n)) call reads the generator as k calls of one
+    state do, each state's real then imaginary parts in ``_ginibre``'s order, and each norm is
+    a dot per row, as ``np.linalg.norm`` takes it for one vector."""
     z = rng.standard_normal((k, 2, n))
     v = (z[:, 0] + 1j * z[:, 1]) / np.sqrt(2)
     re, im = v.real[:, None], v.imag[:, None]

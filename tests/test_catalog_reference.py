@@ -59,7 +59,7 @@ from beyondcp.cli import run_cli
 from beyondcp.config import DEFAULT_TOL
 from beyondcp.maps import _CENTER_WEIGHTS, _grid_domain_states, _random_domain_states
 from beyondcp.operators import SpaceLayout, swap_unitary
-from beyondcp.sampling import axis_grid_states, random_pure_state
+from beyondcp.sampling import _ginibre, axis_grid_states, random_pure_state
 
 # -- the spelled-out reference ----------------------------------------------------
 
@@ -307,7 +307,8 @@ def reference_positive_domain_members(phi, n, seed):
     rng = np.random.default_rng(seed)
     center = identity(phi.domain.layout) / phi.dim
     center_ok = positive_domain_membership(phi, center)
-    stack = chain(_grid_domain_states(phi), _random_domain_states(phi, 60 * n + 300, rng))
+    randoms = chain.from_iterable(_random_domain_states(phi, 60 * n + 300, rng, 1))
+    stack = chain(_grid_domain_states(phi), randoms)
     candidates = (Operator(phi.domain.layout, rho) for rho in stack)
     members = []
     while len(members) < n:
@@ -372,16 +373,33 @@ def test_positive_domain_members_match_the_mixture_by_mixture_loop(n, seed):
     _assert_same_states(sample.members, reference)
 
 
+def reference_pure_state(layout, rng):
+    """One random pure state as ``random_pure_state`` drew it before it became the one-state
+    call of the stacked draw: a Ginibre column and ``ket_projector``."""
+    return ket_projector(_ginibre(layout.total_dim, 1, rng)[:, 0], layout)
+
+
+@pytest.mark.parametrize("seed", [1, 7, 20260811])
+@pytest.mark.parametrize("n", [*range(1, 41), 64, 100, 128, 256])
+def test_random_pure_state_matches_the_ginibre_projector(n, seed):
+    rng, reference_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+    for _ in range(3):
+        rho = random_pure_state(n, rng)
+        assert_same_bits(rho.entries, reference_pure_state(rho.layout, reference_rng).entries)
+    assert rng.bit_generator.state == reference_rng.bit_generator.state
+
+
 def reference_random_domain_states(phi, n_samples, rng):
-    """``_random_domain_states`` one ``random_pure_state`` at a time, as it was for every
-    domain before a full domain drew its candidates in one stacked call."""
+    """``_random_domain_states`` one state at a time, each drawn as a Ginibre column and
+    ``ket_projector``, as it was for every domain before a full domain drew its candidates
+    in stacked calls."""
     full = phi.domain.dim == phi.dim**2
     produced = 0
     attempts = 0
     budget = 50 * n_samples + 200
     while produced < n_samples and attempts < budget:
         attempts += 1
-        rho = random_pure_state(phi.domain.layout, rng)
+        rho = reference_pure_state(phi.domain.layout, rng)
         if not full:
             projected = phi.domain.project(rho)
             hermitized = (projected + projected.dagger()) * 0.5
@@ -408,12 +426,15 @@ def reference_random_domain_states(phi, n_samples, rng):
     ],
     ids=["qubit", "qutrit", "two_qubits", "qubit_qutrit", "dim8", "proper"],
 )
-@pytest.mark.parametrize("n_samples", [1, 64, 1020])
-def test_random_domain_states_match_the_state_by_state_loop(make, seed, n_samples):
+@pytest.mark.parametrize("n_samples,block", [(1, 64), (64, 64), (64, 1), (1020, 64), (1020, 7)])
+def test_random_domain_states_match_the_state_by_state_loop(make, seed, n_samples, block):
     phi = make()
     rng, reference_rng = np.random.default_rng(seed), np.random.default_rng(seed)
-    states = list(_random_domain_states(phi, n_samples, rng))
+    stacks = list(_random_domain_states(phi, n_samples, rng, block))
     reference = list(reference_random_domain_states(phi, n_samples, reference_rng))
+    assert all(0 < len(stack) <= block for stack in stacks)
+    assert all(len(stack) == block for stack in stacks[:-1])
+    states = [rho for stack in stacks for rho in stack]
     assert len(states) == len(reference) > 0
     for rho, ref in zip(states, reference):
         assert_same_bits(rho, ref.entries)
