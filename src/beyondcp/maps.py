@@ -31,7 +31,7 @@ from .operators import (
     identity,
     unvec,
 )
-from .sampling import _axis_grid_projectors, _random_pure_states, random_pure_state
+from .sampling import _axis_grid_projectors, _random_pure_states
 from .subspaces import (
     OperatorSubspace,
     _dagger_columns,
@@ -379,41 +379,42 @@ def _grid_domain_states(phi: SubsystemMap) -> np.ndarray:
     return grid[phi.domain._coordinates_of(_vec_stack(grid))[2][:, 0]]
 
 
+_SCAN_BLOCK = 64  # random states per stacked draw or test
+
+
 def _random_domain_states(
-    phi: SubsystemMap, n_samples: int, rng: np.random.Generator, block: int
+    phi: SubsystemMap, n_samples: int, rng: np.random.Generator
 ) -> Iterator[np.ndarray]:
     """Yield at most ``n_samples`` random domain states, drawn in order from ``rng``, as
-    (k, N, N) stacks of at most ``block`` states.
+    (k, N, N) stacks of at most ``_SCAN_BLOCK`` states, one stack per draw.
 
-    A full domain takes every candidate, so each stack is one draw of
-    ``_random_pure_states``.  Random pure states are projected into proper
-    domains and kept only when the projection is again a state.
+    Each draw is one ``_random_pure_states`` call for no more states than are still
+    wanted or left in the budget, so the generator is read as a one-state loop reads
+    it.  A full domain takes every candidate.  A proper domain projects the candidates
+    into the domain and keeps those whose Hermitian part, over its trace, is again a
+    domain state; it stops after 50 n + 200 candidates.
     """
-    if phi.domain.dim == phi.dim**2:
-        for start in range(0, n_samples, block):
-            yield _random_pure_states(phi.dim, min(block, n_samples - start), rng)
-        return
-    kept: list[np.ndarray] = []
+    full = phi.domain.dim == phi.dim**2
+    budget = n_samples if full else 50 * n_samples + 200
+    b = phi.domain.basis_matrix()
+    tol = phi.tol.state_tol
     produced = 0
     attempts = 0
-    budget = 50 * n_samples + 200
     while produced < n_samples and attempts < budget:
-        attempts += 1
-        projected = phi.domain.project(random_pure_state(phi.domain.layout, rng))
-        hermitized = (projected + projected.dagger()) * 0.5
-        tr = hermitized.trace().real
-        if abs(tr) < 0.1:
-            continue
-        rho = hermitized / tr
-        if not (phi.domain.contains(rho) and rho.is_density(phi.tol.state_tol)):
-            continue
-        produced += 1
-        kept.append(rho.entries)
-        if len(kept) == block:
-            yield np.array(kept)
-            kept = []
-    if kept:
-        yield np.array(kept)
+        k = min(_SCAN_BLOCK, n_samples - produced, budget - attempts)
+        attempts += k
+        states = _random_pure_states(phi.dim, k, rng)
+        if not full:
+            # the arithmetic of Operator.project, dagger, + and /, state by state
+            projected = _unvec_stack(b @ (b.conj().T @ _vec_stack(states)), phi.dim)
+            hermitized = (projected + projected.conj().swapaxes(-1, -2)) * complex(0.5)
+            tr = np.trace(hermitized, axis1=-2, axis2=-1).real
+            wide = np.abs(tr) >= 0.1
+            states = hermitized[wide] / tr[wide, None, None]
+            inside = phi.domain._coordinates_of(_vec_stack(states))[2][:, 0]
+            states = states[inside & _density_mask(states, tol, tol)]
+        produced += len(states)
+        yield states
 
 
 def _positive_domain_mask(phi: SubsystemMap, states: np.ndarray) -> np.ndarray:
@@ -434,9 +435,6 @@ def _positive_domain_mask(phi: SubsystemMap, states: np.ndarray) -> np.ndarray:
     )
 
 
-_SCAN_BLOCK = 64  # random states per stacked draw or test
-
-
 def positivity_scan(
     phi: SubsystemMap, n_samples: int, seed: int
 ) -> PositivityScanResult:
@@ -452,9 +450,7 @@ def positivity_scan(
         raise ValueError(f"n_samples must be positive, got {n_samples}")
     _require_finite(phi, "positivity_scan")
     rng = np.random.default_rng(seed)
-    blocks = chain(
-        [_grid_domain_states(phi)], _random_domain_states(phi, n_samples, rng, _SCAN_BLOCK)
-    )
+    blocks = chain([_grid_domain_states(phi)], _random_domain_states(phi, n_samples, rng))
     worst: float | None = None
     tested = 0
     for block in blocks:
@@ -511,10 +507,7 @@ def sample_positive_domain(
     layout = phi.domain.layout
     center = identity(layout) / nn
     center_ok = positive_domain_membership(phi, center)
-    # A proper domain builds each candidate by Operator arithmetic, so a sample
-    # takes them one at a time and builds none that it does not test.
-    per_stack = _SCAN_BLOCK if phi.domain.dim == nn**2 else 1
-    randoms = _random_domain_states(phi, 60 * n + 300, rng, per_stack)
+    randoms = _random_domain_states(phi, 60 * n + 300, rng)
     candidates = chain(_grid_domain_states(phi), chain.from_iterable(randoms))
     members: list[np.ndarray] = []  # an Operator is built only for each member at the end
     while len(members) < n:

@@ -57,7 +57,13 @@ from beyondcp.catalog import (
 )
 from beyondcp.cli import run_cli
 from beyondcp.config import DEFAULT_TOL
-from beyondcp.maps import _CENTER_WEIGHTS, _grid_domain_states, _random_domain_states
+from beyondcp.maps import (
+    _CENTER_WEIGHTS,
+    _SCAN_BLOCK,
+    _grid_domain_states,
+    _random_domain_states,
+    map_from_action,
+)
 from beyondcp.operators import SpaceLayout, swap_unitary
 from beyondcp.sampling import _ginibre, axis_grid_states, random_pure_state
 
@@ -307,7 +313,7 @@ def reference_positive_domain_members(phi, n, seed):
     rng = np.random.default_rng(seed)
     center = identity(phi.domain.layout) / phi.dim
     center_ok = positive_domain_membership(phi, center)
-    randoms = chain.from_iterable(_random_domain_states(phi, 60 * n + 300, rng, 1))
+    randoms = chain.from_iterable(_random_domain_states(phi, 60 * n + 300, rng))
     stack = chain(_grid_domain_states(phi), randoms)
     candidates = (Operator(phi.domain.layout, rho) for rho in stack)
     members = []
@@ -426,14 +432,13 @@ def reference_random_domain_states(phi, n_samples, rng):
     ],
     ids=["qubit", "qutrit", "two_qubits", "qubit_qutrit", "dim8", "proper"],
 )
-@pytest.mark.parametrize("n_samples,block", [(1, 64), (64, 64), (64, 1), (1020, 64), (1020, 7)])
-def test_random_domain_states_match_the_state_by_state_loop(make, seed, n_samples, block):
+@pytest.mark.parametrize("n_samples", [1, 7, 64, 65, 1020])
+def test_random_domain_states_match_the_state_by_state_loop(make, seed, n_samples):
     phi = make()
     rng, reference_rng = np.random.default_rng(seed), np.random.default_rng(seed)
-    stacks = list(_random_domain_states(phi, n_samples, rng, block))
+    stacks = list(_random_domain_states(phi, n_samples, rng))
     reference = list(reference_random_domain_states(phi, n_samples, reference_rng))
-    assert all(0 < len(stack) <= block for stack in stacks)
-    assert all(len(stack) == block for stack in stacks[:-1])
+    assert all(len(stack) <= _SCAN_BLOCK for stack in stacks)
     states = [rho for stack in stacks for rho in stack]
     assert len(states) == len(reference) > 0
     for rho, ref in zip(states, reference):
@@ -441,7 +446,26 @@ def test_random_domain_states_match_the_state_by_state_loop(make, seed, n_sample
     assert rng.bit_generator.state == reference_rng.bit_generator.state
 
 
-def test_scan_and_sample_build_an_operator_only_per_member(monkeypatch):
+@pytest.mark.parametrize("n", [1, 5, 64])
+def test_random_domain_states_stop_at_the_budget_when_no_candidate_survives(n):
+    # a/2 |0><0| + b X over its trace a/2 has eigenvalues 1/2 +- sqrt(1/4 + |2b/a|^2)
+    domain = span_from_generators([ket_projector(np.array([1.0, 0.0]), 2), PAULI_X])
+    phi = map_from_action(lambda x: x, domain)
+    rng, reference_rng, budget_rng = (np.random.default_rng(3) for _ in range(3))
+    assert sum(len(stack) for stack in _random_domain_states(phi, n, rng)) == 0
+    assert list(reference_random_domain_states(phi, n, reference_rng)) == []
+    for _ in range(50 * n + 200):
+        reference_pure_state(phi.domain.layout, budget_rng)
+    assert rng.bit_generator.state == reference_rng.bit_generator.state
+    assert rng.bit_generator.state == budget_rng.bit_generator.state
+
+
+@pytest.mark.parametrize(
+    "make",
+    [transpose_map, lambda: derive_map(gibbs_subspace(), controlled_phase_unitary(0.7))],
+    ids=["transpose", "proper"],
+)
+def test_scan_and_sample_build_an_operator_only_per_member(monkeypatch, make):
     built = []
     original = Operator.__post_init__
 
@@ -450,7 +474,7 @@ def test_scan_and_sample_build_an_operator_only_per_member(monkeypatch):
         original(self)
 
     monkeypatch.setattr(Operator, "__post_init__", counting)
-    phi = transpose_map()
+    phi = make()
     built.clear()
     assert not positivity_scan(phi, 64, seed=5).violation_found
     assert built == []
