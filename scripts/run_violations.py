@@ -19,7 +19,7 @@ from beyondcp.catalog import (
     _smallest_state_checkable_epsilon,
     _violation_sample,
 )
-from beyondcp.cli import _positive_int
+from beyondcp.cli import _positive_int, _seed
 from beyondcp.config import DEFAULT_TOL
 
 
@@ -36,7 +36,7 @@ def main() -> None:
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("--epsilons", type=float, nargs="+", default=[0.5, 0.25, 0.1, 0.05])
     parser.add_argument("--pairs", type=_positive_int, default=20)
-    parser.add_argument("--seed", type=int, default=0)
+    parser.add_argument("--seed", type=_seed, default=0)
     args = parser.parse_args()
     floor = _smallest_state_checkable_epsilon(DEFAULT_TOL)
     for eps in args.epsilons:  # refused as `beyondcp violations --epsilon` refuses them

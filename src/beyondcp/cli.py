@@ -92,13 +92,21 @@ def _positive_int(text: str) -> int:
     return value
 
 
+def _seed(text: str) -> int:
+    """A seed for numpy's generators, which refuse negative ones."""
+    value = int(text)
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"must be a non-negative integer, got {value}")
+    return value
+
+
 # A relative rank cut nearer to rounding noise keeps noise directions: the catalog
 # constructions fail their checks from about 2 epsilons down; the floor keeps 8x on that.
 _RANK_CUT_FLOOR = 16 * sys.float_info.epsilon
 
 
 def _common_flags(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--seed", type=int, default=0, help="random seed (BEYONDCP_SEED overrides)")
+    parser.add_argument("--seed", type=_seed, default=0, help="random seed (BEYONDCP_SEED overrides)")
     parser.add_argument("--format", choices=("json", "csv"), default="json")
     parser.add_argument("--tol-rank", type=float, default=DEFAULT_TOL.rank_cut)
     parser.add_argument("--tol-residual", type=float, default=DEFAULT_TOL.residual_tol)
@@ -539,9 +547,12 @@ def run_cli(argv=None) -> int:
     env_seed = os.environ.get("BEYONDCP_SEED")
     if env_seed is not None:
         try:
-            seed = int(env_seed)
+            seed = _seed(env_seed)
         except ValueError:
             print(f"error: BEYONDCP_SEED must be an integer, got {env_seed!r}", file=sys.stderr)
+            return 2
+        except argparse.ArgumentTypeError as err:
+            print(f"error: BEYONDCP_SEED {err}", file=sys.stderr)
             return 2
     try:
         tol = replace(DEFAULT_TOL, rank_cut=args.tol_rank, residual_tol=args.tol_residual)

@@ -27,12 +27,20 @@ def _run_script(name, *args):
     )
 
 
-@pytest.mark.parametrize("pairs", ["0", "-3"])
-def test_run_violations_rejects_empty_sample(pairs):
-    result = _run_script("run_violations.py", "--pairs", pairs)
+@pytest.mark.parametrize(
+    "flag,value,message",
+    [
+        ("--pairs", "0", "must be a positive integer"),
+        ("--pairs", "-3", "must be a positive integer"),
+        ("--seed", "-1", "must be a non-negative integer"),
+    ],
+    ids=["0", "-3", "seed-1"],
+)
+def test_run_violations_rejects_empty_sample(flag, value, message):
+    result = _run_script("run_violations.py", flag, value)
     assert result.returncode == 2
     assert result.stdout == ""
-    assert "argument --pairs: must be a positive integer" in result.stderr
+    assert f"argument {flag}: {message}" in result.stderr
     assert "Traceback" not in result.stderr
 
 

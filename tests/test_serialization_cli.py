@@ -1029,12 +1029,37 @@ def test_cli_analyze_map_reads_a_builtin_depolarizer(capsys, tmp_path):
     assert all(v["passed"] for v in doc["verdicts"])
 
 
-def test_cli_refuses_a_seed_variable_that_is_not_an_integer(capsys, monkeypatch):
-    monkeypatch.setenv("BEYONDCP_SEED", "7.5")
+@pytest.mark.parametrize(
+    "value,message",
+    [("7.5", "must be an integer, got '7.5'"), ("-1", "must be a non-negative integer, got -1")],
+    ids=["7.5", "-1"],
+)
+def test_cli_refuses_a_seed_variable_that_is_not_an_integer(capsys, monkeypatch, value, message):
+    monkeypatch.setenv("BEYONDCP_SEED", value)
     assert run_cli(["catalog", "transpose"]) == 2
     captured = capsys.readouterr()
     assert captured.out == ""
-    assert captured.err == "error: BEYONDCP_SEED must be an integer, got '7.5'\n"
+    assert captured.err == f"error: BEYONDCP_SEED {message}\n"
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["catalog", "transpose"],
+        ["check-consistency", "--subspace", "s.json", "--unitary", "u.json"],
+        ["derive-map", "--subspace", "s.json", "--unitary", "u.json"],
+        ["analyze-map", "--map", "m.json", "--positivity", "8"],
+        ["represent", "--map", "m.json", "--method", "swap"],
+        ["violations", "--epsilon", "0.1"],
+    ],
+    ids=lambda argv: argv[0],
+)
+def test_cli_refuses_a_negative_seed_flag(capsys, monkeypatch, argv):
+    monkeypatch.delenv("BEYONDCP_SEED", raising=False)
+    assert run_cli([*argv, "--seed", "-1"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "argument --seed: must be a non-negative integer, got -1" in captured.err
 
 
 @pytest.mark.parametrize("epsilon", ["3e-4", "1e-7", "1e-300"])
