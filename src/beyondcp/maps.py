@@ -405,7 +405,7 @@ def _random_domain_states(
         attempts += k
         states = _random_pure_states(phi.dim, k, rng)
         if not full:
-            # the arithmetic of Operator.project, dagger, + and /, state by state
+            # each state gets the bits of Operator.project, dagger, + and / on it alone
             projected = _unvec_stack(b @ (b.conj().T @ _vec_stack(states)), phi.dim)
             hermitized = (projected + projected.conj().swapaxes(-1, -2)) * complex(0.5)
             tr = np.trace(hermitized, axis1=-2, axis2=-1).real

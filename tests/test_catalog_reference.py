@@ -448,7 +448,7 @@ def test_random_domain_states_match_the_state_by_state_loop(make, seed, n_sample
 
 @pytest.mark.parametrize("n", [1, 5, 64])
 def test_random_domain_states_stop_at_the_budget_when_no_candidate_survives(n):
-    # a/2 |0><0| + b X over its trace a/2 has eigenvalues 1/2 +- sqrt(1/4 + |2b/a|^2)
+    # a |0><0| + b X over its trace a has eigenvalues 1/2 +- sqrt(1/4 + (b/a)^2), one negative
     domain = span_from_generators([ket_projector(np.array([1.0, 0.0]), 2), PAULI_X])
     phi = map_from_action(lambda x: x, domain)
     rng, reference_rng, budget_rng = (np.random.default_rng(3) for _ in range(3))
