@@ -65,9 +65,12 @@ class OperatorSubspace:
         g = b if self._generator_matrix is None else self._frozen(self._generator_matrix)
         object.__setattr__(self, "_basis_matrix", b)
         object.__setattr__(self, "_generator_matrix", g)
-        gram = b.conj().T @ b
-        if not (float(np.linalg.norm(gram - np.eye(b.shape[1]))) <= self.tol.residual_tol):
-            raise ValueError("basis is not orthonormal within residual_tol")
+        residual = float(np.linalg.norm(_gram(b, self.layout.total_dim) - np.eye(b.shape[1])))
+        if not residual <= self.tol.residual_tol:
+            raise ValueError(
+                f"basis is not orthonormal within residual_tol (||B^dag B - 1|| = "
+                f"{residual!r}; residual_tol {self.tol.residual_tol!r})"
+            )
         if g is not b:  # a basis lies in its own span
             _, residuals, inside = self._coordinates_of(g)
             if not np.all(inside):
@@ -183,6 +186,16 @@ def _null_space(a: np.ndarray, cut: float) -> np.ndarray:
     c[m:, m - r :] = np.eye(n - m)
     v_dag_c = np.hstack([v[:m].conj().T @ small, v[m:].conj().T])
     return c - v @ (np.linalg.inv(t_inv) @ v_dag_c)
+
+
+def _gram(b: np.ndarray, n: int) -> np.ndarray:
+    """B^dag B, as the real M^T M, M = Re X + Im X (``operators._transposed_columns``),
+    when every column is a bitwise Hermitian X: only then is it Tr(X^dag Y) to rounding."""
+    stack = _unvec_stack(b.T, n)
+    if not np.array_equal(stack, stack.conj().swapaxes(-1, -2)):
+        return b.conj().T @ b
+    m = b.real + b.imag
+    return m.T @ m
 
 
 def _dagger_columns(cols: np.ndarray, n: int) -> np.ndarray:
