@@ -363,7 +363,8 @@ def _reduced_evolution(cols: np.ndarray, dims: tuple, keep: tuple, u=None) -> np
     f, k = len(dims), cols.shape[1]  # axis labels: column factor i is i, row factor f + i
     rows = [f + i if i in keep else i for i in range(f)]
     out = [*keep, *(f + i for i in keep), 2 * f]
-    return np.einsum(cols.reshape(dims * 2 + (k,)), [*range(f), *rows, 2 * f], out).reshape(-1, k)
+    m2 = math.prod(dims[i] for i in keep) ** 2  # not -1, which k = 0 leaves undetermined
+    return np.einsum(cols.reshape(dims * 2 + (k,)), [*range(f), *rows, 2 * f], out).reshape(m2, k)
 
 
 def _reduced_evolution_matrix(dims: tuple, keep: tuple, u: np.ndarray) -> np.ndarray:

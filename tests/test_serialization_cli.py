@@ -21,6 +21,7 @@ from hypothesis import strategies as st
 from beyondcp import (
     PAULI_I,
     PAULI_X,
+    PAULI_Y,
     PAULI_Z,
     map_residual,
     operator,
@@ -1186,6 +1187,24 @@ def test_cli_derive_map_on_the_zero_subspace_is_an_input_error(capsys, tmp_path)
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err == "error: cannot derive a map from a zero-dimensional subspace\n"
+
+
+def test_cli_derive_map_names_the_residual_of_a_basis_that_is_not_orthonormal(capsys, tmp_path):
+    from beyondcp.catalog import controlled_phase_unitary
+
+    paulis = (PAULI_I, PAULI_X, PAULI_Y, PAULI_Z)
+    scaled = [1.001 * np.kron(a.entries, b.entries) / 2 for a in paulis for b in paulis]
+    doc = {"dims": [2, 2], "basis": serialization._emit_matrix(np.array(scaled))}
+    sub = _write(tmp_path, "pauli.json", doc)
+    uni = _write(tmp_path, "u.json", emit_operator(controlled_phase_unitary(0.7)))
+    assert run_cli(["derive-map", "--subspace", sub, "--unitary", uni]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    prefix = "error: basis is not orthonormal within residual_tol (||B^dag B - 1|| = "
+    suffix = "; residual_tol 1e-09)\n"
+    assert captured.err.startswith(prefix) and captured.err.endswith(suffix)
+    # 16 diagonal entries of 1.001^2 - 1 each
+    assert abs(float(captured.err[len(prefix) : -len(suffix)]) - 4 * 0.002001) <= 1e-14
 
 
 def test_cli_derive_map_on_a_subspace_inside_the_trace_kernel(capsys, tmp_path):

@@ -31,7 +31,14 @@ from beyondcp.catalog import (
     gibbs_subspace,
     transpose_subspace,
 )
-from beyondcp.consistency import UnitaryFamily, consistent_kernel
+from beyondcp.config import DEFAULT_TOL
+from beyondcp.consistency import (
+    ConsistencyVerdict,
+    UnitaryFamily,
+    consistent_kernel,
+    is_family_consistent,
+    is_unitary_consistent,
+)
 from beyondcp.operators import Operator, SpaceLayout, adjoint_action, swap_unitary, vec
 from beyondcp.sampling import haar_unitary, random_density
 from beyondcp.serialization import emit_subspace, parse_subspace, validate_document
@@ -421,6 +428,16 @@ def test_zero_dimensional_results_construct_compare_and_serialise(name):
     assert again.layout == v.layout and again.dim == 0 and again.generators == ()
 
 
+
+def test_zero_dimensional_subspace_is_consistent_with_every_family(rng):
+    # the bath trace of no column is an empty (d_S^2, 0) block, not a reshape error
+    zero = _zero_dimensional_results()["kernel"]
+    family = _haar_family(zero.layout.dims, rng)
+    assert kernel_of_partial_trace(zero).dim == 0
+    expected = ConsistencyVerdict(True, 0.0, None)
+    assert is_unitary_consistent(zero, family.members[0]) == expected
+    assert is_family_consistent(zero, family) == expected
+
 def test_generator_refusal_names_its_residual_and_the_rank_cut():
     # the relative cut drops the 1e-7 direction, which the membership rule then refuses
     a, b = operator(np.diag([1e3, 0]), 2), operator(np.diag([0, 1e-7]), 2)
@@ -518,3 +535,148 @@ def test_consistent_kernel_at_4x4_takes_no_full_svd(rng, monkeypatch):
     kernel = consistent_kernel(_haar_family((4, 4), rng), SpaceLayout((4, 4)))
     assert kernel.dim == 180
     assert full and not any(full)
+
+
+# ---------------------------------------------------------------------------
+# the Gram check: real coordinates for bitwise Hermitian bases, complex otherwise
+# ---------------------------------------------------------------------------
+
+
+def _pauli_basis():
+    """The sixteen two-qubit Pauli products over 2: orthonormal and bitwise Hermitian."""
+    paulis = (PAULI_I, PAULI_X, PAULI_Y, PAULI_Z)
+    return np.column_stack([vec(tensor(a, b).entries) / 2 for a in paulis for b in paulis])
+
+
+def _kernel_basis(dims, members, rng):
+    family = UnitaryFamily(tuple(haar_unitary(dims, rng) for _ in range(members)))
+    return dims, consistent_kernel(family, SpaceLayout(dims)).basis_matrix()
+
+
+_GRAM_BASES = {  # name -> rng -> (dims, basis columns, bitwise Hermitian)
+    "kernel_2x2": lambda rng: (*_kernel_basis((2, 2), 2, rng), True),
+    "kernel_2x4": lambda rng: (*_kernel_basis((2, 4), 4, rng), True),
+    "kernel_4x4": lambda rng: (*_kernel_basis((4, 4), 4, rng), True),
+    "pauli": lambda rng: ((2, 2), _pauli_basis(), True),
+    "matrix_units": lambda rng: ((2, 2), np.eye(16), False),
+    "svd_span": lambda rng: (
+        (2, 2),
+        np.linalg.svd(_complex_normal(rng, (16, 5)), full_matrices=False)[0],
+        False,
+    ),
+}
+
+
+def _hermitian_perturbation(rng, n, k):
+    """k vectorized Hermitian matrices of unit norm each, Hermitian bit for bit."""
+    a = _complex_normal(rng, (k, n, n))
+    h = (a + a.conj().swapaxes(-1, -2)) / 2
+    return (h / np.linalg.norm(h, axis=(-2, -1), keepdims=True)).swapaxes(-1, -2).reshape(k, -1).T
+
+
+def _perturbed(rng, name, eps):
+    dims, b, hermitian = _GRAM_BASES[name](rng)
+    n = int(np.prod(dims))
+    if not eps:
+        return dims, b, hermitian
+    if hermitian:
+        p = _hermitian_perturbation(rng, n, b.shape[1])
+    else:
+        p = _complex_normal(rng, b.shape)
+        p /= np.linalg.norm(p, axis=0)
+    return dims, b + eps * p, hermitian
+
+
+def _is_bitwise_hermitian(b, n):
+    stack = b.T.reshape(-1, n, n).swapaxes(-1, -2)
+    return np.array_equal(stack, stack.conj().swapaxes(-1, -2))
+
+
+def _assert_gram_check_matches_the_complex_product(dims, b):
+    """Whether the constructor accepts ``b``: exactly when ||B^dag B - 1|| <= residual_tol,
+    taken as the complex product; a refusal names that residual to 1e-14."""
+    layout = SpaceLayout(dims)
+    with np.errstate(invalid="ignore"):  # an inf entry makes inf * 0 in either product
+        reference = float(np.linalg.norm(b.conj().T @ b - np.eye(b.shape[1])))
+        try:
+            OperatorSubspace(layout, b)
+            named = None
+        except ValueError as err:
+            named = str(err)
+    accepted = named is None
+    assert accepted == (reference <= DEFAULT_TOL.residual_tol)
+    if not accepted:
+        prefix = "basis is not orthonormal within residual_tol (||B^dag B - 1|| = "
+        assert named.startswith(prefix) and named.endswith("; residual_tol 1e-09)")
+        residual = float(named[len(prefix) : -len("; residual_tol 1e-09)")])
+        if np.isfinite(reference):
+            assert abs(residual - reference) <= 1e-14 * max(1.0, reference)
+        else:
+            assert not np.isfinite(residual)
+    return accepted
+
+
+@pytest.mark.parametrize("eps", [0.0, 1e-11, 1e-8])
+@pytest.mark.parametrize("name", list(_GRAM_BASES))
+def test_gram_check_agrees_with_the_complex_product(rng, name, eps):
+    dims, b, hermitian = _perturbed(rng, name, eps)
+    n = int(np.prod(dims))
+    assert _is_bitwise_hermitian(b, n) == hermitian
+    gram = subspaces._gram(np.asfortranarray(b, dtype=complex), n)
+    assert gram.dtype == (np.float64 if hermitian else np.complex128)  # the route taken
+    assert np.max(np.abs(gram - b.conj().T @ b)) <= 1e-14
+    accepted = _assert_gram_check_matches_the_complex_product(dims, b)
+    assert accepted == (eps < 1e-9)  # 1e-11 stays inside residual_tol, 1e-8 does not
+
+
+def test_gram_check_of_a_basis_one_ulp_off_hermitian_takes_the_complex_route():
+    b = _pauli_basis()
+    b[1, 1] = np.nextafter(b[1, 1].real, 1.0)  # entry (1, 0) of (I (x) X)/2, not its (0, 1)
+    assert not _is_bitwise_hermitian(b, 4)
+    assert subspaces._gram(np.asfortranarray(b), 4).dtype == np.complex128
+    _assert_gram_check_matches_the_complex_product((2, 2), b)
+    assert OperatorSubspace(SpaceLayout((2, 2)), b).dim == 16
+
+
+@pytest.mark.parametrize(
+    "where, value",
+    [
+        ((0, 0), np.nan),  # NaN is unequal to itself: the complex route
+        ((0, 0), np.inf),  # a real inf on the diagonal keeps the basis Hermitian
+        ((5, 3), np.inf),  # off the diagonal it does not
+        ((1, 0), complex(0, np.inf)),
+    ],
+)
+def test_gram_check_refuses_non_finite_bases(where, value):
+    b = _pauli_basis()
+    b[where] = value
+    _assert_gram_check_matches_the_complex_product((2, 2), b)
+    with pytest.raises(ValueError, match="not orthonormal"), np.errstate(invalid="ignore"):
+        OperatorSubspace(SpaceLayout((2, 2)), b)
+
+
+@pytest.mark.parametrize("dims", [(2,), (2, 2)])
+def test_gram_check_of_an_empty_basis(dims):
+    n = int(np.prod(dims))
+    b = np.zeros((n * n, 0), dtype=complex)
+    assert subspaces._gram(b, n).shape == (0, 0)
+    _assert_gram_check_matches_the_complex_product(dims, b)
+    assert OperatorSubspace(SpaceLayout(dims), b).dim == 0
+
+
+@pytest.mark.parametrize(
+    "dims, basis, residual",
+    [
+        ((2, 2), 2 * _pauli_basis(), "12.0"),  # Hermitian: the real route
+        ((2,), 2 * np.eye(4)[:, :2], "4.242640687119285"),  # E_21 is not: the complex route
+    ],
+    ids=["hermitian", "not_hermitian"],
+)
+def test_orthonormality_refusal_names_its_residual_and_residual_tol(dims, basis, residual):
+    message = (
+        "basis is not orthonormal within residual_tol "
+        f"(||B^dag B - 1|| = {residual}; residual_tol 1e-09)"
+    )
+    with pytest.raises(ValueError) as err:
+        OperatorSubspace(SpaceLayout(dims), basis)
+    assert str(err.value) == message
