@@ -133,3 +133,40 @@ def test_output_digest_is_deterministic():
     assert len(lines) == 15 + 1 + 2 + 1  # the cli commands at one seed, two trials, two totals
     assert lines[15].startswith("cli total (15 items) ")
     assert lines[-1].startswith("trials total (2 items) ")
+
+
+def test_size_ladder_checks_and_times_the_two_smallest_rungs():
+    result = _run_script("size_ladder.py", "--sizes", "2x2", "2x4", "--repeat", "2")
+    assert result.returncode == 0, result.stderr
+    doc = json.loads(result.stdout)
+    assert doc["machine"]["blas_threads"] == 1 and doc["machine"]["numpy"] == np.__version__
+    assert [(r["dims"], r["kernel_dim"]) for r in doc["rungs"]] == [([2, 2], 0), ([2, 4], 48)]
+    for r in doc["rungs"]:
+        assert list(r["calls"]) == ["subspace", "consistent_kernel", "is_family_consistent"]
+        for call in r["calls"].values():
+            assert call["status"] == "ok", call
+            assert 0 < call["min_s"] < 1 and call["tracemalloc_peak_mb"] > 0
+
+
+def test_size_ladder_records_a_call_over_budget_without_timing_it():
+    result = _run_script("size_ladder.py", "--sizes", "2x2", "--budget", "0")
+    assert result.returncode == 0, result.stderr
+    calls = json.loads(result.stdout)["rungs"][0]["calls"]
+    assert {call["status"] for call in calls.values()} == {"over budget"}
+    assert all(set(call) == {"status", "first_call_s"} for call in calls.values())
+
+
+@pytest.mark.parametrize(
+    "flag,value,message",
+    [
+        ("--sizes", "4", "expected D_SxD_B such as 4x8, got '4'"),
+        ("--sizes", "0x2", "dimensions must be positive, got '0x2'"),
+        ("--repeat", "0", "must be a positive integer, got '0'"),
+        ("--budget", "nan", "must be finite and non-negative, got 'nan'"),
+    ],
+)
+def test_size_ladder_refuses_bad_arguments(flag, value, message):
+    result = _run_script("size_ladder.py", flag, value)
+    assert result.returncode == 2
+    assert result.stdout == ""
+    assert f"argument {flag}: {message}" in result.stderr
