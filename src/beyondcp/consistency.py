@@ -168,10 +168,11 @@ def consistent_kernel(
     The constraints commute with ^dag, so the null space is taken in the real
     coordinates of ``operators._transposed_columns``, where the stack keeps its
     singular values and so its rank cut.  Each real null vector comes back as a
-    bitwise Hermitian element of an orthonormal basis.  The constructor Gram-checks
-    such a basis in the same coordinates, as the real M^T M: for Hermitian X and Y,
-    Tr(X^dag Y) = <M X, M Y> exactly, so it is the check ||B^dag B - 1|| <=
-    residual_tol that every basis gets, at about a quarter of the flops.
+    bitwise Hermitian element of an orthonormal basis.  From 64 columns on, the
+    constructor Gram-checks such a basis in the same coordinates, as the real M^T M:
+    for Hermitian X and Y, Tr(X^dag Y) = <M X, M Y> exactly, so it is the check
+    ||B^dag B - 1|| <= residual_tol that every basis gets, at about a quarter of
+    the flops.
     """
     if not family.members:
         raise ValueError("consistent_kernel requires a nonempty family")

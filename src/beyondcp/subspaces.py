@@ -189,13 +189,14 @@ def _null_space(a: np.ndarray, cut: float) -> np.ndarray:
 
 
 def _gram(b: np.ndarray, n: int) -> np.ndarray:
-    """B^dag B, as the real M^T M, M = Re X + Im X (``operators._transposed_columns``),
-    when every column is a bitwise Hermitian X: only then is it Tr(X^dag Y) to rounding."""
-    stack = _unvec_stack(b.T, n)
-    if not np.array_equal(stack, stack.conj().swapaxes(-1, -2)):
-        return b.conj().T @ b
-    m = b.real + b.imag
-    return m.T @ m
+    """B^dag B, as the real M^T M, M = Re X + Im X (``operators._transposed_columns``), when
+    64 or more columns (fewer cost more to test than that saves) are bitwise Hermitian X."""
+    if b.shape[1] >= 64:
+        stack = _unvec_stack(b.T, n)
+        if np.array_equal(stack, stack.conj().swapaxes(-1, -2)):  # only then M^T M = B^dag B
+            m = b.real + b.imag
+            return m.T @ m
+    return b.conj().T @ b
 
 
 def _dagger_columns(cols: np.ndarray, n: int) -> np.ndarray:

@@ -538,14 +538,17 @@ def test_consistent_kernel_at_4x4_takes_no_full_svd(rng, monkeypatch):
 
 
 # ---------------------------------------------------------------------------
-# the Gram check: real coordinates for bitwise Hermitian bases, complex otherwise
+# the Gram check: real coordinates for large bitwise Hermitian bases, complex otherwise
 # ---------------------------------------------------------------------------
 
 
-def _pauli_basis():
-    """The sixteen two-qubit Pauli products over 2: orthonormal and bitwise Hermitian."""
-    paulis = (PAULI_I, PAULI_X, PAULI_Y, PAULI_Z)
-    return np.column_stack([vec(tensor(a, b).entries) / 2 for a in paulis for b in paulis])
+def _pauli_basis(qubits, scale):
+    """The 4^qubits Pauli products times ``scale``: bitwise Hermitian, orthonormal at
+    scale 2^(-qubits/2); from three qubits on, 64 or more columns, the real route's size."""
+    paulis, products = (PAULI_I, PAULI_X, PAULI_Y, PAULI_Z), [np.ones((1, 1))]
+    for _ in range(qubits):
+        products = [np.kron(p, q.entries) for p in products for q in paulis]
+    return np.column_stack([vec(p) * scale for p in products])
 
 
 def _kernel_basis(dims, members, rng):
@@ -557,7 +560,8 @@ _GRAM_BASES = {  # name -> rng -> (dims, basis columns, bitwise Hermitian)
     "kernel_2x2": lambda rng: (*_kernel_basis((2, 2), 2, rng), True),
     "kernel_2x4": lambda rng: (*_kernel_basis((2, 4), 4, rng), True),
     "kernel_4x4": lambda rng: (*_kernel_basis((4, 4), 4, rng), True),
-    "pauli": lambda rng: ((2, 2), _pauli_basis(), True),
+    "pauli_2": lambda rng: ((2, 2), _pauli_basis(2, 0.5), True),
+    "pauli_3": lambda rng: ((2, 2, 2), _pauli_basis(3, 8**-0.5), True),
     "matrix_units": lambda rng: ((2, 2), np.eye(16), False),
     "svd_span": lambda rng: (
         (2, 2),
@@ -592,6 +596,11 @@ def _is_bitwise_hermitian(b, n):
     return np.array_equal(stack, stack.conj().swapaxes(-1, -2))
 
 
+def _real_route(b, n):
+    """Whether the constructor takes B^dag B as the real M^T M."""
+    return subspaces._gram(np.asfortranarray(b, dtype=complex), n).dtype == np.float64
+
+
 def _assert_gram_check_matches_the_complex_product(dims, b):
     """Whether the constructor accepts ``b``: exactly when ||B^dag B - 1|| <= residual_tol,
     taken as the complex product; a refusal names that residual to 1e-14."""
@@ -622,37 +631,36 @@ def test_gram_check_agrees_with_the_complex_product(rng, name, eps):
     dims, b, hermitian = _perturbed(rng, name, eps)
     n = int(np.prod(dims))
     assert _is_bitwise_hermitian(b, n) == hermitian
+    assert _real_route(b, n) == (hermitian and b.shape[1] >= 64)
     gram = subspaces._gram(np.asfortranarray(b, dtype=complex), n)
-    assert gram.dtype == (np.float64 if hermitian else np.complex128)  # the route taken
     assert np.max(np.abs(gram - b.conj().T @ b)) <= 1e-14
     accepted = _assert_gram_check_matches_the_complex_product(dims, b)
     assert accepted == (eps < 1e-9)  # 1e-11 stays inside residual_tol, 1e-8 does not
 
 
 def test_gram_check_of_a_basis_one_ulp_off_hermitian_takes_the_complex_route():
-    b = _pauli_basis()
-    b[1, 1] = np.nextafter(b[1, 1].real, 1.0)  # entry (1, 0) of (I (x) X)/2, not its (0, 1)
-    assert not _is_bitwise_hermitian(b, 4)
-    assert subspaces._gram(np.asfortranarray(b), 4).dtype == np.complex128
-    _assert_gram_check_matches_the_complex_product((2, 2), b)
-    assert OperatorSubspace(SpaceLayout((2, 2)), b).dim == 16
+    b = _pauli_basis(3, 8**-0.5)
+    assert _real_route(b, 8)
+    b[1, 1] = np.nextafter(b[1, 1].real, 1.0)  # entry (1, 0) of (1 (x) 1 (x) X)/8^0.5, not (0, 1)
+    assert not _is_bitwise_hermitian(b, 8) and not _real_route(b, 8)
+    assert _assert_gram_check_matches_the_complex_product((2, 2, 2), b)
 
 
 @pytest.mark.parametrize(
-    "where, value",
+    "where, value, real_route",
     [
-        ((0, 0), np.nan),  # NaN is unequal to itself: the complex route
-        ((0, 0), np.inf),  # a real inf on the diagonal keeps the basis Hermitian
-        ((5, 3), np.inf),  # off the diagonal it does not
-        ((1, 0), complex(0, np.inf)),
+        ((0, 0), np.nan, False),  # NaN is unequal to itself
+        ((0, 0), np.inf, True),  # a real inf on the diagonal keeps the basis Hermitian
+        ((5, 3), np.inf, False),  # off the diagonal it does not
+        ((1, 0), complex(0, np.inf), False),
     ],
 )
-def test_gram_check_refuses_non_finite_bases(where, value):
-    b = _pauli_basis()
+def test_gram_check_refuses_non_finite_bases(where, value, real_route):
+    b = _pauli_basis(3, 8**-0.5)
     b[where] = value
-    _assert_gram_check_matches_the_complex_product((2, 2), b)
-    with pytest.raises(ValueError, match="not orthonormal"), np.errstate(invalid="ignore"):
-        OperatorSubspace(SpaceLayout((2, 2)), b)
+    with np.errstate(invalid="ignore"):
+        assert _real_route(b, 8) == real_route
+    assert not _assert_gram_check_matches_the_complex_product((2, 2, 2), b)
 
 
 @pytest.mark.parametrize("dims", [(2,), (2, 2)])
@@ -660,14 +668,14 @@ def test_gram_check_of_an_empty_basis(dims):
     n = int(np.prod(dims))
     b = np.zeros((n * n, 0), dtype=complex)
     assert subspaces._gram(b, n).shape == (0, 0)
-    _assert_gram_check_matches_the_complex_product(dims, b)
+    assert _assert_gram_check_matches_the_complex_product(dims, b)
     assert OperatorSubspace(SpaceLayout(dims), b).dim == 0
 
 
 @pytest.mark.parametrize(
     "dims, basis, residual",
     [
-        ((2, 2), 2 * _pauli_basis(), "12.0"),  # Hermitian: the real route
+        ((2, 2, 2), _pauli_basis(3, 1.0), "56.0"),  # Hermitian: the real route; Gram 8 * 1
         ((2,), 2 * np.eye(4)[:, :2], "4.242640687119285"),  # E_21 is not: the complex route
     ],
     ids=["hermitian", "not_hermitian"],
