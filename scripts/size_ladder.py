@@ -41,7 +41,11 @@ ROOT = Path(__file__).resolve().parents[1]
 sys.path[:0] = [str(ROOT / "src"), str(ROOT / "perfbench")]
 
 from beyondcp import sampling  # noqa: E402
-from beyondcp.consistency import UnitaryFamily, consistent_kernel, is_family_consistent  # noqa: E402
+from beyondcp.consistency import (  # noqa: E402
+    UnitaryFamily,
+    consistent_kernel,
+    is_family_consistent,
+)
 from beyondcp.operators import SpaceLayout  # noqa: E402
 from beyondcp.subspaces import OperatorSubspace  # noqa: E402
 from workloads import RESIDUAL_TOL, _trace_matrix, kernel_problem  # noqa: E402
@@ -81,7 +85,8 @@ def _machine() -> dict:
     model = platform.processor()
     try:
         with open("/proc/cpuinfo", encoding="utf-8") as info:
-            model = next(line.split(":", 1)[1].strip() for line in info if line.startswith("model name"))
+            names = (line.split(":", 1)[1] for line in info if line.startswith("model name"))
+            model = next(names).strip()
     except (OSError, StopIteration):
         pass
     return {
@@ -136,7 +141,8 @@ def rung(d_s: int, d_b: int, repeat: int, budget: float) -> dict:
 
     def verdict_check(verdict):
         if not (verdict.consistent and verdict.worst_residual <= RESIDUAL_TOL):
-            return f"is_family_consistent: {verdict.consistent}, residual {verdict.worst_residual!r}"
+            residual = verdict.worst_residual
+            return f"is_family_consistent: {verdict.consistent}, residual {residual!r}"
         return kernel_problem("is_family_consistent", kernel.basis_matrix(), a, expected_dim)
 
     calls = {
@@ -147,19 +153,19 @@ def rung(d_s: int, d_b: int, repeat: int, budget: float) -> dict:
     return {
         "dims": [d_s, d_b],
         "kernel_dim": expected_dim,
-        "calls": {name: _measure(call, check, repeat, budget) for name, (call, check) in calls.items()},
+        "calls": {name: _measure(*pair, repeat, budget) for name, pair in calls.items()},
     }
 
 
 def main() -> None:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
-    parser.add_argument("--sizes", type=_size, nargs="+", default=[_size(s) for s in DEFAULT_SIZES])
+    parser.add_argument("--sizes", type=_size, nargs="+", default=list(map(_size, DEFAULT_SIZES)))
     parser.add_argument("--repeat", type=_positive_int, default=5)
     parser.add_argument("--budget", type=_budget, default=10.0, help="seconds per call")
     args = parser.parse_args()
     doc = {
         "machine": _machine(),
-        "family": f"{MEMBERS} Haar unitaries from numpy.random.default_rng({FAMILY_SEED}) per rung",
+        "family": f"{MEMBERS} Haar unitaries per rung from numpy.random.default_rng({FAMILY_SEED})",
         "timing": (
             f"per call: timeit minimum of {args.repeat} rounds of about {ROUND_S} s; "
             "tracemalloc peak of one call"
