@@ -428,7 +428,6 @@ def test_zero_dimensional_results_construct_compare_and_serialise(name):
     assert again.layout == v.layout and again.dim == 0 and again.generators == ()
 
 
-
 def test_zero_dimensional_subspace_is_consistent_with_every_family(rng):
     # the bath trace of no column is an empty (d_S^2, 0) block, not a reshape error
     zero = _zero_dimensional_results()["kernel"]
@@ -437,6 +436,7 @@ def test_zero_dimensional_subspace_is_consistent_with_every_family(rng):
     expected = ConsistencyVerdict(True, 0.0, None)
     assert is_unitary_consistent(zero, family.members[0]) == expected
     assert is_family_consistent(zero, family) == expected
+
 
 def test_generator_refusal_names_its_residual_and_the_rank_cut():
     # the relative cut drops the 1e-7 direction, which the membership rule then refuses
