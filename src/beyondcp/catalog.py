@@ -20,8 +20,10 @@ from .config import DEFAULT_TOL, ToleranceConfig
 from .consistency import UnitaryFamily
 from .maps import (
     SubsystemMap,
+    _domain_entries,
+    _positive_domain_mask,
+    _require_finite,
     map_from_action,
-    positive_domain_membership,
 )
 from .operators import (
     Operator,
@@ -29,10 +31,17 @@ from .operators import (
     PAULI_X,
     PAULI_Y,
     PAULI_Z,
+    _check_same_layout,
     _columns,
     _gibbs_states,
-    relative_entropy,
-    schatten_distance,
+    _min_eigenvalues,
+    _refuse_first,
+    _relative_entropies,
+    _require_schatten_p,
+    _require_states,
+    _schatten_distances,
+    _unvec_stack,
+    _vec_stack,
     tensor,
 )
 from .subspaces import OperatorSubspace, _span_of_columns, full_operator_space, span_from_generators
@@ -356,7 +365,7 @@ def depolarizer_kraus(epsilon: float) -> list[Operator]:
 def _bloch_states(directions, radii) -> np.ndarray:
     """(1 + r n.sigma)/2 for each row n of a (k, 3) array of directions and each of k radii r,
     as a (k, 2, 2) stack: n0 X + n1 Y + n2 Z, times r, plus 1, times 1/2, all in complex."""
-    x, y, z = np.asarray(directions, dtype=complex).T[:, :, None, None]
+    x, y, z = np.asarray(directions, dtype=complex).reshape(-1, 3).T[:, :, None, None]
     bloch = PAULI_X.entries * x + PAULI_Y.entries * y + PAULI_Z.entries * z
     return (PAULI_I.entries + bloch * np.asarray(radii, dtype=complex)[:, None, None]) * 0.5
 
@@ -367,23 +376,41 @@ def axis_states(radius: float = 1.0) -> list[Operator]:
     return [Operator(PAULI_I.layout, s) for s in states]
 
 
+def _ball_states(rng: np.random.Generator, radius, count: int) -> np.ndarray:
+    """``count`` states (1 + r n.sigma)/2 as a (count, 2, 2) stack: each draws a uniform
+    direction n, then r = radius(rng)."""
+    n, r = [], []
+    for _ in range(count):
+        n.append(rng.standard_normal(3))
+        r.append(radius(rng))
+    return _bloch_states([v / np.linalg.norm(v) for v in n], r)
+
+
 def _ball_pair(rng: np.random.Generator, radius) -> tuple[Operator, Operator]:
-    """Two states (1 + r n.sigma)/2, each drawing a uniform direction n, then r = radius(rng)."""
-    n, r = zip(*[(rng.standard_normal(3), radius(rng)) for _ in range(2)])
-    states = _bloch_states([v / np.linalg.norm(v) for v in n], r)
-    return tuple(Operator(PAULI_I.layout, s) for s in states)
+    """Two states of :func:`_ball_states`, as operators."""
+    return tuple(Operator(PAULI_I.layout, s) for s in _ball_states(rng, radius, 2))
+
+
+def _ball_radius(epsilon: float):
+    """The radius of a uniform draw from the closed epsilon ball."""
+    return lambda g: epsilon * g.uniform(0.0, 1.0) ** (1.0 / 3.0)
+
+
+def _interior_radius(epsilon: float, radius_fraction: float = 0.5):
+    """The radius of a full-rank draw strictly inside the epsilon ball."""
+    return lambda g: epsilon * radius_fraction * g.uniform(0.3, 1.0)
 
 
 def interior_ball_pair(
     epsilon: float, rng: np.random.Generator, radius_fraction: float = 0.5
 ) -> tuple[Operator, Operator]:
     """Two random full-rank states strictly inside the epsilon ball."""
-    return _ball_pair(rng, lambda g: epsilon * radius_fraction * g.uniform(0.3, 1.0))
+    return _ball_pair(rng, _interior_radius(epsilon, radius_fraction))
 
 
 def ball_pair(epsilon: float, rng: np.random.Generator) -> tuple[Operator, Operator]:
     """Two distinct random states drawn from the closed epsilon ball."""
-    return _ball_pair(rng, lambda g: epsilon * g.uniform(0.0, 1.0) ** (1.0 / 3.0))
+    return _ball_pair(rng, _ball_radius(epsilon))
 
 
 # -- inequality checks ----------------------------------------------------------
@@ -392,12 +419,24 @@ def ball_pair(epsilon: float, rng: np.random.Generator) -> tuple[Operator, Opera
 def contractivity_ratio(
     phi: SubsystemMap, r1: Operator, r2: Operator, p: float
 ) -> float | None:
-    """delta_p(phi r1, phi r2) / delta_p(r1, r2); None when the inputs coincide."""
-    din = schatten_distance(r1, r2, p)
-    dout = schatten_distance(phi.apply(r1), phi.apply(r2), p)
-    if din == 0.0:
-        return None
-    return dout / din
+    """delta_p(phi r1, phi r2) / delta_p(r1, r2); None when the inputs coincide.  The one-pair
+    :func:`_contractivity_ratios`."""
+    _check_same_layout(r1, r2)
+    _check_same_layout(r1, phi.domain)
+    return _contractivity_ratios(phi, r1.entries[None], r2.entries[None], p)[0]
+
+
+def _contractivity_ratios(
+    phi: SubsystemMap, r1: np.ndarray, r2: np.ndarray, p: float
+) -> list[float | None]:
+    """:func:`contractivity_ratio` of each pair of two (k, N, N) stacks in phi's layout: phi
+    applied once per stack, then one :func:`_schatten_distances` over the k input and the k
+    output pairs."""
+    _require_schatten_p(p)
+    images = [_unvec_stack(phi._apply_columns(_vec_stack(r)), phi.dim) for r in (r1, r2)]
+    k = len(r1)
+    d = _schatten_distances(np.concatenate([r1, images[0]]), np.concatenate([r2, images[1]]), p)
+    return [None if din == 0.0 else dout / din for din, dout in zip(d[:k], d[k:])]
 
 
 @dataclass(frozen=True)
@@ -410,25 +449,52 @@ class UhlmannReport:
 
 
 def uhlmann_check(phi: SubsystemMap, r1: Operator, r2: Operator) -> UhlmannReport:
-    """Compare S(r1 || r2) with S(phi r1 || phi r2).
+    """Compare S(r1 || r2) with S(phi r1 || phi r2); the one-pair :func:`_uhlmann_reports`.
 
     For trace-preserving CP maps the output entropy never exceeds the input
     entropy; the repolarizer instead amplifies it by at least 1/epsilon.
     Inputs must be full-rank states in the map's positive domain.
     """
-    tol = phi.tol
-    for name, r in (("r1", r1), ("r2", r2)):
-        if not positive_domain_membership(phi, r):
-            raise ValueError(f"{name} is not in the map's positive domain")
-        if r.min_eigenvalue() <= tol.entropy_support_tol:
-            raise ValueError(f"{name} must be full rank for the relative-entropy check")
-    s_in = relative_entropy(r1, r2, tol)
-    s_out = relative_entropy(phi.apply(r1), phi.apply(r2), tol)
-    # A ratio against an input entropy at floating-point noise level is
-    # meaningless; report it as undefined.
-    if math.isinf(s_in) or abs(s_in) <= 10 * tol.entropy_support_tol:
-        return UhlmannReport(s_in, s_out, None)
-    return UhlmannReport(s_in, s_out, s_out / s_in)
+    return _uhlmann_reports(phi, _domain_entries(phi, r1), _domain_entries(phi, r2))[0]
+
+
+def _uhlmann_reports(phi: SubsystemMap, r1: np.ndarray, r2: np.ndarray) -> list[UhlmannReport]:
+    """:func:`uhlmann_check` of each pair of two (k, N, N) stacks.
+
+    One positive-domain test and one smallest-eigenvalue test of all 2k
+    states, refused pair by pair (r1 before r2, the domain before the rank),
+    then phi once per stack and one :func:`_relative_entropies` over the k
+    input and the k output pairs.  Every pair's preconditions are checked
+    before any pair's entropies.
+    """
+    tol, k = phi.tol, len(r1)
+    _require_finite(phi, "positive_domain_membership")
+    states = np.concatenate([r1, r2])
+    member = _positive_domain_mask(phi, states)
+    deficient = _min_eigenvalues(states) <= tol.entropy_support_tol
+    _refuse_first(
+        *(
+            check
+            for name, part in (("r1", slice(None, k)), ("r2", slice(k, None)))
+            for check in (
+                (member[part], f"{name} is not in the map's positive domain"),
+                (~deficient[part], f"{name} must be full rank for the relative-entropy check"),
+            )
+        )
+    )
+    images = [_unvec_stack(phi._apply_columns(_vec_stack(r)), phi.dim) for r in (r1, r2)]
+    t1, t2 = np.concatenate([r1, images[0]]), np.concatenate([r2, images[1]])
+    _require_states(t1, t2, tol)
+    entropies = _relative_entropies(t1, t2, tol)
+    reports = []
+    for s_in, s_out in zip(entropies[:k], entropies[k:]):
+        # A ratio against an input entropy at floating-point noise level is
+        # meaningless; report it as undefined.
+        if math.isinf(s_in) or abs(s_in) <= 10 * tol.entropy_support_tol:
+            reports.append(UhlmannReport(s_in, s_out, None))
+        else:
+            reports.append(UhlmannReport(s_in, s_out, s_out / s_in))
+    return reports
 
 
 def _violation_sample(
@@ -436,20 +502,28 @@ def _violation_sample(
 ) -> tuple[list[float], list[float], bool, list[float]]:
     """The repolarizer's violations, as ``beyondcp violations`` reports them.
 
-    Draws, in this order, ``pairs`` trace-norm ratios of the repolarizer on
-    epsilon-ball pairs, ``pairs`` relative-entropy checks on interior pairs and
-    ``pairs`` trace-norm ratios of its inverse, the depolarizer, on Bloch-ball
-    pairs.  Returns (contraction ratios, entropy ratios, monotone, control
-    ratios) with the undefined ratios dropped; ``monotone`` says that no check's
-    output entropy exceeds its input entropy by more than residual_tol.
+    Draws every state first, in this order: the ``pairs`` epsilon-ball pairs
+    of the repolarizer's trace-norm ratios, the ``pairs`` interior pairs of its
+    relative-entropy checks, then the ``pairs`` Bloch-ball pairs of the
+    trace-norm ratios of its inverse, the depolarizer.  Each state draws
+    ``standard_normal(3)`` for its direction, then the ``uniform`` of its
+    radius, the two states of a pair one after the other.  Each experiment is
+    then one stacked evaluation.  Returns (contraction ratios, entropy ratios,
+    monotone, control ratios) with the undefined ratios dropped; ``monotone``
+    says that no check's output entropy exceeds its input entropy by more than
+    residual_tol.
     """
     phi, inverse = repolarizer(epsilon, tol), depolarizer(epsilon, tol)
-    contraction = [contractivity_ratio(phi, *ball_pair(epsilon, rng), p=1) for _ in range(pairs)]
-    checks = [uhlmann_check(phi, *interior_ball_pair(epsilon, rng)) for _ in range(pairs)]
-    control = [contractivity_ratio(inverse, *ball_pair(1.0, rng), p=1) for _ in range(pairs)]
+    contraction, interior, control = (
+        _ball_states(rng, radius, 2 * pairs)
+        for radius in (_ball_radius(epsilon), _interior_radius(epsilon), _ball_radius(1.0))
+    )
+    ratios = _contractivity_ratios(phi, contraction[0::2], contraction[1::2], p=1)
+    checks = _uhlmann_reports(phi, interior[0::2], interior[1::2])
+    control_ratios = _contractivity_ratios(inverse, control[0::2], control[1::2], p=1)
     return (
-        [r for r in contraction if r is not None],
+        [r for r in ratios if r is not None],
         [c.ratio for c in checks if c.ratio is not None],
         not any(c.entropy_out > c.entropy_in + tol.residual_tol for c in checks),
-        [r for r in control if r is not None],
+        [r for r in control_ratios if r is not None],
     )

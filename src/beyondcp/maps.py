@@ -472,9 +472,15 @@ def positivity_scan(
 def positive_domain_membership(phi: SubsystemMap, rho: Operator) -> bool:
     """True iff rho is a domain state whose image is a state within slack."""
     _require_finite(phi, "positive_domain_membership")
+    return bool(_positive_domain_mask(phi, _domain_entries(phi, rho))[0])
+
+
+def _domain_entries(phi: SubsystemMap, rho: Operator) -> np.ndarray:
+    """rho's entries as a one-matrix stack for :func:`_positive_domain_mask`; for an operator
+    on another layout, an all-NaN matrix of phi's size, which no state test passes."""
     if rho.layout.dims != phi.domain.layout.dims:
-        return False
-    return bool(_positive_domain_mask(phi, rho.entries[None])[0])
+        return np.full((1, phi.dim, phi.dim), np.nan, dtype=complex)
+    return rho.entries[None]
 
 
 @dataclass(frozen=True)

@@ -430,45 +430,87 @@ def _gibbs_states(h: np.ndarray, betas: Sequence[float], tol: float) -> np.ndarr
 
 
 def schatten_distance(t1: Operator, t2: Operator, p: float) -> float:
-    """Normalized Schatten distance 2^(-1/p) ||t1 - t2||_p via singular values.
+    """Normalized Schatten distance 2^(-1/p) ||t1 - t2||_p via singular values; the one-pair
+    :func:`_schatten_distances`.
 
     p = inf uses the largest singular value with normalization factor 1.
     """
     _check_same_layout(t1, t2)
+    return _schatten_distances(t1.entries[None], t2.entries[None], p)[0]
+
+
+def _require_schatten_p(p: float) -> None:
+    """Refuse a Schatten exponent below 1; inf is the operator norm."""
     if not (p == math.inf or p >= 1):
         raise ValueError(f"p must be >= 1 or inf, got {p!r}")
-    s = np.linalg.svd(t1.entries - t2.entries, compute_uv=False)
-    if s.size == 0:
-        return 0.0
-    if p == math.inf or np.isinf(p):
-        return float(s[0])
-    return float(2.0 ** (-1.0 / p) * (np.sum(s**p)) ** (1.0 / p))
+
+
+def _schatten_distances(t1: np.ndarray, t2: np.ndarray, p: float) -> list[float]:
+    """:func:`schatten_distance` of each pair of matrices of two (k, n, n) stacks: one svd, then
+    each distance from its own row of singular values, with the arithmetic of one pair alone."""
+    _require_schatten_p(p)
+    s = np.linalg.svd(t1 - t2, compute_uv=False)
+    if p == math.inf:
+        return s[:, 0].tolist()
+    scale = 2.0 ** (-1.0 / p)
+    return [float(scale * total ** (1.0 / p)) for total in np.sum(s**p, axis=-1)]
+
+
+def _refuse_first(*checks: tuple[np.ndarray, str]) -> None:
+    """Raise ValueError with the message of the first failing check: each check is a (k,) bool
+    array with its message, and the checks of pair 0 come first, in the order given, as in a
+    loop that checks one pair at a time."""
+    ok = np.array([mask for mask, _ in checks], dtype=bool)
+    failed = np.flatnonzero(~ok.T)  # pair-major
+    if failed.size:
+        raise ValueError(checks[failed[0] % len(checks)][1])
+
+
+def _require_states(t1: np.ndarray, t2: np.ndarray, tol: ToleranceConfig) -> None:
+    """Refuse two (k, N, N) stacks unless every matrix is a state at ``tol.state_tol``; the
+    message names t1 or t2, as :func:`relative_entropy` names its arguments."""
+    _refuse_first(
+        *(
+            (_density_mask(t, tol.state_tol, tol.state_tol),
+             f"relative_entropy requires density matrices; {name} is not one")
+            for name, t in (("t1", t1), ("t2", t2))
+        )
+    )
 
 
 def relative_entropy(
     t1: Operator, t2: Operator, tol: ToleranceConfig = DEFAULT_TOL
 ) -> float:
-    """Relative entropy S(t1 || t2) = Tr t1 (log t1 - log t2), natural log.
+    """Relative entropy S(t1 || t2) = Tr t1 (log t1 - log t2), natural log; the one-pair
+    :func:`_relative_entropies`.
 
     Evaluated in the eigenbases of both states with eigenvalues below
     ``entropy_support_tol`` treated as zero.  Returns ``math.inf`` when the
     support of t1 is not contained in the support of t2.
     """
-    for name, t in (("t1", t1), ("t2", t2)):
-        if not t.is_density(tol.state_tol):
-            raise ValueError(f"relative_entropy requires density matrices; {name} is not one")
+    _require_states(t1.entries[None], t2.entries[None], tol)
     _check_same_layout(t1, t2)
-    cut = tol.entropy_support_tol
-    p, u = np.linalg.eigh((t1.entries + t1.entries.conj().T) / 2)
-    q, v = np.linalg.eigh((t2.entries + t2.entries.conj().T) / 2)
-    p = np.clip(p, 0.0, None)
-    q = np.clip(q, 0.0, None)
-    overlap = np.abs(u.conj().T @ v) ** 2  # overlap[i, j] = |<u_i | v_j>|^2
-    mass_outside = float(p @ overlap[:, q <= cut].sum(axis=1)) if np.any(q <= cut) else 0.0
-    if mass_outside > tol.residual_tol:
-        return math.inf
-    p_supp = p > cut
-    q_supp = q > cut
-    s1 = float(np.sum(p[p_supp] * np.log(p[p_supp])))
-    cross = float(p[p_supp] @ overlap[np.ix_(p_supp, q_supp)] @ np.log(q[q_supp]))
-    return s1 - cross
+    return _relative_entropies(t1.entries[None], t2.entries[None], tol)[0]
+
+
+def _relative_entropies(t1: np.ndarray, t2: np.ndarray, tol: ToleranceConfig) -> list[float]:
+    """S(t1 || t2) for each pair of states of two (k, N, N) stacks that
+    :func:`_require_states` accepts: one eigh of both stacks, then each pair's
+    support-masked sums alone, with the arithmetic of one pair alone."""
+    k, cut = len(t1), tol.entropy_support_tol
+    both = np.concatenate([t1, t2])
+    w, v = np.linalg.eigh((both + both.conj().swapaxes(-1, -2)) / 2)
+    w = np.clip(w, 0.0, None)
+    overlaps = np.abs(v[:k].conj().swapaxes(-1, -2) @ v[k:]) ** 2  # [i, j] = |<u_i | v_j>|^2
+    entropies = []
+    for p, q, overlap in zip(w[:k], w[k:], overlaps):
+        mass_outside = float(p @ overlap[:, q <= cut].sum(axis=1)) if np.any(q <= cut) else 0.0
+        if mass_outside > tol.residual_tol:
+            entropies.append(math.inf)
+            continue
+        p_supp = p > cut
+        q_supp = q > cut
+        s1 = float(np.sum(p[p_supp] * np.log(p[p_supp])))
+        cross = float(p[p_supp] @ overlap[np.ix_(p_supp, q_supp)] @ np.log(q[q_supp]))
+        entropies.append(s1 - cross)
+    return entropies

@@ -40,7 +40,14 @@ from beyondcp.catalog import (
     transpose_subspace,
     uhlmann_check,
 )
+from beyondcp.catalog import (
+    _contractivity_ratios,
+    _uhlmann_reports,
+    _violation_sample,
+)
 from beyondcp.cli import run_cli
+from beyondcp.config import DEFAULT_TOL
+from beyondcp.operators import _stacked
 from beyondcp.sampling import random_density
 
 
@@ -341,6 +348,26 @@ def test_contractivity_holds_for_every_p_on_repolarizer(rng):
         assert abs(ratio - 1 / eps) <= 1e-6
 
 
+def _pairs(draw, count, rng):
+    """``count`` pairs of ``draw(rng)`` as the two (count, N, N) stacks and the pair list."""
+    pairs = [draw(rng) for _ in range(count)]
+    return _stacked([a for a, _ in pairs]), _stacked([b for _, b in pairs]), pairs
+
+
+@pytest.mark.parametrize("p", [1, 2, math.inf])
+def test_contractivity_ratio_stack_matches_single_calls(rng, p):
+    phi = repolarizer(0.25)
+    r1, r2, pairs = _pairs(lambda g: ball_pair(0.25, g), 6, rng)
+    r2[3] = r1[3]  # a coincident pair
+    pairs[3] = (pairs[3][0], pairs[3][0])
+    single = [contractivity_ratio(phi, a, b, p) for a, b in pairs]
+    stacked = _contractivity_ratios(phi, r1, r2, p)
+    assert stacked[3] is None and single[3] is None
+    assert [float.hex(r) for r in stacked if r is not None] == [
+        float.hex(r) for r in single if r is not None
+    ]
+
+
 # ---------------------------------------------------------------------------
 # relative-entropy comparison
 # ---------------------------------------------------------------------------
@@ -389,6 +416,64 @@ def test_uhlmann_matches_eigenbasis_oracle_for_commuting_pair():
     assert np.isclose(report.entropy_in, s_in_oracle, atol=1e-12)
     s_out_oracle = scalar_entropy([0.7, 0.3], [0.4, 0.6])  # Bloch radii scaled by 1/eps
     assert np.isclose(report.entropy_out, s_out_oracle, atol=1e-12)
+
+
+def test_uhlmann_stack_matches_single_calls(rng):
+    phi = repolarizer(0.2)
+    r1, r2, pairs = _pairs(lambda g: interior_ball_pair(0.2, g), 6, rng)
+    r2[4] = r1[4]  # coincident: no ratio
+    pairs[4] = (pairs[4][0], pairs[4][0])
+    single = [uhlmann_check(phi, a, b) for a, b in pairs]
+    stacked = _uhlmann_reports(phi, r1, r2)
+    assert stacked[4].ratio is None
+    for got, want in zip(stacked, single):
+        assert float.hex(got.entropy_in) == float.hex(want.entropy_in)
+        assert float.hex(got.entropy_out) == float.hex(want.entropy_out)
+        assert (got.ratio is None) == (want.ratio is None)
+        assert got.ratio is None or float.hex(got.ratio) == float.hex(want.ratio)
+
+
+def test_uhlmann_refuses_a_non_member_or_rank_deficient_r2_with_its_message():
+    inside = (PAULI_I + 0.05 * PAULI_Z) * 0.5
+    with pytest.raises(ValueError) as err:
+        uhlmann_check(repolarizer(0.1), inside, (PAULI_I + 0.5 * PAULI_X) * 0.5)
+    assert str(err.value) == "r2 is not in the map's positive domain"
+    with pytest.raises(ValueError) as err:  # a pure state is in a CP map's positive domain
+        uhlmann_check(depolarizer(0.5), inside, (PAULI_I + PAULI_Z) * 0.5)
+    assert str(err.value) == "r2 must be full rank for the relative-entropy check"
+    with pytest.raises(ValueError) as err:  # another layout is in no positive domain
+        uhlmann_check(depolarizer(0.5), inside, identity(4) / 4)
+    assert str(err.value) == "r2 is not in the map's positive domain"
+
+
+def test_uhlmann_stack_refuses_pair_by_pair():
+    inside, pure = ((PAULI_I + 0.05 * PAULI_Z) * 0.5).entries, ((PAULI_I + PAULI_Z) * 0.5).entries
+    r1, r2 = np.array([inside, pure]), np.array([pure, inside])  # pair 0 fails first, at r2
+    with pytest.raises(ValueError, match="^r2 must be full rank"):
+        _uhlmann_reports(depolarizer(0.5), r1, r2)
+
+
+def test_violation_sample_builds_no_operator_and_few_decompositions(monkeypatch):
+    built, calls = [], []
+    original = Operator.__post_init__
+
+    def counting(self):
+        built.append(self)
+        original(self)
+
+    monkeypatch.setattr(Operator, "__post_init__", counting)
+    for name in ("svd", "eigh", "eigvalsh"):
+        def counted(*args, _name=name, _call=getattr(np.linalg, name), **kwargs):
+            calls.append(_name)
+            return _call(*args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, name, counted)
+    ratios, entropy_ratios, monotone, control = _violation_sample(
+        0.1, 5, np.random.default_rng(1), DEFAULT_TOL
+    )
+    assert (len(ratios), len(entropy_ratios), monotone, len(control)) == (5, 5, False, 5)
+    assert built == []  # 60 when each pair was an Operator chain
+    assert len(calls) <= 8  # 90 then: one svd, eigh or eigvalsh per 2x2 matrix and test
 
 
 def test_uhlmann_rejects_states_outside_positive_domain(rng):

@@ -8,7 +8,9 @@ one ``Operator`` and one eigendecomposition at a time, against the stacked
 ``_gibbs_hamiltonians``, ``_gibbs_states`` and ``_gibbs_closed_forms``, and so are
 the Bloch-axis and Bloch-ball states, the pure-state grid, the SWAP unitary and the
 centre mixtures of ``sample_positive_domain``, one ``Operator`` or one entry at a
-time, against their stacked formulas.
+time, against their stacked formulas.  The violations experiment is kept as the
+loop that built one ``Operator`` chain per pair, against the stacked
+``_violation_sample``.
 """
 
 import contextlib
@@ -40,10 +42,13 @@ from beyondcp import (
 )
 from beyondcp.catalog import (
     GibbsParams,
+    _smallest_state_checkable_epsilon,
+    _violation_sample,
     _gibbs_hamiltonians,
     RepolarizerParams,
     controlled_phase_generator,
     controlled_phase_unitary,
+    depolarizer,
     gibbs_hamiltonian,
     gibbs_state_closed_form,
     axis_states,
@@ -64,8 +69,8 @@ from beyondcp.maps import (
     _random_domain_states,
     map_from_action,
 )
-from beyondcp.operators import SpaceLayout, swap_unitary
-from beyondcp.sampling import _ginibre, axis_grid_states, random_pure_state
+from beyondcp.operators import SpaceLayout, relative_entropy, schatten_distance, swap_unitary
+from beyondcp.sampling import _ginibre, axis_grid_states, random_density, random_pure_state
 
 # -- the spelled-out reference ----------------------------------------------------
 
@@ -481,3 +486,130 @@ def test_scan_and_sample_build_an_operator_only_per_member(monkeypatch, make):
     sample = sample_positive_domain(phi, 12, seed=5)
     assert len(sample.members) == 12
     assert len(built) == 2 + 12  # the centre (identity, then / 2) and each member
+
+
+# -- the violations experiment, one Operator chain per pair ----------------------------
+
+
+def reference_schatten_distance(t1, t2, p):
+    s = np.linalg.svd(t1.entries - t2.entries, compute_uv=False)
+    if p == math.inf:
+        return float(s[0])
+    return float(2.0 ** (-1.0 / p) * (np.sum(s**p)) ** (1.0 / p))
+
+
+def reference_relative_entropy(t1, t2, tol):
+    for name, t in (("t1", t1), ("t2", t2)):
+        if not t.is_density(tol.state_tol):
+            raise ValueError(f"relative_entropy requires density matrices; {name} is not one")
+    cut = tol.entropy_support_tol
+    p, u = np.linalg.eigh((t1.entries + t1.entries.conj().T) / 2)
+    q, v = np.linalg.eigh((t2.entries + t2.entries.conj().T) / 2)
+    p = np.clip(p, 0.0, None)
+    q = np.clip(q, 0.0, None)
+    overlap = np.abs(u.conj().T @ v) ** 2
+    mass_outside = float(p @ overlap[:, q <= cut].sum(axis=1)) if np.any(q <= cut) else 0.0
+    if mass_outside > tol.residual_tol:
+        return math.inf
+    p_supp = p > cut
+    q_supp = q > cut
+    s1 = float(np.sum(p[p_supp] * np.log(p[p_supp])))
+    cross = float(p[p_supp] @ overlap[np.ix_(p_supp, q_supp)] @ np.log(q[q_supp]))
+    return s1 - cross
+
+
+def reference_contractivity_ratio(phi, r1, r2):
+    din = reference_schatten_distance(r1, r2, 1)
+    dout = reference_schatten_distance(phi.apply(r1), phi.apply(r2), 1)
+    return None if din == 0.0 else dout / din
+
+
+def reference_uhlmann_check(phi, r1, r2):
+    tol = phi.tol
+    for name, r in (("r1", r1), ("r2", r2)):
+        if not positive_domain_membership(phi, r):
+            raise ValueError(f"{name} is not in the map's positive domain")
+        if r.min_eigenvalue() <= tol.entropy_support_tol:
+            raise ValueError(f"{name} must be full rank for the relative-entropy check")
+    s_in = reference_relative_entropy(r1, r2, tol)
+    s_out = reference_relative_entropy(phi.apply(r1), phi.apply(r2), tol)
+    if math.isinf(s_in) or abs(s_in) <= 10 * tol.entropy_support_tol:
+        return s_in, s_out, None
+    return s_in, s_out, s_out / s_in
+
+
+def reference_violation_sample(epsilon, pairs, rng, tol):
+    phi, inverse = repolarizer(epsilon, tol), depolarizer(epsilon, tol)
+
+    def ball(eps):
+        return reference_ball_pair(rng, lambda g: eps * g.uniform(0.0, 1.0) ** (1.0 / 3.0))
+
+    def interior():
+        return reference_ball_pair(rng, lambda g: epsilon * 0.5 * g.uniform(0.3, 1.0))
+
+    contraction = [reference_contractivity_ratio(phi, *ball(epsilon)) for _ in range(pairs)]
+    checks = [reference_uhlmann_check(phi, *interior()) for _ in range(pairs)]
+    control = [reference_contractivity_ratio(inverse, *ball(1.0)) for _ in range(pairs)]
+    return (
+        [r for r in contraction if r is not None],
+        [ratio for _, _, ratio in checks if ratio is not None],
+        not any(s_out > s_in + tol.residual_tol for s_in, s_out, _ in checks),
+        [r for r in control if r is not None],
+    )
+
+
+_FLOOR = _smallest_state_checkable_epsilon(DEFAULT_TOL)
+
+
+@pytest.mark.parametrize(
+    "epsilon, pairs, seed",
+    [
+        (0.1, 5, 119253155),  # the `violations` argv of the cli benchmark workload at seed 7
+        (0.5, 20, 0),
+        (0.25, 1, 3),
+        (1.0, 4, 11),
+        (0.1, 0, 5),  # no pair: nothing drawn, no ratio, monotone
+        (_FLOOR, 5, 0),  # every input entropy at noise level: no entropy ratio is defined
+    ],
+)
+def test_violation_sample_matches_the_pair_by_pair_loop(epsilon, pairs, seed):
+    rng, reference_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+    got = _violation_sample(epsilon, pairs, rng, DEFAULT_TOL)
+    want = reference_violation_sample(epsilon, pairs, reference_rng, DEFAULT_TOL)
+    for i in (0, 1, 3):  # the contraction, entropy and control ratios
+        assert all(type(r) is float for r in got[i])
+        assert [float.hex(r) for r in got[i]] == [float.hex(r) for r in want[i]]
+    assert got[2] is want[2]
+    assert rng.bit_generator.state == reference_rng.bit_generator.state
+    if epsilon == _FLOOR:
+        assert got[1] == [] and len(got[0]) == len(got[3]) == pairs
+
+
+@pytest.mark.parametrize("epsilon", [1e-7, 1e-300])  # below the floor, which callers refuse
+def test_violation_sample_refuses_as_the_pair_by_pair_loop_does(epsilon):
+    with pytest.raises(ValueError) as want:
+        reference_violation_sample(epsilon, 5, np.random.default_rng(0), DEFAULT_TOL)
+    with pytest.raises(ValueError) as got:
+        _violation_sample(epsilon, 5, np.random.default_rng(0), DEFAULT_TOL)
+    assert str(got.value) == str(want.value)
+
+
+@pytest.mark.parametrize("p", [1, 2, math.inf])
+def test_schatten_distance_matches_the_former_formula(rng, p):
+    for dims in ((2,), (2, 2), (2, 3, 2)):
+        for _ in range(5):
+            r1, r2 = (_random_hermitian(dims, int(rng.integers(2**32))) for _ in "ab")
+            assert float.hex(schatten_distance(r1, r2, p)) == float.hex(
+                reference_schatten_distance(r1, r2, p)
+            )
+
+
+def test_relative_entropy_matches_the_former_formula(rng):
+    for dims in (2, (2, 2)):
+        pure = random_density(dims, rng, rank=1)
+        states = [random_density(dims, rng) for _ in range(6)] + [pure]
+        for t1 in states:
+            for t2 in states:
+                assert float.hex(relative_entropy(t1, t2)) == float.hex(
+                    reference_relative_entropy(t1, t2, DEFAULT_TOL)
+                )

@@ -34,6 +34,9 @@ from beyondcp.operators import (
     _hermiticity_residuals,
     _reduced_evolution,
     _reduced_evolution_matrix,
+    _relative_entropies,
+    _require_states,
+    _schatten_distances,
     _stacked,
     _unitarity_residuals,
 )
@@ -476,6 +479,23 @@ def test_schatten_triangle_inequality(seed):
         assert d02 <= d01 + d12 + 1e-12
 
 
+def _hex(values):
+    """The exact bits of a list of floats."""
+    return [float.hex(v) for v in values]
+
+
+@pytest.mark.parametrize("p", [1, 2, math.inf])
+@pytest.mark.parametrize("dims", [2, (2, 2), (2, 3, 2)])  # 12 singular values: a pairwise sum
+def test_schatten_distance_stack_matches_single_calls(rng, p, dims):
+    n = int(np.prod(dims))
+    a, b = (rng.standard_normal((6, n, n)) + 1j * rng.standard_normal((6, n, n)) for _ in "ab")
+    b[2] = a[2]  # a coincident pair
+    single = [schatten_distance(operator(x, dims), operator(y, dims), p) for x, y in zip(a, b)]
+    stacked = _schatten_distances(a, b, p)
+    assert _hex(stacked) == _hex(single)
+    assert stacked[2] == 0.0 and all(type(d) is float for d in stacked)
+
+
 # ---------------------------------------------------------------------------
 # relative entropy
 # ---------------------------------------------------------------------------
@@ -518,6 +538,28 @@ def test_relative_entropy_nonnegative(rng):
     for _ in range(10):
         r1, r2 = random_density(2, rng), random_density(2, rng)
         assert relative_entropy(r1, r2) >= -1e-12
+
+
+@pytest.mark.parametrize("dims", [2, (2, 2)])
+def test_relative_entropy_stack_matches_single_calls(rng, dims):
+    pure = random_density(dims, rng, rank=1)
+    t1 = [random_density(dims, rng) for _ in range(3)] + [pure, pure, random_density(dims, rng)]
+    t2 = [random_density(dims, rng) for _ in range(3)] + [random_density(dims, rng), pure, pure]
+    single = [relative_entropy(x, y) for x, y in zip(t1, t2)]
+    stacked = _relative_entropies(_stacked(t1), _stacked(t2), DEFAULT_TOL)
+    assert _hex(stacked) == _hex(single)
+    assert math.isfinite(single[3]) and abs(single[4]) < 1e-12
+    assert single[5] == math.inf  # t2 is rank-deficient and t1 is not
+
+
+def test_relative_entropy_stack_refuses_the_first_non_state_pair_by_pair(rng):
+    state = random_density(2, rng).entries
+    # pair 0: t2 is no state; pair 1: t1 is none either, but pair 0 comes first
+    t1, t2 = np.array([state, PAULI_X.entries]), np.array([PAULI_X.entries, state])
+    with pytest.raises(ValueError, match="^relative_entropy requires density matrices; t2 is"):
+        _require_states(t1, t2, DEFAULT_TOL)
+    with pytest.raises(ValueError, match="t1 is not one$"):
+        relative_entropy(operator(PAULI_X.entries, 2), identity(4) / 4)  # before the layouts
 
 
 # ---------------------------------------------------------------------------
