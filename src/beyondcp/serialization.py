@@ -310,7 +310,28 @@ def _parse_operator_list(doc, key: str, message: str) -> list[Operator]:
     operator documents.  Anything else is refused with ``message``."""
     if not isinstance(doc, dict) or not isinstance(doc.get(key), list):
         raise ValueError(message)
-    return [parse_operator(o) for o in doc[key]]
+    return _operators_at_once(doc[key]) or [parse_operator(o) for o in doc[key]]
+
+
+def _operators_at_once(docs: list) -> list[Operator] | None:
+    """The operators of a list of operator documents from one structural check and one
+    conversion of all their matrices, with the bits of :func:`parse_operator`.  None unless
+    every document is certainly valid, all share one layout and every matrix is a finite
+    square of that size: then the document-by-document path gives the verdict and its message."""
+    if not docs or not _certainly_valid(_inlined_schema("operator"), *docs):
+        return None
+    first = docs[0]
+    if any(d["dims"] != first["dims"] or d.get("labels") != first.get("labels") for d in docs):
+        return None
+    layout = _layout_from_doc(first)
+    n = layout.total_dim
+    try:
+        pairs = np.array([d["matrix"] for d in docs], dtype=float)
+    except (ValueError, OverflowError):  # ragged rows, or an integer too large for a float
+        return None
+    if pairs.shape != (len(docs), n, n, 2) or not np.isfinite(pairs).all():
+        return None
+    return [Operator(layout, m) for m in pairs.view(complex)[..., 0]]
 
 
 # -- maps --------------------------------------------------------------------------

@@ -1013,6 +1013,61 @@ def test_cli_refuses_an_operator_list_document_without_its_array(
     _assert_refused(capsys, tmp_path, cli_input_files, words, doc, message)
 
 
+def _family_doc():
+    from beyondcp.catalog import controlled_phase_family
+
+    return {"members": [emit_operator(u) for u in controlled_phase_family().members]}
+
+
+def test_a_unitary_family_is_read_in_one_pass_with_the_member_by_member_bits(monkeypatch):
+    doc = _family_doc()
+    reference = [parse_operator(member) for member in doc["members"]]
+
+    def refuse(member):
+        raise AssertionError("a certainly valid family took the member-by-member path")
+
+    monkeypatch.setattr(serialization, "parse_operator", refuse)
+    family = serialization.parse_unitary_family(doc)
+    assert len(family.members) == len(reference) == 16
+    for got, want in zip(family.members, reference):
+        assert got.layout == want.layout
+        assert got.entries.tobytes() == want.entries.tobytes()
+
+
+def _set_entry(value):
+    def edit(member):
+        member["matrix"][0][1][0] = value
+
+    return edit
+
+
+@pytest.mark.parametrize(
+    "edit",
+    [
+        _set_entry(math.inf),
+        _set_entry(10**400),  # an integer too large for a float
+        _set_entry("a"),  # refused by the schema
+        lambda member: member["matrix"][1].pop(),  # a ragged row
+        lambda member: member.update(dims=[2]),  # a 4 x 4 matrix on a qubit
+        lambda member: member.update(labels=["s", "b"]),  # another layout: read, then compared
+    ],
+    ids=["inf", "huge", "string", "ragged", "dims", "labels"],
+)
+def test_a_family_that_is_not_certainly_valid_is_read_member_by_member(edit):
+    doc = _family_doc()
+    edit(doc["members"][3])
+    try:
+        want = [parse_operator(member) for member in doc["members"]]
+    except ValueError as err:
+        with pytest.raises(ValueError) as got:
+            serialization.parse_unitary_family(doc)
+        assert str(got.value) == str(err)
+        return
+    family = serialization.parse_unitary_family(doc)
+    assert [u.layout for u in family.members] == [u.layout for u in want]
+    assert all(a.entries.tobytes() == b.entries.tobytes() for a, b in zip(family.members, want))
+
+
 def test_cli_represent_swap_builds_on_an_omega_file(capsys, tmp_path, cli_input_files):
     from beyondcp.catalog import axis_states
 
