@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -661,6 +663,21 @@ def test_gram_check_refuses_non_finite_bases(where, value, real_route):
     with np.errstate(invalid="ignore"):
         assert _real_route(b, 8) == real_route
     assert not _assert_gram_check_matches_the_complex_product((2, 2, 2), b)
+
+
+@pytest.mark.parametrize("value", [np.inf, np.nan])
+def test_a_non_finite_basis_or_generator_is_refused_with_no_warning_first(value):
+    """The refusal is the outcome even where warnings are errors: inf * 0 in the Gram or the
+    coordinate product must not escape as a RuntimeWarning."""
+    pauli = _pauli_basis(1, 2**-0.5)
+    basis, generators = pauli.copy(), pauli.copy()
+    basis[1, 2] = generators[1, 2] = value
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match=r"^basis is not orthonormal .*= nan;"):
+            OperatorSubspace(SpaceLayout((2,)), basis)
+        with pytest.raises(ValueError, match=r"^a generator lies outside .*residual nan;"):
+            OperatorSubspace(SpaceLayout((2,)), pauli, generators)
 
 
 @pytest.mark.parametrize("dims", [(2,), (2, 2)])
