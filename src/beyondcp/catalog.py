@@ -40,8 +40,6 @@ from .operators import (
     _require_schatten_p,
     _require_states,
     _schatten_distances,
-    _unvec_stack,
-    _vec_stack,
     tensor,
 )
 from .subspaces import OperatorSubspace, _span_of_columns, full_operator_space, span_from_generators
@@ -433,7 +431,7 @@ def _contractivity_ratios(
     applied once per stack, then one :func:`_schatten_distances` over the k input and the k
     output pairs."""
     _require_schatten_p(p)
-    images = [_unvec_stack(phi._apply_columns(_vec_stack(r)), phi.dim) for r in (r1, r2)]
+    images = [phi._apply_stack(r) for r in (r1, r2)]
     k = len(r1)
     d = _schatten_distances(np.concatenate([r1, images[0]]), np.concatenate([r2, images[1]]), p)
     return [None if din == 0.0 else dout / din for din, dout in zip(d[:k], d[k:])]
@@ -473,16 +471,12 @@ def _uhlmann_reports(phi: SubsystemMap, r1: np.ndarray, r2: np.ndarray) -> list[
     member = _positive_domain_mask(phi, states)
     deficient = _min_eigenvalues(states) <= tol.entropy_support_tol
     _refuse_first(
-        *(
-            check
-            for name, part in (("r1", slice(None, k)), ("r2", slice(k, None)))
-            for check in (
-                (member[part], f"{name} is not in the map's positive domain"),
-                (~deficient[part], f"{name} must be full rank for the relative-entropy check"),
-            )
-        )
+        (member[:k], "r1 is not in the map's positive domain"),
+        (~deficient[:k], "r1 must be full rank for the relative-entropy check"),
+        (member[k:], "r2 is not in the map's positive domain"),
+        (~deficient[k:], "r2 must be full rank for the relative-entropy check"),
     )
-    images = [_unvec_stack(phi._apply_columns(_vec_stack(r)), phi.dim) for r in (r1, r2)]
+    images = [phi._apply_stack(r) for r in (r1, r2)]
     t1, t2 = np.concatenate([r1, images[0]]), np.concatenate([r2, images[1]])
     _require_states(t1, t2, tol)
     entropies = _relative_entropies(t1, t2, tol)
@@ -514,10 +508,9 @@ def _violation_sample(
     residual_tol.
     """
     phi, inverse = repolarizer(epsilon, tol), depolarizer(epsilon, tol)
-    contraction, interior, control = (
-        _ball_states(rng, radius, 2 * pairs)
-        for radius in (_ball_radius(epsilon), _interior_radius(epsilon), _ball_radius(1.0))
-    )
+    contraction = _ball_states(rng, _ball_radius(epsilon), 2 * pairs)
+    interior = _ball_states(rng, _interior_radius(epsilon), 2 * pairs)
+    control = _ball_states(rng, _ball_radius(1.0), 2 * pairs)
     ratios = _contractivity_ratios(phi, contraction[0::2], contraction[1::2], p=1)
     checks = _uhlmann_reports(phi, interior[0::2], interior[1::2])
     control_ratios = _contractivity_ratios(inverse, control[0::2], control[1::2], p=1)

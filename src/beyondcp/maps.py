@@ -120,6 +120,11 @@ class SubsystemMap:
             )
         return self.coord_matrix @ coeffs
 
+    def _apply_stack(self, stack: np.ndarray) -> np.ndarray:
+        """The map on each matrix of a (k, N, N) stack, as a (k, N, N) stack; each matrix
+        gets the arithmetic it gets alone (see ``_vec_stack``)."""
+        return _unvec_stack(self._apply_columns(_vec_stack(stack)), self.dim)
+
     def linear_operator(self) -> np.ndarray:
         """The map as an (N^2, N^2) matrix on vectorized operators.
 
@@ -456,8 +461,7 @@ def positivity_scan(
     for block in blocks:
         if not len(block):
             continue
-        images = phi._apply_columns(_vec_stack(block))
-        mins = _min_eigenvalues(_unvec_stack(images, phi.dim))
+        mins = _min_eigenvalues(phi._apply_stack(block))
         violations = np.flatnonzero(mins < -phi.tol.psd_slack)
         seen = mins[: violations[0] + 1] if violations.size else mins
         tested += seen.size
