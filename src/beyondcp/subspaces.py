@@ -65,21 +65,23 @@ class OperatorSubspace:
         g = b if self._generator_matrix is None else self._frozen(self._generator_matrix)
         object.__setattr__(self, "_basis_matrix", b)
         object.__setattr__(self, "_generator_matrix", g)
-        # a non-finite entry gives a NaN or inf residual, which the checks refuse
-        with np.errstate(invalid="ignore", over="ignore"):
-            residual = float(np.linalg.norm(_gram(b, self.layout.total_dim) - np.eye(b.shape[1])))
-            if not residual <= self.tol.residual_tol:
+        self._check_orthonormal_span(b, g)
+
+    @np.errstate(invalid="ignore", over="ignore")  # an inf or NaN entry: a NaN residual, refused
+    def _check_orthonormal_span(self, b: np.ndarray, g: np.ndarray) -> None:
+        residual = float(np.linalg.norm(_gram(b, self.layout.total_dim) - np.eye(b.shape[1])))
+        if not residual <= self.tol.residual_tol:
+            raise ValueError(
+                f"basis is not orthonormal within residual_tol (||B^dag B - 1|| = "
+                f"{residual!r}; residual_tol {self.tol.residual_tol!r})"
+            )
+        if g is not b:  # a basis lies in its own span
+            _, residuals, inside = self._coordinates_of(g)
+            if not np.all(inside):
                 raise ValueError(
-                    f"basis is not orthonormal within residual_tol (||B^dag B - 1|| = "
-                    f"{residual!r}; residual_tol {self.tol.residual_tol!r})"
+                    f"a generator lies outside the span of the basis (worst residual "
+                    f"{np.max(residuals):.3e}; relative rank cut {self.tol.rank_cut!r})"
                 )
-            if g is not b:  # a basis lies in its own span
-                _, residuals, inside = self._coordinates_of(g)
-                if not np.all(inside):
-                    raise ValueError(
-                        f"a generator lies outside the span of the basis (worst residual "
-                        f"{np.max(residuals):.3e}; relative rank cut {self.tol.rank_cut!r})"
-                    )
 
     def _frozen(self, cols) -> np.ndarray:
         m = _stored(cols)
