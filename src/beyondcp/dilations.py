@@ -212,13 +212,11 @@ def inverse_representation(rep: Representation, phi: SubsystemMap) -> Representa
     n = phi.dim
     if phi.domain.dim != n * n:
         raise ValueError("inverse representations require a full-domain map")
-    l = phi.linear_operator()
-    if _numerical_rank(np.linalg.svd(l, compute_uv=False), tol.rank_cut) < n * n:
+    u_l, s, vh = np.linalg.svd(phi.linear_operator())  # the SVD that decides the rank inverts
+    if _numerical_rank(s, tol.rank_cut) < n * n:
         raise ValueError("the map is numerically singular; no inverse representation")
-    l_inv = np.linalg.inv(l)
-    inv_map = SubsystemMap(
-        phi.domain, l_inv @ phi.domain.basis_matrix(), provenance="inverse"
-    )
+    l_inv = (vh.conj().T / s) @ u_l.conj().T
+    inv_map = SubsystemMap(phi.domain, l_inv @ phi.domain.basis_matrix(), provenance="inverse")
     u, layout = rep.unitary.entries, rep.subspace.layout  # verify_representation checked u
     b = _unvec_stack(rep.subspace.basis_matrix().T, layout.total_dim)
     conjugated = _span_of_columns(layout, _columns(u @ b @ u.conj().T), tol)

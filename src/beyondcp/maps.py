@@ -37,7 +37,6 @@ from .subspaces import (
     _dagger_columns,
     _keep_indices,
     _numerical_rank,
-    _span_of_columns,
     check_state_spanned,
     full_operator_space,
     subspaces_equal,
@@ -217,8 +216,11 @@ def _derive(v: OperatorSubspace, unitaries: Sequence[Operator], keep: tuple) -> 
     """
     evolution, reduced, evolved, _, residuals = _kernel_residuals(v, unitaries, keep)
     worst = np.max(residuals, axis=1, initial=0.0)
-    # reduced orthonormal columns: a floor of 1 keeps rounding noise from spanning anything
-    domain = _span_of_columns(v.layout.subset(keep), reduced, v.tol, floor=1.0)
+    # one SVD R = U S V^dag: the domain is its range, cut at a scale floored at 1 (R reduces
+    # orthonormal columns, so rounding noise spans nothing), and V S^-1 inverts R on it
+    u, s, vh = np.linalg.svd(reduced, full_matrices=False)
+    r = _numerical_rank(s, v.tol.rank_cut, floor=1.0)
+    domain = OperatorSubspace(v.layout.subset(keep), u[:, :r], reduced, v.tol)
     phis, spanned = [None] * len(evolved), None
     if np.all(worst <= v.tol.residual_tol):  # False on NaN
         spanned = check_state_spanned(v)
@@ -226,7 +228,7 @@ def _derive(v: OperatorSubspace, unitaries: Sequence[Operator], keep: tuple) -> 
             f"derived from a consistent pair (subspace dim {v.dim}; "
             f"state-spanned check: {'verified' if spanned else 'not verified'})"
         )
-        p_inv = np.linalg.pinv(domain._coordinates_of(reduced)[0], rcond=v.tol.rank_cut)
+        p_inv = vh[:r].conj().T / s[:r]  # U_r^dag R = S_r V_r^dag, inverted on the domain
         ops = np.hstack([v._generator_matrix, v.basis_matrix()])  # where the relation is checked
         lhs, rhs = _reduced_evolution(ops, v.layout.dims, keep), evolution @ ops
         scale = np.maximum(1.0, np.linalg.norm(ops, axis=0))

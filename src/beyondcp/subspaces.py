@@ -215,11 +215,11 @@ def _operators(layout: SpaceLayout, cols: np.ndarray) -> tuple[Operator, ...]:
 
 
 def _span_of_columns(
-    layout: SpaceLayout, cols: np.ndarray, tol: ToleranceConfig, floor: float | None = None
+    layout: SpaceLayout, cols: np.ndarray, tol: ToleranceConfig
 ) -> OperatorSubspace:
     """The span of the vectorized operators ``cols`` (N^2, g), which become its generators."""
     u, s, _ = np.linalg.svd(cols, full_matrices=False)
-    return OperatorSubspace(layout, u[:, : _numerical_rank(s, tol.rank_cut, floor)], cols, tol)
+    return OperatorSubspace(layout, u[:, : _numerical_rank(s, tol.rank_cut)], cols, tol)
 
 
 def span_from_generators(

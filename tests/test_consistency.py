@@ -469,14 +469,32 @@ def test_transformation_space_computes_the_trace_kernel_once(gibbs_v, phase_fami
 
 
 def test_transformation_space_derives_what_no_member_changes_once(
-    gibbs_v, phase_family, count_calls
+    gibbs_v, phase_family, count_calls, monkeypatch
 ):
     counts = count_calls(
         (subspaces, "check_state_spanned"), (subspaces, "_span_of_columns")
     )
+    reduced_stacks, thin_svds = [], []
+    kernel_residuals, svd = maps._kernel_residuals, np.linalg.svd
+
+    def recording_residuals(*args):
+        out = kernel_residuals(*args)
+        reduced_stacks.append(out[1])  # R = T B, the reduced basis of v
+        return out
+
+    def recording_svd(a, *args, **kwargs):
+        if not kwargs.get("full_matrices", True):
+            thin_svds.append(a)
+        return svd(a, *args, **kwargs)
+
+    monkeypatch.setattr(maps, "_kernel_residuals", recording_residuals)
+    monkeypatch.setattr(np.linalg, "svd", recording_svd)
     vprime = transformation_space(gibbs_v, phase_family)
     assert counts["check_state_spanned"] == 1
-    assert counts["_span_of_columns"] == 2  # v + v-hat, and the reduced basis of v
+    assert counts["_span_of_columns"] == 1  # v + v-hat; the reduced basis is not a span call
+    (reduced,) = reduced_stacks
+    assert len(phase_family.members) > 1
+    assert sum(a is reduced for a in thin_svds) == 1  # the domain's SVD, once for every member
     expected = subspace_sum(gibbs_v, consistent_kernel(phase_family, gibbs_v.layout))
     assert np.array_equal(vprime.basis_matrix(), expected.basis_matrix())
 
