@@ -226,8 +226,12 @@ def _cmd_derive_map(args, tol: ToleranceConfig, seed: int) -> Report:
             reason="reduced map is not well defined",
         )
         return report
+    residual = derivation.residual
     report.add(
-        "unitary_consistent", True, derivation.residual, state_spanned=derivation.spanned
+        "unitary_consistent",
+        residual <= tol.residual_tol,
+        residual,
+        state_spanned=derivation.spanned,
     )
     report.add(
         "trace_and_hermiticity_preserving",
@@ -284,7 +288,10 @@ def _cmd_represent(args, tol: ToleranceConfig, seed: int) -> Report:
             raise ValueError('represent --method kraus requires a map file of kind "kraus"')
         report = Report("represent", inputs_digest(payload), seed, tol)
         rep = kraus_dilation(ops, tol)
-        report.add("unitary_dilation", True, rep.unitary.unitarity_residual(), bath_dim=rep.bath_dim)
+        residual = rep.unitary.unitarity_residual()
+        report.add(
+            "unitary_dilation", residual <= tol.residual_tol, residual, bath_dim=rep.bath_dim
+        )
         residual = map_residual(rep.derived_map(), phi)
         report.add("derived_map_matches_kraus", residual <= tol.residual_tol, residual)
         report.artifacts["representation"] = emit_representation(rep)

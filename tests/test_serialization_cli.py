@@ -19,6 +19,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from beyondcp import (
+    Operator,
     PAULI_I,
     PAULI_X,
     PAULI_Y,
@@ -714,6 +715,23 @@ def test_cli_represent_swap_and_kraus(capsys, tmp_path):
 
     code, _ = _run(capsys, ["represent", "--map", repo, "--method", "kraus"])
     assert code == 2
+
+
+def test_cli_represent_kraus_reads_its_dilation_verdict_off_the_residual(
+    capsys, tmp_path, monkeypatch
+):
+    monkeypatch.setattr(Operator, "unitarity_residual", lambda self: 1.0)
+    kraus_doc = {
+        "kind": "kraus",
+        "dims": [2],
+        "operators": [emit_operator(k)["matrix"] for k in depolarizer_kraus(0.1)],
+    }
+    kraus = _write(tmp_path, "kraus.json", kraus_doc)
+    code, doc = _run(capsys, ["represent", "--map", kraus, "--method", "kraus"])
+    assert code == 1
+    dilation = doc["verdicts"][0]
+    assert dilation["name"] == "unitary_dilation"
+    assert dilation["passed"] is False and dilation["residual"] == 1.0
 
 
 def test_cli_input_errors_exit_two(capsys, tmp_path):
