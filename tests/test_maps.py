@@ -21,6 +21,7 @@ from beyondcp import (
     identity,
     identity_map,
     is_cp,
+    kernel_of_partial_trace,
     map_from_action,
     map_from_kraus,
     map_residual,
@@ -30,10 +31,14 @@ from beyondcp import (
     positivity_scan,
     sample_positive_domain,
     span_from_generators,
+    subspace_sum,
+    swap_representation,
     swap_unitary,
     tensor,
 )
+from beyondcp import maps
 from beyondcp.catalog import (
+    axis_states,
     controlled_phase_map,
     controlled_phase_unitary,
     depolarizer,
@@ -42,6 +47,7 @@ from beyondcp.catalog import (
     repolarizer,
     transpose_map,
 )
+from beyondcp.config import DEFAULT_TOL
 from beyondcp.operators import adjoint_action
 from beyondcp.sampling import haar_unitary, random_density
 
@@ -133,6 +139,53 @@ def test_derivation_unique_against_subset_oracle(rng):
         coeffs, *_ = np.linalg.lstsq(basis_mat, rho.entries.reshape(-1), rcond=None)
         expected = (image_mat @ coeffs).reshape(2, 2)
         assert np.linalg.norm(phi.apply(rho).entries - expected) <= 1e-9
+
+
+def _pinv_coordinates(phi, v, u):
+    """The former derivation's coordinates, E pinv(U_r^dag R) with U_r the domain basis."""
+    _, reduced, (evolved,), *_ = maps._kernel_residuals(v, [u], (0,))
+    coords = phi.domain.basis_matrix().conj().T @ reduced
+    return evolved @ np.linalg.pinv(coords, rcond=DEFAULT_TOL.rank_cut)
+
+
+def _consistent_pair(d_b, seed):
+    """B(H_S) (x) rho_B plus the consistent kernel of a Haar u: its trace kernel is that
+    kernel, so the pair is consistent."""
+    rng = np.random.default_rng(seed)
+    rho_b, u = random_density(d_b, rng), haar_unitary((2, d_b), rng)
+    product = span_from_generators([tensor(b, rho_b) for b in full_operator_space(2).basis])
+    return subspace_sum(product, consistent_kernel(UnitaryFamily((u,)), SpaceLayout((2, d_b)))), u
+
+
+def _swap_pair():
+    rep = swap_representation(transpose_map(), axis_states())
+    return rep.subspace, rep.unitary
+
+
+ORACLE_PAIRS = {
+    "kraus+kernel (2,2) seed 11": lambda: _consistent_pair(2, 11),
+    "kraus+kernel (2,2) seed 12": lambda: _consistent_pair(2, 12),
+    "kraus+kernel (2,3) seed 13": lambda: _consistent_pair(3, 13),
+    "kraus+kernel (2,3) seed 14": lambda: _consistent_pair(3, 14),
+    **{
+        f"gibbs, controlled phase {t:.3f}": lambda t=t: (
+            gibbs_subspace(),
+            controlled_phase_unitary(t),
+        )
+        for t in (0.0, 0.7, math.pi / 2, 2.0)
+    },
+    "swap representation of the transpose": _swap_pair,
+}
+
+
+@pytest.mark.parametrize("pair", list(ORACLE_PAIRS))
+def test_derived_coordinates_match_the_pinv_route(pair):
+    v, u = ORACLE_PAIRS[pair]()
+    phi = derive_map(v, u)
+    expected = _pinv_coordinates(phi, v, u)
+    assert np.linalg.norm(phi.coord_matrix - expected) <= 1e-14 * max(1.0, np.linalg.norm(expected))
+    assert phi.domain.dim + kernel_of_partial_trace(v).dim == v.dim
+    assert 0 < phi.domain.dim < v.dim
 
 
 def test_derived_domain_of_rounding_noise_is_the_zero_subspace():

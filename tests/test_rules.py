@@ -5,7 +5,9 @@ max(1, ||X||).  The state test: Hermitian and of unit trace within a
 tolerance, with no eigenvalue below minus a slack.  Each rule has one owner;
 every caller must reach the same verdict a relative 1e-6 inside and outside
 each bound.  Intersection: two subspaces share a direction iff the sine of
-its principal angle is at most rank_cut.
+its principal angle is at most rank_cut.  Rank: a singular value is kept iff
+it exceeds rank_cut times its scale, the largest singular value s_0 for a span
+and max(s_0, 1) for the domain of a derived map.
 """
 
 import math
@@ -16,8 +18,11 @@ import pytest
 from beyondcp import (
     DEFAULT_TOL,
     PAULI_I,
+    ToleranceConfig,
     PAULI_Y,
     MapDomainError,
+    derive_map,
+    identity,
     identity_map,
     map_from_action,
     operator,
@@ -70,6 +75,39 @@ def test_an_intersection_shares_a_direction_up_to_a_sine_of_rank_cut(factor, sha
     tilted = span_from_generators([_unit(factor * CUT)])  # at angle asin(factor * CUT)
     assert subspace_intersection(DOMAIN, tilted).dim == int(shared)
     assert subspace_intersection(tilted, DOMAIN).dim == int(shared)
+
+
+RANK_SIDES = [(1 - 1e-6, False), (1 + 1e-6, True)]  # (factor on rank_cut * scale, kept)
+WIDE = ToleranceConfig(residual_tol=100 * CUT)  # a dropped direction still lies in the span
+
+
+@pytest.mark.parametrize("factor,kept", RANK_SIDES)
+@pytest.mark.parametrize("s0", [0.1, 10.0])
+def test_a_span_keeps_a_direction_above_rank_cut_times_its_largest_singular_value(
+    s0, factor, kept
+):
+    generators = [PAULI_I * (s0 / math.sqrt(2)), Y_UNIT * (factor * CUT * s0)]  # s_0, s_1
+    assert span_from_generators(generators, WIDE).dim == 1 + kept
+
+
+def _unit_with_bath_trace(p, r):
+    """A unit-norm P (x) (c 1 + sqrt(1 - c^2) Z) / 2 on (2, 2) whose bath trace has norm r."""
+    c = r / math.sqrt(2)
+    bath = np.eye(2) * c + PAULI_Z.entries * math.sqrt(1 - c * c)
+    return operator(np.kron(p.entries, bath) / 2, (2, 2))
+
+
+@pytest.mark.parametrize("factor,kept", RANK_SIDES)
+@pytest.mark.parametrize("s0", [0.5, 1.4])
+def test_a_derived_domain_keeps_a_direction_above_rank_cut_times_the_floored_scale(
+    s0, factor, kept
+):
+    scale = max(s0, 1.0)  # the reduced basis of an orthonormal basis: floored at 1
+    v = span_from_generators(
+        [_unit_with_bath_trace(PAULI_Z, s0), _unit_with_bath_trace(PAULI_X, factor * CUT * scale)],
+        WIDE,
+    )
+    assert derive_map(v, identity((2, 2))).domain.dim == 1 + kept
 
 
 def _hermiticity_drift(d):
