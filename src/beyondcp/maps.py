@@ -178,7 +178,10 @@ def derive_map(
     partial trace of each element of v to the partial trace of its conjugation
     by u, extended linearly.  Consistency of the pair is exactly
     well-definedness and is checked first; the construction then verifies the
-    defining relation on every generator of v.
+    defining relation on every generator of v.  With B the orthonormal basis of
+    v, R = Tr_B B and E = Tr_B(u B u^dag) as (N_S^2, dim v) matrices, and the
+    thin SVD R = U S V^dag cut at rank r, the domain basis is U_r and the
+    coordinate matrix is E V_r S_r^-1.
     """
     derivation = _derive_pair(v, u, bath_factor)
     if derivation.map is None:

@@ -143,6 +143,8 @@ class OperatorSubspace:
 
 
 def _numerical_rank(s: np.ndarray, cut: float, floor: float | None = None) -> int:
+    """How many of the descending singular values ``s`` are kept: s_i is kept iff
+    s_i > cut * max(s_0, floor), the scale being s_0 alone when there is no floor."""
     if s.size == 0:
         return 0
     scale = float(s[0])
