@@ -1,15 +1,21 @@
 #!/usr/bin/env python3
-"""Time the consistent kernel and its subspace on a ladder of (d_S, d_B) sizes.
+"""Time the consistent kernel, its subspace and a derived map on a ladder of (d_S, d_B) sizes.
 
-On each rung the family is 4 Haar unitaries drawn from ``default_rng(1)``, and
-three calls are timed: ``OperatorSubspace`` on the family's consistent-kernel
-basis (the constructor's Gram check), ``consistent_kernel`` itself and
-``is_family_consistent`` on that kernel.  Each call's result is checked before
-its time counts, against the stacked constraints [T; T S_1; ...] built from
+On each rung the family is 4 Haar unitaries drawn from ``default_rng(1)``.  Under
+``calls`` three calls of the kernel's layer are timed: ``OperatorSubspace`` on
+the family's consistent-kernel basis (the constructor's Gram check),
+``consistent_kernel`` itself and ``is_family_consistent`` on that kernel.  Under
+``maps``, ``derive_map`` is timed on the span of that kernel and 1/N under the
+family's first member.  Each call's result is checked before its time counts,
+against the stacked constraints [T; T S_1; ...] built from
 ``perfbench/workloads.py``'s ``_trace_matrix``: a basis must have the dimension
 of their null space and residual at most 1e-9 (``kernel_problem``), and the
-verdict must pass with worst residual at most 1e-9.  A failed check records
-the problem and no time.
+verdict must pass with worst residual at most 1e-9.  The derived map's domain
+must be span{1} (dimension 1), its defining relation must hold on the span's
+basis with residual at most 1e-9, and its coordinates must lie within 1e-12 of
+E pinv(U^dag R), the pseudo-inverse route (R = T B and E = T S_1 B on the
+span's basis B, U the map's domain basis).  A failed check records the problem
+and no time.
 
 A time is the timeit minimum, per call, of ``--repeat`` rounds of about 20 ms
 (one call at least) with one BLAS thread; the memory is the ``tracemalloc``
@@ -41,13 +47,15 @@ ROOT = Path(__file__).resolve().parents[1]
 sys.path[:0] = [str(ROOT / "src"), str(ROOT / "perfbench")]
 
 from beyondcp import sampling  # noqa: E402
+from beyondcp.config import DEFAULT_TOL  # noqa: E402
 from beyondcp.consistency import (  # noqa: E402
     UnitaryFamily,
     consistent_kernel,
     is_family_consistent,
 )
-from beyondcp.operators import SpaceLayout  # noqa: E402
-from beyondcp.subspaces import OperatorSubspace  # noqa: E402
+from beyondcp.maps import derive_map  # noqa: E402
+from beyondcp.operators import SpaceLayout, identity  # noqa: E402
+from beyondcp.subspaces import OperatorSubspace, span_from_generators, subspace_sum  # noqa: E402
 from workloads import RESIDUAL_TOL, _trace_matrix, kernel_problem  # noqa: E402
 
 DEFAULT_SIZES = ("2x2", "2x4", "4x4", "4x8")
@@ -128,6 +136,25 @@ def _measure(call, check, repeat: int, budget: float) -> dict:
     return {"status": "ok", "min_s": min_s, "tracemalloc_peak_mb": peak / 2**20}
 
 
+def map_problem(phi, v: OperatorSubspace, a: np.ndarray, m: int) -> str | None:
+    """Check a map derived from ``v`` under the first member against the constraint
+    rows ``a``, whose first ``m`` rows are T and next ``m`` rows are T S_1."""
+    if phi.domain.dim != 1:
+        return f"derive_map: domain dimension {phi.domain.dim}, expected 1"
+    b = v.basis_matrix()
+    reduced, evolved = a[:m] @ b, a[m : 2 * m] @ b
+    drift = phi.linear_operator() @ reduced - evolved
+    residual = float(np.max(np.linalg.norm(drift, axis=0)))
+    if not residual <= RESIDUAL_TOL:
+        return f"derive_map: defining-relation residual {residual!r}"
+    coordinates = phi.domain.basis_matrix().conj().T @ reduced
+    oracle = evolved @ np.linalg.pinv(coordinates, rcond=DEFAULT_TOL.rank_cut)
+    distance = float(np.linalg.norm(phi.coord_matrix - oracle))
+    if not distance <= 1e-12:
+        return f"derive_map: coordinates {distance!r} from the pinv route"
+    return None
+
+
 def rung(d_s: int, d_b: int, repeat: int, budget: float) -> dict:
     rng = np.random.default_rng(FAMILY_SEED)
     layout = SpaceLayout((d_s, d_b))
@@ -150,10 +177,20 @@ def rung(d_s: int, d_b: int, repeat: int, budget: float) -> dict:
         "consistent_kernel": (lambda: consistent_kernel(family, layout), basis_check("kernel")),
         "is_family_consistent": (lambda: is_family_consistent(kernel, family), verdict_check),
     }
+    u = family.members[0]
+    v = subspace_sum(kernel, span_from_generators([identity(layout) / layout.total_dim]))
     return {
         "dims": [d_s, d_b],
         "kernel_dim": expected_dim,
         "calls": {name: _measure(*pair, repeat, budget) for name, pair in calls.items()},
+        "maps": {
+            "derive_map": _measure(
+                lambda: derive_map(v, u),
+                lambda phi: map_problem(phi, v, a, d_s * d_s),
+                repeat,
+                budget,
+            )
+        },
     }
 
 

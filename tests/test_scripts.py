@@ -148,6 +148,51 @@ def test_size_ladder_checks_and_times_the_two_smallest_rungs():
             assert 0 < call["min_s"] < 1 and call["tracemalloc_peak_mb"] > 0
 
 
+def test_size_ladder_checks_and_times_a_derived_map_on_each_rung():
+    result = _run_script("size_ladder.py", "--sizes", "2x2", "2x4", "--repeat", "1")
+    assert result.returncode == 0, result.stderr
+    for r in json.loads(result.stdout)["rungs"]:
+        assert list(r["maps"]) == ["derive_map"]
+        call = r["maps"]["derive_map"]
+        assert call["status"] == "ok", call
+        assert 0 < call["min_s"] < 1 and call["tracemalloc_peak_mb"] > 0
+
+
+MAP_CHECK = """
+import sys
+sys.path[:0] = sys.argv[1:]
+import numpy as np
+import size_ladder as ladder
+from beyondcp import SpaceLayout, SubsystemMap, UnitaryFamily, consistent_kernel, derive_map
+from beyondcp import full_operator_space, identity, span_from_generators, subspace_sum, tensor
+from beyondcp.sampling import haar_unitary
+u = haar_unitary((2, 4), np.random.default_rng(1))
+a, _ = ladder._constraints(UnitaryFamily((u,)), 2, 4)
+kernel = consistent_kernel(UnitaryFamily((u,)), SpaceLayout((2, 4)))
+v = subspace_sum(kernel, span_from_generators([identity((2, 4)) / 8]))
+phi = derive_map(v, u)
+for factor in (1.0, 1 + 1e-11, 1 + 1e-8):
+    print(ladder.map_problem(SubsystemMap(phi.domain, phi.coord_matrix * factor), v, a, 4))
+product = [tensor(b, identity(4) / 4) for b in full_operator_space(2).basis]
+w = subspace_sum(kernel, span_from_generators(product))  # domain: all of B(H_S)
+print(ladder.map_problem(derive_map(w, u), w, a, 4))
+"""
+
+
+def test_size_ladder_refuses_a_derived_map_off_its_references():
+    paths = [str(ROOT / d) for d in ("src", "scripts", "perfbench")]
+    result = subprocess.run(
+        [sys.executable, "-c", MAP_CHECK, *paths], capture_output=True, text=True, timeout=120
+    )
+    assert result.returncode == 0, result.stderr
+    lines = result.stdout.splitlines()
+    assert lines[0] == "None"
+    assert lines[1].startswith("derive_map: coordinates ")
+    assert lines[1].endswith(" from the pinv route")
+    assert lines[2].startswith("derive_map: defining-relation residual ")
+    assert lines[3] == "derive_map: domain dimension 4, expected 1"
+
+
 def test_size_ladder_records_a_call_over_budget_without_timing_it():
     result = _run_script("size_ladder.py", "--sizes", "2x2", "--budget", "0")
     assert result.returncode == 0, result.stderr
