@@ -33,6 +33,7 @@ from .dilations import (
     verify_representation,
 )
 from .maps import (
+    _bloch_form,
     _derive_pair,
     _positive_domain_mask,
     choi_matrix,
@@ -405,15 +406,31 @@ def _catalog_repolarizer(args, tol: ToleranceConfig, seed: int, report: Report) 
     report.add(
         "swap_subspace_matches_printed_basis", subspaces_equal(rep.subspace, printed)
     )
-    # Bisect the domain boundary along +X, -X, +Z, -Z in lockstep, one stacked
-    # membership test per step; each state is (1 + (sign * mid) sigma) / 2.
+    # The boundary on each axis is where the mask flips on (1 + (sign t) sigma) / 2, as a
+    # 60-step lockstep bisection of [0, 1] finds it.  The root of |b + t M n| = 1 + 2 psd_slack
+    # is a guess: one mask call on the grid (k-1 .. k+2) 2^-48 around it confirms the depth-48
+    # node that holds the flip, and 12 steps finish; unconfirmed, all 60 run (README, Conventions).
     sigmas = np.array([PAULI_X.entries, PAULI_X.entries, PAULI_Z.entries, PAULI_Z.entries])
     signs = np.array([1.0, -1.0, 1.0, -1.0])
-    lo, hi = np.zeros(4), np.ones(4)
-    for _ in range(60):
+
+    def mask_at(t):  # the mask on the states of a (4, j) array of t, as a (4, j) array
+        states = (PAULI_I.entries + (signs[:, None] * t)[..., None, None] * sigmas[:, None]) * 0.5
+        return _positive_domain_mask(phi, states.reshape(-1, 2, 2)).reshape(t.shape)
+
+    m, b = _bloch_form(phi)
+    mn = signs[:, None] * m.T[[0, 0, 2, 2]]  # M n, one row per axis
+    a2, a1 = np.sum(mn * mn, axis=1), mn @ b
+    guess = (np.sqrt(a1**2 - a2 * (b @ b - (1 + 2 * tol.psd_slack) ** 2)) - a1) / a2
+    k = np.floor(np.clip(np.nan_to_num(guess), 2.0**-48, 1 - 2.0**-47) * 2.0**48)
+    grid = (k[:, None] + np.arange(-1.0, 3.0)) * 2.0**-48  # within [0, 1]
+    inside = mask_at(grid)
+    j = inside.sum(axis=1)  # the node is grid[j - 1 .. j] where the row reads T..TF..F
+    lo, hi, steps = np.zeros(4), np.ones(4), 60
+    if np.all((0 < j) & (j < 4)) and np.array_equal(inside, np.arange(4) < j[:, None]):
+        lo, hi, steps = grid[range(4), j - 1], grid[range(4), j], 12
+    for _ in range(steps):
         mid = (lo + hi) / 2
-        states = (PAULI_I.entries + (signs * mid)[:, None, None] * sigmas) * 0.5
-        inside = _positive_domain_mask(phi, states)
+        inside = mask_at(mid[:, None])[:, 0]
         lo, hi = np.where(inside, mid, lo), np.where(inside, hi, mid)
     worst_boundary = float(np.max(np.abs((lo + hi) / 2 - eps)))
     report.add("positive_domain_boundary_at_epsilon", worst_boundary <= 1e-8, worst_boundary)

@@ -18,6 +18,7 @@ from .config import DEFAULT_TOL, ToleranceConfig
 from .consistency import ConsistencyVerdict, _kernel_residuals, is_unitary_consistent
 from .operators import (
     Operator,
+    _PAULI_STACK,
     _check_same_layout,
     _columns,
     _density_mask,
@@ -425,6 +426,18 @@ def _random_domain_states(
             states = states[inside & _density_mask(states, tol, tol)]
         produced += len(states)
         yield states
+
+
+def _bloch_form(phi: SubsystemMap) -> tuple[np.ndarray, np.ndarray]:
+    """The real (M, b) with phi((1 + r.sigma)/2) = (1 + (M r + b).sigma)/2 (Carteret, Terno &
+    Zyczkowski, PRA 77, 042113, 2008), read off the images of 1/2 and sigma_i/2, for a trace-
+    and Hermiticity-preserving qubit map on the full domain; any other map is refused."""
+    full_qubit = phi.dim == 2 and phi.domain.dim == 4
+    if not (full_qubit and phi.is_trace_preserving() and phi.is_hermiticity_preserving()):
+        raise ValueError("not a trace- and Hermiticity-preserving qubit map on the full domain")
+    # coords[l, k] = Tr(phi(s_k / 2) s_l), with s_0 = 1
+    coords = np.einsum("kij,lji->lk", phi._apply_stack(_PAULI_STACK / 2), _PAULI_STACK).real
+    return coords[1:, 1:], coords[1:, 0]
 
 
 def _positive_domain_mask(phi: SubsystemMap, states: np.ndarray) -> np.ndarray:

@@ -273,6 +273,7 @@ PAULI_I = identity(2)
 PAULI_X = operator([[0, 1], [1, 0]], 2)
 PAULI_Y = operator([[0, -1j], [1j, 0]], 2)
 PAULI_Z = operator([[1, 0], [0, -1]], 2)
+_PAULI_STACK = np.array([p.entries for p in (PAULI_I, PAULI_X, PAULI_Y, PAULI_Z)])
 
 
 # -- vectorization -----------------------------------------------------------

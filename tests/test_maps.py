@@ -114,7 +114,7 @@ def test_derived_map_preserves_trace_and_hermiticity(rng):
 
 
 def test_derivation_unique_against_subset_oracle(rng):
-    """Greedy maximal-independent-subset derivation agrees with the pinv route."""
+    """Greedy maximal-independent-subset derivation agrees with derive_map's SVD route."""
     v = gibbs_subspace()
     u = controlled_phase_unitary(0.73)
     phi = derive_map(v, u)
@@ -423,6 +423,66 @@ def test_sample_positive_domain_empty_verdict():
     sample = sample_positive_domain(phi, 8, seed=2)
     assert sample.members == ()
     assert sample.span_dim == 0
+
+
+# ---------------------------------------------------------------------------
+# Bloch form
+# ---------------------------------------------------------------------------
+
+
+def _bloch_image(m, b, r):
+    """(1 + (M r + b).sigma) / 2 as a matrix."""
+    x, y, z = m @ r + b
+    return (PAULI_I.entries + x * PAULI_X.entries + y * PAULI_Y.entries + z * PAULI_Z.entries) / 2
+
+
+@pytest.mark.parametrize(
+    "phi,m,b",
+    [
+        (identity_map((2,)), np.eye(3), np.zeros(3)),
+        (transpose_map(), np.diag([1.0, -1.0, 1.0]), np.zeros(3)),
+        (repolarizer(0.2), np.eye(3) / 0.2, np.zeros(3)),
+        (repolarizer(9.5e-4), np.eye(3) / 9.5e-4, np.zeros(3)),
+    ],
+    ids=["identity", "transpose", "repolarizer-0.2", "repolarizer-9.5e-4"],
+)
+def test_bloch_form_of_the_catalog_maps(phi, m, b):
+    got_m, got_b = maps._bloch_form(phi)
+    assert got_m.dtype == got_b.dtype == np.float64
+    assert got_m.shape == (3, 3) and got_b.shape == (3,)
+    np.testing.assert_allclose(got_m, m, rtol=1e-14, atol=1e-14)
+    np.testing.assert_allclose(got_b, b, atol=1e-14)
+
+
+@pytest.mark.parametrize("gamma", [0.0, 0.3, 1.0])
+def test_bloch_form_of_amplitude_damping(gamma, rng):
+    k0 = operator([[1, 0], [0, math.sqrt(1 - gamma)]], 2)
+    k1 = operator([[0, math.sqrt(gamma)], [0, 0]], 2)
+    phi = map_from_kraus([k0, k1])
+    m, b = maps._bloch_form(phi)
+    s = math.sqrt(1 - gamma)
+    np.testing.assert_allclose(m, np.diag([s, s, 1 - gamma]), atol=1e-15)
+    np.testing.assert_allclose(b, [0.0, 0.0, gamma], atol=1e-15)
+    for r in rng.normal(size=(5, 3)):  # the form reproduces the map on states
+        r = r / np.linalg.norm(r) * rng.uniform()
+        rho = operator(_bloch_image(np.eye(3), np.zeros(3), r), 2)
+        np.testing.assert_allclose(phi.apply(rho).entries, _bloch_image(m, b, r), atol=1e-15)
+
+
+@pytest.mark.parametrize(
+    "phi",
+    [
+        identity_map((2, 2)),
+        identity_map((3,)),
+        controlled_phase_map(0.7),  # Example 1: domain span{1, X, Z}
+        identity_map((2,)) * 2,  # doubles the trace
+        map_from_action(lambda a: a + 1j * np.trace(a) * PAULI_Z.entries, full_operator_space(2)),
+    ],
+    ids=["2x2", "3", "example1", "not-trace-preserving", "not-hermiticity-preserving"],
+)
+def test_bloch_form_refuses_other_maps(phi):
+    with pytest.raises(ValueError, match="^not a trace- and Hermiticity-preserving qubit map on the full domain$"):
+        maps._bloch_form(phi)
 
 
 # ---------------------------------------------------------------------------

@@ -30,6 +30,7 @@ from beyondcp import (
     serialization,
 )
 from beyondcp.catalog import depolarizer_kraus, gibbs_subspace, repolarizer
+from beyondcp import cli as cli_module
 from beyondcp.cli import _RANK_CUT_FLOOR, _smallest_checkable_epsilon, run_cli
 from beyondcp.config import DEFAULT_TOL
 from beyondcp.maps import identity_map, map_from_kraus
@@ -1249,6 +1250,83 @@ def test_cli_catalog_repolarizer_bisection_matches_the_per_state_loop(capsys, ep
     )
     assert code == 0
     assert boundary["residual"] == worst and boundary["passed"]
+
+
+def _per_state_boundary_residual(eps):
+    """The boundary residual of a 60-step bisection along +-X and +-Z, one state at a time."""
+    phi = repolarizer(eps)
+    worst = 0.0
+    for sigma in (PAULI_X, PAULI_Z):
+        for sign in (1.0, -1.0):
+            lo, hi = 0.0, 1.0
+            for _ in range(60):
+                mid = (lo + hi) / 2
+                if positive_domain_membership(phi, (PAULI_I + (sign * mid) * sigma) * 0.5):
+                    lo = mid
+                else:
+                    hi = mid
+            worst = max(worst, abs((lo + hi) / 2 - eps))
+    return worst
+
+
+def _boundary_verdict(doc):
+    return next(v for v in doc["verdicts"] if v["name"] == "positive_domain_boundary_at_epsilon")
+
+
+_SEARCH_EPSILONS = [
+    *np.exp(
+        np.random.default_rng(27).uniform(
+            math.log(_smallest_checkable_epsilon(DEFAULT_TOL)), 0.0, 48
+        )
+    ).tolist(),
+    0.5,
+    1.0,
+]
+
+
+def test_cli_catalog_repolarizer_guided_search_matches_the_per_state_loop(capsys):
+    for eps in _SEARCH_EPSILONS:
+        _, doc = _run(capsys, ["catalog", "repolarizer", "--epsilon", repr(eps)])
+        assert _boundary_verdict(doc)["residual"] == _per_state_boundary_residual(eps), eps
+
+
+def _count_mask_calls(monkeypatch):
+    calls = []
+    mask = cli_module._positive_domain_mask
+    monkeypatch.setattr(cli_module, "_positive_domain_mask", lambda *a: calls.append(1) or mask(*a))
+    return calls
+
+
+@pytest.mark.parametrize("epsilon", ["9.5e-4", "0.05", "0.2", "0.41", "0.5"])
+def test_cli_catalog_repolarizer_confirmed_guess_makes_13_mask_calls(capsys, monkeypatch, epsilon):
+    calls = _count_mask_calls(monkeypatch)
+    code, doc = _run(capsys, ["catalog", "repolarizer", "--epsilon", epsilon])
+    assert code == 0 and _boundary_verdict(doc)["passed"]
+    assert len(calls) == 1 + 12  # the grid around the guesses, then the last 12 steps
+
+
+def test_cli_catalog_repolarizer_flip_at_one_falls_back_to_61_mask_calls(capsys, monkeypatch):
+    calls = _count_mask_calls(monkeypatch)
+    code, doc = _run(capsys, ["catalog", "repolarizer", "--epsilon", "1.0"])
+    assert code == 1  # the identity map has no counterexample to positivity
+    assert _boundary_verdict(doc)["passed"]
+    assert len(calls) == 1 + 60  # every grid point is inside, so no node is confirmed
+
+
+@pytest.mark.parametrize("factor", [1 + 1e-6, 1 - 1e-6, math.nan], ids=["high", "low", "nan"])
+@pytest.mark.parametrize("epsilon", ["9.5e-4", "0.05", "0.2", "0.45", "1.0"])
+def test_cli_catalog_repolarizer_guess_never_decides(capsys, monkeypatch, epsilon, factor):
+    argv = ["catalog", "repolarizer", "--epsilon", epsilon]
+    code = run_cli(argv)
+    expected = capsys.readouterr().out
+    bloch_form = cli_module._bloch_form
+    monkeypatch.setattr(  # the guess is the root along each axis, so it moves by 1 / factor
+        cli_module, "_bloch_form", lambda phi: (bloch_form(phi)[0] * factor, bloch_form(phi)[1])
+    )
+    calls = _count_mask_calls(monkeypatch)
+    assert run_cli(argv) == code
+    assert capsys.readouterr().out == expected
+    assert len(calls) == 1 + 60
 
 
 def test_cli_derive_map_on_the_zero_subspace_is_an_input_error(capsys, tmp_path):
