@@ -224,8 +224,11 @@ def _parse_matrix(obj: list, where: str) -> np.ndarray:
     for r, length in enumerate(map(len, obj)):
         if length != width:
             raise ValueError(f"{where}: row {r} has length {length}, expected {width}")
-    try:
-        pairs = np.array(obj, dtype=float).reshape(len(obj), width, 2)  # rows may be empty
+    flat = list(itertools.chain.from_iterable(itertools.chain.from_iterable(obj)))
+    if len(flat) != len(obj) * width * 2:
+        raise ValueError(f"{where}: entries must be [re, im] pairs")
+    try:  # a flat list converts faster than the nested one
+        pairs = np.array(flat, dtype=float).reshape(len(obj), width, 2)  # rows may be empty
     except OverflowError:  # an integer too large for a float
         raise ValueError(f"{where}: entries must be finite numbers") from None
     if not np.isfinite(pairs).all():

@@ -208,6 +208,12 @@ def test_parse_matrix_gives_the_bits_of_the_per_entry_conversion(tmp_path):
         assert parsed.tobytes() == reference.tobytes()
 
 
+@pytest.mark.parametrize("obj", [[[[1, 0, 0]]], [[[1, 0], [0]]], [[[1], [0]]]])
+def test_parse_matrix_refuses_entries_that_are_not_pairs_in_total(obj):
+    with pytest.raises(ValueError, match=r"^/m: entries must be \[re, im\] pairs$"):
+        serialization._parse_matrix(obj, "/m")
+
+
 # ---------------------------------------------------------------------------
 # schema validation against jsonschema.validate as the oracle
 # ---------------------------------------------------------------------------
