@@ -1,3 +1,4 @@
+import importlib
 import json
 import os
 import re
@@ -133,6 +134,18 @@ def test_output_digest_is_deterministic():
     assert len(lines) == 15 + 1 + 2 + 1  # the cli commands at one seed, two trials, two totals
     assert lines[15].startswith("cli total (15 items) ")
     assert lines[-1].startswith("trials total (2 items) ")
+
+
+@pytest.mark.parametrize("seed", [7, 11])
+def test_cli_workload_oracle_accepts_one_cycle(seed, tmp_path, monkeypatch):
+    """The benchmark's cli oracle expects each command's exact verdict names and flags, so a
+    verdict added to a report must be added there too, or the benchmark counts an error."""
+    monkeypatch.syspath_prepend(str(ROOT / "perfbench"))  # as scripts/output_digest.py does
+    monkeypatch.delenv("BEYONDCP_SEED", raising=False)  # it would override each --seed
+    ops = importlib.import_module("workloads").CliWorkload(seed, tmp_path).cycle()
+    assert len(ops) == 15
+    for op in ops:
+        assert op.check(op.call()) is None
 
 
 def test_size_ladder_checks_and_times_the_two_smallest_rungs():
