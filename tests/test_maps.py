@@ -465,7 +465,7 @@ def test_bloch_form_of_amplitude_damping(gamma, rng):
     np.testing.assert_allclose(b, [0.0, 0.0, gamma], atol=1e-15)
     for r in rng.normal(size=(5, 3)):  # the form reproduces the map on states
         r = r / np.linalg.norm(r) * rng.uniform()
-        rho = operator(_bloch_image(np.eye(3), np.zeros(3), r), 2)
+        rho = operator(_bloch_image(np.eye(3), np.zeros(3), r), 2)  # (1 + r.sigma) / 2
         np.testing.assert_allclose(phi.apply(rho).entries, _bloch_image(m, b, r), atol=1e-15)
 
 
@@ -481,7 +481,8 @@ def test_bloch_form_of_amplitude_damping(gamma, rng):
     ids=["2x2", "3", "example1", "not-trace-preserving", "not-hermiticity-preserving"],
 )
 def test_bloch_form_refuses_other_maps(phi):
-    with pytest.raises(ValueError, match="^not a trace- and Hermiticity-preserving qubit map on the full domain$"):
+    message = "^not a trace- and Hermiticity-preserving qubit map on the full domain$"
+    with pytest.raises(ValueError, match=message):
         maps._bloch_form(phi)
 
 
