@@ -19,9 +19,12 @@ and no time.
 
 A time is the timeit minimum, per call, of ``--repeat`` rounds of about 20 ms
 (one call at least) with one BLAS thread; the memory is the ``tracemalloc``
-peak of one more call.  A call whose first run takes longer than ``--budget``
-seconds is recorded as "over budget" with that time, and not repeated.  One
-JSON document, with the machine details, goes to stdout:
+peak of one more call, and ``minor_faults`` that call's minor page faults (the
+``ru_minflt`` difference of ``getrusage(RUSAGE_SELF)``).  The fault count
+depends on what the process freed before: a heap left warm by larger arrays
+gives none.  A call whose first run takes longer than ``--budget`` seconds is
+recorded as "over budget" with that time, and not repeated.  One JSON
+document, with the machine details, goes to stdout:
 
     python3 scripts/size_ladder.py [--sizes 2x2 2x4 4x4 4x8] [--repeat 5] [--budget 10]
 """
@@ -31,6 +34,7 @@ import json
 import math
 import os
 import platform
+import resource
 import sys
 import time
 import timeit
@@ -130,10 +134,17 @@ def _measure(call, check, repeat: int, budget: float) -> dict:
     number = max(1, math.ceil(ROUND_S / max(first_s, 1e-9)))
     min_s = min(timeit.repeat(call, repeat=repeat, number=number)) / number
     tracemalloc.start()
+    faults = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
     call()
+    faults = resource.getrusage(resource.RUSAGE_SELF).ru_minflt - faults
     peak = tracemalloc.get_traced_memory()[1]
     tracemalloc.stop()
-    return {"status": "ok", "min_s": min_s, "tracemalloc_peak_mb": peak / 2**20}
+    return {
+        "status": "ok",
+        "min_s": min_s,
+        "tracemalloc_peak_mb": peak / 2**20,
+        "minor_faults": faults,
+    }
 
 
 def map_problem(phi, v: OperatorSubspace, a: np.ndarray, m: int) -> str | None:
@@ -205,7 +216,7 @@ def main() -> None:
         "family": f"{MEMBERS} Haar unitaries per rung from numpy.random.default_rng({FAMILY_SEED})",
         "timing": (
             f"per call: timeit minimum of {args.repeat} rounds of about {ROUND_S} s; "
-            "tracemalloc peak of one call"
+            "tracemalloc peak and minor page faults of one call"
         ),
         "budget_s": args.budget,
         "rungs": [rung(d_s, d_b, args.repeat, args.budget) for d_s, d_b in args.sizes],

@@ -155,38 +155,48 @@ def consistent_kernel(
 ) -> OperatorSubspace:
     """Operators whose reduced evolution vanishes under {1} union the family.
 
-    This is the null space of the stacked constraints [T; T S_1; ...; T S_k],
+    This is the null space of the stacked constraints [T; T S_1; ...; T S_f],
     where T is the bath trace on vectorized operators and S = conj(U) (x) U is
     conjugation by a member.  With the identity in front of the member stack,
     ``_reduced_evolution_matrix`` builds all the rows in one call, T first.
     Adding members can only shrink the result.  A member off ``layout``, or a
     ``bath_factor`` that names none of its two or more factors, raises
-    ValueError.  The stack has (k+1) d_S^2 rows and N^2 columns, far wider
-    than tall, so from N^2 = 100 on ``_null_space`` takes it by QR rather than
-    by a full SVD with its N^2 x N^2 right factor.
+    ValueError.
+
+    Each member block drops the row of the last diagonal entry (m-1, m-1) of the
+    reduced operator (m the kept dimension): the diagonal rows of T S sum to
+    Tr(U X U^dag) = Tr X, as T's do, so the stack of (f+1) m^2 - f rows keeps the
+    row space and null space, with full row rank for a generic family.  For a
+    member with ||U^dag U - 1|| = e <= residual_tol (``_unitary_stack``), that
+    holds only up to the row of Tr((U^dag U - 1) X), of norm e; by Weyl's
+    inequality the full stack gives such a direction a singular value of at most
+    sqrt(f) e, below its cut rank_cut max(s_0, 1) >= rank_cut sqrt((f+1) N / m) at
+    the default tolerances, so it would count that direction null too.  The
+    stack is far wider than tall: from N^2 = 100 on ``_null_space`` takes it by
+    QR, and with full row rank it needs R's singular values only.
 
     The constraints commute with ^dag, so the null space is taken in the real
     coordinates of ``operators._transposed_columns``, where the stack keeps its
     singular values and so its rank cut.  Each real null vector comes back as a
-    bitwise Hermitian element of an orthonormal basis.  From 64 columns on, the
-    constructor Gram-checks such a basis in the same coordinates, as the real M^T M:
-    for Hermitian X and Y, Tr(X^dag Y) = <M X, M Y> exactly, so it is the check
-    ||B^dag B - 1|| <= residual_tol that every basis gets, at about a quarter of
-    the flops.
+    bitwise Hermitian element of an orthonormal basis, which the subspace records
+    (``_hermitian``), so its constructor Gram-checks it in the same coordinates,
+    as the real M^T M, with no bitwise test: for Hermitian X and Y,
+    Tr(X^dag Y) = <M X, M Y> exactly, so it is the check ||B^dag B - 1|| <=
+    residual_tol that every basis gets, at about a quarter of the flops.
     """
     if not family.members:
         raise ValueError("consistent_kernel requires a nonempty family")
     n = layout.total_dim
     u = _unitary_stack(family.members, layout, tol.residual_tol)
     keep = _keep_indices(layout, bath_factor)
-    rows = _reduced_evolution_matrix(layout.dims, keep, np.array([np.eye(n), *u]))
-    a = rows.reshape(-1, n * n)
+    a = _reduced_evolution_matrix(layout.dims, keep, np.array([np.eye(n), *u]))
+    a = np.vstack([a[0], a[1:, :-1].reshape(-1, n * n)])  # drop each Tr X repeat, free the rest
     h = _null_space(a.real + _transposed_columns(a.imag.T, n).T, tol.rank_cut) / 2
     kh = _transposed_columns(h, n)
     basis = np.empty(h.shape, dtype=complex)
     np.add(h, kh, out=basis.real)
     np.subtract(h, kh, out=basis.imag)
-    return OperatorSubspace(layout, basis, tol=tol)
+    return OperatorSubspace(layout, basis, tol=tol, _hermitian=True)
 
 
 def transformation_space(

@@ -53,12 +53,15 @@ class OperatorSubspace:
     ``_basis_matrix`` (N^2, dim) holds the vectorized basis, orthonormal under the
     Hilbert-Schmidt inner product; ``_generator_matrix`` (N^2, g) the spanning set
     the subspace was built from, by default the basis.  Both are read-only copies.
+    ``_hermitian`` is set only by a producer that builds every basis element
+    bitwise Hermitian, so that ``_gram`` need not test it.
     """
 
     layout: SpaceLayout
     _basis_matrix: np.ndarray
     _generator_matrix: np.ndarray | None = None
     tol: ToleranceConfig = DEFAULT_TOL
+    _hermitian: bool = False
 
     def __post_init__(self) -> None:
         b = self._frozen(self._basis_matrix)
@@ -69,7 +72,8 @@ class OperatorSubspace:
 
     @np.errstate(invalid="ignore", over="ignore")  # an inf or NaN entry: a NaN residual, refused
     def _check_orthonormal_span(self, b: np.ndarray, g: np.ndarray) -> None:
-        residual = float(np.linalg.norm(_gram(b, self.layout.total_dim) - np.eye(b.shape[1])))
+        n = self.layout.total_dim  # the Gram matrix stays a temporary, subtracted in place
+        residual = float(np.linalg.norm(_gram(b, n, self._hermitian) - np.eye(b.shape[1])))
         if not residual <= self.tol.residual_tol:
             raise ValueError(
                 f"basis is not orthonormal within residual_tol (||B^dag B - 1|| = "
@@ -168,10 +172,15 @@ def _null_space(a: np.ndarray, cut: float) -> np.ndarray:
     T^-1 is the strict upper triangle of V^dag V plus diag(1 / tau).  R has the
     singular values of ``a``, and the null space is H applied to the last m - r
     left singular vectors of R and to the trailing n - m unit vectors.  At the
-    real (80, 256) stack of a (4,4) consistent kernel that takes a quarter to
+    real (80, 256) full stack of a (4,4) consistent kernel that takes a quarter to
     two fifths less time, at (80, 1024) about a sixth of it; the two bases
-    differ by a unitary rotation.  The basis keeps the input's dtype: a real
-    ``a`` gives real columns, with about a quarter of the complex flops.
+    differ by a unitary rotation.  A wide ``a`` (k < n) whose R has no diagonal
+    entry at the cut first takes R's singular values alone: when all m are
+    kept, the null space is H applied to the trailing n - m unit vectors only,
+    and no singular vector is computed.  Otherwise, and for every tall ``a``
+    (as in ``subspace_intersection``), R takes one SVD with its left vectors.
+    The basis keeps the input's dtype: a real ``a`` gives real columns, with
+    about a quarter of the complex flops.
     """
     k, n = a.shape
     if n < _QR_NULL_SPACE_COLUMNS:
@@ -180,28 +189,38 @@ def _null_space(a: np.ndarray, cut: float) -> np.ndarray:
     m = min(k, n)
     h, tau = np.linalg.qr(a.conj().T, mode="raw")  # h.T packs R and V, as LAPACK's geqrf
     packed = h.T
-    u, s, _ = np.linalg.svd(np.triu(packed[:m]), full_matrices=False)
-    r = _numerical_rank(s, cut, floor=1.0)
+    triangle = np.triu(packed[:m])
+    d = np.abs(np.diagonal(triangle))  # s_m <= min d and s_0 >= max d, so an entry at
+    r = -1  # the cut proves a wide R rank-deficient with no SVD
+    if k < n and np.min(d, initial=np.inf) > cut * max(np.max(d, initial=0.0), 1.0):
+        r = _numerical_rank(np.linalg.svd(triangle, compute_uv=False), cut, floor=1.0)
+    if r == m:
+        small = triangle[:, :0]  # full rank: no left singular vector is needed
+    else:
+        u, s, _ = np.linalg.svd(triangle, full_matrices=False)
+        r = _numerical_rank(s, cut, floor=1.0)
+        small = u[:, r:]
     v = np.tril(packed[:, :m], -1) + np.eye(n, m)
     unit = tau == 0  # such a reflector is the identity, so it is dropped
     v[:, unit] = 0
     t_inv = np.triu(v.conj().T @ v, 1) + np.diag(1 / np.where(unit, 1, tau))
-    small = u[:, r:]
     c = np.zeros((n, n - r), dtype=small.dtype)
     c[:m, : m - r] = small
-    c[m:, m - r :] = np.eye(n - m)
+    np.fill_diagonal(c[m:, m - r :], 1)  # the trailing unit vectors
     v_dag_c = np.hstack([v[:m].conj().T @ small, v[m:].conj().T])
     return c - v @ (np.linalg.inv(t_inv) @ v_dag_c)
 
 
-def _gram(b: np.ndarray, n: int) -> np.ndarray:
+def _gram(b: np.ndarray, n: int, hermitian: bool = False) -> np.ndarray:
     """B^dag B, as the real M^T M, M = Re X + Im X (``operators._transposed_columns``), when
-    64 or more columns (fewer cost more to test than that saves) are bitwise Hermitian X."""
-    if b.shape[1] >= 64:
+    the columns are bitwise Hermitian X: vouched for by ``hermitian``, or tested when 64 or
+    more (fewer cost more to test than that saves)."""
+    if not hermitian and b.shape[1] >= 64:
         stack = _unvec_stack(b.T, n)
-        if np.array_equal(stack, stack.conj().swapaxes(-1, -2)):  # only then M^T M = B^dag B
-            m = b.real + b.imag
-            return m.T @ m
+        hermitian = np.array_equal(stack, stack.conj().swapaxes(-1, -2))
+    if hermitian:  # only then M^T M = B^dag B
+        m = b.real + b.imag
+        return m.T @ m
     return b.conj().T @ b
 
 

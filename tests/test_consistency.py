@@ -350,6 +350,84 @@ def test_real_route_matches_the_full_svd_null_space_on_degenerate_families(rng, 
     assert_same_subspace(kernel, OperatorSubspace(layout, reference))
 
 
+# ---------------------------------------------------------------------------
+# the trimmed stack: each member block without its repeat of the trace row
+# ---------------------------------------------------------------------------
+
+
+def full_trace_rows(family, layout, bath_factor=1):
+    """The full stack [T; T S_1; ...] as (f+1, m^2, N^2) blocks, T first."""
+    u = np.stack([np.eye(layout.total_dim)] + [m.entries for m in family.members])
+    keep = subspaces._keep_indices(layout, bath_factor)
+    return _reduced_evolution_matrix(layout.dims, keep, u)
+
+
+def kept_rows(rows):
+    """T, then each member block without its last row, that of the entry (m-1, m-1)."""
+    return np.vstack([rows[0], rows[1:, :-1].reshape(-1, rows.shape[-1])])
+
+
+def _trimmed_stack_case(name, rng):
+    if name == "haar_4x4":
+        family = UnitaryFamily(tuple(haar_unitary((4, 4), rng) for _ in range(4)))
+        return family, SpaceLayout((4, 4)), 1
+    return _real_route_case(name, rng)
+
+
+@pytest.mark.parametrize("name", [*_REAL_ROUTE_CASES, "haar_4x4"])
+def test_each_dropped_trace_row_lies_in_the_span_of_the_kept_rows(rng, name):
+    family, layout, bath_factor = _trimmed_stack_case(name, rng)
+    rows = full_trace_rows(family, layout, bath_factor)
+    kept = kept_rows(rows)
+    _, s, vh = np.linalg.svd(kept, full_matrices=False)
+    span = vh[: int(np.sum(s > DEFAULT_TOL.rank_cut * max(s[0], 1.0)))]
+    for dropped in rows[1:, -1]:
+        residual = dropped - (dropped @ span.conj().T) @ span
+        assert np.linalg.norm(residual) <= 1e-12 * np.linalg.norm(dropped)
+
+
+@pytest.mark.parametrize(
+    "dims, bath_factor, members",
+    [((2, 2), 1, 1), ((2, 4), 1, 4), ((4, 4), 1, 4), ((4, 2), 0, 2), ((2, 2, 2), 1, 1)],
+)
+def test_consistent_kernel_takes_the_trimmed_stack(rng, monkeypatch, dims, bath_factor, members):
+    layout = SpaceLayout(dims)
+    family = UnitaryFamily(tuple(haar_unitary(dims, rng) for _ in range(members)))
+    shapes, null_space = [], consistency._null_space
+
+    def recording(a, cut):
+        shapes.append(a.shape)
+        return null_space(a, cut)
+
+    monkeypatch.setattr(consistency, "_null_space", recording)
+    consistent_kernel(family, layout, bath_factor=bath_factor)
+    m = layout.total_dim // dims[bath_factor]
+    assert shapes == [((members + 1) * m * m - members, layout.total_dim**2)]
+
+
+@pytest.mark.parametrize("dims", [(2, 4), (4, 4)])
+def test_a_member_unitary_within_residual_tol_keeps_the_full_stack_kernel(rng, dims):
+    """The full stack's kernel is the trimmed one's up to the member's defect e: by Wedin's
+    theorem the two null spaces lie within e / s_min (the trimmed stack's) of each other."""
+    layout = SpaceLayout(dims)
+    n = layout.total_dim
+    members = [haar_unitary(dims, rng) for _ in range(4)]
+    h = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+    h = (h + h.conj().T) / np.linalg.norm(h + h.conj().T)
+    members[1] = operator(members[1].entries @ (np.eye(n) + 2.5e-10 * h), dims)
+    defect = members[1].unitarity_residual()  # 2 * 2.5e-10 ||h||, to first order
+    assert 4e-10 <= defect <= 6e-10 < DEFAULT_TOL.residual_tol
+    family = UnitaryFamily(tuple(members))
+    kernel = consistent_kernel(family, layout)
+    a, reference = null_space_kernel(family, layout)
+    assert kernel.dim == reference.shape[1] > 0
+    s_min = np.linalg.svd(kept_rows(full_trace_rows(family, layout)), compute_uv=False)[-1]
+    bound = defect / s_min
+    assert _containment(kernel, OperatorSubspace(layout, reference)) <= bound
+    assert _containment(OperatorSubspace(layout, reference), kernel) <= bound
+    assert np.max(np.linalg.norm(a @ kernel.basis_matrix(), axis=0)) <= defect
+
+
 def test_consistent_kernel_reads_as_any_subspace():
     layout = SpaceLayout((2, 2))
     family = UnitaryFamily((swap_unitary(2),))

@@ -148,6 +148,19 @@ def test_cli_workload_oracle_accepts_one_cycle(seed, tmp_path, monkeypatch):
         assert op.check(op.call()) is None
 
 
+@pytest.mark.parametrize("seed", [7, 11])
+def test_kernel_workload_oracle_accepts_one_cycle(seed, monkeypatch):
+    """The benchmark's kernel oracle checks each kernel's dimension and residual against an
+    independent SVD of the full stack [T; T S_1; ...], so a wrong row drop fails here."""
+    monkeypatch.syspath_prepend(str(ROOT / "perfbench"))
+    ops = importlib.import_module("workloads").KernelWorkload(seed).cycle()
+    assert [op.kind for op in ops] == [
+        "kernel_2x4", "kernel_4x4", "witness_gibbs", "witness_haar", "kernel_2x4"
+    ]
+    for op in ops:
+        assert op.check(op.call()) is None
+
+
 def test_size_ladder_checks_and_times_the_two_smallest_rungs():
     result = _run_script("size_ladder.py", "--sizes", "2x2", "2x4", "--repeat", "2")
     assert result.returncode == 0, result.stderr
@@ -159,6 +172,15 @@ def test_size_ladder_checks_and_times_the_two_smallest_rungs():
         for call in r["calls"].values():
             assert call["status"] == "ok", call
             assert 0 < call["min_s"] < 1 and call["tracemalloc_peak_mb"] > 0
+
+
+def test_size_ladder_records_the_minor_page_faults_of_each_traced_call():
+    result = _run_script("size_ladder.py", "--sizes", "2x2", "2x4", "--repeat", "1")
+    assert result.returncode == 0, result.stderr
+    for r in json.loads(result.stdout)["rungs"]:
+        for call in [*r["calls"].values(), *r["maps"].values()]:
+            assert call["status"] == "ok", call
+            assert type(call["minor_faults"]) is int and call["minor_faults"] >= 0
 
 
 def test_size_ladder_checks_and_times_a_derived_map_on_each_rung():

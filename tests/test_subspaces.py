@@ -539,6 +539,50 @@ def test_consistent_kernel_at_4x4_takes_no_full_svd(rng, monkeypatch):
     assert full and not any(full)
 
 
+def _recorded_svds(monkeypatch):
+    """A list that gets ``compute_uv`` of every later ``np.linalg.svd`` call."""
+    calls = []
+    svd = np.linalg.svd
+
+    def recording_svd(a, full_matrices=True, **kwargs):
+        calls.append(kwargs.get("compute_uv", True))
+        return svd(a, full_matrices=full_matrices, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "svd", recording_svd)
+    return calls
+
+
+@pytest.mark.parametrize("shape", [(5, 120), (40, 100), (76, 256)])
+def test_null_space_of_a_full_rank_wide_stack_takes_singular_values_only(rng, monkeypatch, shape):
+    a = rng.standard_normal(shape)
+    reference = _full_svd_null_space(a, 1e-9)
+    calls = _recorded_svds(monkeypatch)
+    basis = subspaces._null_space(a, 1e-9)
+    assert calls == [False]
+    assert basis.dtype == np.float64 and basis.shape == reference.shape
+    assert np.linalg.norm(basis.T @ basis - np.eye(basis.shape[1])) <= 1e-12
+    assert np.linalg.norm(_projector(basis) - _projector(reference)) <= 1e-10
+
+
+def test_a_rank_deficient_wide_stack_takes_one_svd_with_vectors(rng, monkeypatch):
+    """A bath-local member changes no bath trace: its rows repeat T's, and R has a diagonal
+    entry at the cut, so the stack goes straight to the SVD that finds its rank."""
+    family = UnitaryFamily((tensor(identity(4), haar_unitary(4, rng)),))
+    calls = _recorded_svds(monkeypatch)
+    kernel = consistent_kernel(family, SpaceLayout((4, 4)))
+    assert calls == [True]
+    assert kernel.dim == 256 - 16  # the kernel of T alone
+
+
+def test_a_tall_stack_takes_one_svd_with_vectors(rng, monkeypatch):
+    layout = SpaceLayout((4, 4))
+    v, w = (consistent_kernel(_haar_family((4, 4), rng), layout) for _ in range(2))
+    calls = _recorded_svds(monkeypatch)
+    inter = subspace_intersection(v, w)
+    assert calls == [True]
+    assert inter.dim == 180 + 180 - 240  # both lie in the 240-dimensional trace kernel
+
+
 # ---------------------------------------------------------------------------
 # the Gram check: real coordinates for large bitwise Hermitian bases, complex otherwise
 # ---------------------------------------------------------------------------
@@ -705,3 +749,47 @@ def test_orthonormality_refusal_names_its_residual_and_residual_tol(dims, basis,
     with pytest.raises(ValueError) as err:
         OperatorSubspace(SpaceLayout(dims), basis)
     assert str(err.value) == message
+
+
+# ---------------------------------------------------------------------------
+# a consistent kernel vouches for its bitwise Hermitian basis
+# ---------------------------------------------------------------------------
+
+
+def _recorded_bitwise_tests(monkeypatch):
+    """A list that gets the shape of every later ``np.array_equal`` call's first argument."""
+    calls = []
+    array_equal = np.array_equal
+
+    def recording_array_equal(a, b, *args, **kwargs):
+        calls.append(np.shape(a))
+        return array_equal(a, b, *args, **kwargs)
+
+    monkeypatch.setattr(np, "array_equal", recording_array_equal)
+    return calls
+
+
+@pytest.mark.parametrize("dims, members", [((2, 2), 1), ((4, 4), 4)])
+def test_a_consistent_kernel_is_gram_checked_with_no_bitwise_test(rng, monkeypatch, dims, members):
+    family = UnitaryFamily(tuple(haar_unitary(dims, rng) for _ in range(members)))
+    tests = _recorded_bitwise_tests(monkeypatch)
+    kernel = consistent_kernel(family, SpaceLayout(dims))
+    assert kernel.dim > 0 and kernel._hermitian
+    assert tests == []
+    b, n = kernel.basis_matrix(), kernel.layout.total_dim
+    gram = subspaces._gram(b, n, hermitian=True)
+    assert gram.dtype == np.float64
+    assert np.max(np.abs(gram - b.conj().T @ b)) <= 1e-13
+
+
+def test_other_bases_of_a_consistent_kernel_still_take_the_bitwise_test(rng, monkeypatch):
+    layout = SpaceLayout((4, 4))
+    kernel = consistent_kernel(_haar_family((4, 4), rng), layout)
+    doc = emit_subspace(kernel)
+    tests = _recorded_bitwise_tests(monkeypatch)
+    parsed = parse_subspace(doc)  # the emitted basis document
+    assert (180, 16, 16) in tests and not parsed._hermitian
+    tests.clear()
+    rebuilt = OperatorSubspace(layout, kernel.basis_matrix())  # the size ladder's subspace call
+    assert tests == [(180, 16, 16)] and not rebuilt._hermitian
+    assert subspaces_equal(parsed, kernel) and subspaces_equal(rebuilt, kernel)
