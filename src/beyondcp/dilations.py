@@ -322,15 +322,8 @@ def verify_representation(
         residual_map = float(np.max(np.linalg.norm(drift, axis=0), initial=0.0))
     except ValueError:
         residual_map = float("inf")
-    if (
-        residual_map <= tol.residual_tol
-        and domain_residual <= tol.residual_tol
-        and consistency <= tol.residual_tol
-    ):
+    passed = all(r <= tol.residual_tol for r in (consistency, domain_residual, residual_map))
+    if passed:  # only then is the derived map defined; max keeps residual_map over a NaN
         residual_map = max(residual_map, map_residual(phi, rep.derived_map()))
-    passed = (
-        consistency <= tol.residual_tol
-        and domain_residual <= tol.residual_tol
-        and residual_map <= tol.residual_tol
-    )
+        passed = residual_map <= tol.residual_tol
     return RepresentationVerdict(passed, consistency, domain_residual, residual_map)

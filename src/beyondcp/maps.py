@@ -181,7 +181,8 @@ def derive_map(
     well-definedness and is checked first; the construction then verifies the
     defining relation on every generator of v.  With B the orthonormal basis of
     v, R = Tr_B B and E = Tr_B(u B u^dag) as (N_S^2, dim v) matrices, and the
-    thin SVD R = U S V^dag cut at rank r, the domain basis is U_r and the
+    thin SVD R = U S V^dag cut at the kernel's rank r = dim v - dim ker R (the
+    one cut of the consistency check), the domain basis is U_r and the
     coordinate matrix is E V_r S_r^-1.
     """
     derivation = _derive_pair(v, u, bath_factor)
@@ -218,12 +219,12 @@ def _derive(v: OperatorSubspace, unitaries: Sequence[Operator], keep: tuple) -> 
     What does not depend on the unitary (the reduced stacks, their span, the
     state-spanned check) is computed once.
     """
-    evolution, reduced, evolved, _, residuals = _kernel_residuals(v, unitaries, keep)
+    evolution, reduced, evolved, n, residuals = _kernel_residuals(v, unitaries, keep)
     worst = np.max(residuals, axis=1, initial=0.0)
-    # one SVD R = U S V^dag: the domain is its range, cut at a scale floored at 1 (R reduces
-    # orthonormal columns, so rounding noise spans nothing), and V S^-1 inverts R on it
+    # the domain is the range of R = U S V^dag, whose rank the kernel's cut already decided
+    # (rank-nullity), and V S^-1 inverts R on it
     u, s, vh = np.linalg.svd(reduced, full_matrices=False)
-    r = _numerical_rank(s, v.tol.rank_cut, floor=1.0)
+    r = v.dim - n.shape[1]
     domain = OperatorSubspace(v.layout.subset(keep), u[:, :r], reduced, v.tol)
     phis, spanned = [None] * len(evolved), None
     if np.all(worst <= v.tol.residual_tol):  # False on NaN
@@ -233,7 +234,8 @@ def _derive(v: OperatorSubspace, unitaries: Sequence[Operator], keep: tuple) -> 
             f"state-spanned check: {'verified' if spanned else 'not verified'})"
         )
         p_inv = vh[:r].conj().T / s[:r]  # U_r^dag R = S_r V_r^dag, inverted on the domain
-        ops = np.hstack([v._generator_matrix, v.basis_matrix()])  # where the relation is checked
+        b, g = v.basis_matrix(), v._generator_matrix  # where the relation is checked
+        ops = b if g is b else np.hstack([g, b])
         lhs, rhs = _reduced_evolution(ops, v.layout.dims, keep), evolution @ ops
         scale = np.maximum(1.0, np.linalg.norm(ops, axis=0))
         phis = [SubsystemMap(domain, e @ p_inv, provenance) for e in evolved]

@@ -330,19 +330,22 @@ def check_state_spanned(
     the projection of the identity into v.  A dagger-closed subspace
     containing a strictly positive element is spanned by states (small
     Hermitian perturbations of that element stay positive).  ``False`` means
-    "not verified", not "disproved".
+    "not verified", not "disproved".  The adjoints of the basis and the
+    identity are tested in one membership product, whose identity column
+    also gives the projection.
     """
     if v.dim == 0:
         return False
     n = v.layout.total_dim
-    if not v._contains_columns(_dagger_columns(v.basis_matrix(), n)):
-        return False
     ident = vec(np.eye(n, dtype=complex))[:, None]
-    if v._contains_columns(ident):
+    coeffs, _, inside = v._coordinates_of(np.hstack([_dagger_columns(v.basis_matrix(), n), ident]))
+    if not np.all(inside[:-1]):
+        return False
+    if inside[-1]:
         return True
     if positive_witness is not None:
         if v.contains(positive_witness) and positive_witness.min_eigenvalue() > v.tol.psd_slack:
             return True
-    projected = unvec(v.basis_matrix() @ v._coordinates_of(ident)[0][:, 0], n)
+    projected = unvec(v.basis_matrix() @ coeffs[:, -1], n)
     h = (projected + projected.conj().T) * complex(0.5)
     return v._contains_columns(vec(h)[:, None]) and float(_min_eigenvalues(h)) > v.tol.psd_slack

@@ -494,6 +494,23 @@ def test_verify_representation_matches_unstacked_reference(name):
         assert g == r or abs(g - r) <= 1e-12
 
 
+def test_verify_representation_grades_the_derived_map_only_after_the_three_checks(monkeypatch):
+    good, phi = REFERENCE_TRIPLES["swap_transpose"]()
+    bad, bad_phi = _perturbed_repolarizer_triple()
+    graded = []
+
+    def nan_residual(phi1, phi2):
+        graded.append((phi1, phi2))
+        return float("nan")
+
+    monkeypatch.setattr(dilations, "map_residual", nan_residual)
+    verdict = verify_representation(good, phi)
+    assert len(graded) == 1
+    assert verdict.passed and verdict.map_residual <= 1e-9  # max(residual, nan) keeps the residual
+    assert not verify_representation(bad, bad_phi).passed
+    assert len(graded) == 1  # a failed check leaves the derived map ungraded
+
+
 # ---------------------------------------------------------------------------
 # sampled physical-domain check of the inverse representation
 # ---------------------------------------------------------------------------

@@ -10,6 +10,7 @@ from beyondcp import (
     PAULI_X,
     PAULI_Y,
     PAULI_Z,
+    Representation,
     SpaceLayout,
     SubsystemMap,
     UnitaryFamily,
@@ -35,10 +36,12 @@ from beyondcp import (
     swap_representation,
     swap_unitary,
     tensor,
+    transformation_space,
 )
-from beyondcp import maps
+from beyondcp import maps, subspaces
 from beyondcp.catalog import (
     axis_states,
+    controlled_phase_family,
     controlled_phase_map,
     controlled_phase_unitary,
     depolarizer,
@@ -621,3 +624,79 @@ def test_map_from_kraus_rejects_non_finite_operator():
     m[0, 1] = np.nan
     with pytest.raises(ValueError, match="trace preserving"):
         map_from_kraus([operator(m, 2)])
+
+
+# ---------------------------------------------------------------------------
+# one rank cut per derivation: the domain takes the kernel's
+# ---------------------------------------------------------------------------
+
+
+def _near_cut_subspace(delta):
+    """span{1/4, 1/4 + delta Z (x) X} at (2,2): span{1, Z (x) X} in exact arithmetic, whose
+    second direction sits near the rank cut of the bath traces for delta of a few 1e-9."""
+    layout = SpaceLayout((2, 2))
+    quarter = np.eye(4) / 4
+    z_x = np.kron(PAULI_Z.entries, PAULI_X.entries)
+    return span_from_generators([operator(quarter, layout), operator(quarter + delta * z_x, layout)])
+
+
+@pytest.mark.parametrize("delta", [2e-9, 1e-9, 5e-10])
+def test_derived_domain_and_kernel_obey_rank_nullity_near_the_cut(delta):
+    v = _near_cut_subspace(delta)
+    u = haar_unitary((2, 2), np.random.default_rng(3))
+    try:
+        phi = derive_map(v, u)
+    except RuntimeError as error:  # the defining-relation self-check refuses
+        assert "defining relation" in str(error)
+        return
+    assert phi.domain.dim + kernel_of_partial_trace(v).dim == v.dim
+
+
+def test_derived_domain_and_kernel_obey_rank_nullity_on_the_qr_route():
+    """181 columns: the kernel's null space is taken by QR, and the domain rests on that cut."""
+    rng = np.random.default_rng(1)
+    layout = SpaceLayout((4, 4))
+    family = UnitaryFamily(tuple(haar_unitary((4, 4), rng) for _ in range(4)))
+    kernel = consistent_kernel(family, layout)
+    v = subspace_sum(kernel, span_from_generators([identity(layout) / 16]))
+    assert v.dim == 181 >= subspaces._QR_NULL_SPACE_COLUMNS
+    phi = derive_map(v, family.members[0])
+    assert (phi.domain.dim, kernel_of_partial_trace(v).dim) == (1, 180)
+
+
+def test_a_derivation_takes_no_rank_cut_of_its_own(monkeypatch):
+    rep = swap_representation(transpose_map(), axis_states())
+    family = controlled_phase_family(4)
+    pair = _consistent_pair(3, 13)
+    calls = []
+    monkeypatch.setattr(maps, "_numerical_rank", lambda *a, **k: calls.append(a))
+    derive_map(gibbs_subspace(), controlled_phase_unitary(0.7))
+    derive_map(*pair)
+    fresh = Representation(rep.bath_dim, rep.unitary, rep.subspace, rep.target_domain)
+    assert fresh.derived_map().domain.dim == 4
+    assert transformation_space(gibbs_subspace(), family).dim == 13
+    assert calls == []
+
+
+def _self_check_columns(monkeypatch, v, u):
+    """How many columns derive_map's defining-relation self-check reduces."""
+    widths = []
+    reduce = maps._reduced_evolution  # the consistency decision's reduction is not this name
+
+    def counting(cols, *args, **kwargs):
+        widths.append(cols.shape[1])
+        return reduce(cols, *args, **kwargs)
+
+    monkeypatch.setattr(maps, "_reduced_evolution", counting)
+    derive_map(v, u)
+    monkeypatch.undo()
+    return widths
+
+
+def test_the_self_check_takes_each_basis_column_once(monkeypatch):
+    w = haar_unitary(2, np.random.default_rng(4))
+    full = full_operator_space((2, 2))
+    assert _self_check_columns(monkeypatch, full, tensor(identity(2), w)) == [full.dim]
+    gibbs = gibbs_subspace()  # a span: its generators are checked as well as its basis
+    widths = _self_check_columns(monkeypatch, gibbs, controlled_phase_unitary(0.7))
+    assert widths == [len(gibbs.generators) + gibbs.dim]

@@ -31,6 +31,7 @@ from beyondcp.catalog import (
     controlled_phase_unitary,
     gibbs_state_closed_form,
     gibbs_subspace,
+    repolarizer_subspace,
     transpose_subspace,
 )
 from beyondcp.config import DEFAULT_TOL
@@ -41,7 +42,15 @@ from beyondcp.consistency import (
     is_family_consistent,
     is_unitary_consistent,
 )
-from beyondcp.operators import Operator, SpaceLayout, adjoint_action, swap_unitary, vec
+from beyondcp.operators import (
+    Operator,
+    SpaceLayout,
+    _min_eigenvalues,
+    adjoint_action,
+    swap_unitary,
+    unvec,
+    vec,
+)
 from beyondcp.sampling import haar_unitary, random_density
 from beyondcp.serialization import emit_subspace, parse_subspace, validate_document
 
@@ -793,3 +802,82 @@ def test_other_bases_of_a_consistent_kernel_still_take_the_bitwise_test(rng, mon
     rebuilt = OperatorSubspace(layout, kernel.basis_matrix())  # the size ladder's subspace call
     assert tests == [(180, 16, 16)] and not rebuilt._hermitian
     assert subspaces_equal(parsed, kernel) and subspaces_equal(rebuilt, kernel)
+
+
+# ---------------------------------------------------------------------------
+# state-spanned verification in one membership product
+# ---------------------------------------------------------------------------
+
+
+def _state_spanned_four_products(v, positive_witness=None):
+    """check_state_spanned with one membership product per question (the adjoints, the
+    identity, its coordinates again, the projected witness): the reference for one product."""
+    if v.dim == 0:
+        return False
+    n = v.layout.total_dim
+    if not v._contains_columns(subspaces._dagger_columns(v.basis_matrix(), n)):
+        return False
+    ident = vec(np.eye(n, dtype=complex))[:, None]
+    if v._contains_columns(ident):
+        return True
+    if positive_witness is not None:
+        if v.contains(positive_witness) and positive_witness.min_eigenvalue() > v.tol.psd_slack:
+            return True
+    projected = unvec(v.basis_matrix() @ v._coordinates_of(ident)[0][:, 0], n)
+    h = (projected + projected.conj().T) * complex(0.5)
+    return v._contains_columns(vec(h)[:, None]) and float(_min_eigenvalues(h)) > v.tol.psd_slack
+
+
+def _two_qubit_span(*matrices):
+    return span_from_generators([operator(m, SpaceLayout((2, 2))) for m in matrices])
+
+
+def _product_subspace():
+    rho_b = random_density(2, np.random.default_rng(29))
+    return span_from_generators([tensor(b, rho_b) for b in full_operator_space(2).basis])
+
+
+def _kernel_2x4():
+    u = haar_unitary((2, 4), np.random.default_rng(29))
+    return consistent_kernel(UnitaryFamily((u,)), SpaceLayout((2, 4)))
+
+
+def _matrix_unit(i, j):
+    e = np.zeros((4, 4))
+    e[i, j] = 1
+    return e
+
+
+STATE_SPANNED_CORPUS = {
+    "gibbs": lambda: (gibbs_subspace(), None),
+    "gibbs with witness": lambda: (
+        gibbs_subspace(),
+        gibbs_state_closed_form(GibbsParams(1.0, 0.5)),
+    ),
+    "B(H_S) (x) rho_B": lambda: (_product_subspace(), None),
+    "transpose": lambda: (transpose_subspace(), None),
+    "repolarizer": lambda: (repolarizer_subspace(0.3), None),
+    "(2,4) consistent kernel": lambda: (_kernel_2x4(), None),
+    "full (2,2)": lambda: (full_operator_space((2, 2)), None),
+    "span{|00><00|, |01><01|}": lambda: (_two_qubit_span(_matrix_unit(0, 0), _matrix_unit(1, 1)), None),
+    "span{X (x) Z}": lambda: (span_from_generators([tensor(PAULI_X, PAULI_Z)]), None),
+    "span{E_01}": lambda: (_two_qubit_span(_matrix_unit(0, 1)), None),
+    "zero": lambda: (OperatorSubspace(SpaceLayout((2, 2)), np.zeros((16, 0))), None),
+}
+
+
+@pytest.mark.parametrize("name", list(STATE_SPANNED_CORPUS))
+def test_state_spanned_matches_the_four_product_reference(name, monkeypatch):
+    v, witness = STATE_SPANNED_CORPUS[name]()
+    expected = _state_spanned_four_products(v, witness)
+    products = []
+    coordinates_of = OperatorSubspace._coordinates_of
+
+    def counting(self, cols):
+        products.append(cols.shape)
+        return coordinates_of(self, cols)
+
+    monkeypatch.setattr(OperatorSubspace, "_coordinates_of", counting)
+    assert check_state_spanned(v, witness) is expected
+    if witness is None:
+        assert len(products) <= 2
