@@ -266,8 +266,10 @@ def map_from_kraus(
             f"Kraus list is not trace preserving; ||sum M^dag M - 1|| = {completeness:.3e}"
         )
     domain = full_operator_space(kraus[0].layout, tol)
-    # vec(M A M^dag) = (conj(M) (x) M) vec A, and the domain basis is the matrix units
-    superop = sum(np.kron(mi.conj(), mi) for mi in m)
+    # vec(M A M^dag) = (conj(M) (x) M) vec A, and the domain basis is the matrix units; the
+    # builtin sum adds the operators' Kronecker products one after another
+    n = m.shape[-1]
+    superop = sum(m.conj()[:, :, None, :, None] * m[:, None, :, None, :]).reshape(n * n, n * n)
     return SubsystemMap(domain, superop @ domain.basis_matrix(), provenance=f"kraus({len(kraus)})")
 
 

@@ -52,7 +52,7 @@ from beyondcp.catalog import (
 )
 from beyondcp.config import DEFAULT_TOL
 from beyondcp.operators import adjoint_action
-from beyondcp.sampling import haar_unitary, random_density
+from beyondcp.sampling import haar_unitary, random_density, random_kraus_channel
 
 
 def kraus_subspace(rho_b):
@@ -700,3 +700,17 @@ def test_the_self_check_takes_each_basis_column_once(monkeypatch):
     gibbs = gibbs_subspace()  # a span: its generators are checked as well as its basis
     widths = _self_check_columns(monkeypatch, gibbs, controlled_phase_unitary(0.7))
     assert widths == [len(gibbs.generators) + gibbs.dim]
+
+
+def _kraus_superoperator_loop(kraus):
+    """sum_i conj(M_i) (x) M_i as one np.kron per operator: map_from_kraus's former body."""
+    return sum(np.kron(m.entries.conj(), m.entries) for m in kraus)
+
+
+@pytest.mark.parametrize("d", [1, 2, 3, 4, 5])
+def test_map_from_kraus_is_bit_equal_to_the_kron_loop(d):
+    for k in (1, 2, 3, 9, 16, 32):
+        kraus = random_kraus_channel(d, k, np.random.default_rng([d, k]))
+        phi = map_from_kraus(kraus)
+        expected = _kraus_superoperator_loop(kraus) @ phi.domain.basis_matrix()
+        assert phi.coord_matrix.tobytes() == expected.tobytes(), (d, k)
