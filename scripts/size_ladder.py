@@ -1,5 +1,6 @@
 #!/usr/bin/env python3
-"""Time the consistent kernel, its subspace and a derived map on a ladder of (d_S, d_B) sizes.
+"""Time the consistent kernel, its subspace, a derived map and a Kraus dilation on a ladder
+of (d_S, d_B) sizes.
 
 On each rung the family is 4 Haar unitaries drawn from ``default_rng(1)``.  Under
 ``calls`` three calls of the kernel's layer are timed: ``OperatorSubspace`` on
@@ -14,8 +15,13 @@ verdict must pass with worst residual at most 1e-9.  The derived map's domain
 must be span{1} (dimension 1), its defining relation must hold on the span's
 basis with residual at most 1e-9, and its coordinates must lie within 1e-12 of
 E pinv(U^dag R), the pseudo-inverse route (R = T B and E = T S_1 B on the
-span's basis B, U the map's domain basis).  A failed check records the problem
-and no time.
+span's basis B, U the map's domain basis).  Under ``dilations``, a Kraus list of
+d_B operators on C^{d_S}, drawn from ``default_rng(1)``, is dilated by
+``kraus_dilation``, and ``verify_representation`` grades a fresh copy of that
+triple (so its derivation is timed too) against ``map_from_kraus`` of the list.
+The dilation's derived map must lie within 1e-9 max(1, ||S||) of
+S = sum_i conj(M_i) (x) M_i, built here with ``np.kron``, and the verdict must
+pass.  A failed check records the problem and no time.
 
 A time is the timeit minimum, per call, of ``--repeat`` rounds of about 20 ms
 (one call at least) with one BLAS thread; the memory is the ``tracemalloc``
@@ -57,7 +63,8 @@ from beyondcp.consistency import (  # noqa: E402
     consistent_kernel,
     is_family_consistent,
 )
-from beyondcp.maps import derive_map  # noqa: E402
+from beyondcp.dilations import Representation, kraus_dilation, verify_representation  # noqa: E402
+from beyondcp.maps import derive_map, map_from_kraus  # noqa: E402
 from beyondcp.operators import SpaceLayout, identity  # noqa: E402
 from beyondcp.subspaces import OperatorSubspace, span_from_generators, subspace_sum  # noqa: E402
 from workloads import RESIDUAL_TOL, _trace_matrix, kernel_problem  # noqa: E402
@@ -166,6 +173,37 @@ def map_problem(phi, v: OperatorSubspace, a: np.ndarray, m: int) -> str | None:
     return None
 
 
+def dilation_problem(rep, s: np.ndarray) -> str | None:
+    """Check a Kraus dilation's derived map against the superoperator ``s`` of its list."""
+    distance = float(np.linalg.norm(rep.derived_map().linear_operator() - s))
+    if not distance <= RESIDUAL_TOL * max(1.0, float(np.linalg.norm(s))):
+        return f"kraus_dilation: derived map {distance!r} from sum conj(M) (x) M"
+    return None
+
+
+def verdict_problem(verdict) -> str | None:
+    if not verdict.passed:
+        return f"verify_representation: not passed, max residual {verdict.max_residual!r}"
+    return None
+
+
+def _dilations(d_s: int, d_b: int, repeat: int, budget: float) -> dict:
+    kraus = sampling.random_kraus_channel(d_s, d_b, np.random.default_rng(FAMILY_SEED))
+    s = sum(np.kron(m.entries.conj(), m.entries) for m in kraus)
+    rep, target = kraus_dilation(kraus), map_from_kraus(kraus)
+
+    def verify():  # a fresh triple, whose derivation is not yet cached
+        fresh = Representation(rep.bath_dim, rep.unitary, rep.subspace, rep.target_domain)
+        return verify_representation(fresh, target)
+
+    return {
+        "kraus_dilation": _measure(
+            lambda: kraus_dilation(kraus), lambda r: dilation_problem(r, s), repeat, budget
+        ),
+        "verify_representation": _measure(verify, verdict_problem, repeat, budget),
+    }
+
+
 def rung(d_s: int, d_b: int, repeat: int, budget: float) -> dict:
     rng = np.random.default_rng(FAMILY_SEED)
     layout = SpaceLayout((d_s, d_b))
@@ -202,6 +240,7 @@ def rung(d_s: int, d_b: int, repeat: int, budget: float) -> dict:
                 budget,
             )
         },
+        "dilations": _dilations(d_s, d_b, repeat, budget),
     }
 
 

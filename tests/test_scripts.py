@@ -161,6 +161,17 @@ def test_kernel_workload_oracle_accepts_one_cycle(seed, monkeypatch):
         assert op.check(op.call()) is None
 
 
+@pytest.mark.parametrize("seed", [7, 11])
+def test_trials_workload_oracle_accepts_five_cycles(seed, monkeypatch):
+    """Each trial derives three maps, checks state-spannedness and verifies a SWAP
+    representation, so a wrong derivation or verdict fails here, not first in the benchmark."""
+    monkeypatch.syspath_prepend(str(ROOT / "perfbench"))
+    workload = importlib.import_module("workloads").TrialsWorkload(seed)
+    for _ in range(5):
+        (op,) = workload.cycle()
+        assert op.check(op.call()) is None
+
+
 def test_size_ladder_checks_and_times_the_two_smallest_rungs():
     result = _run_script("size_ladder.py", "--sizes", "2x2", "2x4", "--repeat", "2")
     assert result.returncode == 0, result.stderr
@@ -191,6 +202,47 @@ def test_size_ladder_checks_and_times_a_derived_map_on_each_rung():
         call = r["maps"]["derive_map"]
         assert call["status"] == "ok", call
         assert 0 < call["min_s"] < 1 and call["tracemalloc_peak_mb"] > 0
+
+
+def test_size_ladder_checks_and_times_a_kraus_dilation_on_each_rung():
+    result = _run_script("size_ladder.py", "--sizes", "2x2", "2x4", "--repeat", "1")
+    assert result.returncode == 0, result.stderr
+    for r in json.loads(result.stdout)["rungs"]:
+        assert list(r["dilations"]) == ["kraus_dilation", "verify_representation"]
+        for call in r["dilations"].values():
+            assert call["status"] == "ok", call
+            assert 0 < call["min_s"] < 1 and call["tracemalloc_peak_mb"] > 0
+
+
+DILATION_CHECK = """
+import sys
+sys.path[:0] = sys.argv[1:]
+import numpy as np
+import size_ladder as ladder
+from beyondcp import RepresentationVerdict, kraus_dilation
+from beyondcp.sampling import random_kraus_channel
+kraus = random_kraus_channel(2, 4, np.random.default_rng(1))
+rep = kraus_dilation(kraus)
+s = sum(np.kron(m.entries.conj(), m.entries) for m in kraus)
+for factor in (1.0, 1 + 1e-11, 1 + 1e-8):
+    print(ladder.dilation_problem(rep, s * factor))
+print(ladder.verdict_problem(RepresentationVerdict(True, 0.0, 0.0, 0.0)))
+print(ladder.verdict_problem(RepresentationVerdict(False, 0.0, 0.5, 0.0)))
+"""
+
+
+def test_size_ladder_refuses_a_kraus_dilation_off_its_superoperator():
+    paths = [str(ROOT / d) for d in ("src", "scripts", "perfbench")]
+    result = subprocess.run(
+        [sys.executable, "-c", DILATION_CHECK, *paths], capture_output=True, text=True, timeout=120
+    )
+    assert result.returncode == 0, result.stderr
+    lines = result.stdout.splitlines()
+    assert lines[:2] == ["None", "None"]
+    assert lines[2].startswith("kraus_dilation: derived map ")
+    assert lines[2].endswith(" from sum conj(M) (x) M")
+    assert lines[3] == "None"
+    assert lines[4] == "verify_representation: not passed, max residual 0.5"
 
 
 MAP_CHECK = """
