@@ -323,7 +323,7 @@ def verify_representation(
     except ValueError:
         residual_map = float("inf")
     passed = all(r <= tol.residual_tol for r in (consistency, domain_residual, residual_map))
-    if passed:  # only then is the derived map defined; max keeps residual_map over a NaN
+    if passed:  # only then is the derived map graded; max keeps residual_map over a NaN
         residual_map = max(residual_map, map_residual(phi, rep.derived_map()))
         passed = residual_map <= tol.residual_tol
     return RepresentationVerdict(passed, consistency, domain_residual, residual_map)

@@ -267,7 +267,7 @@ def map_from_kraus(
         )
     domain = full_operator_space(kraus[0].layout, tol)
     # vec(M A M^dag) = (conj(M) (x) M) vec A, and the domain basis is the matrix units; the
-    # builtin sum adds the operators' Kronecker products one after another
+    # builtin sum adds the Kronecker products in order (an axis sum is pairwise: other bits)
     n = m.shape[-1]
     superop = sum(m.conj()[:, :, None, :, None] * m[:, None, :, None, :]).reshape(n * n, n * n)
     return SubsystemMap(domain, superop @ domain.basis_matrix(), provenance=f"kraus({len(kraus)})")

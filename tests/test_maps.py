@@ -669,7 +669,13 @@ def test_a_derivation_takes_no_rank_cut_of_its_own(monkeypatch):
     family = controlled_phase_family(4)
     pair = _consistent_pair(3, 13)
     calls = []
-    monkeypatch.setattr(maps, "_numerical_rank", lambda *a, **k: calls.append(a))
+    numerical_rank = maps._numerical_rank
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return numerical_rank(*args, **kwargs)
+
+    monkeypatch.setattr(maps, "_numerical_rank", counting)
     derive_map(gibbs_subspace(), controlled_phase_unitary(0.7))
     derive_map(*pair)
     fresh = Representation(rep.bath_dim, rep.unitary, rep.subspace, rep.target_domain)
