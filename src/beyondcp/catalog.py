@@ -459,17 +459,18 @@ def uhlmann_check(phi: SubsystemMap, r1: Operator, r2: Operator) -> UhlmannRepor
 def _uhlmann_reports(phi: SubsystemMap, r1: np.ndarray, r2: np.ndarray) -> list[UhlmannReport]:
     """:func:`uhlmann_check` of each pair of two (k, N, N) stacks.
 
-    One positive-domain test and one smallest-eigenvalue test of all 2k
-    states, refused pair by pair (r1 before r2, the domain before the rank),
-    then phi once per stack and one :func:`_relative_entropies` over the k
-    input and the k output pairs.  Every pair's preconditions are checked
-    before any pair's entropies.
+    One positive-domain test of all 2k states, whose smallest eigenvalues
+    also give the rank test, refused pair by pair (r1 before r2, the domain
+    before the rank), then phi once per stack and one
+    :func:`_relative_entropies` over the k input and the k output pairs.
+    Every pair's preconditions are checked before any pair's entropies.
     """
     tol, k = phi.tol, len(r1)
     _require_finite(phi, "positive_domain_membership")
     states = np.concatenate([r1, r2])
-    member = _positive_domain_mask(phi, states)
-    deficient = _min_eigenvalues(states) <= tol.entropy_support_tol
+    lowest = _min_eigenvalues(states)  # for the state test and the rank test
+    member = _positive_domain_mask(phi, states, lowest)
+    deficient = lowest <= tol.entropy_support_tol
     _refuse_first(
         (member[:k], "r1 is not in the map's positive domain"),
         (~deficient[:k], "r1 must be full rank for the relative-entropy check"),

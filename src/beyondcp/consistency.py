@@ -191,12 +191,18 @@ def consistent_kernel(
     keep = _keep_indices(layout, bath_factor)
     a = _reduced_evolution_matrix(layout.dims, keep, np.array([np.eye(n), *u]))
     a = np.vstack([a[0], a[1:, :-1].reshape(-1, n * n)])  # drop each Tr X repeat, free the rest
-    h = _null_space(a.real + _transposed_columns(a.imag.T, n).T, tol.rank_cut) / 2
-    kh = _transposed_columns(h, n)
-    basis = np.empty(h.shape, dtype=complex)
-    np.add(h, kh, out=basis.real)
-    np.subtract(h, kh, out=basis.imag)
-    return OperatorSubspace(layout, basis, tol=tol, _hermitian=True)
+    a = a.real + _transposed_columns(a.imag.T, n).T  # the real stack; the complex one is freed
+    h = _null_space(a, tol.rank_cut)
+    del a
+    h *= 0.5
+    # X = (M + K M)/2 + i (M - K M)/2, written straight into the stored layout: in the
+    # (n, n, k) column-major views of h and the basis, K swaps the first two axes
+    basis = np.empty(h.shape, dtype=complex, order="F")
+    x, m = basis.reshape(n, n, -1, order="F"), h.reshape(n, n, -1, order="F")
+    np.add(m, m.swapaxes(0, 1), out=x.real)
+    np.subtract(m, m.swapaxes(0, 1), out=x.imag)
+    del h, m  # free before the Gram check
+    return OperatorSubspace._taking(layout, basis, tol, hermitian=True)
 
 
 def transformation_space(

@@ -444,20 +444,23 @@ def _bloch_form(phi: SubsystemMap) -> tuple[np.ndarray, np.ndarray]:
     return coords[1:, 1:], coords[1:, 0]
 
 
-def _positive_domain_mask(phi: SubsystemMap, states: np.ndarray) -> np.ndarray:
+def _positive_domain_mask(
+    phi: SubsystemMap, states: np.ndarray, lowest: np.ndarray | None = None
+) -> np.ndarray:
     """positive_domain_membership of each matrix of a (k, N, N) stack, as a (k,) bool array.
 
     One containment test (the domain check of the map as well), one state
     test on the whole stack, then one eigvalsh on the images.  Every product is
     taken per state (see ``_vec_stack``), so a state's verdict does not depend
-    on the rest of the stack.
+    on the rest of the stack.  ``lowest``, the states' ``_min_eigenvalues`` when
+    the caller has taken them, spares the state test its eigvalsh.
     """
     tol = phi.tol
     coeffs, _, inside = phi.domain._coordinates_of(_vec_stack(states))
     images = _unvec_stack(phi.coord_matrix @ coeffs, phi.dim)
     return (
         inside[:, 0]
-        & _density_mask(states, tol.residual_tol, tol.psd_slack)
+        & _density_mask(states, tol.residual_tol, tol.psd_slack, lowest)
         & (_min_eigenvalues(images) >= -tol.psd_slack)
     )
 

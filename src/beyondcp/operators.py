@@ -202,12 +202,16 @@ def _unitarity_residuals(stack: np.ndarray) -> np.ndarray:
     return np.linalg.norm(gram - np.eye(stack.shape[-1]), axis=(-2, -1))
 
 
-def _density_mask(stack: np.ndarray, tol: float, slack: float) -> np.ndarray:
+def _density_mask(
+    stack: np.ndarray, tol: float, slack: float, lowest: np.ndarray | None = None
+) -> np.ndarray:
     """Which matrices of a (k, n, n) stack are states, as a (k,) bool array: Hermitian and
-    of unit trace within ``tol``, no eigenvalue below ``-slack``.  NaN gives False."""
+    of unit trace within ``tol``, no eigenvalue below ``-slack``.  NaN gives False.
+    ``lowest`` is the stack's ``_min_eigenvalues`` when the caller has taken them."""
     hermitian = _hermiticity_residuals(stack) <= tol
     unit_trace = np.abs(np.trace(stack, axis1=-2, axis2=-1) - 1.0) <= tol
-    return hermitian & unit_trace & (_min_eigenvalues(stack) >= -slack)
+    lowest = _min_eigenvalues(stack) if lowest is None else lowest
+    return hermitian & unit_trace & (lowest >= -slack)
 
 
 def _check_same_layout(a, b) -> None:

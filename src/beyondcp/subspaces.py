@@ -52,7 +52,8 @@ class OperatorSubspace:
 
     ``_basis_matrix`` (N^2, dim) holds the vectorized basis, orthonormal under the
     Hilbert-Schmidt inner product; ``_generator_matrix`` (N^2, g) the spanning set
-    the subspace was built from, by default the basis.  Both are read-only copies.
+    the subspace was built from, by default the basis.  Both are read-only copies,
+    except a basis that its producer hands over through :meth:`_taking`.
     ``_hermitian`` is set only by a producer that builds every basis element
     bitwise Hermitian, so that ``_gram`` need not test it.
     """
@@ -70,10 +71,27 @@ class OperatorSubspace:
         object.__setattr__(self, "_generator_matrix", g)
         self._check_orthonormal_span(b, g)
 
+    @classmethod
+    def _taking(
+        cls, layout: SpaceLayout, basis: np.ndarray, tol: ToleranceConfig, hermitian: bool
+    ) -> OperatorSubspace:
+        """The subspace of ``basis``, which becomes its basis matrix and is not copied: for a
+        producer that hands over a fresh complex column-major (N^2, dim) array and keeps no
+        other reference to it.  The Gram check runs as in the constructor."""
+        basis.setflags(write=False)
+        subspace = object.__new__(cls)  # the frozen fields, set as __post_init__ sets them
+        vars(subspace).update(
+            layout=layout, _basis_matrix=basis, _generator_matrix=basis, tol=tol,
+            _hermitian=hermitian,
+        )
+        subspace._check_orthonormal_span(basis, basis)
+        return subspace
+
     @np.errstate(invalid="ignore", over="ignore")  # an inf or NaN entry: a NaN residual, refused
     def _check_orthonormal_span(self, b: np.ndarray, g: np.ndarray) -> None:
-        n = self.layout.total_dim  # the Gram matrix stays a temporary, subtracted in place
-        residual = float(np.linalg.norm(_gram(b, n, self._hermitian) - np.eye(b.shape[1])))
+        gram = _gram(b, self.layout.total_dim, self._hermitian)
+        gram.reshape(-1)[:: b.shape[1] + 1] -= 1  # B^dag B - 1 in place, on a diagonal view
+        residual = float(np.linalg.norm(gram))
         if not residual <= self.tol.residual_tol:
             raise ValueError(
                 f"basis is not orthonormal within residual_tol (||B^dag B - 1|| = "
@@ -200,15 +218,20 @@ def _null_space(a: np.ndarray, cut: float) -> np.ndarray:
         u, s, _ = np.linalg.svd(triangle, full_matrices=False)
         r = _numerical_rank(s, cut, floor=1.0)
         small = u[:, r:]
-    v = np.tril(packed[:, :m], -1) + np.eye(n, m)
+    v = np.tril(packed[:, :m], -1)
+    np.fill_diagonal(v, 1)  # the reflectors' unit diagonal
     unit = tau == 0  # such a reflector is the identity, so it is dropped
     v[:, unit] = 0
     t_inv = np.triu(v.conj().T @ v, 1) + np.diag(1 / np.where(unit, 1, tau))
-    c = np.zeros((n, n - r), dtype=small.dtype)
-    c[:m, : m - r] = small
-    np.fill_diagonal(c[m:, m - r :], 1)  # the trailing unit vectors
     v_dag_c = np.hstack([v[:m].conj().T @ small, v[m:].conj().T])
-    return c - v @ (np.linalg.inv(t_inv) @ v_dag_c)
+    # H c = c - V T V^dag c, with c = [small, 0; 0, 1] added in place to the column-major
+    # product (0 - x keeps the difference's signed zeros)
+    basis = np.empty((n, n - r), dtype=v.dtype, order="F")
+    np.subtract(0, np.matmul(v, np.linalg.inv(t_inv) @ v_dag_c, out=basis), out=basis)
+    basis[:m, : m - r] += small
+    trailing = np.arange(n - m)  # the trailing unit vectors
+    basis[m + trailing, m - r + trailing] += 1
+    return basis
 
 
 def _gram(b: np.ndarray, n: int, hermitian: bool = False) -> np.ndarray:
@@ -274,8 +297,12 @@ def subspace_intersection(v: OperatorSubspace, w: OperatorSubspace) -> OperatorS
 
 
 def subspace_leq(v: OperatorSubspace, w: OperatorSubspace) -> bool:
-    """True iff every basis element of v lies in w."""
+    """True iff every basis element of v lies in w.  A w of dimension N^2 holds every
+    operator with no product: its basis B is square, so ||(1 - B B^dag) x|| <=
+    ||B^dag B - 1|| ||x||, within the residual_tol ||x|| that its Gram check allows."""
     _check_same_layout(v, w)
+    if w.dim == w.layout.total_dim**2:
+        return True
     return w._contains_columns(v.basis_matrix().T[:, :, None])  # one product per element
 
 

@@ -47,7 +47,8 @@ from beyondcp.catalog import (
 )
 from beyondcp.cli import run_cli
 from beyondcp.config import DEFAULT_TOL
-from beyondcp.operators import _stacked
+from beyondcp.maps import _positive_domain_mask
+from beyondcp.operators import _min_eigenvalues, _stacked
 from beyondcp.sampling import random_density
 
 
@@ -444,6 +445,27 @@ def test_uhlmann_refuses_a_non_member_or_rank_deficient_r2_with_its_message():
     with pytest.raises(ValueError) as err:  # another layout is in no positive domain
         uhlmann_check(depolarizer(0.5), inside, identity(4) / 4)
     assert str(err.value) == "r2 is not in the map's positive domain"
+
+
+def test_uhlmann_stack_takes_the_states_eigenvalues_once(rng, monkeypatch):
+    """The full-rank test reads the smallest eigenvalues that the positive-domain test's
+    state test took: four eigvalsh calls, where the rank test made a fifth."""
+    phi = repolarizer(0.2)
+    r1, r2, _ = _pairs(lambda g: interior_ball_pair(0.2, g), 6, rng)
+    states = np.concatenate([r1, r2])
+    assert np.array_equal(
+        _positive_domain_mask(phi, states, _min_eigenvalues(states)), _positive_domain_mask(phi, states)
+    )
+    before = _uhlmann_reports(phi, r1, r2)
+    shapes, eigvalsh = [], np.linalg.eigvalsh
+
+    def counting(a, *args, **kwargs):
+        shapes.append(np.shape(a))
+        return eigvalsh(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "eigvalsh", counting)
+    assert _uhlmann_reports(phi, r1, r2) == before
+    assert shapes == [(12, 2, 2), (12, 2, 2), (12, 2, 2), (12, 2, 2)]
 
 
 def test_uhlmann_stack_refuses_pair_by_pair():

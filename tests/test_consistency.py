@@ -1,4 +1,5 @@
 import inspect
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -437,6 +438,121 @@ def test_consistent_kernel_reads_as_any_subspace():
     assert subspaces_equal(parse_subspace(doc), kernel)
     assert derive_map(kernel, family.members[0]).domain.layout.dims == (2,)
     assert subspaces_equal(transformation_space(kernel, family), kernel)
+
+
+# ---------------------------------------------------------------------------
+# the basis build in place, against the build that copied at each step
+# ---------------------------------------------------------------------------
+
+
+def copying_null_space(a, cut):
+    """``subspaces._null_space`` as it completed the QR route by copies: c from a zero
+    array, then c - V (T^-1)^-1 V^dag c as a fresh product and a fresh difference."""
+    k, n = a.shape
+    if n < subspaces._QR_NULL_SPACE_COLUMNS:
+        _, s, vh = np.linalg.svd(a, full_matrices=True)
+        return vh[subspaces._numerical_rank(s, cut, floor=1.0) :].conj().T
+    m = min(k, n)
+    h, tau = np.linalg.qr(a.conj().T, mode="raw")
+    packed = h.T
+    triangle = np.triu(packed[:m])
+    d = np.abs(np.diagonal(triangle))
+    r = -1
+    if k < n and np.min(d, initial=np.inf) > cut * max(np.max(d, initial=0.0), 1.0):
+        r = subspaces._numerical_rank(np.linalg.svd(triangle, compute_uv=False), cut, floor=1.0)
+    if r == m:
+        small = triangle[:, :0]
+    else:
+        u, s, _ = np.linalg.svd(triangle, full_matrices=False)
+        r = subspaces._numerical_rank(s, cut, floor=1.0)
+        small = u[:, r:]
+    v = np.tril(packed[:, :m], -1) + np.eye(n, m)
+    unit = tau == 0
+    v[:, unit] = 0
+    t_inv = np.triu(v.conj().T @ v, 1) + np.diag(1 / np.where(unit, 1, tau))
+    c = np.zeros((n, n - r), dtype=small.dtype)
+    c[:m, : m - r] = small
+    np.fill_diagonal(c[m:, m - r :], 1)
+    v_dag_c = np.hstack([v[:m].conj().T @ small, v[m:].conj().T])
+    return c - v @ (np.linalg.inv(t_inv) @ v_dag_c)
+
+
+def copying_kernel_basis(family, layout, bath_factor=1):
+    """The consistent kernel's basis as it was built by copies: the null space above, h / 2,
+    K h as a copy, a C-order complex basis and its column-major ``_stored`` copy."""
+    n = layout.total_dim
+    u = np.stack([np.eye(n)] + [m.entries for m in family.members])
+    a = kept_rows(_reduced_evolution_matrix(layout.dims, subspaces._keep_indices(layout, bath_factor), u))
+    h = copying_null_space(a.real + _transposed_columns(a.imag.T, n).T, DEFAULT_TOL.rank_cut) / 2
+    kh = _transposed_columns(h, n)
+    basis = np.empty(h.shape, dtype=complex)
+    np.add(h, kh, out=basis.real)
+    np.subtract(h, kh, out=basis.imag)
+    return np.array(basis, dtype=complex, order="F")
+
+
+@pytest.mark.parametrize(
+    "dims, members, bath_factor", [((2, 2), 1, 1), ((2, 4), 4, 1), ((4, 4), 4, 1), ((4, 2), 2, 0)]
+)
+def test_consistent_kernel_keeps_the_bits_of_the_copying_build(rng, dims, members, bath_factor):
+    family = UnitaryFamily(tuple(haar_unitary(dims, rng) for _ in range(members)))
+    layout = SpaceLayout(dims)
+    basis = consistent_kernel(family, layout, bath_factor=bath_factor).basis_matrix()
+    reference = copying_kernel_basis(family, layout, bath_factor)
+    assert basis.shape[1] > 0
+    assert basis.shape == reference.shape and basis.tobytes(order="A") == reference.tobytes(order="A")
+    assert basis.flags.f_contiguous and not basis.flags.writeable and basis.dtype == complex
+
+
+def test_consistent_kernel_at_4x8_stays_within_rounding_of_the_copying_build(rng):
+    """The column-major product takes BLAS's transposed route, which may round the last digit
+    of a long sum differently."""
+    family = UnitaryFamily(tuple(haar_unitary((4, 8), rng) for _ in range(4)))
+    layout = SpaceLayout((4, 8))
+    basis = consistent_kernel(family, layout).basis_matrix()
+    reference = copying_kernel_basis(family, layout)
+    assert basis.shape == reference.shape == (1024, 948)
+    assert np.max(np.abs(basis - reference)) <= 1e-15
+
+
+@pytest.mark.parametrize(
+    "rows",
+    [
+        lambda rng: np.kron([[1.0], [2.0]], rng.standard_normal((40, 256))),  # rank 40
+        lambda rng: rng.standard_normal((76, 256)),  # full rank: trailing unit vectors only
+        lambda rng: rng.standard_normal((130, 110)),  # tall: no trailing unit vector
+        lambda rng: np.eye(100)[[0, 2]] * [[0.0], [1.0]],  # a zero row: an identity reflector
+        lambda rng: np.kron([[1.0], [1j]], rng.standard_normal((3, 120))),  # complex, rank 3
+    ],
+)
+def test_null_space_keeps_the_bits_of_the_copying_completion(rng, rows):
+    """Bit for bit on a real stack, the consistent kernel's; a complex product may round its
+    last digit differently on BLAS's transposed route."""
+    a = rows(rng)
+    basis = subspaces._null_space(a, 1e-9)
+    reference = copying_null_space(a, 1e-9)
+    assert basis.dtype == reference.dtype and basis.flags.f_contiguous
+    assert basis.shape == reference.shape
+    if np.isrealobj(a):
+        assert basis.tobytes(order="C") == reference.tobytes(order="C")
+    else:
+        assert np.max(np.abs(basis - reference)) <= 1e-15
+
+
+def test_consistent_kernel_at_4x4_peaks_below_two_basis_copies(rng):
+    """The traced peak of one warm (4,4) call: the (256, 180) basis is 0.70 MiB complex.  The
+    copying build peaked at 3.2 MiB; a ``_stored`` copy of the basis or a zero-array
+    completion in the null space each takes it above the bound."""
+    family = UnitaryFamily(tuple(haar_unitary((4, 4), rng) for _ in range(4)))
+    layout = SpaceLayout((4, 4))
+    assert consistent_kernel(family, layout).dim == 180
+    tracemalloc.start()
+    try:
+        consistent_kernel(family, layout)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 1.6 * 2**20
 
 
 # ---------------------------------------------------------------------------

@@ -36,6 +36,7 @@ from beyondcp import consistency, dilations, maps, subspaces
 from beyondcp.catalog import (
     axis_states,
     controlled_phase_kraus,
+    controlled_phase_unitary,
     depolarizer,
     depolarizer_kraus,
     gibbs_subspace,
@@ -509,6 +510,45 @@ def test_verify_representation_grades_the_derived_map_only_after_the_three_check
     assert verdict.passed and verdict.map_residual <= 1e-9  # max(residual, nan) keeps the residual
     assert not verify_representation(bad, bad_phi).passed
     assert len(graded) == 1  # a failed check leaves the derived map ungraded
+
+
+def _gibbs_example_triple():
+    """Example 1's map on the proper domain span{1, X, Z}, represented by its own triple."""
+    u, v = controlled_phase_unitary(0.7), gibbs_subspace()
+    phi = derive_map(v, u)
+    return Representation(2, u, v, phi.domain), phi
+
+
+@pytest.mark.parametrize(
+    "make, products",
+    [
+        (REFERENCE_TRIPLES["swap_transpose"], 3),  # 5 when map_residual compared the domains again
+        (REFERENCE_TRIPLES["kraus_dilation"], 3),
+        (REFERENCE_TRIPLES["wrong_target"], 3),  # failed: the derived map is not graded
+        (_gibbs_example_triple, 5),  # a proper domain: map_residual compares it again
+    ],
+)
+def test_verify_representation_compares_a_full_domain_once(monkeypatch, make, products):
+    rep, phi = make()
+    rep._derivation  # derived before counting, as verify_representation finds it
+    leq = subspaces.subspace_leq
+
+    def product_leq(v, w):  # subspace_leq with no full-space shortcut
+        return w._contains_columns(v.basis_matrix().T[:, :, None])
+
+    monkeypatch.setattr(subspaces, "subspace_leq", product_leq)
+    reference = verify_representation(rep, phi)
+    monkeypatch.setattr(subspaces, "subspace_leq", leq)
+    shapes, coordinates_of = [], subspaces.OperatorSubspace._coordinates_of
+
+    def counting(self, cols):
+        shapes.append(cols.shape)
+        return coordinates_of(self, cols)
+
+    monkeypatch.setattr(subspaces.OperatorSubspace, "_coordinates_of", counting)
+    verdict = verify_representation(rep, phi)
+    assert len(shapes) == products
+    assert verdict == reference  # every field, bit for bit
 
 
 # ---------------------------------------------------------------------------

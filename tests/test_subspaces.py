@@ -478,6 +478,57 @@ def test_subspace_matrices_are_read_only_copies():
         v.basis_matrix()[0, 0] = 5.0
 
 
+@pytest.mark.parametrize("order", ["C", "F"])
+def test_arrays_passed_to_public_constructors_are_copied(rng, order):
+    """Only a producer's hand-over through ``_taking`` skips the copy; a caller's array, in
+    either order and already read-only or not, can change afterwards with no effect."""
+    layout = SpaceLayout((2, 2))
+    kernel = consistent_kernel(UnitaryFamily((haar_unitary((2, 2), rng),)), layout)
+    basis = np.array(full_operator_space(layout).basis_matrix()[:, :5], order=order)
+    generators = np.array(basis * 3, order=order)
+    entries = np.array(_complex_normal(rng, (4, 4)), order=order)
+    saved = [basis.copy(), generators.copy(), entries.copy()]
+    v = OperatorSubspace(layout, basis, generators)
+    w = OperatorSubspace(layout, basis)
+    op = Operator(layout, entries)
+    again = OperatorSubspace(layout, kernel.basis_matrix())
+    for a in (basis, generators, entries):
+        a[...] = np.nan
+    assert np.array_equal(v.basis_matrix(), saved[0]) and np.array_equal(w.basis_matrix(), saved[0])
+    assert np.array_equal(v._generator_matrix, saved[1])
+    assert np.array_equal(op.entries, saved[2])
+    assert kernel.dim == 9 and again.basis_matrix() is not kernel.basis_matrix()
+    for m in (v.basis_matrix(), v._generator_matrix, w.basis_matrix(), op.entries):
+        assert m.flags.f_contiguous and not m.flags.writeable and m.dtype == complex
+
+
+def test_a_taken_basis_is_not_copied_and_is_still_gram_checked():
+    layout = SpaceLayout((2,))
+    basis = np.asfortranarray(np.eye(4, dtype=complex)[:, :3])
+    v = OperatorSubspace._taking(layout, basis, DEFAULT_TOL, hermitian=False)
+    assert v.basis_matrix() is basis and v._generator_matrix is basis
+    assert not basis.flags.writeable and v.dim == 3 and v.tol is DEFAULT_TOL
+    assert np.array_equal(v.basis[1].entries, unvec(basis[:, 1], 2))
+    with pytest.raises(ValueError, match="not orthonormal"):
+        OperatorSubspace._taking(layout, np.asfortranarray(2 * basis), DEFAULT_TOL, hermitian=False)
+
+
+@pytest.mark.parametrize("dims", [(2,), (2, 2), (3,)])
+def test_every_subspace_lies_in_a_full_space_with_no_product(rng, monkeypatch, dims):
+    layout = SpaceLayout(dims)
+    n2 = layout.total_dim**2
+    q, _ = np.linalg.qr(_complex_normal(rng, (n2, n2)))
+    full, rotated = full_operator_space(layout), OperatorSubspace(layout, q)
+    part = OperatorSubspace(layout, q[:, : n2 // 2])
+    expected = [w._contains_columns(v.basis_matrix().T[:, :, None])
+                for v in (full, rotated, part) for w in (full, rotated)]
+    products = []
+    monkeypatch.setattr(OperatorSubspace, "_coordinates_of", lambda self, cols: products.append(1))
+    assert [subspace_leq(v, w) for v in (full, rotated, part) for w in (full, rotated)] == expected
+    assert all(expected) and subspaces_equal(full, rotated) and not subspaces_equal(part, full)
+    assert products == []
+
+
 def _complex_normal(rng, shape):
     return rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
 
