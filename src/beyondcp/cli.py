@@ -220,20 +220,11 @@ def _cmd_derive_map(args, tol: ToleranceConfig, seed: int) -> Report:
     derivation = _derive_pair(v, u)  # derive_map's one consistency decision
     phi = derivation.map
     if phi is None:
-        report.add(
-            "unitary_consistent",
-            False,
-            derivation.residual,
-            reason="reduced map is not well defined",
+        report.check(
+            "unitary_consistent", derivation.residual, reason="reduced map is not well defined"
         )
         return report
-    residual = derivation.residual
-    report.add(
-        "unitary_consistent",
-        residual <= tol.residual_tol,
-        residual,
-        state_spanned=derivation.spanned,
-    )
+    report.check("unitary_consistent", derivation.residual, state_spanned=derivation.spanned)
     report.add(
         "trace_and_hermiticity_preserving",
         phi.is_trace_preserving() and phi.is_hermiticity_preserving(),
@@ -289,12 +280,8 @@ def _cmd_represent(args, tol: ToleranceConfig, seed: int) -> Report:
             raise ValueError('represent --method kraus requires a map file of kind "kraus"')
         report = Report("represent", inputs_digest(payload), seed, tol)
         rep = kraus_dilation(ops, tol)
-        residual = rep.unitary.unitarity_residual()
-        report.add(
-            "unitary_dilation", residual <= tol.residual_tol, residual, bath_dim=rep.bath_dim
-        )
-        residual = map_residual(rep.derived_map(), phi)
-        report.add("derived_map_matches_kraus", residual <= tol.residual_tol, residual)
+        report.check("unitary_dilation", rep.unitary.unitarity_residual(), bath_dim=rep.bath_dim)
+        report.check("derived_map_matches_kraus", map_residual(rep.derived_map(), phi))
         report.artifacts["representation"] = emit_representation(rep)
         return report
     if args.omega:
@@ -313,9 +300,9 @@ def _cmd_represent(args, tol: ToleranceConfig, seed: int) -> Report:
     report = Report("represent", inputs_digest(payload), seed, tol)
     rep = swap_representation(phi, omega)
     verdict = verify_representation(rep, phi)
-    report.add("representation_consistent", verdict.consistency_residual <= tol.residual_tol, verdict.consistency_residual)
-    report.add("reduced_subspace_matches_domain", verdict.domain_residual <= tol.residual_tol, verdict.domain_residual)
-    report.add("derived_map_matches_target", verdict.map_residual <= tol.residual_tol, verdict.map_residual)
+    report.check("representation_consistent", verdict.consistency_residual)
+    report.check("reduced_subspace_matches_domain", verdict.domain_residual)
+    report.check("derived_map_matches_target", verdict.map_residual)
     report.artifacts["representation"] = emit_representation(rep)
     return report
 
@@ -327,7 +314,7 @@ def _catalog_gibbs(args, tol: ToleranceConfig, seed: int, report: Report) -> Non
     direct = catalog._gibbs_grid(thetas, betas, tol.residual_tol)
     # each norm reads its difference in column-major order, as Operator.hs_norm does
     worst = max([0.0, *map(np.linalg.norm, (closed - direct).swapaxes(-1, -2).reshape(-1, 16))])
-    report.add("closed_form_matches_exponential", worst <= 1e-10, worst, grid="7x7")
+    report.check("closed_form_matches_exponential", worst, 1e-10, grid="7x7")
     family = catalog.gibbs_subspace(tol)
     report.add("family_span_dimension_6", family.dim == 6, dimension=family.dim)
     printed = span_from_generators(
@@ -344,16 +331,15 @@ def _catalog_example1(args, tol: ToleranceConfig, seed: int, report: Report) -> 
     u = catalog.controlled_phase_unitary(args.t)
     derived = derive_map(family, u)
     closed = catalog.controlled_phase_map(args.t, tol)
-    residual = map_residual(derived, closed)
-    report.add("derived_map_matches_closed_form", residual <= tol.residual_tol, residual, t=args.t)
+    report.check("derived_map_matches_closed_form", map_residual(derived, closed), t=args.t)
     e1, e2 = catalog.controlled_phase_kraus(args.t)
     completeness = (e1.dagger() @ e1 + e2.dagger() @ e2 - identity(2)).hs_norm()
-    report.add("kraus_completeness", completeness <= 1e-12, completeness)
+    report.check("kraus_completeness", completeness, 1e-12)
     kraus_map = map_from_kraus([e1, e2], tol)
     on_domain = max(
         (kraus_map.apply(b) - closed.apply(b)).hs_norm() for b in closed.domain.basis
     )
-    report.add("kraus_extension_matches_on_domain", on_domain <= tol.residual_tol, on_domain)
+    report.check("kraus_extension_matches_on_domain", on_domain)
     cp = is_cp(kraus_map)
     report.add(
         "kraus_extension_cp",
@@ -372,8 +358,7 @@ def _catalog_transpose(args, tol: ToleranceConfig, seed: int, report: Report) ->
     report.add(
         "swap_subspace_matches_printed_basis", subspaces_equal(rep.subspace, printed)
     )
-    residual = map_residual(rep.derived_map(), phi)
-    report.add("derived_map_transposes", residual <= tol.residual_tol, residual)
+    report.check("derived_map_transposes", map_residual(rep.derived_map(), phi))
     cp = is_cp(phi)
     report.add(
         "not_cp_with_choi_eigenvalue_minus_one",
@@ -433,7 +418,7 @@ def _catalog_repolarizer(args, tol: ToleranceConfig, seed: int, report: Report) 
         inside = mask_at(mid[:, None])[:, 0]
         lo, hi = np.where(inside, mid, lo), np.where(inside, hi, mid)
     worst_boundary = float(np.max(np.abs((lo + hi) / 2 - eps)))
-    report.add("positive_domain_boundary_at_epsilon", worst_boundary <= 1e-8, worst_boundary)
+    report.check("positive_domain_boundary_at_epsilon", worst_boundary, 1e-8)
     scan = positivity_scan(phi, 64, seed)
     expected = -(1 - eps) / (2 * eps)
     found = scan.min_eigenvalue if scan.violation_found else float("nan")
@@ -447,7 +432,7 @@ def _catalog_repolarizer(args, tol: ToleranceConfig, seed: int, report: Report) 
     inverse_residual = map_residual(
         compose(catalog.depolarizer(eps, tol), phi), identity_map((2,), tol)
     )
-    report.add("depolarizer_inverts_repolarizer", inverse_residual <= 1e-12, inverse_residual)
+    report.check("depolarizer_inverts_repolarizer", inverse_residual, 1e-12)
     report.artifacts["subspace"] = emit_subspace(printed)
     report.artifacts["map"] = emit_map(phi)
 
@@ -465,10 +450,10 @@ def _catalog_witness(args, tol: ToleranceConfig, seed: int, report: Report) -> N
         rho_bw = tensor(identity((2,)) / 2, identity((2,)) / 2)
         expected = 0.0
     gap = witness_factorization_gap(rho_s, rho_bw, tol)
-    report.add(
+    report.check(
         "factorization_gap_matches_expected",
-        abs(gap.mismatch - expected) <= 1e-10,
         abs(gap.mismatch - expected),
+        1e-10,
         mismatch=gap.mismatch,
         expected=expected,
         bath_witness=args.bath_witness,

@@ -548,6 +548,12 @@ class Report:
             }
         )
 
+    def check(self, name: str, residual: float, bound: float | None = None, **details) -> None:
+        """Append a verdict that passes iff residual <= bound (residual_tol unless given);
+        a NaN residual fails."""
+        bound = self.tolerances.residual_tol if bound is None else bound
+        self.add(name, residual <= bound, residual, **details)
+
     @property
     def all_passed(self) -> bool:
         return all(v["passed"] for v in self.verdicts)
