@@ -8,7 +8,7 @@ trace- and Hermiticity-preserving maps, and exercises the named example
 systems including the inequality violations of the repolarizing map.
 """
 
-from .config import DEFAULT_TOL, ToleranceConfig
+from .config import DEFAULT_TOL, SelfCheckError, ToleranceConfig
 from .operators import (
     Operator,
     PAULI_I,

@@ -2,7 +2,8 @@
 
 Exit codes: 0 when every verdict passes, 1 when a check failed or a violation
 was demonstrated (still a successful computation, distinguished in the
-report), 2 for input errors.  All randomness is driven by --seed; the
+report), 2 for input errors, including an input too ill-conditioned for a
+construction to pass its own self-check (``SelfCheckError``).  All randomness is driven by --seed; the
 environment variable BEYONDCP_SEED overrides the flag.
 """
 
@@ -20,7 +21,7 @@ from dataclasses import replace
 import numpy as np
 
 from . import catalog
-from .config import DEFAULT_TOL, ToleranceConfig
+from .config import DEFAULT_TOL, SelfCheckError, ToleranceConfig
 from .consistency import (
     _family_verdict,
     consistent_kernel,
@@ -571,7 +572,7 @@ def run_cli(argv=None) -> int:
             raise ValueError(f"--tol-rank {tol.rank_cut!r} is not below 1; it keeps no direction")
         report = _HANDLERS[args.subcommand](args, tol, seed)
         doc = emit_report(report)
-    except (ValueError, OSError, json.JSONDecodeError) as err:
+    except (ValueError, OSError, json.JSONDecodeError, SelfCheckError) as err:
         print(f"error: {err}", file=sys.stderr)
         return 2
     if args.format == "csv":

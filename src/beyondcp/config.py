@@ -1,4 +1,5 @@
-"""Numerical tolerance settings shared by every decision procedure."""
+"""Numerical tolerance settings shared by every decision procedure, and the error a
+construction raises when its own result fails them."""
 
 from __future__ import annotations
 
@@ -35,3 +36,8 @@ class ToleranceConfig:
 
 
 DEFAULT_TOL = ToleranceConfig()
+
+
+class SelfCheckError(RuntimeError):
+    """A construction's check of its own result failed at the tolerances: the input is
+    too ill-conditioned for it.  The CLI reports it as an input error (exit 2)."""

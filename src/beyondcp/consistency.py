@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .config import DEFAULT_TOL, ToleranceConfig
+from .config import DEFAULT_TOL, SelfCheckError, ToleranceConfig
 from .operators import (
     Operator,
     SpaceLayout,
@@ -230,7 +230,7 @@ def transformation_space(
         rhs = derivation.map._apply_columns(reduced)
         residual = float(np.max(np.linalg.norm(lhs - rhs, axis=0), initial=0.0))
         if not (residual <= v.tol.residual_tol):
-            raise RuntimeError(
+            raise SelfCheckError(
                 f"transformation-space self-check failed with residual {residual:.3e}"
             )
     return vprime

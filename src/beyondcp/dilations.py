@@ -16,7 +16,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .config import DEFAULT_TOL, ToleranceConfig
+from .config import DEFAULT_TOL, SelfCheckError, ToleranceConfig
 from .maps import (
     SubsystemMap,
     _derive,
@@ -126,7 +126,7 @@ def _self_check(rep: Representation, target: SubsystemMap, name: str) -> Represe
     """Return rep if it represents target; a construction that does not is a bug."""
     check = verify_representation(rep, target)
     if not check.passed:
-        raise RuntimeError(
+        raise SelfCheckError(
             f"{name} failed its self-check with residual {check.max_residual:.3e}"
         )
     return rep
@@ -259,9 +259,9 @@ def _sampled_physical_domain_check(
     drift_bound = tol.residual_tol * np.maximum(1.0, np.linalg.norm(reference, axis=0))
     for covered, close in zip(inside, drift <= drift_bound):
         if not covered:
-            raise RuntimeError("evolved physical state escaped the conjugated subspace")
+            raise SelfCheckError("evolved physical state escaped the conjugated subspace")
         if not close:
-            raise RuntimeError("physical-domain image check failed")
+            raise SelfCheckError("physical-domain image check failed")
     return escaped, drift
 
 

@@ -14,7 +14,7 @@ from typing import Callable, Iterator, NamedTuple, Sequence
 
 import numpy as np
 
-from .config import DEFAULT_TOL, ToleranceConfig
+from .config import DEFAULT_TOL, SelfCheckError, ToleranceConfig
 from .consistency import ConsistencyVerdict, _kernel_residuals, is_unitary_consistent
 from .operators import (
     Operator,
@@ -243,7 +243,7 @@ def _derive(v: OperatorSubspace, unitaries: Sequence[Operator], keep: tuple) -> 
             mismatch = np.linalg.norm(phi._apply_columns(lhs) - target, axis=0)
             residual = float(np.max(mismatch / scale))
             if not (residual <= v.tol.residual_tol):
-                raise RuntimeError(
+                raise SelfCheckError(
                     f"derived map fails its defining relation with residual {residual:.3e}"
                 )
     return [

@@ -43,7 +43,7 @@ from beyondcp.catalog import (
     controlled_phase_generator,
     gibbs_subspace,
 )
-from beyondcp.config import DEFAULT_TOL
+from beyondcp.config import DEFAULT_TOL, SelfCheckError
 from beyondcp.operators import (
     SpaceLayout,
     _reduced_evolution,
@@ -706,6 +706,16 @@ def test_shared_derivation_gives_each_member_its_own_derived_map(gibbs_v, phase_
 def test_transformation_space_rejects_inconsistent(gibbs_v):
     with pytest.raises(ValueError, match="not consistent"):
         transformation_space(gibbs_v, UnitaryFamily((swap_unitary(2),)))
+
+
+def test_transformation_space_self_check_failure_is_a_self_check_error(
+    gibbs_v, phase_family, monkeypatch
+):
+    # X (x) Z has a zero bath trace, but the controlled phase gives it a nonzero one
+    extra = span_from_generators([tensor(PAULI_X, operator(np.diag([1.0, -1.0]), 2))])
+    monkeypatch.setattr(consistency, "subspace_sum", lambda v, w: subspace_sum(v, extra))
+    with pytest.raises(SelfCheckError, match="transformation-space self-check failed"):
+        transformation_space(gibbs_v, phase_family)
 
 
 # ---------------------------------------------------------------------------

@@ -33,6 +33,7 @@ from beyondcp import (
     verify_representation,
 )
 from beyondcp import consistency, dilations, maps, subspaces
+from beyondcp.config import SelfCheckError
 from beyondcp.catalog import (
     axis_states,
     controlled_phase_kraus,
@@ -617,6 +618,19 @@ def test_stacked_physical_domain_check_raises_where_the_loop_raises():
             reference_physical_domain_check(*args, phi.tol)
         with pytest.raises(RuntimeError, match=message):
             dilations._sampled_physical_domain_check(*args, phi.tol)
+
+
+def test_a_failed_representation_self_check_is_a_self_check_error():
+    rep, new_rep, phi = _inverse_cases()["repolarizer"]
+    for args, message in [
+        ((rep, rep, phi), "escaped the conjugated subspace"),
+        ((rep, new_rep, identity_map(2)), "image check failed"),
+    ]:
+        with pytest.raises(SelfCheckError, match=message):
+            dilations._sampled_physical_domain_check(*args, phi.tol)
+    transpose_rep = swap_representation(transpose_map(), axis_states())
+    with pytest.raises(SelfCheckError, match="^swap representation failed its self-check"):
+        dilations._self_check(transpose_rep, identity_map(2), "swap representation")
 
 
 @pytest.mark.parametrize("name", ["repolarizer", "transpose", "kraus"])

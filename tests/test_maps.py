@@ -50,7 +50,7 @@ from beyondcp.catalog import (
     repolarizer,
     transpose_map,
 )
-from beyondcp.config import DEFAULT_TOL
+from beyondcp.config import DEFAULT_TOL, SelfCheckError
 from beyondcp.operators import adjoint_action
 from beyondcp.sampling import haar_unitary, random_density, random_kraus_channel
 
@@ -650,6 +650,13 @@ def test_derived_domain_and_kernel_obey_rank_nullity_near_the_cut(delta):
         assert "defining relation" in str(error)
         return
     assert phi.domain.dim + kernel_of_partial_trace(v).dim == v.dim
+
+
+@pytest.mark.parametrize("delta", [2e-9, 1e-9])
+def test_a_failed_defining_relation_is_a_self_check_error(delta):
+    u = haar_unitary((2, 2), np.random.default_rng(3))
+    with pytest.raises(SelfCheckError, match="^derived map fails its defining relation"):
+        derive_map(_near_cut_subspace(delta), u)
 
 
 def test_derived_domain_and_kernel_obey_rank_nullity_on_the_qr_route():

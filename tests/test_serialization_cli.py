@@ -762,6 +762,41 @@ def test_cli_nan_unitary_entry_exits_two(capsys, tmp_path):
     assert capsys.readouterr().out == ""
 
 
+def _near_cut_pair(tmp_path, delta):
+    """span{1/4, 1/4 + delta Z (x) X} at (2,2) and a Haar unitary: the subspace passes the
+    consistency check, but its derived map fails the defining relation near the rank cut."""
+    from beyondcp import SpaceLayout, span_from_generators
+    from beyondcp.sampling import haar_unitary
+
+    layout = SpaceLayout((2, 2))
+    quarter = np.eye(4) / 4
+    z_x = np.kron(PAULI_Z.entries, PAULI_X.entries)
+    v = span_from_generators([operator(quarter, layout), operator(quarter + delta * z_x, layout)])
+    u = haar_unitary((2, 2), np.random.default_rng(3))
+    return _write(tmp_path, "sub.json", emit_subspace(v)), _write(tmp_path, "u.json", emit_operator(u))
+
+
+@pytest.mark.parametrize("delta", [2e-9, 1e-9])
+def test_cli_derive_map_exits_two_on_a_failed_self_check(capsys, tmp_path, delta):
+    sub, uni = _near_cut_pair(tmp_path, delta)
+    assert run_cli(["derive-map", "--subspace", sub, "--unitary", uni]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: derived map fails its defining relation with residual")
+
+
+@pytest.mark.parametrize("error", [RuntimeError, RecursionError, NotImplementedError])
+def test_cli_lets_a_programming_error_propagate(capsys, tmp_path, monkeypatch, error):
+    def broken(*args, **kwargs):
+        raise error("a bug, not an input error")
+
+    monkeypatch.setattr(cli_module, "_derive_pair", broken)
+    sub, uni = _near_cut_pair(tmp_path, 2e-9)
+    with pytest.raises(error, match="a bug"):
+        run_cli(["derive-map", "--subspace", sub, "--unitary", uni])
+    assert capsys.readouterr().out == ""
+
+
 @pytest.mark.parametrize(
     "flag,value,message",
     [
