@@ -116,13 +116,20 @@ def _family_verdict(
     """Worst bath-trace residual of the kernel of v under all members at once,
     and the dimension of that kernel."""
     *_, n, residuals = _kernel_residuals(v, members, _keep_indices(v.layout, bath_factor))
+    return _verdict(v, members, n, residuals), n.shape[1]
+
+
+def _verdict(
+    v: OperatorSubspace, members, n: np.ndarray, residuals: np.ndarray
+) -> ConsistencyVerdict:
+    """The verdict of ``_kernel_residuals``' null space n and residuals (f, kernel dim)."""
     if n.shape[1] == 0:
-        return ConsistencyVerdict(True, 0.0, None), 0
+        return ConsistencyVerdict(True, 0.0, None)
     member, element = np.unravel_index(np.argmax(residuals), residuals.shape)
     worst = float(residuals[member, element])  # argmax stops at the first NaN
     x = unvec(v.basis_matrix() @ n[:, element], v.layout.total_dim)
     pair = (Operator(v.layout, x), members[member])
-    return ConsistencyVerdict(worst <= v.tol.residual_tol, worst, pair), n.shape[1]
+    return ConsistencyVerdict(worst <= v.tol.residual_tol, worst, pair)
 
 
 def is_unitary_consistent(

@@ -21,6 +21,7 @@ from .maps import (
     SubsystemMap,
     _derive,
     _Derivation,
+    _map_of,
     _positive_domain_mask,
     derive_map,
     map_from_kraus,
@@ -90,9 +91,9 @@ class Representation:
         return _derive(self.subspace, [self.unitary], (0,))[0]
 
     def derived_map(self) -> SubsystemMap:
-        if self.subspace.dim == 0 or self._derivation.map is None:
+        if self.subspace.dim == 0:
             return derive_map(self.subspace, self.unitary)  # raises: no map is defined
-        return self._derivation.map
+        return _map_of(self._derivation, self.subspace, self.unitary)
 
     def validate(self) -> None:
         """Raise unless the semantic invariants hold."""

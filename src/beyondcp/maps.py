@@ -15,7 +15,7 @@ from typing import Callable, Iterator, NamedTuple, Sequence
 import numpy as np
 
 from .config import DEFAULT_TOL, SelfCheckError, ToleranceConfig
-from .consistency import ConsistencyVerdict, _kernel_residuals, is_unitary_consistent
+from .consistency import ConsistencyVerdict, _kernel_residuals, _verdict
 from .operators import (
     Operator,
     _PAULI_STACK,
@@ -185,13 +185,18 @@ def derive_map(
     one cut of the consistency check), the domain basis is U_r and the
     coordinate matrix is E V_r S_r^-1.
     """
-    derivation = _derive_pair(v, u, bath_factor)
+    return _map_of(_derive_pair(v, u, bath_factor), v, u)
+
+
+def _map_of(derivation: "_Derivation", v: OperatorSubspace, u: Operator) -> SubsystemMap:
+    """The derived map of (v, u), or InconsistentPairError with the verdict
+    ``is_unitary_consistent`` gives, read off the derivation's own decision."""
     if derivation.map is None:
         raise InconsistentPairError(
             "the subspace is not consistent with the unitary "
             f"(worst kernel residual {derivation.residual:.3e}); "
             "the reduced map is not well defined",
-            is_unitary_consistent(v, u, bath_factor),
+            _verdict(v, (u,), derivation.kernel, derivation.residuals[None]),
         )
     return derivation.map
 
@@ -200,6 +205,8 @@ class _Derivation(NamedTuple):
     reduced: np.ndarray  # the basis of v, vectorized and bath-reduced
     evolved: np.ndarray  # the same, conjugated by u before the reduction
     domain: OperatorSubspace  # span of the reduced basis
+    kernel: np.ndarray  # the null space n of the reduced basis, the consistency decision's
+    residuals: np.ndarray  # ||E n|| under u, one per kernel column
     residual: float  # the worst kernel residual under u, as is_unitary_consistent's
     map: SubsystemMap | None  # the derived map; None unless the family is consistent
     spanned: bool | None  # check_state_spanned(v), taken only for a consistent family
@@ -247,8 +254,8 @@ def _derive(v: OperatorSubspace, unitaries: Sequence[Operator], keep: tuple) -> 
                     f"derived map fails its defining relation with residual {residual:.3e}"
                 )
     return [
-        _Derivation(reduced, e, domain, float(w), phi, spanned)
-        for e, w, phi in zip(evolved, worst, phis)
+        _Derivation(reduced, e, domain, n, res, float(w), phi, spanned)
+        for e, res, w, phi in zip(evolved, residuals, worst, phis)
     ]
 
 

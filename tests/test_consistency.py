@@ -779,6 +779,33 @@ def test_derivations_decide_as_the_verdict_does(dims, rng):
             assert (carried.consistent, carried.worst_residual) == (False, verdict.worst_residual)
 
 
+def _assert_bit_equal_verdicts(carried, verdict):
+    assert carried.consistent is verdict.consistent is False
+    assert carried.worst_residual.hex() == verdict.worst_residual.hex()
+    (x, u), (y, w) = carried.violating_pair, verdict.violating_pair
+    assert np.array_equal(x.entries, y.entries) and x.layout == y.layout and u is w
+
+
+@pytest.mark.parametrize("dims", [(2, 2), (2, 4)])
+def test_a_refused_derivation_decides_once_and_carries_that_verdict(dims, rng, count_calls):
+    counts = count_calls((consistency, "_kernel_residuals"))
+    (v, family, consistent), *_ = [case for case in decision_cases(dims, rng) if not case[2]]
+    for u in family.members:
+        verdict = is_unitary_consistent(v, u)
+        counts.clear()
+        with pytest.raises(InconsistentPairError) as err:
+            derive_map(v, u)
+        assert counts == {"_kernel_residuals": 1}
+        _assert_bit_equal_verdicts(err.value.verdict, verdict)
+        rep = Representation(dims[1], u, v, full_operator_space(dims[0]))
+        assert rep._derivation.map is None
+        counts.clear()
+        with pytest.raises(InconsistentPairError) as err:
+            rep.derived_map()  # refused from the cached derivation
+        assert counts == {}
+        _assert_bit_equal_verdicts(err.value.verdict, verdict)
+
+
 def test_family_verdict_builds_no_subspace(gibbs_v, phase_family, monkeypatch):
     built = []
     original = OperatorSubspace.__post_init__
