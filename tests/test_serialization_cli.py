@@ -160,6 +160,28 @@ def test_report_roundtrips_bit_exactly():
     assert json.dumps(json.loads(text)) == text
 
 
+def test_report_check_passes_iff_the_residual_is_within_its_bound():
+    from dataclasses import replace
+
+    report = Report("demo", inputs_digest({}), None, replace(DEFAULT_TOL, residual_tol=1e-6))
+    report.check("at_tol", 1e-6, note="kept")
+    report.check("above_tol", np.nextafter(1e-6, 1))
+    report.check("at_bound", 1e-12, 1e-12)
+    report.check("above_bound", 2e-12, 1e-12)
+    report.check("nan", math.nan)
+    report.check("nan_bound", 0.0, math.nan)
+    assert [(v["name"], v["passed"]) for v in report.verdicts] == [
+        ("at_tol", True),
+        ("above_tol", False),
+        ("at_bound", True),
+        ("above_bound", False),
+        ("nan", False),
+        ("nan_bound", False),
+    ]
+    assert report.verdicts[0]["details"] == {"note": "kept"}
+    assert report.verdicts[4]["residual"] == "nan"
+
+
 def test_inputs_digest_is_stable():
     a = inputs_digest({"b": 1, "a": [2, 3]})
     b = inputs_digest({"a": [2, 3], "b": 1})
@@ -620,6 +642,49 @@ def test_cli_derive_map_reports_the_residual_check_consistency_reports(
         assert derived["verdicts"][0]["details"] == {"state_spanned": True}
 
 
+def _seeded_pair(kind, seed):
+    """A (subspace, unitary) pair away from the rank cut: the Gibbs subspace under the
+    controlled phase (consistent) or a Haar unitary (inconsistent), or B(H_S) (x) rho_B
+    plus the unitary's consistent kernel under a Haar unitary (consistent)."""
+    from beyondcp import (
+        SpaceLayout,
+        UnitaryFamily,
+        consistent_kernel,
+        full_operator_space,
+        span_from_generators,
+        subspace_sum,
+        tensor,
+    )
+    from beyondcp.catalog import controlled_phase_unitary
+    from beyondcp.sampling import haar_unitary, random_density
+
+    rng = np.random.default_rng(seed)
+    if kind == "gibbs-phase":
+        return gibbs_subspace(), controlled_phase_unitary(rng.uniform(-np.pi, np.pi)), True
+    if kind == "gibbs-haar":
+        return gibbs_subspace(), haar_unitary((2, 2), rng), False
+    rho_b, u = random_density(2, rng), haar_unitary((2, 2), rng)
+    product = span_from_generators([tensor(b, rho_b) for b in full_operator_space(2).basis])
+    kernel = consistent_kernel(UnitaryFamily((u,)), SpaceLayout((2, 2)))
+    return subspace_sum(product, kernel), u, True
+
+
+@pytest.mark.parametrize("seed", [1, 2, 3])
+@pytest.mark.parametrize("kind", ["gibbs-phase", "gibbs-haar", "product-haar"])
+def test_cli_check_consistency_and_derive_map_read_one_decision(capsys, tmp_path, kind, seed):
+    v, u, consistent = _seeded_pair(kind, seed)
+    sub = _write(tmp_path, "sub.json", emit_subspace(v))
+    uni = _write(tmp_path, "u.json", emit_operator(u))
+    verdicts = []
+    for command in ("check-consistency", "derive-map"):
+        code, doc = _run(capsys, [command, "--subspace", sub, "--unitary", uni])
+        assert code == (0 if consistent else 1)
+        verdicts.append(next(v for v in doc["verdicts"] if v["name"] == "unitary_consistent"))
+    checked, derived = verdicts
+    assert checked["passed"] is derived["passed"] is consistent
+    assert float(checked["residual"]).hex() == float(derived["residual"]).hex()
+
+
 @pytest.mark.parametrize("topic", ["gibbs", "transpose", "repolarizer"])
 def test_cli_check_consistency_kernel_dim_is_the_trace_kernel_dim(capsys, tmp_path, topic):
     from beyondcp import catalog
@@ -739,6 +804,42 @@ def test_cli_represent_kraus_reads_its_dilation_verdict_off_the_residual(
     dilation = doc["verdicts"][0]
     assert dilation["name"] == "unitary_dilation"
     assert dilation["passed"] is False and dilation["residual"] == 1.0
+
+
+def _verdict_at(capsys, monkeypatch, argv, name, residual):
+    """The exit code and the verdict ``name`` when the CLI's map_residual reads ``residual``."""
+    monkeypatch.setattr(cli_module, "map_residual", lambda *maps: residual)
+    code, doc = _run(capsys, argv)
+    return code, next(v for v in doc["verdicts"] if v["name"] == name)
+
+
+@pytest.mark.parametrize(
+    "residual,code,passed,reported",
+    [(math.nan, 1, False, "nan"), (DEFAULT_TOL.residual_tol, 0, True, DEFAULT_TOL.residual_tol)],
+)
+def test_cli_residual_verdict_passes_at_residual_tol_and_fails_on_nan(
+    capsys, tmp_path, monkeypatch, residual, code, passed, reported
+):
+    kraus_doc = {
+        "kind": "kraus",
+        "dims": [2],
+        "operators": [emit_operator(k)["matrix"] for k in depolarizer_kraus(0.1)],
+    }
+    argv = ["represent", "--map", _write(tmp_path, "kraus.json", kraus_doc), "--method", "kraus"]
+    got = _verdict_at(capsys, monkeypatch, argv, "derived_map_matches_kraus", residual)
+    expected = {"name": "derived_map_matches_kraus", "passed": passed, "residual": reported}
+    assert got == (code, {**expected, "details": {}})
+
+
+@pytest.mark.parametrize("residual,code", [(1e-12, 0), (np.nextafter(1e-12, 1), 1)])
+def test_cli_residual_verdict_with_its_own_bound_passes_up_to_that_bound(
+    capsys, monkeypatch, residual, code
+):
+    argv = ["catalog", "repolarizer"]
+    got_code, verdict = _verdict_at(
+        capsys, monkeypatch, argv, "depolarizer_inverts_repolarizer", residual
+    )
+    assert (got_code, verdict["passed"], verdict["residual"]) == (code, code == 0, residual)
 
 
 def test_cli_input_errors_exit_two(capsys, tmp_path):
