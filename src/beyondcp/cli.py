@@ -2,9 +2,9 @@
 
 Exit codes: 0 when every verdict passes, 1 when a check failed or a violation
 was demonstrated (still a successful computation, distinguished in the
-report), 2 for input errors, including an input too ill-conditioned for a
-construction to pass its own self-check (``SelfCheckError``).  All randomness is driven by --seed; the
-environment variable BEYONDCP_SEED overrides the flag.
+report), 2 for input errors, an input too ill-conditioned for a construction
+to pass its own self-check (``SelfCheckError``) included.  All randomness is
+driven by --seed; the environment variable BEYONDCP_SEED overrides the flag.
 """
 
 from __future__ import annotations

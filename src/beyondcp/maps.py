@@ -188,7 +188,7 @@ def derive_map(
     return _map_of(_derive_pair(v, u, bath_factor), v, u)
 
 
-def _map_of(derivation: "_Derivation", v: OperatorSubspace, u: Operator) -> SubsystemMap:
+def _map_of(derivation: _Derivation, v: OperatorSubspace, u: Operator) -> SubsystemMap:
     """The derived map of (v, u), or InconsistentPairError with the verdict
     ``is_unitary_consistent`` gives, read off the derivation's own decision."""
     if derivation.map is None:
