@@ -124,7 +124,7 @@ class RepresentationVerdict:
 
 
 def _self_check(rep: Representation, target: SubsystemMap, name: str) -> Representation:
-    """Return rep if it represents target; a construction that does not is a bug."""
+    """Return rep if it represents target; one that does not raises SelfCheckError."""
     check = verify_representation(rep, target)
     if not check.passed:
         raise SelfCheckError(
