@@ -596,7 +596,7 @@ def test_consistent_kernel_at_4x4_takes_no_full_svd(rng, monkeypatch):
     monkeypatch.setattr(np.linalg, "svd", recording_svd)
     kernel = consistent_kernel(_haar_family((4, 4), rng), SpaceLayout((4, 4)))
     assert kernel.dim == 180
-    assert full and not any(full)
+    assert not any(full)  # a certified full rank takes no SVD at all
 
 
 def _recorded_svds(monkeypatch):
@@ -618,7 +618,7 @@ def test_null_space_of_a_full_rank_wide_stack_takes_singular_values_only(rng, mo
     reference = _full_svd_null_space(a, 1e-9)
     calls = _recorded_svds(monkeypatch)
     basis = subspaces._null_space(a, 1e-9)
-    assert calls == [False]
+    assert calls == []  # the Cholesky certificate replaces the values-only SVD
     assert basis.dtype == np.float64 and basis.shape == reference.shape
     assert np.linalg.norm(basis.T @ basis - np.eye(basis.shape[1])) <= 1e-12
     assert np.linalg.norm(_projector(basis) - _projector(reference)) <= 1e-10
@@ -641,6 +641,112 @@ def test_a_tall_stack_takes_one_svd_with_vectors(rng, monkeypatch):
     inter = subspace_intersection(v, w)
     assert calls == [True]
     assert inter.dim == 180 + 180 - 240  # both lie in the 240-dimensional trace kernel
+
+
+# ---------------------------------------------------------------------------
+# the full-rank certificate of the QR route: one Cholesky factorization of R R^dag
+# ---------------------------------------------------------------------------
+
+
+def _qr_triangle(a):
+    """The triangle R of ``_null_space``'s QR route, from the same factorization."""
+    return np.triu(np.linalg.qr(a.conj().T, mode="raw")[0].T[: min(a.shape)])
+
+
+def _stack_with_singular_values(rng, s, n=120):
+    """A real (len(s), n) stack whose singular values are ``s``."""
+    u = np.linalg.qr(rng.standard_normal((len(s), len(s))))[0]
+    w = np.linalg.qr(rng.standard_normal((n, len(s))))[0]
+    return (u * s) @ w.T
+
+
+@pytest.mark.parametrize("scale", [1e-2, 1.0, 1e4])
+@pytest.mark.parametrize("factor", [0.5, 1.0, 2.0, 1e3])
+@pytest.mark.parametrize("cut", [1e-9, 1e-3])
+def test_a_near_cut_triangle_gets_the_rank_its_svd_gives(rng, monkeypatch, cut, factor, scale):
+    """One singular value at ``factor`` times the cut's threshold cut max(s_0, 1): whichever
+    route decides, the rank is the one ``_numerical_rank`` gives on the triangle's SVD.  (At
+    scale 1e-2 and cut 1e-3 the other 39 lie below the threshold too.)"""
+    threshold = cut * max(scale, 1.0)
+    s = np.r_[scale, scale * np.geomspace(0.3, 0.01, 38), factor * threshold]
+    a = _stack_with_singular_values(rng, s)
+    expected = subspaces._numerical_rank(
+        np.linalg.svd(_qr_triangle(a), full_matrices=False)[1], cut, floor=1.0
+    )
+    calls = _recorded_svds(monkeypatch)
+    basis = subspaces._null_space(a, cut)
+    assert a.shape[1] - basis.shape[1] == expected
+    assert np.linalg.norm(a @ basis) <= 10 * cut * max(s.max(), 1.0)
+    if factor == 1e3 and s.min() == s[-1]:  # far above the cut: certified, no SVD
+        assert calls == [] and expected == 40
+    if factor <= 1.0:  # at or below it: the SVD decides
+        assert calls == [True]
+
+
+@pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf, 1j * np.nan])
+@pytest.mark.parametrize("entry", [(0, 0), (40, 40), (3, 70), (75, 75)])
+def test_a_non_finite_triangle_never_certifies(value, entry):
+    """numpy's Cholesky returns a non-finite factor for a NaN or inf G instead of raising,
+    so the factor itself is checked."""
+    triangle = np.eye(76, dtype=complex if np.iscomplex(value) else float)
+    assert subspaces._certified_full_rank(triangle, 1e-9)
+    triangle[entry] = value
+    assert not subspaces._certified_full_rank(triangle, 1e-9)
+
+
+@pytest.mark.parametrize("value", [np.nan, np.inf])
+def test_a_non_finite_wide_stack_is_refused_by_the_svd(rng, value):
+    a = rng.standard_normal((76, 256))
+    a[7, 30] = value
+    with pytest.raises(np.linalg.LinAlgError):
+        subspaces._null_space(a, 1e-9)
+
+
+def test_the_rounding_term_keeps_a_rank_deficient_triangle_uncertified():
+    """Row 5 lies in the span of rows 0-4, so R's diagonal entry 5 is rounding and G's pivot 5
+    cancels to noise above (cut S)^2: the bare cut certifies full rank, and the rounding
+    term 4 (p + 2) eps ||R||_F^2 of tau is what refuses it."""
+    rng = np.random.default_rng(0)
+    a = rng.standard_normal((40, 120))
+    a[5] = rng.standard_normal(5) @ a[:5]
+    triangle = _qr_triangle(a)
+    g = triangle @ triangle.T
+    g[np.diag_indices(40)] -= (1e-9 * max(np.linalg.norm(triangle), 1.0)) ** 2
+    assert np.all(np.isfinite(np.linalg.cholesky(g)))  # the bare cut would pass
+    assert not subspaces._certified_full_rank(triangle, 1e-9)
+    assert subspaces._null_space(a, 1e-9).shape == (120, 81)  # rank 39
+
+
+def _framed(w, x):
+    """W X W^dag for each element of the stack ``x``."""
+    return w @ x @ w.conj().T
+
+
+@pytest.mark.parametrize("dims", [(2, 4), (4, 4)])  # SVD route, certified QR route
+def test_consistent_kernel_follows_a_local_frame(rng, monkeypatch, dims):
+    """With W = W_S (x) W_B, X has a vanishing bath trace iff W X W^dag has, so the family
+    W U_i W^dag has the consistent kernel W K W^dag: equal dimension, each contained in the
+    other within 1e-10, and at (4,4) the certificate passes in every frame."""
+    layout = SpaceLayout(dims)
+    n = layout.total_dim
+    family = _haar_family(dims, rng)
+    kernel = consistent_kernel(family, layout)
+    stack = subspaces._unvec_stack(kernel.basis_matrix().T, n)
+    for _ in range(4):
+        w = np.kron(*(haar_unitary(d, rng).entries for d in dims))
+        members = (Operator(layout, _framed(w, u.entries)) for u in family.members)
+        framed = UnitaryFamily(tuple(members))
+        calls = _recorded_svds(monkeypatch)
+        moved = consistent_kernel(framed, layout)
+        monkeypatch.undo()
+        assert moved.dim == kernel.dim > 0
+        if n * n >= subspaces._QR_NULL_SPACE_COLUMNS:
+            assert calls == []
+        there = subspaces._columns(_framed(w, stack))
+        moved_stack = subspaces._unvec_stack(moved.basis_matrix().T, n)
+        back = subspaces._columns(_framed(w.conj().T, moved_stack))
+        assert np.max(moved._coordinates_of(there)[1]) <= 1e-10
+        assert np.max(kernel._coordinates_of(back)[1]) <= 1e-10
 
 
 # ---------------------------------------------------------------------------
