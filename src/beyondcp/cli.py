@@ -396,6 +396,7 @@ def _catalog_repolarizer(args, tol: ToleranceConfig, seed: int, report: Report) 
     # 60-step lockstep bisection of [0, 1] finds it.  The root of |b + t M n| = 1 + 2 psd_slack
     # is a guess: one mask call on the grid (k-1 .. k+2) 2^-48 around it confirms the depth-48
     # node that holds the flip, and 12 steps finish; unconfirmed, all 60 run (README, Conventions).
+    # Each mask call tests the 15 nodes of the next four levels, so the path keeps its bits.
     sigmas = np.array([PAULI_X.entries, PAULI_X.entries, PAULI_Z.entries, PAULI_Z.entries])
     signs = np.array([1.0, -1.0, 1.0, -1.0])
 
@@ -414,10 +415,18 @@ def _catalog_repolarizer(args, tol: ToleranceConfig, seed: int, report: Report) 
     lo, hi, steps = np.zeros(4), np.ones(4), 60
     if np.all((0 < j) & (j < 4)) and np.array_equal(inside, np.arange(4) < j[:, None]):
         lo, hi, steps = grid[range(4), j - 1], grid[range(4), j], 12
-    for _ in range(steps):
-        mid = (lo + hi) / 2
-        inside = mask_at(mid[:, None])[:, 0]
-        lo, hi = np.where(inside, mid, lo), np.where(inside, hi, mid)
+    rows = range(4)
+    for _ in range(steps // 4):
+        edges = np.stack([lo, hi], axis=1)
+        for _ in range(4):  # each level's (lo + hi) / 2 between the edges so far
+            mids = (edges[:, :-1] + edges[:, 1:]) / 2
+            edges = np.insert(edges, range(1, edges.shape[1]), mids, axis=1)
+        inside = mask_at(edges[:, 1:-1])
+        i, j = np.zeros(4, dtype=int), np.full(4, 16)  # the path's node is edges[i .. j]
+        for _ in range(4):
+            mid = (i + j) // 2
+            i, j = np.where(inside[rows, mid - 1], mid, i), np.where(inside[rows, mid - 1], j, mid)
+        lo, hi = edges[rows, i], edges[rows, j]
     worst_boundary = float(np.max(np.abs((lo + hi) / 2 - eps)))
     report.check("positive_domain_boundary_at_epsilon", worst_boundary, 1e-8)
     scan = positivity_scan(phi, 64, seed)

@@ -1440,19 +1440,19 @@ def _count_mask_calls(monkeypatch):
 
 
 @pytest.mark.parametrize("epsilon", ["9.5e-4", "0.05", "0.2", "0.41", "0.5"])
-def test_cli_catalog_repolarizer_confirmed_guess_makes_13_mask_calls(capsys, monkeypatch, epsilon):
+def test_cli_catalog_repolarizer_confirmed_guess_makes_4_mask_calls(capsys, monkeypatch, epsilon):
     calls = _count_mask_calls(monkeypatch)
     code, doc = _run(capsys, ["catalog", "repolarizer", "--epsilon", epsilon])
     assert code == 0 and _boundary_verdict(doc)["passed"]
-    assert len(calls) == 1 + 12  # the grid around the guesses, then the last 12 steps
+    assert len(calls) == 1 + 3  # the grid around the guesses, then the last 12 steps, 4 a call
 
 
-def test_cli_catalog_repolarizer_flip_at_one_falls_back_to_61_mask_calls(capsys, monkeypatch):
+def test_cli_catalog_repolarizer_flip_at_one_falls_back_to_16_mask_calls(capsys, monkeypatch):
     calls = _count_mask_calls(monkeypatch)
     code, doc = _run(capsys, ["catalog", "repolarizer", "--epsilon", "1.0"])
     assert code == 1  # the identity map has no counterexample to positivity
     assert _boundary_verdict(doc)["passed"]
-    assert len(calls) == 1 + 60  # every grid point is inside, so no node is confirmed
+    assert len(calls) == 1 + 15  # every grid point is inside, so no node is confirmed
 
 
 @pytest.mark.parametrize("factor", [1 + 1e-6, 1 - 1e-6, math.nan], ids=["high", "low", "nan"])
@@ -1468,7 +1468,7 @@ def test_cli_catalog_repolarizer_guess_never_decides(capsys, monkeypatch, epsilo
     calls = _count_mask_calls(monkeypatch)
     assert run_cli(argv) == code
     assert capsys.readouterr().out == expected
-    assert len(calls) == 1 + 60
+    assert len(calls) == 1 + 15  # all 60 steps, four levels a call
 
 
 def test_cli_derive_map_on_the_zero_subspace_is_an_input_error(capsys, tmp_path):
