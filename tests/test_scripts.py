@@ -302,3 +302,93 @@ def test_size_ladder_refuses_bad_arguments(flag, value, message):
     assert result.returncode == 2
     assert result.stdout == ""
     assert f"argument {flag}: {message}" in result.stderr
+
+
+def _bench_pairs():
+    path = ROOT / "scripts" / "bench_pairs.py"
+    spec = importlib.util.spec_from_file_location("bench_pairs", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def _commit_tree(repo, speed, rss):
+    """Commit a tree whose stub benchmark reads ``speed.txt``."""
+    (repo / "speed.txt").write_text(f"{speed} {rss}")
+    git = ["git", "-c", "user.name=t", "-c", "user.email=t@t", "-C", str(repo)]
+    subprocess.run([*git, "add", "-A"], check=True, capture_output=True)
+    subprocess.run([*git, "commit", "-qm", f"speed {speed}"], check=True, capture_output=True)
+
+
+@pytest.fixture
+def two_revisions(tmp_path):
+    """A repository whose HEAD~1 runs at 100 ops/s and HEAD at 120, each with 40 MB rss
+    unless a test commits another HEAD."""
+    repo = tmp_path / "repo"
+    repo.mkdir()
+    subprocess.run(["git", "init", "-q", str(repo)], check=True, capture_output=True)
+    spec = json.loads((ROOT / "BENCHMARK.json").read_text())
+    (repo / "BENCHMARK.json").write_text(json.dumps(spec))
+    _commit_tree(repo, 100, 40)
+    _commit_tree(repo, 120, 40)
+    return repo
+
+
+def _stub_runner(calls):
+    """A runner that records (side, workload) and reports the tree's speed.txt, with a
+    little spread by run, instead of timing anything."""
+
+    def run(tree, workload, seed, seconds):
+        calls.append((tree.name, workload))
+        speed, rss = map(float, (tree / "speed.txt").read_text().split())
+        jitter = 1 + 0.01 * (len(calls) % 3)
+        metrics = {
+            "ops_per_s": speed * jitter,
+            "latency_p50_ms": 1000 / speed * jitter,
+            "latency_p90_ms": 2000 / speed * jitter,
+            "setup_s": 0.3,
+            "peak_rss_mb": rss,
+        }
+        env = {"python": "3", "numpy": "2", "blas": "b", "blas_threads": 1, "nproc": 2}
+        return {"environment": env, "attempted": 10, "failed": 0, "metrics": metrics}
+
+    return run
+
+
+def test_bench_pairs_alternates_sides_and_grades_each_bound(two_revisions, tmp_path):
+    bench = _bench_pairs()
+    calls, out = [], tmp_path / "BENCH_0.json"
+    perfbench_before = sorted(p.name for p in (ROOT / "perfbench").iterdir())
+    argv = ["--repo", str(two_revisions), "--parent", "HEAD~1", "--out", str(out)]
+    argv += ["--workloads", "kernel", "cli", "--pairs", "3", "--seconds", "1"]
+    assert bench.main(argv, run=_stub_runner(calls)) == 0
+    sides = ["parent", "change", "change", "parent", "parent", "change"]
+    assert calls == [(s, "kernel") for s in sides] + [(s, "cli") for s in sides]
+    doc = json.loads(out.read_text())
+    assert list(doc) == [
+        "benchmark", "parent", "change", "change_commit", "pairs", "machine", "claim", "bounds",
+        "verdict", "summary", "pairs_by_run",
+    ]
+    assert doc["verdict"] == "within every bound" and doc["claim"] == "none"
+    assert list(doc["summary"]) == ["kernel_seed7", "cli_seed7"]
+    ops = doc["summary"]["kernel_seed7"]["ops_per_s"]
+    assert ops["parent_median"] == pytest.approx(101) and ops["change_median"] == pytest.approx(120)
+    assert ops["change_wins"] == "3/3" and ops["beyond_parent_spread"] and ops["within_bound"]
+    p90 = doc["summary"]["kernel_seed7"]["latency_p90_ms"]
+    assert p90["change_vs_parent"] < 0 and p90["change_wins"] == "3/3"
+    assert doc["summary"]["cli_seed7"]["failed_ops"] == {"parent": 0, "change": 0}
+    assert len(doc["pairs_by_run"]) == 12 and "environment" not in doc["pairs_by_run"][0]
+    assert sorted(p.name for p in (ROOT / "perfbench").iterdir()) == perfbench_before
+
+
+def test_bench_pairs_fails_a_metric_outside_its_bound(two_revisions, tmp_path):
+    _commit_tree(two_revisions, 120, 48)  # peak rss +20%, against a bound of 10%
+    bench = _bench_pairs()
+    out = tmp_path / "BENCH_0.json"
+    argv = ["--repo", str(two_revisions), "--parent", "HEAD~2", "--out", str(out)]
+    assert bench.main([*argv, "--workloads", "trials", "--pairs", "1"], run=_stub_runner([])) == 1
+    doc = json.loads(out.read_text())
+    rss = doc["summary"]["trials_seed7"]["peak_rss_mb"]
+    assert rss["change_vs_parent"] == pytest.approx(0.2) and not rss["within_bound"]
+    assert doc["summary"]["trials_seed7"]["ops_per_s"]["within_bound"]
+    assert doc["verdict"] == "outside a bound or with a failed op"
