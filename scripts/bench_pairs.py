@@ -143,7 +143,6 @@ def main(argv=None, run=run_benchmark) -> int:
     parser.add_argument("--pairs", type=_positive, default=5)
     parser.add_argument("--seconds", type=_positive, default=30)
     parser.add_argument("--seed", type=int, default=7)
-    parser.add_argument("--repo", type=Path, default=ROOT, help=argparse.SUPPRESS)
     parser.add_argument("--claim", default="none", help="the gain the change claims")
     parser.add_argument("--describe", default=None, help="what the change does")
     args = parser.parse_args(argv)
@@ -151,7 +150,7 @@ def main(argv=None, run=run_benchmark) -> int:
     with tempfile.TemporaryDirectory(prefix="bench_pairs-") as tmp:
         trees = {side: Path(tmp) / side for side in SIDES}
         commits = {
-            side: extract(args.repo, rev, trees[side])
+            side: extract(ROOT, rev, trees[side])
             for side, rev in zip(SIDES, (args.parent, args.change))
         }
         spec = json.loads((trees["change"] / "BENCHMARK.json").read_text())

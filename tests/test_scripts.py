@@ -357,9 +357,10 @@ def _stub_runner(calls):
 
 def test_bench_pairs_alternates_sides_and_grades_each_bound(two_revisions, tmp_path):
     bench = _bench_pairs()
+    bench.ROOT = two_revisions
     calls, out = [], tmp_path / "BENCH_0.json"
     perfbench_before = sorted(p.name for p in (ROOT / "perfbench").iterdir())
-    argv = ["--repo", str(two_revisions), "--parent", "HEAD~1", "--out", str(out)]
+    argv = ["--parent", "HEAD~1", "--out", str(out)]
     argv += ["--workloads", "kernel", "cli", "--pairs", "3", "--seconds", "1"]
     assert bench.main(argv, run=_stub_runner(calls)) == 0
     sides = ["parent", "change", "change", "parent", "parent", "change"]
@@ -384,8 +385,9 @@ def test_bench_pairs_alternates_sides_and_grades_each_bound(two_revisions, tmp_p
 def test_bench_pairs_fails_a_metric_outside_its_bound(two_revisions, tmp_path):
     _commit_tree(two_revisions, 120, 48)  # peak rss +20%, against a bound of 10%
     bench = _bench_pairs()
+    bench.ROOT = two_revisions
     out = tmp_path / "BENCH_0.json"
-    argv = ["--repo", str(two_revisions), "--parent", "HEAD~2", "--out", str(out)]
+    argv = ["--parent", "HEAD~2", "--out", str(out)]
     assert bench.main([*argv, "--workloads", "trials", "--pairs", "1"], run=_stub_runner([])) == 1
     doc = json.loads(out.read_text())
     rss = doc["summary"]["trials_seed7"]["peak_rss_mb"]
