@@ -416,16 +416,17 @@ def _catalog_repolarizer(args, tol: ToleranceConfig, seed: int, report: Report) 
     if np.all((0 < j) & (j < 4)) and np.array_equal(inside, np.arange(4) < j[:, None]):
         lo, hi, steps = grid[range(4), j - 1], grid[range(4), j], 12
     rows = range(4)
+    edges = np.empty((4, 17))  # lo, the 15 nodes of the next four levels in order, hi
     for _ in range(steps // 4):
-        edges = np.stack([lo, hi], axis=1)
-        for _ in range(4):  # each level's (lo + hi) / 2 between the edges so far
-            mids = (edges[:, :-1] + edges[:, 1:]) / 2
-            edges = np.insert(edges, range(1, edges.shape[1]), mids, axis=1)
+        edges[:, 0], edges[:, 16] = lo, hi
+        for step in (16, 8, 4, 2):  # each level's (lo + hi) / 2 between the ends so far
+            edges[:, step // 2 :: step] = (edges[:, : -1 : step] + edges[:, step::step]) / 2
         inside = mask_at(edges[:, 1:-1])
         i, j = np.zeros(4, dtype=int), np.full(4, 16)  # the path's node is edges[i .. j]
         for _ in range(4):
             mid = (i + j) // 2
-            i, j = np.where(inside[rows, mid - 1], mid, i), np.where(inside[rows, mid - 1], j, mid)
+            at_mid = inside[rows, mid - 1]
+            i, j = np.where(at_mid, mid, i), np.where(at_mid, j, mid)
         lo, hi = edges[rows, i], edges[rows, j]
     worst_boundary = float(np.max(np.abs((lo + hi) / 2 - eps)))
     report.check("positive_domain_boundary_at_epsilon", worst_boundary, 1e-8)

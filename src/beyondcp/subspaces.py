@@ -192,21 +192,18 @@ def _null_space(a: np.ndarray, cut: float) -> np.ndarray:
     left singular vectors of R and to the trailing n - m unit vectors.  At the
     real (80, 256) full stack of a (4,4) consistent kernel that takes a quarter to
     two fifths less time, at (80, 1024) about a sixth of it; the two bases
-    differ by a unitary rotation.  One Cholesky factorization certifies that R
-    (m, p) keeps all m singular values.  With F = ||R||_F, S = max(F, 1) and
-    G = R R^dag, it factors G - tau 1, tau = (cut S)^2 + 4 (p + 2) eps F^2.  Forming
-    G, the shift and the factorization move the eigenvalues by about
-    (p + m + 3) eps F^2 / 2, at most sqrt(2) times that in complex arithmetic, so
-    below 2 (p + 2) eps F^2 (Higham, Accuracy and Stability, Thm 10.5; Rump,
-    Verification of positive definiteness, BIT 46, 2006).  A finite factor thus
-    proves s_m^2 > (cut S)^2 + 2 (p + 2) eps F^2, and as s_0 <= F: the margin
-    s_m - cut S > (p + 2) eps F, with cut S >= cut max(s_0, 1).  That clears
-    LAPACK's error f eps s_0 on each singular value for f <= (p + 2) / (1 + cut), so
-    the SVD's rank is m too; no NaN or inf passes.  Then r = m and no SVD runs:
-    the null space is H applied to the trailing n - m unit vectors (none for a tall
-    ``a``).  Otherwise R takes one SVD with its left vectors, and
-    ``_numerical_rank`` decides on it.  The basis keeps the input's dtype: a real
-    ``a`` gives real columns, with about a quarter of the complex flops.
+    differ by a unitary rotation.  R (m, p) keeps all m singular values when G - tau 1
+    has a finite Cholesky factor, G = R R^dag, F = ||R||_F, S = max(F, 1) and
+    tau = (cut S)^2 + 4 (p + 2) eps F^2: rounding in G, the shift and the factor moves
+    the eigenvalues by less than 2 (p + 2) eps F^2 (Higham, Accuracy and Stability,
+    Thm 10.5; Rump, BIT 46, 2006).  So a pass proves s_m^2 > (cut S)^2 + 2 (p + 2)
+    eps F^2, hence the margin s_m - cut S > (p + 2) eps F, with cut S >= cut max(s_0, 1)
+    as s_0 <= F.  That clears LAPACK's error f eps s_0 for f <= (p + 2) / (1 + cut),
+    so the SVD's rank is m too; no NaN or inf passes.  Then no SVD runs and the null
+    space is H applied to the trailing n - m unit vectors (none for a tall ``a``);
+    otherwise R takes one SVD with left vectors, and ``_numerical_rank`` decides.
+    The basis keeps the input's dtype: a real ``a`` gives real columns, with about a
+    quarter of the complex flops.
     """
     k, n = a.shape
     if n < _QR_NULL_SPACE_COLUMNS:
@@ -240,13 +237,12 @@ def _null_space(a: np.ndarray, cut: float) -> np.ndarray:
 
 @np.errstate(invalid="ignore", over="ignore")  # a NaN or inf R: a non-finite factor, refused
 def _certified_full_rank(triangle: np.ndarray, cut: float) -> bool:
-    """Whether the Cholesky certificate of ``_null_space`` proves that R keeps all its rows
-    (numpy returns a non-finite factor for a NaN or inf G rather than raising)."""
+    """Whether ``_null_space``'s Cholesky certificate proves that R keeps all its rows."""
     norm = float(np.linalg.norm(triangle))
     tau = (cut * max(norm, 1.0)) ** 2 + 4 * (triangle.shape[1] + 2) * np.finfo(float).eps * norm**2
     g = triangle @ triangle.conj().T
     g.reshape(-1)[:: g.shape[0] + 1] -= tau  # G - tau 1 in place, on a diagonal view
-    try:
+    try:  # numpy returns a non-finite factor for a NaN or inf G rather than raising
         return bool(np.all(np.isfinite(np.diagonal(np.linalg.cholesky(g)))))
     except np.linalg.LinAlgError:
         return False
