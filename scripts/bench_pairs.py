@@ -14,7 +14,13 @@ change's relative difference, how many pairs the change won, whether the
 medians differ by more than the parent's interquartile range, and a verdict
 against the metric's bound (the change may be worse by at most that fraction
 of the parent's median).  A run with a failed op fails the verdict.  Every run
-is kept under ``pairs_by_run``:
+is kept under ``pairs_by_run``.  Before the runs, each tree prints its output
+digests once with
+
+    python3 scripts/output_digest.py --seeds 1 2 3 --trials 40
+
+and ``digest`` records both sides' group totals (null for a tree without the
+script) and the names of the lines that moved.  Usage:
 
     python3 scripts/bench_pairs.py --parent REV [--change REV] --out BENCH_32.json
         [--workloads cli trials kernel] [--pairs 5] [--seconds 30] [--seed 7]
@@ -34,6 +40,7 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parents[1]
 SIDES = ("parent", "change")
 MACHINE_KEYS = ("python", "numpy", "blas", "blas_threads")
+DIGEST = ["scripts/output_digest.py", "--seeds", "1", "2", "3", "--trials", "40"]
 
 
 def _git(repo: Path, *args: str) -> bytes:
@@ -63,6 +70,34 @@ def run_benchmark(tree: Path, workload: str, seed: int, seconds: int) -> dict:
         "attempted": result["attempted"],
         "failed": result["failed"],
         "metrics": {name: m["value"] for name, m in result["metrics"].items()},
+    }
+
+
+def run_digest(tree: Path) -> dict | None:
+    """The lines that ``DIGEST`` prints in ``tree``, as {name: digest}; None without the
+    script."""
+    if not (tree / DIGEST[0]).is_file():
+        return None
+    done = subprocess.run([sys.executable, *DIGEST], cwd=tree, capture_output=True, text=True)
+    if done.returncode != 0:
+        raise RuntimeError(f"{tree.name}: output_digest.py exited {done.returncode}: {done.stderr}")
+    return dict(line.rsplit(" ", 1) for line in done.stdout.splitlines())
+
+
+def compare_digests(lines: dict) -> dict:
+    """Each side's total lines (null without digests) and the names of the lines whose digest
+    differs between the sides, in the order printed (null unless both sides have digests)."""
+    parent, change = (lines[side] for side in SIDES)
+    moved = None
+    if parent is not None and change is not None:
+        moved = [n for n in dict.fromkeys([*parent, *change]) if parent.get(n) != change.get(n)]
+    return {
+        "command": "python3 " + " ".join(DIGEST),
+        **{
+            side: None if d is None else {n: v for n, v in d.items() if " total (" in n}
+            for side, d in lines.items()
+        },
+        "moved": moved,
     }
 
 
@@ -154,6 +189,7 @@ def main(argv=None, run=run_benchmark) -> int:
             for side, rev in zip(SIDES, (args.parent, args.change))
         }
         spec = json.loads((trees["change"] / "BENCHMARK.json").read_text())
+        digest = compare_digests({side: run_digest(trees[side]) for side in SIDES})
         runs = measure(trees, args.workloads, args.pairs, args.seed, args.seconds, run)
     summary = summarize(runs, spec["end_to_end"])
     passed = all(
@@ -178,6 +214,7 @@ def main(argv=None, run=run_benchmark) -> int:
         "bounds": "every end-to-end metric of every workload within its BENCHMARK.json bound; "
         "no failed op in any run",
         "verdict": "within every bound" if passed else "outside a bound or with a failed op",
+        "digest": digest,
         "summary": summary,
         "pairs_by_run": [{k: v for k, v in r.items() if k != "environment"} for r in runs],
     }

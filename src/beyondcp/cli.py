@@ -383,6 +383,11 @@ def _smallest_checkable_epsilon(tol: ToleranceConfig) -> float:
     return 2.0 * math.sqrt(sys.float_info.epsilon / tol.residual_tol)
 
 
+# w, the half-width of the bracket that certifies the repolarizer's boundary: far above the
+# rounding of its states' eigenvalues (about 1e-16), far below the residual's 1e-8 bound.
+_BOUNDARY_BRACKET = 2.0**-40
+
+
 def _catalog_repolarizer(args, tol: ToleranceConfig, seed: int, report: Report) -> None:
     eps = args.epsilon
     catalog._require_checkable_epsilon("--epsilon", eps, _smallest_checkable_epsilon(tol), tol)
@@ -392,44 +397,23 @@ def _catalog_repolarizer(args, tol: ToleranceConfig, seed: int, report: Report) 
     report.add(
         "swap_subspace_matches_printed_basis", subspaces_equal(rep.subspace, printed)
     )
-    # The boundary on each axis is where the mask flips on (1 + (sign t) sigma) / 2, as a
-    # 60-step lockstep bisection of [0, 1] finds it.  The root of |b + t M n| = 1 + 2 psd_slack
-    # is a guess: one mask call on the grid (k-1 .. k+2) 2^-48 around it confirms the depth-48
-    # node that holds the flip, and 12 steps finish; unconfirmed, all 60 run (README, Conventions).
-    # Each mask call tests the 15 nodes of the next four levels, so the path keeps its bits.
+    # The boundary on each axis is where the mask flips on (1 + (sign t) sigma) / 2, and the
+    # root of |b + t M n| = 1 + 2 psd_slack gives it in closed form.  Along a line the mask's
+    # inside set is an interval (its tests bound minimum eigenvalues, concave in t), so one
+    # mask call that reads inside at root - w and outside at root + w on every axis puts each
+    # flip within w of its root; any other reading fails the check (README, Conventions).
     sigmas = np.array([PAULI_X.entries, PAULI_X.entries, PAULI_Z.entries, PAULI_Z.entries])
     signs = np.array([1.0, -1.0, 1.0, -1.0])
-
-    def mask_at(t):  # the mask on the states of a (4, j) array of t, as a (4, j) array
-        states = (PAULI_I.entries + (signs[:, None] * t)[..., None, None] * sigmas[:, None]) * 0.5
-        return _positive_domain_mask(phi, states.reshape(-1, 2, 2)).reshape(t.shape)
-
     m, b = _bloch_form(phi)
     mn = signs[:, None] * m.T[[0, 0, 2, 2]]  # M n, one row per axis
     a2, a1 = np.sum(mn * mn, axis=1), mn @ b
-    guess = (np.sqrt(a1**2 - a2 * (b @ b - (1 + 2 * tol.psd_slack) ** 2)) - a1) / a2
-    k = np.floor(np.clip(np.nan_to_num(guess), 2.0**-48, 1 - 2.0**-47) * 2.0**48)
-    grid = (k[:, None] + np.arange(-1.0, 3.0)) * 2.0**-48  # within [0, 1]
-    inside = mask_at(grid)
-    j = inside.sum(axis=1)  # the node is grid[j - 1 .. j] where the row reads T..TF..F
-    lo, hi, steps = np.zeros(4), np.ones(4), 60
-    if np.all((0 < j) & (j < 4)) and np.array_equal(inside, np.arange(4) < j[:, None]):
-        lo, hi, steps = grid[range(4), j - 1], grid[range(4), j], 12
-    rows = range(4)
-    edges = np.empty((4, 17))  # lo, the 15 nodes of the next four levels in order, hi
-    for _ in range(steps // 4):
-        edges[:, 0], edges[:, 16] = lo, hi
-        for step in (16, 8, 4, 2):  # each level's (lo + hi) / 2 between the ends so far
-            edges[:, step // 2 :: step] = (edges[:, : -1 : step] + edges[:, step::step]) / 2
-        inside = mask_at(edges[:, 1:-1])
-        i, j = np.zeros(4, dtype=int), np.full(4, 16)  # the path's node is edges[i .. j]
-        for _ in range(4):
-            mid = (i + j) // 2
-            at_mid = inside[rows, mid - 1]
-            i, j = np.where(at_mid, mid, i), np.where(at_mid, j, mid)
-        lo, hi = edges[rows, i], edges[rows, j]
-    worst_boundary = float(np.max(np.abs((lo + hi) / 2 - eps)))
-    report.check("positive_domain_boundary_at_epsilon", worst_boundary, 1e-8)
+    root = (np.sqrt(a1**2 - a2 * (b @ b - (1 + 2 * tol.psd_slack) ** 2)) - a1) / a2
+    t = signs[:, None] * (root[:, None] + [-_BOUNDARY_BRACKET, _BOUNDARY_BRACKET])
+    states = (PAULI_I.entries + t[..., None, None] * sigmas[:, None]) * 0.5
+    inside = _positive_domain_mask(phi, states.reshape(-1, 2, 2)).reshape(4, 2)
+    confirmed = np.all(inside[:, 0] & ~inside[:, 1])  # inside at root - w, outside at root + w
+    worst = float(np.max(np.abs(root - eps))) + _BOUNDARY_BRACKET if confirmed else math.inf
+    report.check("positive_domain_boundary_at_epsilon", worst, 1e-8)
     scan = positivity_scan(phi, 64, seed)
     expected = -(1 - eps) / (2 * eps)
     found = scan.min_eigenvalue if scan.violation_found else float("nan")

@@ -312,9 +312,23 @@ def _bench_pairs():
     return module
 
 
-def _commit_tree(repo, speed, rss):
-    """Commit a tree whose stub benchmark reads ``speed.txt``."""
+_STUB_DIGEST = """import pathlib
+speed = pathlib.Path("speed.txt").read_text().split()[0]
+print(f"cli seed=1 a same\\ncli seed=1 b {speed}\\ncli total (2 items) {speed}")
+print("trials total (0 items) same")
+"""
+
+
+def _commit_tree(repo, speed, rss, digest=True):
+    """Commit a tree whose stub benchmark reads ``speed.txt``, with a stub
+    ``scripts/output_digest.py`` whose line ``b`` and cli total print the speed, or none."""
     (repo / "speed.txt").write_text(f"{speed} {rss}")
+    script = repo / "scripts" / "output_digest.py"
+    script.parent.mkdir(exist_ok=True)
+    if digest:
+        script.write_text(_STUB_DIGEST)
+    else:
+        script.unlink()
     git = ["git", "-c", "user.name=t", "-c", "user.email=t@t", "-C", str(repo)]
     subprocess.run([*git, "add", "-A"], check=True, capture_output=True)
     subprocess.run([*git, "commit", "-qm", f"speed {speed}"], check=True, capture_output=True)
@@ -368,9 +382,15 @@ def test_bench_pairs_alternates_sides_and_grades_each_bound(two_revisions, tmp_p
     doc = json.loads(out.read_text())
     assert list(doc) == [
         "benchmark", "parent", "change", "change_commit", "pairs", "machine", "claim", "bounds",
-        "verdict", "summary", "pairs_by_run",
+        "verdict", "digest", "summary", "pairs_by_run",
     ]
     assert doc["verdict"] == "within every bound" and doc["claim"] == "none"
+    assert doc["digest"] == {
+        "command": "python3 scripts/output_digest.py --seeds 1 2 3 --trials 40",
+        "parent": {"cli total (2 items)": "100", "trials total (0 items)": "same"},
+        "change": {"cli total (2 items)": "120", "trials total (0 items)": "same"},
+        "moved": ["cli seed=1 b", "cli total (2 items)"],
+    }
     assert list(doc["summary"]) == ["kernel_seed7", "cli_seed7"]
     ops = doc["summary"]["kernel_seed7"]["ops_per_s"]
     assert ops["parent_median"] == pytest.approx(101) and ops["change_median"] == pytest.approx(120)
@@ -383,7 +403,7 @@ def test_bench_pairs_alternates_sides_and_grades_each_bound(two_revisions, tmp_p
 
 
 def test_bench_pairs_fails_a_metric_outside_its_bound(two_revisions, tmp_path):
-    _commit_tree(two_revisions, 120, 48)  # peak rss +20%, against a bound of 10%
+    _commit_tree(two_revisions, 120, 48, digest=False)  # peak rss +20%, against a bound of 10%
     bench = _bench_pairs()
     bench.ROOT = two_revisions
     out = tmp_path / "BENCH_0.json"
@@ -394,3 +414,4 @@ def test_bench_pairs_fails_a_metric_outside_its_bound(two_revisions, tmp_path):
     assert rss["change_vs_parent"] == pytest.approx(0.2) and not rss["within_bound"]
     assert doc["summary"]["trials_seed7"]["ops_per_s"]["within_bound"]
     assert doc["verdict"] == "outside a bound or with a failed op"
+    assert doc["digest"]["change"] is None and doc["digest"]["moved"] is None

@@ -1371,29 +1371,6 @@ def test_cli_represent_kraus_validates_the_map_once(capsys, tmp_path, monkeypatc
     assert validated == ["map", "report"]
 
 
-@pytest.mark.parametrize("epsilon", ["9.5e-4", "0.05", "0.1", "0.45"])
-def test_cli_catalog_repolarizer_bisection_matches_the_per_state_loop(capsys, epsilon):
-    eps = float(epsilon)
-    phi = repolarizer(eps)
-    worst = 0.0
-    for sigma in (PAULI_X, PAULI_Z):
-        for sign in (1.0, -1.0):
-            lo, hi = 0.0, 1.0
-            for _ in range(60):
-                mid = (lo + hi) / 2
-                if positive_domain_membership(phi, (PAULI_I + (sign * mid) * sigma) * 0.5):
-                    lo = mid
-                else:
-                    hi = mid
-            worst = max(worst, abs((lo + hi) / 2 - eps))
-    code, doc = _run(capsys, ["catalog", "repolarizer", "--epsilon", epsilon])
-    boundary = next(
-        v for v in doc["verdicts"] if v["name"] == "positive_domain_boundary_at_epsilon"
-    )
-    assert code == 0
-    assert boundary["residual"] == worst and boundary["passed"]
-
-
 def _per_state_boundary_residual(eps):
     """The boundary residual of a 60-step bisection along +-X and +-Z, one state at a time."""
     phi = repolarizer(eps)
@@ -1415,6 +1392,14 @@ def _boundary_verdict(doc):
     return next(v for v in doc["verdicts"] if v["name"] == "positive_domain_boundary_at_epsilon")
 
 
+@pytest.mark.parametrize("epsilon", ["9.5e-4", "0.05", "0.1", "0.45"])
+def test_cli_catalog_repolarizer_bracket_holds_the_per_state_bisection(capsys, epsilon):
+    code, doc = _run(capsys, ["catalog", "repolarizer", "--epsilon", epsilon])
+    boundary = _boundary_verdict(doc)
+    assert code == 0 and boundary["passed"]
+    assert _per_state_boundary_residual(float(epsilon)) <= boundary["residual"] <= 1e-8
+
+
 _SEARCH_EPSILONS = [
     *np.exp(
         np.random.default_rng(27).uniform(
@@ -1426,49 +1411,53 @@ _SEARCH_EPSILONS = [
 ]
 
 
-def test_cli_catalog_repolarizer_guided_search_matches_the_per_state_loop(capsys):
+def test_cli_catalog_repolarizer_bracket_holds_the_bisection_on_seeded_epsilons(capsys):
     for eps in _SEARCH_EPSILONS:
         _, doc = _run(capsys, ["catalog", "repolarizer", "--epsilon", repr(eps)])
-        assert _boundary_verdict(doc)["residual"] == _per_state_boundary_residual(eps), eps
+        boundary = _boundary_verdict(doc)
+        assert boundary["passed"], eps
+        assert _per_state_boundary_residual(eps) <= boundary["residual"] <= 1e-8, eps
 
 
-def _count_mask_calls(monkeypatch):
+def _count_masked_states(monkeypatch):
+    """The number of states of each ``_positive_domain_mask`` call the CLI makes."""
     calls = []
     mask = cli_module._positive_domain_mask
-    monkeypatch.setattr(cli_module, "_positive_domain_mask", lambda *a: calls.append(1) or mask(*a))
+
+    def counting(phi, states):
+        calls.append(len(states))
+        return mask(phi, states)
+
+    monkeypatch.setattr(cli_module, "_positive_domain_mask", counting)
     return calls
 
 
-@pytest.mark.parametrize("epsilon", ["9.5e-4", "0.05", "0.2", "0.41", "0.5"])
-def test_cli_catalog_repolarizer_confirmed_guess_makes_4_mask_calls(capsys, monkeypatch, epsilon):
-    calls = _count_mask_calls(monkeypatch)
+@pytest.mark.parametrize("epsilon", ["9.5e-4", "0.05", "0.2", "0.41", "0.5", "1.0"])
+def test_cli_catalog_repolarizer_makes_one_mask_call_of_8_states(capsys, monkeypatch, epsilon):
+    calls = _count_masked_states(monkeypatch)
     code, doc = _run(capsys, ["catalog", "repolarizer", "--epsilon", epsilon])
-    assert code == 0 and _boundary_verdict(doc)["passed"]
-    assert len(calls) == 1 + 3  # the grid around the guesses, then the last 12 steps, 4 a call
-
-
-def test_cli_catalog_repolarizer_flip_at_one_falls_back_to_16_mask_calls(capsys, monkeypatch):
-    calls = _count_mask_calls(monkeypatch)
-    code, doc = _run(capsys, ["catalog", "repolarizer", "--epsilon", "1.0"])
-    assert code == 1  # the identity map has no counterexample to positivity
+    assert code == (1 if epsilon == "1.0" else 0)  # the identity map has no counterexample
     assert _boundary_verdict(doc)["passed"]
-    assert len(calls) == 1 + 15  # every grid point is inside, so no node is confirmed
+    assert calls == [8]  # root -+ w on each of +-X and +-Z
 
 
 @pytest.mark.parametrize("factor", [1 + 1e-6, 1 - 1e-6, math.nan], ids=["high", "low", "nan"])
 @pytest.mark.parametrize("epsilon", ["9.5e-4", "0.05", "0.2", "0.45", "1.0"])
-def test_cli_catalog_repolarizer_guess_never_decides(capsys, monkeypatch, epsilon, factor):
+def test_cli_catalog_repolarizer_fails_closed_off_its_bloch_form(
+    capsys, monkeypatch, epsilon, factor
+):
     argv = ["catalog", "repolarizer", "--epsilon", epsilon]
-    code = run_cli(argv)
-    expected = capsys.readouterr().out
+    _, expected = _run(capsys, argv)
     bloch_form = cli_module._bloch_form
-    monkeypatch.setattr(  # the guess is the root along each axis, so it moves by 1 / factor
+    monkeypatch.setattr(  # each axis's root moves by 1 / factor (or is NaN), far beyond w
         cli_module, "_bloch_form", lambda phi: (bloch_form(phi)[0] * factor, bloch_form(phi)[1])
     )
-    calls = _count_mask_calls(monkeypatch)
-    assert run_cli(argv) == code
-    assert capsys.readouterr().out == expected
-    assert len(calls) == 1 + 15  # all 60 steps, four levels a call
+    code, doc = _run(capsys, argv)
+    assert code == 1
+    failed = {**_boundary_verdict(expected), "passed": False, "residual": "inf"}
+    assert doc["verdicts"] == [  # only the boundary verdict moves
+        failed if v["name"] == failed["name"] else v for v in expected["verdicts"]
+    ]
 
 
 def test_cli_derive_map_on_the_zero_subspace_is_an_input_error(capsys, tmp_path):
