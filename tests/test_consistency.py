@@ -21,6 +21,7 @@ from beyondcp import (
     is_unitary_consistent,
     kernel_of_partial_trace,
     lie_generator_check,
+    map_residual,
     matrix_unit,
     operator,
     partial_trace,
@@ -627,6 +628,92 @@ def test_unitary_consistency_bath_first_matches_factor_swap(rng, d_s, d_b):
         first = is_unitary_consistent(v_first, swapped(u, p), bath_factor=0)
         assert verdict.consistent == first.consistent == consistent
         assert abs(verdict.worst_residual - first.worst_residual) <= 1e-12
+
+
+# ---------------------------------------------------------------------------
+# relations that change no result: a global phase on U, the order of the family's
+# members, the order and scale of the generators
+# ---------------------------------------------------------------------------
+
+FRAME_CASES = [((2, 2), 21), ((2, 2), 22), ((2, 3), 23), ((2, 3), 24)]
+
+
+def _frame_case(dims, seed):
+    """A seeded Haar family of three members; the generators of a subspace consistent with
+    it (rho_S (x) rho_B for four rho_S, and the family's consistent kernel), and of a
+    generic inconsistent one (d_S^2 + 2 random states)."""
+    rng = np.random.default_rng(seed)
+    family = UnitaryFamily(tuple(haar_unitary(dims, rng) for _ in range(3)))
+    rho_b = random_density(dims[1], rng)
+    kernel = consistent_kernel(family, SpaceLayout(dims))
+    good = [tensor(random_density(dims[0], rng), rho_b) for _ in range(4)] + list(kernel.basis)
+    bad = [random_density(dims, rng) for _ in range(dims[0] ** 2 + 2)]
+    return family, good, bad
+
+
+def _results(family, good, bad):
+    """The family verdicts of both subspaces, each member's derived map on the consistent
+    one, and whether each member refuses the inconsistent one."""
+    v, v_bad = span_from_generators(good), span_from_generators(bad)
+    verdicts = [is_family_consistent(w, family) for w in (v, v_bad)]
+    derived = [derive_map(v, u) for u in family.members]
+    refused = []
+    for u in family.members:
+        with pytest.raises(InconsistentPairError) as refusal:
+            derive_map(v_bad, u)
+        refused.append(refusal.value.verdict.consistent)
+    return v, verdicts, derived, refused
+
+
+def _assert_same_results(before, after):
+    (v, verdicts, derived, refused), (w, moved, rederived, re_refused) = before, after
+    assert_same_subspace(v, w)
+    assert [x.consistent for x in verdicts] == [y.consistent for y in moved] == [True, False]
+    assert refused == re_refused == [False] * 3
+    for phi, psi in zip(derived, rederived):
+        assert map_residual(phi, psi) <= 1e-9
+
+
+@pytest.mark.parametrize("dims, seed", FRAME_CASES)
+def test_a_global_phase_on_each_member_changes_no_result(dims, seed):
+    family, good, bad = _frame_case(dims, seed)
+    phased = UnitaryFamily(
+        tuple(np.exp(1j * t) * u for t, u in zip((0.7, 2.1, -1.3), family.members))
+    )
+    before, after = _results(family, good, bad), _results(phased, good, bad)
+    _assert_same_results(before, after)
+    for x, y in zip(before[1], after[1]):
+        assert y.worst_residual == pytest.approx(x.worst_residual, rel=1e-9, abs=1e-15)
+    kernel = consistent_kernel(family, SpaceLayout(dims))
+    assert kernel.dim > 0
+    assert_same_subspace(kernel, consistent_kernel(phased, SpaceLayout(dims)))
+
+
+@pytest.mark.parametrize("dims, seed", FRAME_CASES)
+def test_the_order_of_the_family_changes_no_result(dims, seed):
+    family, good, bad = _frame_case(dims, seed)
+    order = (2, 0, 1)
+    reordered = UnitaryFamily(tuple(family.members[i] for i in order))
+    before, after = _results(family, good, bad), _results(reordered, good, bad)
+    v, verdicts, derived, refused = before
+    _assert_same_results((v, verdicts, [derived[i] for i in order], refused), after)
+    for x, y in zip(verdicts, after[1]):
+        assert y.worst_residual == pytest.approx(x.worst_residual, rel=1e-9, abs=1e-15)
+    kernel = consistent_kernel(family, SpaceLayout(dims))
+    assert kernel.dim > 0
+    assert_same_subspace(kernel, consistent_kernel(reordered, SpaceLayout(dims)))
+    assert_same_subspace(transformation_space(v, family), transformation_space(v, reordered))
+
+
+@pytest.mark.parametrize("dims, seed", FRAME_CASES)
+def test_the_order_and_scale_of_the_generators_change_no_result(dims, seed):
+    family, good, bad = _frame_case(dims, seed)
+    scales = (2.5, -0.4, 1j, 3.0, -1.0, 0.5j)
+
+    def moved(gens):  # reversed, each scaled by a nonzero number
+        return [scales[i % len(scales)] * g for i, g in enumerate(reversed(gens))]
+
+    _assert_same_results(_results(family, good, bad), _results(family, moved(good), moved(bad)))
 
 
 # ---------------------------------------------------------------------------

@@ -613,7 +613,7 @@ def _recorded_svds(monkeypatch):
 
 
 @pytest.mark.parametrize("shape", [(5, 120), (40, 100), (76, 256)])
-def test_null_space_of_a_full_rank_wide_stack_takes_singular_values_only(rng, monkeypatch, shape):
+def test_null_space_of_a_full_rank_wide_stack_takes_no_svd(rng, monkeypatch, shape):
     a = rng.standard_normal(shape)
     reference = _full_svd_null_space(a, 1e-9)
     calls = _recorded_svds(monkeypatch)
