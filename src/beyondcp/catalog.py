@@ -370,6 +370,8 @@ def _bloch_states(directions, radii) -> np.ndarray:
 
 def axis_states(radius: float = 1.0) -> list[Operator]:
     """The six Bloch-axis states (1 +/- r sigma)/2 at the given radius: +-x, +-y, +-z."""
+    if not 0 <= radius <= 1:  # outside the Bloch ball they are not states; NaN is refused too
+        raise ValueError(f"radius must lie in [0, 1], got {radius!r}")
     states = _bloch_states(np.kron(np.eye(3), [[1.0], [-1.0]]), [radius] * 6)
     return [Operator(PAULI_I.layout, s) for s in states]
 
@@ -390,12 +392,16 @@ def _ball_pair(rng: np.random.Generator, radius) -> tuple[Operator, Operator]:
 
 
 def _ball_radius(epsilon: float):
-    """The radius of a uniform draw from the closed epsilon ball."""
+    """The radius of a uniform draw from the closed epsilon ball, epsilon in (0, 1]."""
+    epsilon = RepolarizerParams(epsilon).epsilon
     return lambda g: epsilon * g.uniform(0.0, 1.0) ** (1.0 / 3.0)
 
 
 def _interior_radius(epsilon: float, radius_fraction: float = 0.5):
-    """The radius of a full-rank draw strictly inside the epsilon ball."""
+    """The radius of a full-rank draw strictly inside the epsilon ball, both factors in (0, 1]."""
+    epsilon = RepolarizerParams(epsilon).epsilon
+    if not 0 < radius_fraction <= 1:
+        raise ValueError(f"radius_fraction must lie in (0, 1], got {radius_fraction!r}")
     return lambda g: epsilon * radius_fraction * g.uniform(0.3, 1.0)
 
 

@@ -23,7 +23,6 @@ import numpy as np
 from . import catalog
 from .config import DEFAULT_TOL, SelfCheckError, ToleranceConfig
 from .consistency import (
-    _family_verdict,
     consistent_kernel,
     is_family_consistent,
     witness_factorization_gap,
@@ -35,6 +34,7 @@ from .dilations import (
 )
 from .maps import (
     _bloch_form,
+    _derive,
     _derive_pair,
     _positive_domain_mask,
     choi_matrix,
@@ -73,6 +73,7 @@ from .serialization import (
     parse_unitary_family,
 )
 from .subspaces import (
+    _keep_indices,
     check_state_spanned,
     span_from_generators,
     subspace_leq,
@@ -186,19 +187,17 @@ def _cmd_check_consistency(args, tol: ToleranceConfig, seed: int) -> Report:
     payload, v, u = _subspace_and_unitary(args, tol)
     family = None
     if args.family:
-        fam_doc = _load_json(args.family)
-        payload["family"] = fam_doc
-        family = parse_unitary_family(fam_doc, tol)
+        payload["family"] = _load_json(args.family)
+        family = parse_unitary_family(payload["family"], tol)
     report = Report("check-consistency", inputs_digest(payload), seed, tol)
-    verdict, kernel_dim = _family_verdict(v, (u,), 1)  # is_unitary_consistent's verdict
-    report.add(
+    (derivation,) = _derive(v, [u], _keep_indices(v.layout, 1))  # derive-map's, self-check too
+    report.check(
         "unitary_consistent",
-        verdict.consistent,
-        verdict.worst_residual,
+        derivation.residual,
         subspace_dim=v.dim,
-        kernel_dim=kernel_dim,
+        kernel_dim=derivation.kernel.shape[1],
     )
-    report.add("state_spanned_verified", check_state_spanned(v))
+    report.add("state_spanned_verified", derivation.spanned)
     if family is not None:
         fam_verdict = is_family_consistent(v, family)
         kernel = consistent_kernel(family, v.layout, tol)

@@ -110,15 +110,6 @@ def _kernel_residuals(v: OperatorSubspace, members, keep: tuple):
     return evolution, reduced, evolved, n, np.linalg.norm(evolved @ n, axis=-2)
 
 
-def _family_verdict(
-    v: OperatorSubspace, members, bath_factor: int
-) -> tuple[ConsistencyVerdict, int]:
-    """Worst bath-trace residual of the kernel of v under all members at once,
-    and the dimension of that kernel."""
-    *_, n, residuals = _kernel_residuals(v, members, _keep_indices(v.layout, bath_factor))
-    return _verdict(v, members, n, residuals), n.shape[1]
-
-
 def _verdict(
     v: OperatorSubspace, members, n: np.ndarray, residuals: np.ndarray
 ) -> ConsistencyVerdict:
@@ -141,17 +132,18 @@ def is_unitary_consistent(
     vanishing bath trace after conjugation by u; the verdict records the worst
     Hilbert-Schmidt residual over the kernel basis.
     """
-    return _family_verdict(v, (u,), bath_factor)[0]
+    return is_family_consistent(v, UnitaryFamily((u,)), bath_factor)
 
 
 def is_family_consistent(
     v: OperatorSubspace, family: UnitaryFamily, bath_factor: int = 1
 ) -> ConsistencyVerdict:
     """Conjunction of per-unitary checks, reporting the worst violating pair."""
+    keep = _keep_indices(v.layout, bath_factor)  # checked even with no member to test
     if not family.members:
-        _keep_indices(v.layout, bath_factor)  # no member to test, but the factor must exist
         return ConsistencyVerdict(True, 0.0, None)
-    return _family_verdict(v, family.members, bath_factor)[0]
+    *_, n, residuals = _kernel_residuals(v, family.members, keep)
+    return _verdict(v, family.members, n, residuals)
 
 
 def consistent_kernel(
@@ -319,8 +311,11 @@ def lie_generator_check(
 
     For each kernel element X, nested commutators [K, X], [K, [K, X]], ... up
     to the given order must keep a vanishing bath trace.  Returns the worst
-    normalized residual; 0 means the probe found no leakage.
+    normalized residual; 0 means the probe found no leakage.  An order below 1
+    tests nothing, so it is refused.
     """
+    if not order >= 1:
+        raise ValueError(f"order must be at least 1, got {order!r}")
     _check_same_layout(k, v)
     if not k.is_hermitian(v.tol.residual_tol):
         raise ValueError("the family generator must be Hermitian")

@@ -209,7 +209,7 @@ class _Derivation(NamedTuple):
     residuals: np.ndarray  # ||E n|| under u, one per kernel column
     residual: float  # the worst kernel residual under u, as is_unitary_consistent's
     map: SubsystemMap | None  # the derived map; None unless the family is consistent
-    spanned: bool | None  # check_state_spanned(v), taken only for a consistent family
+    spanned: bool  # check_state_spanned(v), taken for every derivation
 
 
 def _derive_pair(v: OperatorSubspace, u: Operator, bath_factor: int = 1) -> _Derivation:
@@ -221,10 +221,10 @@ def _derive_pair(v: OperatorSubspace, u: Operator, bath_factor: int = 1) -> _Der
 
 
 def _derive(v: OperatorSubspace, unitaries: Sequence[Operator], keep: tuple) -> list[_Derivation]:
-    """derive_map for each unitary at once: the reduced stacks, their span and the
-    consistency residual for any family, the checked maps only for a consistent one.
-    What does not depend on the unitary (the reduced stacks, their span, the
-    state-spanned check) is computed once.
+    """derive_map for each unitary at once, on any v (the zero subspace too): the reduced
+    stacks, their span and the state-spanned check once, each member's consistency
+    residual, and the checked maps only for a consistent family.  Both CLI pair commands
+    act on this call, so a failed defining relation refuses both.
     """
     evolution, reduced, evolved, n, residuals = _kernel_residuals(v, unitaries, keep)
     worst = np.max(residuals, axis=1, initial=0.0)
@@ -233,9 +233,8 @@ def _derive(v: OperatorSubspace, unitaries: Sequence[Operator], keep: tuple) -> 
     u, s, vh = np.linalg.svd(reduced, full_matrices=False)
     r = v.dim - n.shape[1]
     domain = OperatorSubspace(v.layout.subset(keep), u[:, :r], reduced, v.tol)
-    phis, spanned = [None] * len(evolved), None
+    phis, spanned = [None] * len(evolved), check_state_spanned(v)
     if np.all(worst <= v.tol.residual_tol):  # False on NaN
-        spanned = check_state_spanned(v)
         provenance = (
             f"derived from a consistent pair (subspace dim {v.dim}; "
             f"state-spanned check: {'verified' if spanned else 'not verified'})"
@@ -248,7 +247,7 @@ def _derive(v: OperatorSubspace, unitaries: Sequence[Operator], keep: tuple) -> 
         phis = [SubsystemMap(domain, e @ p_inv, provenance) for e in evolved]
         for phi, target in zip(phis, rhs):
             mismatch = np.linalg.norm(phi._apply_columns(lhs) - target, axis=0)
-            residual = float(np.max(mismatch / scale))
+            residual = float(np.max(mismatch / scale, initial=0.0))
             if not (residual <= v.tol.residual_tol):
                 raise SelfCheckError(
                     f"derived map fails its defining relation with residual {residual:.3e}"
