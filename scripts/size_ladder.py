@@ -1,6 +1,6 @@
 #!/usr/bin/env python3
-"""Time the consistent kernel, its subspace, a derived map and a Kraus dilation on a ladder
-of (d_S, d_B) sizes.
+"""Time the consistent kernel, its subspace, a derived map, a Kraus dilation and subspace
+sums, intersections and trace kernels on a ladder of (d_S, d_B) sizes.
 
 On each rung the family is 4 Haar unitaries drawn from ``default_rng(1)``.  Under
 ``calls`` three calls of the kernel's layer are timed: ``OperatorSubspace`` on
@@ -21,7 +21,15 @@ d_B operators on C^{d_S}, drawn from ``default_rng(1)``, is dilated by
 triple (so its derivation is timed too) against ``map_from_kraus`` of the list.
 The dilation's derived map must lie within 1e-9 max(1, ||S||) of
 S = sum_i conj(M_i) (x) M_i, built here with ``np.kron``, and the verdict must
-pass.  A failed check records the problem and no time.
+pass.  Under ``subspaces``, with K1 the kernel above and K2 the consistent kernel
+of 4 more Haar unitaries drawn next from the same generator, ``subspace_sum`` and
+``subspace_intersection`` of K1 and K2 and ``kernel_of_partial_trace`` of
+K1 + span{1/N} are timed.  The sum must have the numpy rank of [B1 B2] (its
+singular values above rank_cut times the largest) and lie within 1e-10 of the
+span of [B1 B2], and K1 and K2 within 1e-10 of it; the intersection must have
+dimension dim K1 + dim K2 - (that rank) and lie within 1e-10 of K1 and of K2;
+the trace kernel must have the dimension of K1, lie within 1e-10 of K1 and
+hold K1 within 1e-10.  A failed check records the problem and no time.
 
 A time is the timeit minimum, per call, of ``--repeat`` rounds of about 20 ms
 (one call at least) with one BLAS thread; the memory is the ``tracemalloc``
@@ -66,13 +74,20 @@ from beyondcp.consistency import (  # noqa: E402
 from beyondcp.dilations import Representation, kraus_dilation, verify_representation  # noqa: E402
 from beyondcp.maps import derive_map, map_from_kraus  # noqa: E402
 from beyondcp.operators import SpaceLayout, identity  # noqa: E402
-from beyondcp.subspaces import OperatorSubspace, span_from_generators, subspace_sum  # noqa: E402
+from beyondcp.subspaces import (  # noqa: E402
+    OperatorSubspace,
+    kernel_of_partial_trace,
+    span_from_generators,
+    subspace_intersection,
+    subspace_sum,
+)
 from workloads import RESIDUAL_TOL, _trace_matrix, kernel_problem  # noqa: E402
 
 DEFAULT_SIZES = ("2x2", "2x4", "4x4", "4x8")
 MEMBERS = 4
 FAMILY_SEED = 1
 ROUND_S = 0.02  # a timeit round makes about this many seconds of calls
+CONTAINMENT_TOL = 1e-10
 
 
 def _size(text: str) -> tuple[int, int]:
@@ -187,6 +202,49 @@ def verdict_problem(verdict) -> str | None:
     return None
 
 
+def _distance(x: np.ndarray, y: np.ndarray) -> float:
+    """The largest distance of a column of x from the span of the orthonormal columns of y."""
+    return float(np.max(np.linalg.norm(x - y @ (y.conj().T @ x), axis=0), initial=0.0))
+
+
+def subspace_problem(kind: str, basis: np.ndarray, expected_dim: int, *pairs) -> str | None:
+    """Check a subspace call's orthonormal ``basis``: its dimension, then each pair (x, y)
+    of column blocks, y orthonormal, for x within 1e-10 of the span of y."""
+    if basis.shape[1] != expected_dim:
+        return f"{kind}: dimension {basis.shape[1]}, expected {expected_dim}"
+    for x, y in pairs:
+        distance = _distance(x, y)
+        if not distance <= CONTAINMENT_TOL:
+            return f"{kind}: a column lies {distance!r} outside the span it must lie in"
+    return None
+
+
+def _subspaces(k1, k2, v, repeat: int, budget: float) -> dict:
+    b1, b2 = k1.basis_matrix(), k2.basis_matrix()
+    u, s, _ = np.linalg.svd(np.hstack([b1, b2]), full_matrices=False)
+    rank = int(np.sum(s > DEFAULT_TOL.rank_cut * s[0])) if s.size else 0
+    reference = u[:, :rank]  # an orthonormal basis of the span of [B1 B2]
+
+    def sum_check(w):
+        b = w.basis_matrix()
+        return subspace_problem("subspace_sum", b, rank, (b, reference), (b1, b), (b2, b))
+
+    def intersection_check(w):
+        b, dim = w.basis_matrix(), k1.dim + k2.dim - rank
+        return subspace_problem("subspace_intersection", b, dim, (b, b1), (b, b2))
+
+    def kernel_check(w):
+        b = w.basis_matrix()
+        return subspace_problem("kernel_of_partial_trace", b, k1.dim, (b, b1), (b1, b))
+
+    calls = {
+        "subspace_sum": (lambda: subspace_sum(k1, k2), sum_check),
+        "subspace_intersection": (lambda: subspace_intersection(k1, k2), intersection_check),
+        "kernel_of_partial_trace": (lambda: kernel_of_partial_trace(v), kernel_check),
+    }
+    return {name: _measure(*pair, repeat, budget) for name, pair in calls.items()}
+
+
 def _dilations(d_s: int, d_b: int, repeat: int, budget: float) -> dict:
     kraus = sampling.random_kraus_channel(d_s, d_b, np.random.default_rng(FAMILY_SEED))
     s = sum(np.kron(m.entries.conj(), m.entries) for m in kraus)
@@ -211,6 +269,7 @@ def rung(d_s: int, d_b: int, repeat: int, budget: float) -> dict:
     a, expected_dim = _constraints(family, d_s, d_b)
     kernel = consistent_kernel(family, layout)
     basis = np.array(kernel.basis_matrix())
+    second = UnitaryFamily(tuple(sampling.haar_unitary((d_s, d_b), rng) for _ in range(MEMBERS)))
 
     def basis_check(kind):
         return lambda v: kernel_problem(kind, v.basis_matrix(), a, expected_dim)
@@ -241,6 +300,7 @@ def rung(d_s: int, d_b: int, repeat: int, budget: float) -> dict:
             )
         },
         "dilations": _dilations(d_s, d_b, repeat, budget),
+        "subspaces": _subspaces(kernel, consistent_kernel(second, layout), v, repeat, budget),
     }
 
 

@@ -22,6 +22,7 @@ from beyondcp import (
 from beyondcp.catalog import (
     GibbsParams,
     RepolarizerParams,
+    axis_states,
     ball_pair,
     contractivity_ratio,
     controlled_phase_family,
@@ -502,3 +503,59 @@ def test_uhlmann_rejects_states_outside_positive_domain(rng):
     phi = repolarizer(0.1)
     with pytest.raises(ValueError, match="positive domain"):
         uhlmann_check(phi, random_density(2, rng), random_density(2, rng))
+
+
+# ---------------------------------------------------------------------------
+# state constructions refuse parameters that give no state
+# ---------------------------------------------------------------------------
+
+
+@pytest.mark.parametrize(
+    "draw, message",
+    [
+        (lambda rng: ball_pair(2.0, rng), r"^epsilon must lie in \(0, 1\], got 2\.0$"),
+        (lambda rng: ball_pair(0.0, rng), r"^epsilon must lie in \(0, 1\], got 0\.0$"),
+        (lambda rng: ball_pair(math.nan, rng), r"^epsilon must lie in \(0, 1\], got nan$"),
+        (lambda rng: interior_ball_pair(1.5, rng), r"^epsilon must lie in \(0, 1\], got 1\.5$"),
+        (lambda rng: interior_ball_pair(-0.2, rng), r"^epsilon must lie in \(0, 1\]"),
+        (
+            lambda rng: interior_ball_pair(0.5, rng, radius_fraction=5),
+            r"^radius_fraction must lie in \(0, 1\], got 5$",
+        ),
+        (
+            lambda rng: interior_ball_pair(0.5, rng, radius_fraction=0),
+            r"^radius_fraction must lie in \(0, 1\], got 0$",
+        ),
+        (
+            lambda rng: interior_ball_pair(0.5, rng, radius_fraction=math.nan),
+            r"^radius_fraction must lie in \(0, 1\], got nan$",
+        ),
+        (lambda rng: axis_states(3.0), r"^radius must lie in \[0, 1\], got 3\.0$"),
+        (lambda rng: axis_states(-0.1), r"^radius must lie in \[0, 1\], got -0\.1$"),
+        (lambda rng: axis_states(math.nan), r"^radius must lie in \[0, 1\], got nan$"),
+    ],
+)
+def test_state_constructions_refuse_parameters_that_give_no_state(draw, message):
+    # on the parent, ball_pair(2.0) drew an eigenvalue of -0.40, axis_states(3.0) one of -1.0
+    # and interior_ball_pair(0.5, radius_fraction=5) one of -0.51; nothing is drawn now
+    rng = np.random.default_rng(3)
+    state = rng.bit_generator.state
+    with pytest.raises(ValueError, match=message):
+        draw(rng)
+    assert rng.bit_generator.state == state
+
+
+@pytest.mark.parametrize(
+    "draw",
+    [
+        lambda rng: ball_pair(1.0, rng),
+        lambda rng: interior_ball_pair(1.0, rng, radius_fraction=1.0),
+        lambda rng: interior_ball_pair(1e-3, rng, radius_fraction=1e-3),
+        lambda rng: axis_states(1.0),
+        lambda rng: axis_states(0.0),
+    ],
+)
+def test_state_constructions_accept_their_closed_bounds(draw):
+    for rho in draw(np.random.default_rng(3)):
+        assert rho.is_density(DEFAULT_TOL.state_tol)
+

@@ -6,6 +6,7 @@ import pytest
 
 from beyondcp import (
     InconsistentPairError,
+    choi_matrix,
     OperatorSubspace,
     PAULI_I,
     PAULI_X,
@@ -17,10 +18,12 @@ from beyondcp import (
     full_operator_space,
     identity,
     identity_map,
+    is_cp,
     is_family_consistent,
     is_unitary_consistent,
     kernel_of_partial_trace,
     lie_generator_check,
+    map_from_action,
     map_residual,
     matrix_unit,
     operator,
@@ -43,6 +46,7 @@ from beyondcp.catalog import (
     controlled_phase_family,
     controlled_phase_generator,
     gibbs_subspace,
+    repolarizer_subspace,
 )
 from beyondcp.config import DEFAULT_TOL, SelfCheckError
 from beyondcp.operators import (
@@ -717,6 +721,100 @@ def test_the_order_and_scale_of_the_generators_change_no_result(dims, seed):
 
 
 # ---------------------------------------------------------------------------
+# relations that move the derived map only as the frame says: a local frame
+# W_S (x) W_B conjugates it by W_S, a bath-only frame leaves it, and the swapped
+# layout (d_B, d_S) with bath_factor=0 gives the same pair
+# ---------------------------------------------------------------------------
+
+
+def _pair_results(family, good, bad, bath_factor=1):
+    """The family verdicts of both subspaces of ``_frame_case``, the dimensions of their
+    trace kernels and of the family's consistent kernel, and each member's derived map on
+    the consistent subspace."""
+    v, v_bad = span_from_generators(good), span_from_generators(bad)
+    return (
+        [is_family_consistent(w, family, bath_factor).consistent for w in (v, v_bad)],
+        [kernel_of_partial_trace(w, bath_factor).dim for w in (v, v_bad)],
+        consistent_kernel(family, v.layout, bath_factor=bath_factor).dim,
+        [derive_map(v, u, bath_factor) for u in family.members],
+    )
+
+
+def _assert_conjugated(phi, psi, w_s):
+    """psi = Ad_{W_S} o phi o Ad_{W_S^dag}, and on the full domain the two have the same CP
+    verdict and Choi spectrum."""
+    d_s = w_s.dim
+
+    def conjugated(x):
+        return adjoint_action(w_s, phi.apply(adjoint_action(w_s.dagger(), operator(x, d_s)))).entries
+
+    assert map_residual(psi, map_from_action(conjugated, psi.domain)) <= 1e-9
+    assert phi.domain.dim == psi.domain.dim == d_s**2
+    assert is_cp(phi).cp is is_cp(psi).cp
+    spectra = [np.linalg.eigvalsh(choi_matrix(m).entries) for m in (phi, psi)]
+    assert np.max(np.abs(spectra[0] - spectra[1])) <= 1e-10
+
+
+@pytest.mark.parametrize("dims, seed", FRAME_CASES)
+def test_a_local_frame_conjugates_each_derived_map(dims, seed):
+    family, good, bad = _frame_case(dims, seed)
+    rng = np.random.default_rng(seed + 100)
+    w_s = haar_unitary(dims[0], rng)
+    w = tensor(w_s, haar_unitary(dims[1], rng))
+    moved = UnitaryFamily(tuple(adjoint_action(w, u) for u in family.members))
+    verdicts, kernels, kernel, derived = _pair_results(family, good, bad)
+    after = _pair_results(
+        moved, [adjoint_action(w, g) for g in good], [adjoint_action(w, g) for g in bad]
+    )
+    assert verdicts == after[0] == [True, False]
+    assert (kernels, kernel) == after[1:3] and kernel > 0
+    for phi, psi in zip(derived, after[3]):
+        assert is_cp(phi).cp  # B(H_S) (x) rho_B under a unitary gives a channel
+        _assert_conjugated(phi, psi, w_s)
+
+
+def test_a_local_frame_conjugates_the_repolarizer():
+    # the SWAP pair of the repolarizer: a full-domain map that is not CP
+    rng = np.random.default_rng(31)
+    w_s = haar_unitary(2, rng)
+    w = tensor(w_s, haar_unitary(2, rng))
+    v = repolarizer_subspace(0.2)
+    phi = derive_map(v, swap_unitary(2))
+    moved = span_from_generators([adjoint_action(w, b) for b in v.basis])
+    psi = derive_map(moved, adjoint_action(w, swap_unitary(2)))
+    assert not is_cp(phi).cp
+    _assert_conjugated(phi, psi, w_s)
+
+
+@pytest.mark.parametrize("dims, seed", FRAME_CASES)
+def test_a_bath_frame_leaves_each_derived_map_unchanged(dims, seed):
+    family, good, bad = _frame_case(dims, seed)
+    w = tensor(identity(dims[0]), haar_unitary(dims[1], np.random.default_rng(seed + 200)))
+    moved = UnitaryFamily(tuple(adjoint_action(w, u) for u in family.members))
+    before = _pair_results(family, good, bad)
+    after = _pair_results(
+        moved, [adjoint_action(w, g) for g in good], [adjoint_action(w, g) for g in bad]
+    )
+    assert before[:3] == after[:3] and before[0] == [True, False]
+    for phi, psi in zip(before[3], after[3]):
+        assert map_residual(phi, psi) <= 1e-9
+
+
+@pytest.mark.parametrize("dims, seed", FRAME_CASES)
+def test_the_swapped_layout_gives_the_same_pair_results(dims, seed):
+    family, good, bad = _frame_case(dims, seed)
+    p = factor_swap(*dims)
+    moved = UnitaryFamily(tuple(swapped(u, p) for u in family.members))
+    before = _pair_results(family, good, bad)
+    after = _pair_results(
+        moved, [swapped(g, p) for g in good], [swapped(g, p) for g in bad], bath_factor=0
+    )
+    assert before[:3] == after[:3] and before[0] == [True, False]
+    for phi, psi in zip(before[3], after[3]):
+        assert map_residual(phi, psi) <= 1e-9
+
+
+# ---------------------------------------------------------------------------
 # transformation space
 # ---------------------------------------------------------------------------
 
@@ -788,6 +886,19 @@ def test_shared_derivation_gives_each_member_its_own_derived_map(gibbs_v, phase_
         alone = derive_map(gibbs_v, u)
         assert np.array_equal(derivation.map.coord_matrix, alone.coord_matrix)
         assert derivation.map.provenance == alone.provenance
+
+
+def test_the_zero_subspace_derives_and_its_transformation_space_is_the_kernel(rng):
+    zero = parse_subspace({"dims": [2, 2], "basis": []})
+    family = UnitaryFamily(tuple(haar_unitary((2, 2), rng) for _ in range(2)))
+    for derivation in maps._derive(zero, family.members, (0,)):
+        assert derivation.residual == 0.0 and derivation.kernel.shape == (0, 0)
+        assert derivation.map.domain.dim == 0 and derivation.spanned is False
+    kernel = consistent_kernel(family, zero.layout)
+    assert kernel.dim == 6
+    assert subspaces_equal(transformation_space(zero, family), kernel)
+    with pytest.raises(ValueError, match="zero-dimensional"):
+        derive_map(zero, family.members[0])
 
 
 def test_transformation_space_rejects_inconsistent(gibbs_v):
@@ -1086,3 +1197,16 @@ def test_lie_generator_check_detects_bad_generator(gibbs_v):
 
     bad = tensor(PAULI_Y, PAULI_X)
     assert lie_generator_check(gibbs_v, bad) > 0.1
+
+
+@pytest.mark.parametrize("order", [0, -1, -3])
+def test_lie_generator_check_refuses_an_order_that_tests_nothing(gibbs_v, order):
+    # Z on the system, X on the bath: the first commutator leaves the trace kernel, so an
+    # order that takes no commutator would report this leaking generator as clean
+    from beyondcp.operators import PAULI_Z
+
+    leaking = tensor(PAULI_Z, PAULI_X)
+    assert lie_generator_check(gibbs_v, leaking, order=1) == pytest.approx(np.sqrt(2), rel=1e-12)
+    with pytest.raises(ValueError, match=f"^order must be at least 1, got {order}$"):
+        lie_generator_check(gibbs_v, leaking, order=order)
+

@@ -214,6 +214,55 @@ def test_size_ladder_checks_and_times_a_kraus_dilation_on_each_rung():
             assert 0 < call["min_s"] < 1 and call["tracemalloc_peak_mb"] > 0
 
 
+def test_size_ladder_checks_and_times_subspace_calls_on_each_rung():
+    result = _run_script("size_ladder.py", "--sizes", "2x2", "2x4", "--repeat", "1")
+    assert result.returncode == 0, result.stderr
+    for r in json.loads(result.stdout)["rungs"]:
+        names = ["subspace_sum", "subspace_intersection", "kernel_of_partial_trace"]
+        assert list(r["subspaces"]) == names
+        for call in r["subspaces"].values():
+            assert call["status"] == "ok", call
+            assert 0 < call["min_s"] < 1 and call["tracemalloc_peak_mb"] > 0
+
+
+SUBSPACE_CHECK = """
+import sys
+sys.path[:0] = sys.argv[1:]
+import numpy as np
+import size_ladder as ladder
+from beyondcp import SpaceLayout, UnitaryFamily, consistent_kernel, subspace_sum
+from beyondcp.sampling import haar_unitary
+rng = np.random.default_rng(1)
+k1, k2 = (
+    consistent_kernel(UnitaryFamily(tuple(haar_unitary((2, 4), rng) for _ in range(4))),
+                      SpaceLayout((2, 4)))
+    for _ in range(2)
+)
+b = subspace_sum(k1, k2).basis_matrix()
+b1 = k1.basis_matrix()
+print(ladder.subspace_problem("subspace_sum", b, b.shape[1], (b, b), (b1, b)))
+print(ladder.subspace_problem("subspace_sum", b[:, 1:], b.shape[1], (b1, b[:, 1:])))
+print(ladder.subspace_problem("subspace_sum", b[:, 1:], b.shape[1] - 1, (b1, b[:, 1:])))
+off = b.copy()
+off[:, 0] = np.eye(64)[0]  # the vec of |0><0|, whose bath trace is not zero
+print(ladder.subspace_problem("kernel_of_partial_trace", off, b.shape[1], (off, b)))
+"""
+
+
+def test_size_ladder_refuses_a_subspace_off_its_references():
+    paths = [str(ROOT / d) for d in ("src", "scripts", "perfbench")]
+    result = subprocess.run(
+        [sys.executable, "-c", SUBSPACE_CHECK, *paths], capture_output=True, text=True, timeout=120
+    )
+    assert result.returncode == 0, result.stderr
+    lines = result.stdout.splitlines()
+    assert lines[0] == "None"
+    assert lines[1] == "subspace_sum: dimension 59, expected 60"
+    assert lines[2].startswith("subspace_sum: a column lies ")
+    assert lines[2].endswith(" outside the span it must lie in")
+    assert lines[3].startswith("kernel_of_partial_trace: a column lies ")
+
+
 DILATION_CHECK = """
 import sys
 sys.path[:0] = sys.argv[1:]

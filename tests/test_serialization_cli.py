@@ -898,6 +898,84 @@ def test_cli_lets_a_programming_error_propagate(capsys, tmp_path, monkeypatch, e
     assert capsys.readouterr().out == ""
 
 
+def _both_pair_commands(capsys, sub, uni):
+    """(exit code, stdout, stderr) of check-consistency, then of derive-map, on one pair."""
+    results = []
+    for command in ("check-consistency", "derive-map"):
+        code = run_cli([command, "--subspace", sub, "--unitary", uni])
+        captured = capsys.readouterr()
+        results.append((code, captured.out, captured.err))
+    return results
+
+
+def _assert_one_pair_verdict(checked, derived):
+    """Both commands refuse with the same message, or report the same consistency verdict."""
+    if checked[0] == 2 or derived[0] == 2:
+        assert checked == derived
+        assert checked[1] == ""
+        return
+    c, d = (
+        next(v for v in json.loads(out)["verdicts"] if v["name"] == "unitary_consistent")
+        for _, out, _ in (checked, derived)
+    )
+    assert c["passed"] is d["passed"]
+    assert float(c["residual"]).hex() == float(d["residual"]).hex()
+
+
+@pytest.mark.parametrize("delta", [2e-9, 1e-9])
+def test_cli_pair_commands_both_refuse_a_failed_defining_relation(capsys, tmp_path, delta):
+    checked, derived = _both_pair_commands(capsys, *_near_cut_pair(tmp_path, delta))
+    assert checked == derived  # exit code, stdout and stderr, byte for byte
+    code, out, err = checked
+    assert (code, out) == (2, "")
+    assert err.startswith("error: derived map fails its defining relation with residual")
+
+
+@pytest.mark.parametrize("delta", [5e-10, 2e-10])
+def test_cli_pair_commands_read_one_verdict_past_the_refusal(capsys, tmp_path, delta):
+    checked, derived = _both_pair_commands(capsys, *_near_cut_pair(tmp_path, delta))
+    assert checked[0] != 2 and derived[0] != 2
+    _assert_one_pair_verdict(checked, derived)
+
+
+@pytest.mark.parametrize("delta", [2e-9, 1e-9, 5e-10, 2e-10])
+def test_cli_pair_commands_agree_on_the_near_cut_pair_under_an_exact_unitary(
+    capsys, tmp_path, delta
+):
+    # the pair is exactly inconsistent for this U (test_exact.py); the float decision near
+    # the cut may still miss that, but both commands must make the same one
+    import random
+
+    import exact
+
+    u = operator(exact.to_complex(exact.cayley_unitary(4, random.Random(11))), (2, 2))
+    sub, _ = _near_cut_pair(tmp_path, delta)
+    uni = _write(tmp_path, "cayley.json", emit_operator(u))
+    _assert_one_pair_verdict(*_both_pair_commands(capsys, sub, uni))
+
+
+@pytest.mark.parametrize("unitary, code", [("phase", 0), ("swap", 1)])
+def test_cli_check_consistency_makes_the_one_derivation_of_derive_map(
+    capsys, tmp_path, count_calls, unitary, code
+):
+    from beyondcp import consistency, maps, subspaces
+    from beyondcp.catalog import controlled_phase_unitary
+    from beyondcp.operators import swap_unitary
+
+    u = controlled_phase_unitary(0.7) if unitary == "phase" else swap_unitary(2)
+    sub = _write(tmp_path, "sub.json", emit_subspace(gibbs_subspace()))
+    uni = _write(tmp_path, "u.json", emit_operator(u))
+    counts = count_calls(
+        (maps, "_derive"),
+        (consistency, "_kernel_residuals"),
+        (subspaces, "check_state_spanned"),
+    )
+    assert run_cli(["check-consistency", "--subspace", sub, "--unitary", uni]) == code
+    # the derivation's own residuals are the only consistency decision taken
+    assert counts == {"_derive": 1, "_kernel_residuals": 1, "check_state_spanned": 1}
+    capsys.readouterr()
+
+
 @pytest.mark.parametrize(
     "flag,value,message",
     [
@@ -1458,6 +1536,25 @@ def test_cli_catalog_repolarizer_fails_closed_off_its_bloch_form(
     assert doc["verdicts"] == [  # only the boundary verdict moves
         failed if v["name"] == failed["name"] else v for v in expected["verdicts"]
     ]
+
+
+def test_cli_check_consistency_on_the_zero_subspace_reports_it(capsys, tmp_path):
+    from beyondcp.sampling import haar_unitary
+
+    sub = _write(tmp_path, "zero.json", {"dims": [2, 2], "basis": []})
+    uni = _write(tmp_path, "u.json", emit_operator(haar_unitary((2, 2), np.random.default_rng(3))))
+    code, doc = _run(capsys, ["check-consistency", "--subspace", sub, "--unitary", uni])
+    assert code == 1
+    assert doc["verdicts"] == [
+        {
+            "name": "unitary_consistent",
+            "passed": True,
+            "residual": 0.0,
+            "details": {"subspace_dim": 0, "kernel_dim": 0},
+        },
+        {"name": "state_spanned_verified", "passed": False, "residual": None, "details": {}},
+    ]
+    assert doc["artifacts"] == {}
 
 
 def test_cli_derive_map_on_the_zero_subspace_is_an_input_error(capsys, tmp_path):
