@@ -7,7 +7,8 @@ On each rung the family is 4 Haar unitaries drawn from ``default_rng(1)``.  Unde
 the family's consistent-kernel basis (the constructor's Gram check),
 ``consistent_kernel`` itself and ``is_family_consistent`` on that kernel.  Under
 ``maps``, ``derive_map`` is timed on the span of that kernel and 1/N under the
-family's first member.  Each call's result is checked before its time counts,
+family's first member, and ``check_state_spanned`` on the same span, which a
+derivation does not ask.  Each call's result is checked before its time counts,
 against the stacked constraints [T; T S_1; ...] built from
 ``perfbench/workloads.py``'s ``_trace_matrix``: a basis must have the dimension
 of their null space and residual at most 1e-9 (``kernel_problem``), and the
@@ -15,7 +16,9 @@ verdict must pass with worst residual at most 1e-9.  The derived map's domain
 must be span{1} (dimension 1), its defining relation must hold on the span's
 basis with residual at most 1e-9, and its coordinates must lie within 1e-12 of
 E pinv(U^dag R), the pseudo-inverse route (R = T B and E = T S_1 B on the
-span's basis B, U the map's domain basis).  Under ``dilations``, a Kraus list of
+span's basis B, U the map's domain basis).  ``check_state_spanned`` must answer
+True, and 1/N and the adjoint of every basis element must lie within 1e-10 of
+the span.  Under ``dilations``, a Kraus list of
 d_B operators on C^{d_S}, drawn from ``default_rng(1)``, is dilated by
 ``kraus_dilation``, and ``verify_representation`` grades a fresh copy of that
 triple (so its derivation is timed too) against ``map_from_kraus`` of the list.
@@ -76,6 +79,7 @@ from beyondcp.maps import derive_map, map_from_kraus  # noqa: E402
 from beyondcp.operators import SpaceLayout, identity  # noqa: E402
 from beyondcp.subspaces import (  # noqa: E402
     OperatorSubspace,
+    check_state_spanned,
     kernel_of_partial_trace,
     span_from_generators,
     subspace_intersection,
@@ -188,6 +192,21 @@ def map_problem(phi, v: OperatorSubspace, a: np.ndarray, m: int) -> str | None:
     return None
 
 
+def spanned_problem(spanned: bool, v: OperatorSubspace) -> str | None:
+    """Check ``check_state_spanned``'s answer on ``v``, which holds 1/N: True, with 1/N and
+    the adjoint of every basis element within 1e-10 of the span."""
+    if spanned is not True:
+        return f"check_state_spanned: {spanned!r}, expected True"
+    b, n = v.basis_matrix(), v.layout.total_dim
+    # vec is column stacking, so b's (n, n, dim) Fortran-order view holds the matrices
+    matrices = b.reshape(n, n, -1, order="F")
+    adjoints = matrices.transpose(1, 0, 2).conj().reshape(n * n, -1, order="F")
+    distance = _distance(np.hstack([adjoints, np.eye(n).reshape(n * n, 1) / n]), b)
+    if not distance <= CONTAINMENT_TOL:
+        return f"check_state_spanned: an adjoint or 1/N lies {distance!r} outside the span"
+    return None
+
+
 def dilation_problem(rep, s: np.ndarray) -> str | None:
     """Check a Kraus dilation's derived map against the superoperator ``s`` of its list."""
     distance = float(np.linalg.norm(rep.derived_map().linear_operator() - s))
@@ -297,7 +316,10 @@ def rung(d_s: int, d_b: int, repeat: int, budget: float) -> dict:
                 lambda phi: map_problem(phi, v, a, d_s * d_s),
                 repeat,
                 budget,
-            )
+            ),
+            "check_state_spanned": _measure(
+                lambda: check_state_spanned(v), lambda ok: spanned_problem(ok, v), repeat, budget
+            ),
         },
         "dilations": _dilations(d_s, d_b, repeat, budget),
         "subspaces": _subspaces(kernel, consistent_kernel(second, layout), v, repeat, budget),

@@ -197,7 +197,7 @@ def _cmd_check_consistency(args, tol: ToleranceConfig, seed: int) -> Report:
         subspace_dim=v.dim,
         kernel_dim=derivation.kernel.shape[1],
     )
-    report.add("state_spanned_verified", derivation.spanned)
+    report.add("state_spanned_verified", check_state_spanned(v))
     if family is not None:
         fam_verdict = is_family_consistent(v, family)
         kernel = consistent_kernel(family, v.layout, tol)
@@ -224,7 +224,7 @@ def _cmd_derive_map(args, tol: ToleranceConfig, seed: int) -> Report:
             "unitary_consistent", derivation.residual, reason="reduced map is not well defined"
         )
         return report
-    report.check("unitary_consistent", derivation.residual, state_spanned=derivation.spanned)
+    report.check("unitary_consistent", derivation.residual, state_spanned=check_state_spanned(v))
     report.add(
         "trace_and_hermiticity_preserving",
         phi.is_trace_preserving() and phi.is_hermiticity_preserving(),

@@ -38,7 +38,6 @@ from .subspaces import (
     _dagger_columns,
     _keep_indices,
     _numerical_rank,
-    check_state_spanned,
     full_operator_space,
     subspaces_equal,
 )
@@ -209,7 +208,6 @@ class _Derivation(NamedTuple):
     residuals: np.ndarray  # ||E n|| under u, one per kernel column
     residual: float  # the worst kernel residual under u, as is_unitary_consistent's
     map: SubsystemMap | None  # the derived map; None unless the family is consistent
-    spanned: bool  # check_state_spanned(v), taken for every derivation
 
 
 def _derive_pair(v: OperatorSubspace, u: Operator, bath_factor: int = 1) -> _Derivation:
@@ -222,30 +220,27 @@ def _derive_pair(v: OperatorSubspace, u: Operator, bath_factor: int = 1) -> _Der
 
 def _derive(v: OperatorSubspace, unitaries: Sequence[Operator], keep: tuple) -> list[_Derivation]:
     """derive_map for each unitary at once, on any v (the zero subspace too): the reduced
-    stacks, their span and the state-spanned check once, each member's consistency
-    residual, and the checked maps only for a consistent family.  Both CLI pair commands
-    act on this call, so a failed defining relation refuses both.
-    """
+    stacks and their span once, each member's residual, and the checked maps only for a
+    consistent family (both CLI pair commands act on this call).  It asks nothing about
+    states.  The domain keeps no generators: a consistent family's self-check tests R's
+    columns, and an inconsistent one builds no map that would read their coordinates."""
     evolution, reduced, evolved, n, residuals = _kernel_residuals(v, unitaries, keep)
     worst = np.max(residuals, axis=1, initial=0.0)
     # the domain is the range of R = U S V^dag, whose rank the kernel's cut already decided
     # (rank-nullity), and V S^-1 inverts R on it
     u, s, vh = np.linalg.svd(reduced, full_matrices=False)
     r = v.dim - n.shape[1]
-    domain = OperatorSubspace(v.layout.subset(keep), u[:, :r], reduced, v.tol)
-    phis, spanned = [None] * len(evolved), check_state_spanned(v)
+    domain = OperatorSubspace(v.layout.subset(keep), u[:, :r], tol=v.tol)
+    phis = [None] * len(evolved)
     if np.all(worst <= v.tol.residual_tol):  # False on NaN
-        provenance = (
-            f"derived from a consistent pair (subspace dim {v.dim}; "
-            f"state-spanned check: {'verified' if spanned else 'not verified'})"
-        )
+        provenance = f"derived from a consistent pair (subspace dim {v.dim})"
         p_inv = vh[:r].conj().T / s[:r]  # U_r^dag R = S_r V_r^dag, inverted on the domain
         b, g = v.basis_matrix(), v._generator_matrix  # where the relation is checked
         ops = b if g is b else np.hstack([g, b])
         lhs, rhs = _reduced_evolution(ops, v.layout.dims, keep), evolution @ ops
         scale = np.maximum(1.0, np.linalg.norm(ops, axis=0))
         phis = [SubsystemMap(domain, e @ p_inv, provenance) for e in evolved]
-        for phi, target in zip(phis, rhs):
+        for phi, target in zip(phis, rhs):  # lhs holds R, so this refuses a domain short of R
             mismatch = np.linalg.norm(phi._apply_columns(lhs) - target, axis=0)
             residual = float(np.max(mismatch / scale, initial=0.0))
             if not (residual <= v.tol.residual_tol):
@@ -253,7 +248,7 @@ def _derive(v: OperatorSubspace, unitaries: Sequence[Operator], keep: tuple) -> 
                     f"derived map fails its defining relation with residual {residual:.3e}"
                 )
     return [
-        _Derivation(reduced, e, domain, n, res, float(w), phi, spanned)
+        _Derivation(reduced, e, domain, n, res, float(w), phi)
         for e, res, w, phi in zip(evolved, residuals, worst, phis)
     ]
 

@@ -107,6 +107,8 @@ class Operator:
             raise ValueError(
                 f"entries shape {entries.shape} does not match layout dimension {n}"
             )
+        if not np.isfinite(entries).all():  # a NaN would fail every later test silently
+            raise ValueError("operator entries must be finite")
         object.__setattr__(self, "entries", entries)
 
     # -- basic queries ------------------------------------------------------

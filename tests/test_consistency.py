@@ -12,6 +12,7 @@ from beyondcp import (
     PAULI_X,
     UnitaryFamily,
     bell_projector,
+    check_state_spanned,
     consistent_kernel,
     derive_map,
     extension_is_consistent,
@@ -112,19 +113,13 @@ def test_consistency_rejects_non_unitary(gibbs_v):
         is_unitary_consistent(gibbs_v, operator(np.diag([1.0, 2.0, 1.0, 1.0]), (2, 2)))
 
 
-def test_nan_unitary_is_rejected_not_consistent(gibbs_v):
-    # NaN compares False with every tolerance, so each check must fail closed
+def test_nan_unitary_is_rejected_not_consistent():
+    # NaN compares False with every tolerance, so the operator itself is refused: no
+    # consistency check or conjugation can be handed one
     entries = np.eye(4, dtype=complex)
     entries[0, 0] = np.nan
-    u = operator(entries, (2, 2))
-    with pytest.raises(ValueError, match="unitary"):
-        is_unitary_consistent(gibbs_v, u)
-    with pytest.raises(ValueError, match="unitary"):
-        is_family_consistent(gibbs_v, UnitaryFamily((identity((2, 2)), u)))
-    with pytest.raises(ValueError, match="unitary"):
-        adjoint_action(u, gibbs_v.basis[0])
-    with pytest.raises(ValueError, match="unitary"):
-        derive_map(gibbs_v, u)
+    with pytest.raises(ValueError, match="^operator entries must be finite$"):
+        operator(entries, (2, 2))
 
 
 # ---------------------------------------------------------------------------
@@ -729,13 +724,15 @@ def test_the_order_and_scale_of_the_generators_change_no_result(dims, seed):
 
 def _pair_results(family, good, bad, bath_factor=1):
     """The family verdicts of both subspaces of ``_frame_case``, the dimensions of their
-    trace kernels and of the family's consistent kernel, and each member's derived map on
-    the consistent subspace."""
+    trace kernels and of the family's consistent kernel, whether each of the three is
+    spanned by states, and each member's derived map on the consistent subspace."""
     v, v_bad = span_from_generators(good), span_from_generators(bad)
+    kernel = consistent_kernel(family, v.layout, bath_factor=bath_factor)
     return (
         [is_family_consistent(w, family, bath_factor).consistent for w in (v, v_bad)],
         [kernel_of_partial_trace(w, bath_factor).dim for w in (v, v_bad)],
-        consistent_kernel(family, v.layout, bath_factor=bath_factor).dim,
+        kernel.dim,
+        [check_state_spanned(w) for w in (v, v_bad, kernel)],
         [derive_map(v, u, bath_factor) for u in family.members],
     )
 
@@ -762,13 +759,14 @@ def test_a_local_frame_conjugates_each_derived_map(dims, seed):
     w_s = haar_unitary(dims[0], rng)
     w = tensor(w_s, haar_unitary(dims[1], rng))
     moved = UnitaryFamily(tuple(adjoint_action(w, u) for u in family.members))
-    verdicts, kernels, kernel, derived = _pair_results(family, good, bad)
+    verdicts, kernels, kernel, spanned, derived = _pair_results(family, good, bad)
     after = _pair_results(
         moved, [adjoint_action(w, g) for g in good], [adjoint_action(w, g) for g in bad]
     )
     assert verdicts == after[0] == [True, False]
-    assert (kernels, kernel) == after[1:3] and kernel > 0
-    for phi, psi in zip(derived, after[3]):
+    assert (kernels, kernel, spanned) == after[1:4] and kernel > 0
+    assert spanned == [True, True, False]  # the consistent kernel is traceless
+    for phi, psi in zip(derived, after[4]):
         assert is_cp(phi).cp  # B(H_S) (x) rho_B under a unitary gives a channel
         _assert_conjugated(phi, psi, w_s)
 
@@ -795,8 +793,9 @@ def test_a_bath_frame_leaves_each_derived_map_unchanged(dims, seed):
     after = _pair_results(
         moved, [adjoint_action(w, g) for g in good], [adjoint_action(w, g) for g in bad]
     )
-    assert before[:3] == after[:3] and before[0] == [True, False]
-    for phi, psi in zip(before[3], after[3]):
+    assert before[:4] == after[:4] and before[0] == [True, False]
+    assert before[3] == [True, True, False]  # the consistent kernel is traceless
+    for phi, psi in zip(before[4], after[4]):
         assert map_residual(phi, psi) <= 1e-9
 
 
@@ -809,8 +808,9 @@ def test_the_swapped_layout_gives_the_same_pair_results(dims, seed):
     after = _pair_results(
         moved, [swapped(g, p) for g in good], [swapped(g, p) for g in bad], bath_factor=0
     )
-    assert before[:3] == after[:3] and before[0] == [True, False]
-    for phi, psi in zip(before[3], after[3]):
+    assert before[:4] == after[:4] and before[0] == [True, False]
+    assert before[3] == [True, True, False]  # the consistent kernel is traceless
+    for phi, psi in zip(before[4], after[4]):
         assert map_residual(phi, psi) <= 1e-9
 
 
@@ -869,7 +869,7 @@ def test_transformation_space_derives_what_no_member_changes_once(
     monkeypatch.setattr(maps, "_kernel_residuals", recording_residuals)
     monkeypatch.setattr(np.linalg, "svd", recording_svd)
     vprime = transformation_space(gibbs_v, phase_family)
-    assert counts["check_state_spanned"] == 1
+    assert counts["check_state_spanned"] == 0  # a question about states, not about maps
     assert counts["_span_of_columns"] == 1  # v + v-hat; the reduced basis is not a span call
     (reduced,) = reduced_stacks
     assert len(phase_family.members) > 1
@@ -893,7 +893,8 @@ def test_the_zero_subspace_derives_and_its_transformation_space_is_the_kernel(rn
     family = UnitaryFamily(tuple(haar_unitary((2, 2), rng) for _ in range(2)))
     for derivation in maps._derive(zero, family.members, (0,)):
         assert derivation.residual == 0.0 and derivation.kernel.shape == (0, 0)
-        assert derivation.map.domain.dim == 0 and derivation.spanned is False
+        assert derivation.map.domain.dim == 0
+    assert check_state_spanned(zero) is False
     kernel = consistent_kernel(family, zero.layout)
     assert kernel.dim == 6
     assert subspaces_equal(transformation_space(zero, family), kernel)

@@ -6,7 +6,14 @@ import numpy as np
 import pytest
 
 import exact
-from beyondcp import SpaceLayout, UnitaryFamily, consistent_kernel, operator
+from beyondcp import (
+    SpaceLayout,
+    UnitaryFamily,
+    consistent_kernel,
+    derive_map,
+    operator,
+    span_from_generators,
+)
 
 Z_X = exact.kron(exact.matrix([[1, 0], [0, -1]]), exact.matrix([[0, 1], [1, 0]]))
 
@@ -62,3 +69,39 @@ def test_the_near_cut_pair_is_exactly_inconsistent():
     assert exact.bath_trace(Z_X, (2, 2)) == zero
     evolved = exact.matmul(exact.matmul(u, Z_X), exact.dagger(u))
     assert exact.bath_trace(evolved, (2, 2)) != zero
+
+
+def _rational_state(d: int, rng):
+    """(1 + G G^dag) / Tr(1 + G G^dag) for a Gaussian-integer G: a full-rank state in Q[i]."""
+    g = exact.anti_hermitian(d, rng)  # any Gaussian-integer matrix will do
+    m = exact.add(exact.identity(d), exact.matmul(g, exact.dagger(g)))
+    trace = sum(m[0][i][i] for i in range(d))
+    return tuple([[x / trace for x in row] for row in part] for part in m)
+
+
+@pytest.mark.parametrize("dims, seed", [((2, 2), 31), ((2, 3), 32)])
+def test_the_derived_map_of_a_product_subspace_is_the_exact_reduced_evolution(dims, seed):
+    # B(H_S) (x) rho_B under a Cayley unitary: phi(Tr_B X) must be Tr_B(U X U^dag) for every
+    # generator X, both sides exact but for the float map; its domain has the exact rank
+    d_s, d_b = dims
+    rng = random.Random(seed)
+    rho_b, u = _rational_state(d_b, rng), exact.cayley_unitary(d_s * d_b, rng)
+    units = [
+        exact.matrix([[int((i, j) == (s, t)) for j in range(d_s)] for i in range(d_s)])
+        for s in range(d_s)
+        for t in range(d_s)
+    ]
+    gens = [exact.kron(e, rho_b) for e in units]
+    v = span_from_generators([operator(exact.to_complex(x), dims) for x in gens])
+    phi = derive_map(v, operator(exact.to_complex(u), dims))
+    worst = 0.0
+    for x in gens:
+        reduced = operator(exact.to_complex(exact.bath_trace(x, dims)), d_s)
+        evolved = exact.bath_trace(exact.matmul(exact.matmul(u, x), exact.dagger(u)), dims)
+        worst = max(worst, np.linalg.norm(phi.apply(reduced).entries - exact.to_complex(evolved)))
+    assert worst <= 1e-12
+    traces = [exact.bath_trace(x, dims) for x in gens]  # the columns vec Tr_B X, exactly
+    columns = tuple(
+        [[t[p][i][j] for t in traces] for j in range(d_s) for i in range(d_s)] for p in (0, 1)
+    )
+    assert phi.domain.dim == exact.rank(columns) == d_s**2

@@ -51,7 +51,7 @@ from beyondcp.catalog import (
     transpose_map,
 )
 from beyondcp.config import DEFAULT_TOL, SelfCheckError
-from beyondcp.operators import adjoint_action
+from beyondcp.operators import adjoint_action, vec
 from beyondcp.sampling import haar_unitary, random_density, random_kraus_channel
 
 
@@ -622,7 +622,7 @@ def test_subsystem_map_refuses_coordinates_of_the_wrong_shape():
 def test_map_from_kraus_rejects_non_finite_operator():
     m = np.eye(2)
     m[0, 1] = np.nan
-    with pytest.raises(ValueError, match="trace preserving"):
+    with pytest.raises(ValueError, match="^operator entries must be finite$"):
         map_from_kraus([operator(m, 2)])
 
 
@@ -657,6 +657,44 @@ def test_a_failed_defining_relation_is_a_self_check_error(delta):
     u = haar_unitary((2, 2), np.random.default_rng(3))
     with pytest.raises(SelfCheckError, match="^derived map fails its defining relation"):
         derive_map(_near_cut_subspace(delta), u)
+
+
+def test_a_derived_domain_missing_a_direction_of_r_is_refused_by_the_self_check(
+    rng, monkeypatch
+):
+    # the replacement channel: B(H_S) (x) rho_B under SWAP.  One more null direction,
+    # X (x) rho_B, takes a direction of R = T B from the domain, since its bath trace X is
+    # nonzero; its evolved trace Tr(X) rho_B is zero, so the pair still reads consistent and
+    # only the self-check, which applies the map to R's columns, is left to refuse it
+    rho_b, u = random_density(2, rng), swap_unitary(2)
+    v = kraus_subspace(rho_b)
+    assert derive_map(v, u).domain.dim == 4
+    x = v.basis_matrix().conj().T @ vec(tensor(PAULI_X, rho_b).entries)
+    kernel_residuals = maps._kernel_residuals
+
+    def one_more_null_direction(*args):
+        evolution, reduced, evolved, n, residuals = kernel_residuals(*args)
+        extra = np.linalg.norm(evolved @ x, axis=-1)
+        assert n.shape[1] == 0 and np.all(extra <= 1e-15)
+        return evolution, reduced, evolved, x[:, None], extra[:, None]
+
+    monkeypatch.setattr(maps, "_kernel_residuals", one_more_null_direction)
+    with pytest.raises(MapDomainError, match="^operator lies outside the map's domain") as err:
+        derive_map(v, u)
+    assert err.traceback[-1].name == "_apply_columns"
+    assert err.traceback[-2].name == "_derive"  # the defining-relation check
+
+
+@pytest.mark.parametrize("consistent", [True, False])
+def test_derive_map_asks_no_state_spanned_question(count_calls, consistent):
+    counts = count_calls((subspaces, "check_state_spanned"))
+    u = controlled_phase_unitary(0.7) if consistent else swap_unitary(2)
+    if consistent:
+        derive_map(gibbs_subspace(), u)
+    else:
+        with pytest.raises(InconsistentPairError):
+            derive_map(gibbs_subspace(), u)
+    assert counts == {}
 
 
 def test_derived_domain_and_kernel_obey_rank_nullity_on_the_qr_route():

@@ -163,8 +163,8 @@ def test_kernel_workload_oracle_accepts_one_cycle(seed, monkeypatch):
 
 @pytest.mark.parametrize("seed", [7, 11])
 def test_trials_workload_oracle_accepts_five_cycles(seed, monkeypatch):
-    """Each trial derives three maps, checks state-spannedness and verifies a SWAP
-    representation, so a wrong derivation or verdict fails here, not first in the benchmark."""
+    """Each trial derives three maps and verifies a SWAP representation, so a wrong
+    derivation or verdict fails here, not first in the benchmark."""
     monkeypatch.syspath_prepend(str(ROOT / "perfbench"))
     workload = importlib.import_module("workloads").TrialsWorkload(seed)
     for _ in range(5):
@@ -198,10 +198,10 @@ def test_size_ladder_checks_and_times_a_derived_map_on_each_rung():
     result = _run_script("size_ladder.py", "--sizes", "2x2", "2x4", "--repeat", "1")
     assert result.returncode == 0, result.stderr
     for r in json.loads(result.stdout)["rungs"]:
-        assert list(r["maps"]) == ["derive_map"]
-        call = r["maps"]["derive_map"]
-        assert call["status"] == "ok", call
-        assert 0 < call["min_s"] < 1 and call["tracemalloc_peak_mb"] > 0
+        assert list(r["maps"]) == ["derive_map", "check_state_spanned"]
+        for call in r["maps"].values():
+            assert call["status"] == "ok", call
+            assert 0 < call["min_s"] < 1 and call["tracemalloc_peak_mb"] > 0
 
 
 def test_size_ladder_checks_and_times_a_kraus_dilation_on_each_rung():
@@ -327,6 +327,36 @@ def test_size_ladder_refuses_a_derived_map_off_its_references():
     assert lines[1].endswith(" from the pinv route")
     assert lines[2].startswith("derive_map: defining-relation residual ")
     assert lines[3] == "derive_map: domain dimension 4, expected 1"
+
+
+SPANNED_CHECK = """
+import sys
+sys.path[:0] = sys.argv[1:]
+import numpy as np
+import size_ladder as ladder
+from beyondcp import SpaceLayout, UnitaryFamily, consistent_kernel, identity
+from beyondcp import span_from_generators, subspace_sum
+from beyondcp.sampling import haar_unitary
+u = haar_unitary((2, 4), np.random.default_rng(1))
+kernel = consistent_kernel(UnitaryFamily((u,)), SpaceLayout((2, 4)))
+v = subspace_sum(kernel, span_from_generators([identity((2, 4)) / 8]))
+print(ladder.spanned_problem(True, v))
+print(ladder.spanned_problem(False, v))
+print(ladder.spanned_problem(True, kernel))  # traceless, so 1/N lies outside
+"""
+
+
+def test_size_ladder_refuses_a_state_spanned_answer_off_its_reference():
+    paths = [str(ROOT / d) for d in ("src", "scripts", "perfbench")]
+    result = subprocess.run(
+        [sys.executable, "-c", SPANNED_CHECK, *paths], capture_output=True, text=True, timeout=120
+    )
+    assert result.returncode == 0, result.stderr
+    lines = result.stdout.splitlines()
+    assert lines[0] == "None"
+    assert lines[1] == "check_state_spanned: False, expected True"
+    assert lines[2].startswith("check_state_spanned: an adjoint or 1/N lies ")
+    assert lines[2].endswith(" outside the span")
 
 
 def test_size_ladder_records_a_call_over_budget_without_timing_it():
