@@ -1,14 +1,15 @@
 #!/usr/bin/env python3
-"""Time the consistent kernel, its subspace, a derived map, a Kraus dilation and subspace
-sums, intersections and trace kernels on a ladder of (d_S, d_B) sizes.
+"""Time the consistent kernel, its subspace, a derived map, a transformation space, a Kraus
+dilation and subspace sums, intersections and trace kernels on a ladder of (d_S, d_B) sizes.
 
 On each rung the family is 4 Haar unitaries drawn from ``default_rng(1)``.  Under
 ``calls`` three calls of the kernel's layer are timed: ``OperatorSubspace`` on
 the family's consistent-kernel basis (the constructor's Gram check),
 ``consistent_kernel`` itself and ``is_family_consistent`` on that kernel.  Under
 ``maps``, ``derive_map`` is timed on the span of that kernel and 1/N under the
-family's first member, and ``check_state_spanned`` on the same span, which a
-derivation does not ask.  Each call's result is checked before its time counts,
+family's first member, ``check_state_spanned`` on the same span, which a
+derivation does not ask, and ``transformation_space`` on B(H_S) (x) 1/d_B under
+the family.  Each call's result is checked before its time counts,
 against the stacked constraints [T; T S_1; ...] built from
 ``perfbench/workloads.py``'s ``_trace_matrix``: a basis must have the dimension
 of their null space and residual at most 1e-9 (``kernel_problem``), and the
@@ -18,8 +19,9 @@ basis with residual at most 1e-9, and its coordinates must lie within 1e-12 of
 E pinv(U^dag R), the pseudo-inverse route (R = T B and E = T S_1 B on the
 span's basis B, U the map's domain basis).  ``check_state_spanned`` must answer
 True, and 1/N and the adjoint of every basis element must lie within 1e-10 of
-the span.  Under ``dilations``, a Kraus list of
-d_B operators on C^{d_S}, drawn from ``default_rng(1)``, is dilated by
+the span.  The transformation space v + K must have the numpy rank of
+[B_v B_K] and hold v and the kernel K within 1e-10.  Under ``dilations``, a
+Kraus list of d_B operators on C^{d_S}, drawn from ``default_rng(1)``, is dilated by
 ``kraus_dilation``, and ``verify_representation`` grades a fresh copy of that
 triple (so its derivation is timed too) against ``map_from_kraus`` of the list.
 The dilation's derived map must lie within 1e-9 max(1, ||S||) of
@@ -73,13 +75,15 @@ from beyondcp.consistency import (  # noqa: E402
     UnitaryFamily,
     consistent_kernel,
     is_family_consistent,
+    transformation_space,
 )
 from beyondcp.dilations import Representation, kraus_dilation, verify_representation  # noqa: E402
 from beyondcp.maps import derive_map, map_from_kraus  # noqa: E402
-from beyondcp.operators import SpaceLayout, identity  # noqa: E402
+from beyondcp.operators import SpaceLayout, identity, tensor  # noqa: E402
 from beyondcp.subspaces import (  # noqa: E402
     OperatorSubspace,
     check_state_spanned,
+    full_operator_space,
     kernel_of_partial_trace,
     span_from_generators,
     subspace_intersection,
@@ -238,11 +242,25 @@ def subspace_problem(kind: str, basis: np.ndarray, expected_dim: int, *pairs) ->
     return None
 
 
-def _subspaces(k1, k2, v, repeat: int, budget: float) -> dict:
-    b1, b2 = k1.basis_matrix(), k2.basis_matrix()
+def _stacked_rank(b1: np.ndarray, b2: np.ndarray) -> tuple[int, np.ndarray]:
+    """The numpy rank of [B1 B2] (its singular values above rank_cut times the largest) and
+    an orthonormal basis of its span."""
     u, s, _ = np.linalg.svd(np.hstack([b1, b2]), full_matrices=False)
     rank = int(np.sum(s > DEFAULT_TOL.rank_cut * s[0])) if s.size else 0
-    reference = u[:, :rank]  # an orthonormal basis of the span of [B1 B2]
+    return rank, u[:, :rank]
+
+
+def transformation_problem(w, v: OperatorSubspace, kernel: OperatorSubspace) -> str | None:
+    """Check ``transformation_space(v, family)``, v + K for the family's kernel K: the numpy
+    rank of [B_v B_K], with v and K within 1e-10 of it."""
+    bv, bk, b = v.basis_matrix(), kernel.basis_matrix(), w.basis_matrix()
+    rank, _ = _stacked_rank(bv, bk)
+    return subspace_problem("transformation_space", b, rank, (bv, b), (bk, b))
+
+
+def _subspaces(k1, k2, v, repeat: int, budget: float) -> dict:
+    b1, b2 = k1.basis_matrix(), k2.basis_matrix()
+    rank, reference = _stacked_rank(b1, b2)  # reference: an orthonormal basis of [B1 B2]'s span
 
     def sum_check(w):
         b = w.basis_matrix()
@@ -306,6 +324,8 @@ def rung(d_s: int, d_b: int, repeat: int, budget: float) -> dict:
     }
     u = family.members[0]
     v = subspace_sum(kernel, span_from_generators([identity(layout) / layout.total_dim]))
+    bath = identity(d_b) / d_b
+    product = span_from_generators([tensor(b, bath) for b in full_operator_space(d_s).basis])
     return {
         "dims": [d_s, d_b],
         "kernel_dim": expected_dim,
@@ -319,6 +339,12 @@ def rung(d_s: int, d_b: int, repeat: int, budget: float) -> dict:
             ),
             "check_state_spanned": _measure(
                 lambda: check_state_spanned(v), lambda ok: spanned_problem(ok, v), repeat, budget
+            ),
+            "transformation_space": _measure(
+                lambda: transformation_space(product, family),
+                lambda w: transformation_problem(w, product, kernel),
+                repeat,
+                budget,
             ),
         },
         "dilations": _dilations(d_s, d_b, repeat, budget),

@@ -214,7 +214,7 @@ def transformation_space(
     reduced operator as its representative in v.
     """
     vhat = consistent_kernel(family, v.layout, v.tol, bath_factor)  # refuses an empty family
-    from .maps import _derive  # local import: maps depends on this module
+    from .maps import _derive, _relation_residual  # local import: maps depends on this module
 
     keep = _keep_indices(v.layout, bath_factor)
     derivations = _derive(v, family.members, keep)
@@ -225,13 +225,9 @@ def transformation_space(
     b = vprime.basis_matrix()  # orthonormal, so residuals need no normalization
     reduced = _reduced_evolution(b, v.layout.dims, keep)
     evolved = _reduced_evolution(b, v.layout.dims, keep, _stacked(family.members))
-    for lhs, derivation in zip(evolved, derivations):
-        rhs = derivation.map._apply_columns(reduced)
-        residual = float(np.max(np.linalg.norm(lhs - rhs, axis=0), initial=0.0))
-        if not (residual <= v.tol.residual_tol):
-            raise SelfCheckError(
-                f"transformation-space self-check failed with residual {residual:.3e}"
-            )
+    residual = _relation_residual([d.map for d in derivations], reduced, evolved)
+    if not (residual <= v.tol.residual_tol):
+        raise SelfCheckError(f"transformation-space self-check failed with residual {residual:.3e}")
     return vprime
 
 

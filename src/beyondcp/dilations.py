@@ -23,6 +23,7 @@ from .maps import (
     _Derivation,
     _map_of,
     _positive_domain_mask,
+    _relation_residual,
     derive_map,
     map_from_kraus,
     map_residual,
@@ -315,14 +316,8 @@ def verify_representation(
     out_of_target = phi.domain._coordinates_of(reduced.basis_matrix())[1]
     out_of_reduced = reduced._coordinates_of(phi.domain.basis_matrix())[1]
     domain_residual = float(np.max(np.concatenate([out_of_target, out_of_reduced]), initial=0.0))
-    # Grade the defining relation against the target directly; this stays
-    # finite for perturbed unitaries where the derived map does not exist.
-    # The subspace basis is orthonormal, so residuals need no normalization.
-    try:
-        drift = phi._apply_columns(derivation.reduced) - derivation.evolved
-        residual_map = float(np.max(np.linalg.norm(drift, axis=0), initial=0.0))
-    except ValueError:
-        residual_map = float("inf")
+    # graded on the target, so finite where no derived map exists; B is orthonormal: no scale
+    residual_map = _relation_residual([phi], derivation.reduced, [derivation.evolved])
     passed = all(r <= tol.residual_tol for r in (consistency, domain_residual, residual_map))
     if passed:  # only then is the derived map graded; max keeps residual_map over a NaN
         residual_map = max(residual_map, map_residual(phi, rep.derived_map()))

@@ -238,19 +238,26 @@ def _derive(v: OperatorSubspace, unitaries: Sequence[Operator], keep: tuple) -> 
         b, g = v.basis_matrix(), v._generator_matrix  # where the relation is checked
         ops = b if g is b else np.hstack([g, b])
         lhs, rhs = _reduced_evolution(ops, v.layout.dims, keep), evolution @ ops
-        scale = np.maximum(1.0, np.linalg.norm(ops, axis=0))
         phis = [SubsystemMap(domain, e @ p_inv, provenance) for e in evolved]
-        for phi, target in zip(phis, rhs):  # lhs holds R, so this refuses a domain short of R
-            mismatch = np.linalg.norm(phi._apply_columns(lhs) - target, axis=0)
-            residual = float(np.max(mismatch / scale, initial=0.0))
-            if not (residual <= v.tol.residual_tol):
-                raise SelfCheckError(
-                    f"derived map fails its defining relation with residual {residual:.3e}"
-                )
+        residual = _relation_residual(phis, lhs, rhs, np.maximum(1.0, np.linalg.norm(ops, axis=0)))
+        if not (residual <= v.tol.residual_tol):
+            raise SelfCheckError(
+                f"derived map fails its defining relation with residual {residual:.3e}"
+            )
     return [
         _Derivation(reduced, e, domain, n, res, float(w), phi)
         for e, res, w, phi in zip(evolved, residuals, worst, phis)
     ]
+
+
+def _relation_residual(maps: Sequence[SubsystemMap], lhs: np.ndarray, rhs, scale=1.0) -> float:
+    """The defining relation phi(lhs) = rhs, on maps sharing one domain and one solve of lhs: the
+    worst column norm of the mismatch over ``scale``, inf off the domain; NaN stays NaN."""
+    coeffs, _, inside = maps[0].domain._coordinates_of(lhs)
+    worst = 0.0 if np.all(inside) else np.inf
+    for m, t in zip(maps, rhs):  # np.max keeps an inf or NaN
+        worst = np.max(np.linalg.norm(m.coord_matrix @ coeffs - t, axis=0) / scale, initial=worst)
+    return float(worst)
 
 
 def map_from_kraus(

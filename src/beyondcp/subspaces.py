@@ -296,18 +296,30 @@ def full_operator_space(dims, tol: ToleranceConfig = DEFAULT_TOL) -> OperatorSub
     return OperatorSubspace(layout, np.eye(layout.total_dim**2), tol=tol)
 
 
+def _outside(b: np.ndarray, c: np.ndarray) -> np.ndarray:
+    """(1 - P) c, P the projection onto the orthonormal b.  For orthonormal c its singular values
+    are the sines of the principal angles between c and b (Bjorck & Golub, 1973)."""
+    return c - b @ (b.conj().T @ c)
+
+
 def subspace_sum(v: OperatorSubspace, w: OperatorSubspace) -> OperatorSubspace:
+    """The larger basis B, then the left singular vectors of the other's ``_outside`` residual at
+    the sines ``subspace_intersection`` does not share, projected out again: one at sine s
+    leans on B by eps / s (twice is enough: Giraud, Langou & Rozloznik, 2005)."""
     _check_same_layout(v, w)
-    return _span_of_columns(v.layout, np.hstack([v.basis_matrix(), w.basis_matrix()]), v.tol)
+    bv, bw = v.basis_matrix(), w.basis_matrix()
+    b, c = (bv, bw) if v.dim >= w.dim else (bw, bv)
+    u, s, _ = np.linalg.svd(_outside(b, c), full_matrices=False)
+    added = _outside(b, u[:, : _numerical_rank(s, v.tol.rank_cut, floor=1.0)])
+    return OperatorSubspace(v.layout, np.hstack([b, added]), np.hstack([bv, bw]), v.tol)
 
 
 def subspace_intersection(v: OperatorSubspace, w: OperatorSubspace) -> OperatorSubspace:
-    """B_w times the null space of (1 - P_v) B_w, whose singular values are the sines
-    of the principal angles between w and v (Bjorck & Golub, 1973)."""
+    """B_w times the null space of w's ``_outside`` residual against v."""
     _check_same_layout(v, w)
-    bv, bw = v.basis_matrix(), w.basis_matrix()
-    residual = bw - bv @ (bv.conj().T @ bw)
-    return OperatorSubspace(v.layout, bw @ _null_space(residual, v.tol.rank_cut), tol=v.tol)
+    bw = w.basis_matrix()
+    null = _null_space(_outside(v.basis_matrix(), bw), v.tol.rank_cut)
+    return OperatorSubspace(v.layout, bw @ null, tol=v.tol)
 
 
 def subspace_leq(v: OperatorSubspace, w: OperatorSubspace) -> bool:

@@ -853,6 +853,7 @@ def test_transformation_space_derives_what_no_member_changes_once(
     counts = count_calls(
         (subspaces, "check_state_spanned"), (subspaces, "_span_of_columns")
     )
+    solves = _count_coordinate_solves(monkeypatch)
     reduced_stacks, thin_svds = [], []
     kernel_residuals, svd = maps._kernel_residuals, np.linalg.svd
 
@@ -870,12 +871,38 @@ def test_transformation_space_derives_what_no_member_changes_once(
     monkeypatch.setattr(np.linalg, "svd", recording_svd)
     vprime = transformation_space(gibbs_v, phase_family)
     assert counts["check_state_spanned"] == 0  # a question about states, not about maps
-    assert counts["_span_of_columns"] == 1  # v + v-hat; the reduced basis is not a span call
+    assert counts["_span_of_columns"] == 0  # v + v-hat extends v-hat's basis; R is no span call
+    # one solve each: the members' defining relation on R, the sum's generators, and the
+    # members' relation on the sum's basis
+    assert len(solves) == 3
     (reduced,) = reduced_stacks
     assert len(phase_family.members) > 1
     assert sum(a is reduced for a in thin_svds) == 1  # the domain's SVD, once for every member
     expected = subspace_sum(gibbs_v, consistent_kernel(phase_family, gibbs_v.layout))
     assert np.array_equal(vprime.basis_matrix(), expected.basis_matrix())
+
+
+def _count_coordinate_solves(monkeypatch):
+    """A list that records the column count of every ``OperatorSubspace._coordinates_of`` call."""
+    solves, coordinates_of = [], subspaces.OperatorSubspace._coordinates_of
+
+    def counting(self, cols):
+        solves.append(cols.shape[-1] if cols.ndim == 2 else cols.shape[0])
+        return coordinates_of(self, cols)
+
+    monkeypatch.setattr(subspaces.OperatorSubspace, "_coordinates_of", counting)
+    return solves
+
+
+def test_a_family_derivation_checks_its_defining_relation_with_one_solve(
+    gibbs_v, phase_family, monkeypatch
+):
+    solves = _count_coordinate_solves(monkeypatch)
+    derivations = maps._derive(gibbs_v, phase_family.members, (0,))
+    assert len(derivations) == len(phase_family.members) > 1
+    assert all(d.map is not None for d in derivations)
+    # the reduced generators and basis of v (R's columns among them), once for every member
+    assert solves == [gibbs_v._generator_matrix.shape[1] + gibbs_v.dim]
 
 
 def test_shared_derivation_gives_each_member_its_own_derived_map(gibbs_v, phase_family):

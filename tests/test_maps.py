@@ -1,3 +1,4 @@
+import json
 import math
 
 import numpy as np
@@ -50,9 +51,11 @@ from beyondcp.catalog import (
     repolarizer,
     transpose_map,
 )
+from beyondcp.cli import run_cli
 from beyondcp.config import DEFAULT_TOL, SelfCheckError
 from beyondcp.operators import adjoint_action, vec
 from beyondcp.sampling import haar_unitary, random_density, random_kraus_channel
+from beyondcp.serialization import emit_operator, emit_subspace
 
 
 def kraus_subspace(rho_b):
@@ -659,30 +662,64 @@ def test_a_failed_defining_relation_is_a_self_check_error(delta):
         derive_map(_near_cut_subspace(delta), u)
 
 
-def test_a_derived_domain_missing_a_direction_of_r_is_refused_by_the_self_check(
-    rng, monkeypatch
-):
-    # the replacement channel: B(H_S) (x) rho_B under SWAP.  One more null direction,
-    # X (x) rho_B, takes a direction of R = T B from the domain, since its bath trace X is
-    # nonzero; its evolved trace Tr(X) rho_B is zero, so the pair still reads consistent and
-    # only the self-check, which applies the map to R's columns, is left to refuse it
-    rho_b, u = random_density(2, rng), swap_unitary(2)
-    v = kraus_subspace(rho_b)
-    assert derive_map(v, u).domain.dim == 4
-    x = v.basis_matrix().conj().T @ vec(tensor(PAULI_X, rho_b).entries)
+def _one_more_null_direction(monkeypatch, rho_b):
+    """Patch the kernel of the replacement channel, B(H_S) (x) rho_B under SWAP, with one more
+    null direction, X (x) rho_B.  That takes a direction of R = T B from the domain, since its
+    bath trace X is nonzero; its evolved trace Tr(X) rho_B is zero, so the pair still reads
+    consistent and only the self-check, which applies the map to R's columns, is left to
+    refuse it."""
     kernel_residuals = maps._kernel_residuals
 
-    def one_more_null_direction(*args):
-        evolution, reduced, evolved, n, residuals = kernel_residuals(*args)
+    def patched(v, *args):
+        evolution, reduced, evolved, n, residuals = kernel_residuals(v, *args)
+        x = v.basis_matrix().conj().T @ vec(tensor(PAULI_X, rho_b).entries)
         extra = np.linalg.norm(evolved @ x, axis=-1)
         assert n.shape[1] == 0 and np.all(extra <= 1e-15)
         return evolution, reduced, evolved, x[:, None], extra[:, None]
 
-    monkeypatch.setattr(maps, "_kernel_residuals", one_more_null_direction)
-    with pytest.raises(MapDomainError, match="^operator lies outside the map's domain") as err:
+    monkeypatch.setattr(maps, "_kernel_residuals", patched)
+
+
+def test_a_derived_domain_missing_a_direction_of_r_is_refused_by_the_self_check(
+    rng, monkeypatch
+):
+    rho_b, u = random_density(2, rng), swap_unitary(2)
+    v = kraus_subspace(rho_b)
+    assert derive_map(v, u).domain.dim == 4
+    _one_more_null_direction(monkeypatch, rho_b)
+    message = "^derived map fails its defining relation with residual inf$"
+    with pytest.raises(SelfCheckError, match=message):  # not a MapDomainError on R's columns
         derive_map(v, u)
-    assert err.traceback[-1].name == "_apply_columns"
-    assert err.traceback[-2].name == "_derive"  # the defining-relation check
+
+
+def test_cli_derive_map_refuses_a_derived_domain_missing_a_direction_of_r(
+    rng, monkeypatch, capsys, tmp_path
+):
+    rho_b = random_density(2, rng)
+    sub, uni = tmp_path / "v.json", tmp_path / "u.json"
+    sub.write_text(json.dumps(emit_subspace(kraus_subspace(rho_b))))
+    uni.write_text(json.dumps(emit_operator(swap_unitary(2))))
+    _one_more_null_direction(monkeypatch, rho_b)
+    assert run_cli(["derive-map", "--subspace", str(sub), "--unitary", str(uni)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: derived map fails its defining relation with residual inf\n"
+
+
+def test_the_relation_residual_is_the_worst_column_of_every_map_over_its_scale():
+    good, bad = identity_map(2), identity_map(2) * 1.5
+    lhs = good.domain.basis_matrix()  # four unit columns, each mapped 0.5 off by bad
+    assert maps._relation_residual([good, good], lhs, [lhs, lhs]) == 0.0
+    assert maps._relation_residual([good, bad], lhs, [lhs, lhs]) == 0.5
+    assert maps._relation_residual([bad, good], lhs, [lhs, lhs]) == 0.5
+    assert maps._relation_residual([good, bad], lhs, [lhs, lhs], 2.0) == 0.25
+    assert maps._relation_residual([bad], lhs, [lhs], np.array([1.0, 2.0, 4.0, 8.0])) == 0.5
+    nan = lhs.copy()
+    nan[0, 1] = np.nan
+    assert math.isnan(maps._relation_residual([good, bad], lhs, [lhs, nan]))
+    proper = map_from_action(lambda a: a, span_from_generators([PAULI_I, PAULI_X, PAULI_Z]))
+    y = vec(PAULI_Y.entries)[:, None]  # off the domain: inf, not a MapDomainError
+    assert maps._relation_residual([proper], y, [y]) == math.inf
 
 
 @pytest.mark.parametrize("consistent", [True, False])

@@ -4,8 +4,9 @@ Span membership: X lies in a subspace iff ||X - proj(X)|| <= residual_tol *
 max(1, ||X||).  The state test: Hermitian and of unit trace within a
 tolerance, with no eigenvalue below minus a slack.  Each rule has one owner;
 every caller must reach the same verdict a relative 1e-6 inside and outside
-each bound.  Intersection: two subspaces share a direction iff the sine of
-its principal angle is at most rank_cut.  Rank: a singular value is kept iff
+each bound.  Intersection and sum: two subspaces share a direction iff the
+sine of its principal angle is at most rank_cut, and the sum adds every
+direction the intersection does not share.  Rank: a singular value is kept iff
 it exceeds rank_cut times its scale, the largest singular value s_0 for a span
 and max(s_0, 1) for the domain of a derived map.
 """
@@ -18,6 +19,8 @@ import pytest
 from beyondcp import (
     DEFAULT_TOL,
     PAULI_I,
+    OperatorSubspace,
+    SpaceLayout,
     ToleranceConfig,
     PAULI_Y,
     MapDomainError,
@@ -30,9 +33,11 @@ from beyondcp import (
     span_from_generators,
     subspace_intersection,
     subspace_leq,
+    subspace_sum,
 )
 from beyondcp.maps import _positive_domain_mask
 from beyondcp.operators import PAULI_X, PAULI_Z, _density_mask
+from beyondcp.subspaces import _span_of_columns
 
 TOL = DEFAULT_TOL.residual_tol
 CUT = DEFAULT_TOL.rank_cut
@@ -75,6 +80,70 @@ def test_an_intersection_shares_a_direction_up_to_a_sine_of_rank_cut(factor, sha
     tilted = span_from_generators([_unit(factor * CUT)])  # at angle asin(factor * CUT)
     assert subspace_intersection(DOMAIN, tilted).dim == int(shared)
     assert subspace_intersection(tilted, DOMAIN).dim == int(shared)
+    assert subspace_sum(DOMAIN, tilted).dim == DOMAIN.dim + 1 - shared
+    assert subspace_sum(tilted, DOMAIN).dim == DOMAIN.dim + 1 - shared
+
+
+def _orthonormal(rng, n, k):
+    z = rng.normal(size=(n, k)) + 1j * rng.normal(size=(n, k))
+    return np.linalg.qr(z)[0]
+
+
+def _tilted_pair(dims, theta, seed):
+    """Random V and W on ``dims`` that share s directions exactly and one more up to the
+    principal angle theta, with orthonormal bases mixed by random unitaries (so the tilted
+    direction is spread over every basis element); returns V, W and s."""
+    rng = np.random.default_rng(seed)
+    layout = SpaceLayout(dims)
+    n = layout.total_dim**2
+    s, pv, pw = (int(rng.integers(lo, hi)) for lo, hi in [(0, 3), (1, n // 4), (0, n // 4)])
+    q = _orthonormal(rng, n, s + pv + pw + 1)
+    shared, only_v, only_w = q[:, :s], q[:, s : s + pv], q[:, s + pv : s + pv + pw]
+    tilted = only_v[:, :1] * math.cos(theta) + q[:, -1:] * math.sin(theta)
+    bv = np.hstack([shared, only_v]) @ _orthonormal(rng, s + pv, s + pv)
+    bw = np.hstack([shared, tilted, only_w]) @ _orthonormal(rng, s + 1 + pw, s + 1 + pw)
+    return OperatorSubspace(layout, bv), OperatorSubspace(layout, bw), s
+
+
+PAIR_DIMS = [(2, 2), (2, 3), (4, 4)]
+SINE_FACTORS = [0.5, 0.8, 0.95, 1.05, 1.25, 1.5, 2.0, 3.0]  # on rank_cut, off its rounding
+
+
+@pytest.mark.parametrize("factor", SINE_FACTORS)
+@pytest.mark.parametrize("dims", PAIR_DIMS)
+@pytest.mark.parametrize("seed", [1, 2])
+def test_a_sum_adds_exactly_the_directions_an_intersection_does_not_share(dims, factor, seed):
+    v, w, s = _tilted_pair(dims, factor * CUT, seed)
+    shared = s + (factor < 1)
+    for a, b in [(v, w), (w, v)]:
+        assert subspace_intersection(a, b).dim == shared
+        total = subspace_sum(a, b)
+        assert total.dim + shared == v.dim + w.dim
+        # the larger basis is kept bit for bit, the rest of the basis is orthonormal to it
+        big = a if a.dim >= b.dim else b
+        assert np.array_equal(total.basis_matrix()[:, : big.dim], big.basis_matrix())
+
+
+def _stacked_sum(v, w):
+    """The sum as one SVD of [B_v B_w], cut at rank_cut times its largest singular value."""
+    return _span_of_columns(v.layout, np.hstack([v.basis_matrix(), w.basis_matrix()]), v.tol)
+
+
+def _distance(x, y):
+    """The largest distance of a column of x from the span of the orthonormal columns of y."""
+    return float(np.max(np.linalg.norm(x - y @ (y.conj().T @ x), axis=0), initial=0.0))
+
+
+# away from the cut: the oracle's SVD finds a direction at sine s only to about eps / s
+@pytest.mark.parametrize("theta", [0.0, 1e-4, 0.3])
+@pytest.mark.parametrize("dims", PAIR_DIMS)
+@pytest.mark.parametrize("seed", [3, 4])
+def test_a_sum_spans_what_one_svd_of_both_bases_spans_away_from_the_cut(dims, theta, seed):
+    v, w, _ = _tilted_pair(dims, theta, seed)
+    for a, b in [(v, w), (w, v)]:
+        got, oracle = subspace_sum(a, b).basis_matrix(), _stacked_sum(a, b).basis_matrix()
+        assert got.shape == oracle.shape
+        assert _distance(got, oracle) <= 1e-10 and _distance(oracle, got) <= 1e-10
 
 
 RANK_SIDES = [(1 - 1e-6, False), (1 + 1e-6, True)]  # (factor on rank_cut * scale, kept)

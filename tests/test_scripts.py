@@ -198,7 +198,7 @@ def test_size_ladder_checks_and_times_a_derived_map_on_each_rung():
     result = _run_script("size_ladder.py", "--sizes", "2x2", "2x4", "--repeat", "1")
     assert result.returncode == 0, result.stderr
     for r in json.loads(result.stdout)["rungs"]:
-        assert list(r["maps"]) == ["derive_map", "check_state_spanned"]
+        assert list(r["maps"]) == ["derive_map", "check_state_spanned", "transformation_space"]
         for call in r["maps"].values():
             assert call["status"] == "ok", call
             assert 0 < call["min_s"] < 1 and call["tracemalloc_peak_mb"] > 0
@@ -357,6 +357,42 @@ def test_size_ladder_refuses_a_state_spanned_answer_off_its_reference():
     assert lines[1] == "check_state_spanned: False, expected True"
     assert lines[2].startswith("check_state_spanned: an adjoint or 1/N lies ")
     assert lines[2].endswith(" outside the span")
+
+
+TRANSFORMATION_CHECK = """
+import sys
+sys.path[:0] = sys.argv[1:]
+import numpy as np
+import size_ladder as ladder
+from beyondcp import SpaceLayout, UnitaryFamily, consistent_kernel, full_operator_space
+from beyondcp import identity, span_from_generators, tensor, transformation_space
+from beyondcp.subspaces import OperatorSubspace
+from beyondcp.sampling import haar_unitary
+family = UnitaryFamily((haar_unitary((2, 4), np.random.default_rng(1)),))
+kernel = consistent_kernel(family, SpaceLayout((2, 4)))
+v = span_from_generators([tensor(b, identity(4) / 4) for b in full_operator_space(2).basis])
+w = transformation_space(v, family)
+print(ladder.transformation_problem(w, v, kernel))
+print(ladder.transformation_problem(kernel, v, kernel))  # v is missing
+print(ladder.transformation_problem(OperatorSubspace(w.layout, w.basis_matrix()[:, 1:]), v, kernel))
+print(ladder.transformation_problem(OperatorSubspace(w.layout, np.eye(64)[:, :61]), v, kernel))
+"""
+
+
+def test_size_ladder_refuses_a_transformation_space_off_its_reference():
+    paths = [str(ROOT / d) for d in ("src", "scripts", "perfbench")]
+    result = subprocess.run(
+        [sys.executable, "-c", TRANSFORMATION_CHECK, *paths],
+        capture_output=True,
+        text=True,
+        timeout=120,
+    )
+    assert result.returncode == 0, result.stderr
+    lines = result.stdout.splitlines()
+    assert lines[0] == "None"
+    assert lines[1] == "transformation_space: dimension 57, expected 61"  # v is missing
+    assert lines[2] == "transformation_space: dimension 60, expected 61"
+    assert lines[3].startswith("transformation_space: a column lies ")  # right size, wrong span
 
 
 def test_size_ladder_records_a_call_over_budget_without_timing_it():
