@@ -1,6 +1,7 @@
 #!/usr/bin/env python3
 """Time the consistent kernel, its subspace, a derived map, a transformation space, a Kraus
-dilation and subspace sums, intersections and trace kernels on a ladder of (d_S, d_B) sizes.
+dilation, a SWAP representation and subspace sums, intersections and trace kernels on a ladder
+of (d_S, d_B) sizes.
 
 On each rung the family is 4 Haar unitaries drawn from ``default_rng(1)``.  Under
 ``calls`` three calls of the kernel's layer are timed: ``OperatorSubspace`` on
@@ -26,15 +27,19 @@ Kraus list of d_B operators on C^{d_S}, drawn from ``default_rng(1)``, is dilate
 triple (so its derivation is timed too) against ``map_from_kraus`` of the list.
 The dilation's derived map must lie within 1e-9 max(1, ||S||) of
 S = sum_i conj(M_i) (x) M_i, built here with ``np.kron``, and the verdict must
-pass.  Under ``subspaces``, with K1 the kernel above and K2 the consistent kernel
-of 4 more Haar unitaries drawn next from the same generator, ``subspace_sum`` and
-``subspace_intersection`` of K1 and K2 and ``kernel_of_partial_trace`` of
-K1 + span{1/N} are timed.  The sum must have the numpy rank of [B1 B2] (its
-singular values above rank_cut times the largest) and lie within 1e-10 of the
-span of [B1 B2], and K1 and K2 within 1e-10 of it; the intersection must have
-dimension dim K1 + dim K2 - (that rank) and lie within 1e-10 of K1 and of K2;
-the trace kernel must have the dimension of K1, lie within 1e-10 of K1 and
-hold K1 within 1e-10.  A failed check records the problem and no time.
+pass.  ``swap_representation`` of that target on ``sampling.axis_grid_states(d_S)``
+must pass ``verify_representation``, its derived map must meet the same bound
+against S, and its joint subspace must have the dimension d_S^2 (d_S^2 + 1) / 2
+of the symmetric sector of the doubled domain.  Under ``subspaces``, with K1 the
+kernel above and K2 the consistent kernel of 4 more Haar unitaries drawn next
+from the same generator, ``subspace_sum`` and ``subspace_intersection`` of K1 and
+K2 and ``kernel_of_partial_trace`` of K1 + span{1/N} are timed.  The sum must
+have the numpy rank of [B1 B2] (its singular values above rank_cut times the
+largest) and lie within 1e-10 of the span of [B1 B2], and K1 and K2 within 1e-10
+of it; the intersection must have dimension dim K1 + dim K2 - (that rank) and lie
+within 1e-10 of K1 and of K2; the trace kernel must have the dimension of K1, lie
+within 1e-10 of K1 and hold K1 within 1e-10.  A failed check records the problem
+and no time.
 
 A time is the timeit minimum, per call, of ``--repeat`` rounds of about 20 ms
 (one call at least) with one BLAS thread; the memory is the ``tracemalloc``
@@ -77,7 +82,12 @@ from beyondcp.consistency import (  # noqa: E402
     is_family_consistent,
     transformation_space,
 )
-from beyondcp.dilations import Representation, kraus_dilation, verify_representation  # noqa: E402
+from beyondcp.dilations import (  # noqa: E402
+    Representation,
+    kraus_dilation,
+    swap_representation,
+    verify_representation,
+)
 from beyondcp.maps import derive_map, map_from_kraus  # noqa: E402
 from beyondcp.operators import SpaceLayout, identity, tensor  # noqa: E402
 from beyondcp.subspaces import (  # noqa: E402
@@ -211,12 +221,23 @@ def spanned_problem(spanned: bool, v: OperatorSubspace) -> str | None:
     return None
 
 
-def dilation_problem(rep, s: np.ndarray) -> str | None:
-    """Check a Kraus dilation's derived map against the superoperator ``s`` of its list."""
+def dilation_problem(rep, s: np.ndarray, kind: str = "kraus_dilation") -> str | None:
+    """Check a representation's derived map against the superoperator ``s`` of a Kraus list."""
     distance = float(np.linalg.norm(rep.derived_map().linear_operator() - s))
     if not distance <= RESIDUAL_TOL * max(1.0, float(np.linalg.norm(s))):
-        return f"kraus_dilation: derived map {distance!r} from sum conj(M) (x) M"
+        return f"{kind}: derived map {distance!r} from sum conj(M) (x) M"
     return None
+
+
+def swap_problem(rep, target, s: np.ndarray) -> str | None:
+    """Check a SWAP representation of the full-domain ``target``: its verdict, its derived
+    map against ``s``, and the symmetric-sector dimension d^2 (d^2 + 1) / 2 of its subspace."""
+    problem = verdict_problem(verify_representation(rep, target))
+    problem = problem or dilation_problem(rep, s, "swap_representation")
+    dim, sector = rep.subspace.dim, target.dim**2 * (target.dim**2 + 1) // 2
+    if problem is None and dim != sector:
+        problem = f"swap_representation: joint subspace dimension {dim}, expected {sector}"
+    return problem
 
 
 def verdict_problem(verdict) -> str | None:
@@ -286,6 +307,7 @@ def _dilations(d_s: int, d_b: int, repeat: int, budget: float) -> dict:
     kraus = sampling.random_kraus_channel(d_s, d_b, np.random.default_rng(FAMILY_SEED))
     s = sum(np.kron(m.entries.conj(), m.entries) for m in kraus)
     rep, target = kraus_dilation(kraus), map_from_kraus(kraus)
+    omega = sampling.axis_grid_states(d_s)
 
     def verify():  # a fresh triple, whose derivation is not yet cached
         fresh = Representation(rep.bath_dim, rep.unitary, rep.subspace, rep.target_domain)
@@ -296,6 +318,12 @@ def _dilations(d_s: int, d_b: int, repeat: int, budget: float) -> dict:
             lambda: kraus_dilation(kraus), lambda r: dilation_problem(r, s), repeat, budget
         ),
         "verify_representation": _measure(verify, verdict_problem, repeat, budget),
+        "swap_representation": _measure(
+            lambda: swap_representation(target, omega),
+            lambda r: swap_problem(r, target, s),
+            repeat,
+            budget,
+        ),
     }
 
 

@@ -35,7 +35,7 @@ from .dilations import (
 from .maps import (
     _bloch_form,
     _derive,
-    _derive_pair,
+    _map_of,
     _positive_domain_mask,
     choi_matrix,
     compose,
@@ -138,9 +138,11 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--map", required=True, dest="map_file")
     p.add_argument("--choi", action="store_true", help="embed the Choi matrix")
     p.add_argument("--cp", action="store_true", help="complete-positivity verdict")
-    p.add_argument("--positivity", type=int, metavar="N", help="scan N states for positivity")
     p.add_argument(
-        "--positive-domain", type=int, metavar="N", help="sample N positive-domain states"
+        "--positivity", type=_positive_int, metavar="N", help="scan N states for positivity"
+    )
+    p.add_argument(
+        "--positive-domain", type=_positive_int, metavar="N", help="sample N positive-domain states"
     )
     _common_flags(p)
 
@@ -190,7 +192,7 @@ def _cmd_check_consistency(args, tol: ToleranceConfig, seed: int) -> Report:
         payload["family"] = _load_json(args.family)
         family = parse_unitary_family(payload["family"], tol)
     report = Report("check-consistency", inputs_digest(payload), seed, tol)
-    (derivation,) = _derive(v, [u], _keep_indices(v.layout, 1))  # derive-map's, self-check too
+    derivation = _derive(v, [u], _keep_indices(v.layout, 1))  # derive-map's, self-check too
     report.check(
         "unitary_consistent",
         derivation.residual,
@@ -217,13 +219,13 @@ def _cmd_check_consistency(args, tol: ToleranceConfig, seed: int) -> Report:
 def _cmd_derive_map(args, tol: ToleranceConfig, seed: int) -> Report:
     payload, v, u = _subspace_and_unitary(args, tol)
     report = Report("derive-map", inputs_digest(payload), seed, tol)
-    derivation = _derive_pair(v, u)  # derive_map's one consistency decision
-    phi = derivation.map
-    if phi is None:
+    derivation = _derive(v, [u], _keep_indices(v.layout, 1))  # derive_map's one decision
+    if derivation.maps is None:
         report.check(
             "unitary_consistent", derivation.residual, reason="reduced map is not well defined"
         )
         return report
+    phi = _map_of(derivation, v, u)  # refuses the zero subspace
     report.check("unitary_consistent", derivation.residual, state_spanned=check_state_spanned(v))
     report.add(
         "trace_and_hermiticity_preserving",

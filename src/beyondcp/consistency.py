@@ -214,18 +214,20 @@ def transformation_space(
     reduced operator as its representative in v.
     """
     vhat = consistent_kernel(family, v.layout, v.tol, bath_factor)  # refuses an empty family
-    from .maps import _derive, _relation_residual  # local import: maps depends on this module
+    from .maps import InconsistentPairError, _derive, _relation_residual  # maps imports this module
 
     keep = _keep_indices(v.layout, bath_factor)
-    derivations = _derive(v, family.members, keep)
-    if derivations[0].map is None:  # maps are built only for a consistent family
-        worst = np.max([d.residual for d in derivations])
-        raise ValueError(f"subspace is not consistent for the family (worst residual {worst:.3e})")
+    derivation = _derive(v, family.members, keep)
+    if derivation.maps is None:  # maps are built only for a consistent family
+        raise InconsistentPairError(
+            f"subspace is not consistent for the family (worst residual {derivation.residual:.3e})",
+            _verdict(v, family.members, derivation.kernel, derivation.residuals),
+        )
     vprime = subspace_sum(v, vhat)
     b = vprime.basis_matrix()  # orthonormal, so residuals need no normalization
     reduced = _reduced_evolution(b, v.layout.dims, keep)
-    evolved = _reduced_evolution(b, v.layout.dims, keep, _stacked(family.members))
-    residual = _relation_residual([d.map for d in derivations], reduced, evolved)
+    evolved = _reduced_evolution_matrix(v.layout.dims, keep, _stacked(family.members)) @ b
+    residual = _relation_residual(derivation.maps, reduced, evolved)
     if not (residual <= v.tol.residual_tol):
         raise SelfCheckError(f"transformation-space self-check failed with residual {residual:.3e}")
     return vprime

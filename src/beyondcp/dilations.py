@@ -24,7 +24,6 @@ from .maps import (
     _map_of,
     _positive_domain_mask,
     _relation_residual,
-    derive_map,
     map_from_kraus,
     map_residual,
     sample_positive_domain,
@@ -89,17 +88,15 @@ class Representation:
 
     @cached_property
     def _derivation(self) -> _Derivation:
-        return _derive(self.subspace, [self.unitary], (0,))[0]
+        return _derive(self.subspace, [self.unitary], (0,))
 
     def derived_map(self) -> SubsystemMap:
-        if self.subspace.dim == 0:
-            return derive_map(self.subspace, self.unitary)  # raises: no map is defined
         return _map_of(self._derivation, self.subspace, self.unitary)
 
     def validate(self) -> None:
         """Raise unless the semantic invariants hold."""
         derivation = self._derivation
-        if derivation.map is None:
+        if derivation.maps is None:
             raise ValueError(
                 "the representation subspace is not consistent with its unitary "
                 f"(worst residual {derivation.residual:.3e})"
@@ -317,7 +314,7 @@ def verify_representation(
     out_of_reduced = reduced._coordinates_of(phi.domain.basis_matrix())[1]
     domain_residual = float(np.max(np.concatenate([out_of_target, out_of_reduced]), initial=0.0))
     # graded on the target, so finite where no derived map exists; B is orthonormal: no scale
-    residual_map = _relation_residual([phi], derivation.reduced, [derivation.evolved])
+    residual_map = _relation_residual([phi], derivation.reduced, derivation.evolved)
     passed = all(r <= tol.residual_tol for r in (consistency, domain_residual, residual_map))
     if passed:  # only then is the derived map graded; max keeps residual_map over a NaN
         residual_map = max(residual_map, map_residual(phi, rep.derived_map()))

@@ -184,70 +184,61 @@ def derive_map(
     one cut of the consistency check), the domain basis is U_r and the
     coordinate matrix is E V_r S_r^-1.
     """
-    return _map_of(_derive_pair(v, u, bath_factor), v, u)
+    return _map_of(_derive(v, [u], _keep_indices(v.layout, bath_factor)), v, u)
 
 
 def _map_of(derivation: _Derivation, v: OperatorSubspace, u: Operator) -> SubsystemMap:
-    """The derived map of (v, u), or InconsistentPairError with the verdict
-    ``is_unitary_consistent`` gives, read off the derivation's own decision."""
-    if derivation.map is None:
+    """The derived map of (v, u), refusing the zero subspace, or InconsistentPairError with
+    the verdict ``is_unitary_consistent`` gives, read off the derivation's own decision."""
+    if v.dim == 0:
+        raise ValueError("cannot derive a map from a zero-dimensional subspace")
+    if derivation.maps is None:
         raise InconsistentPairError(
             "the subspace is not consistent with the unitary "
             f"(worst kernel residual {derivation.residual:.3e}); "
             "the reduced map is not well defined",
-            _verdict(v, (u,), derivation.kernel, derivation.residuals[None]),
+            _verdict(v, (u,), derivation.kernel, derivation.residuals),
         )
-    return derivation.map
+    return derivation.maps[0]
 
 
 class _Derivation(NamedTuple):
-    reduced: np.ndarray  # the basis of v, vectorized and bath-reduced
-    evolved: np.ndarray  # the same, conjugated by u before the reduction
+    reduced: np.ndarray  # the basis of v, vectorized and bath-reduced (m^2, dim v)
+    evolved: np.ndarray  # the same, conjugated by each member first (f, m^2, dim v)
     domain: OperatorSubspace  # span of the reduced basis
     kernel: np.ndarray  # the null space n of the reduced basis, the consistency decision's
-    residuals: np.ndarray  # ||E n|| under u, one per kernel column
-    residual: float  # the worst kernel residual under u, as is_unitary_consistent's
-    map: SubsystemMap | None  # the derived map; None unless the family is consistent
+    residuals: np.ndarray  # ||E n||, one row per member, one column per kernel column
+    residual: float  # the family's worst kernel residual
+    maps: tuple[SubsystemMap, ...] | None  # one per member; None unless the family is consistent
 
 
-def _derive_pair(v: OperatorSubspace, u: Operator, bath_factor: int = 1) -> _Derivation:
-    """derive_map's derivation, consistent or not, refusing the zero subspace."""
-    if v.dim == 0:
-        raise ValueError("cannot derive a map from a zero-dimensional subspace")
-    (derivation,) = _derive(v, [u], _keep_indices(v.layout, bath_factor))
-    return derivation
-
-
-def _derive(v: OperatorSubspace, unitaries: Sequence[Operator], keep: tuple) -> list[_Derivation]:
-    """derive_map for each unitary at once, on any v (the zero subspace too): the reduced
-    stacks and their span once, each member's residual, and the checked maps only for a
+def _derive(v: OperatorSubspace, unitaries: Sequence[Operator], keep: tuple) -> _Derivation:
+    """derive_map for a family at once, on any v (the zero subspace too): the reduced
+    stacks and their span once, the family's residuals, and the checked maps only for a
     consistent family (both CLI pair commands act on this call).  It asks nothing about
     states.  The domain keeps no generators: a consistent family's self-check tests R's
     columns, and an inconsistent one builds no map that would read their coordinates."""
     evolution, reduced, evolved, n, residuals = _kernel_residuals(v, unitaries, keep)
-    worst = np.max(residuals, axis=1, initial=0.0)
+    worst = float(np.max(residuals, initial=0.0))
     # the domain is the range of R = U S V^dag, whose rank the kernel's cut already decided
     # (rank-nullity), and V S^-1 inverts R on it
     u, s, vh = np.linalg.svd(reduced, full_matrices=False)
     r = v.dim - n.shape[1]
     domain = OperatorSubspace(v.layout.subset(keep), u[:, :r], tol=v.tol)
-    phis = [None] * len(evolved)
-    if np.all(worst <= v.tol.residual_tol):  # False on NaN
+    phis = None
+    if worst <= v.tol.residual_tol:  # False on NaN
         provenance = f"derived from a consistent pair (subspace dim {v.dim})"
         p_inv = vh[:r].conj().T / s[:r]  # U_r^dag R = S_r V_r^dag, inverted on the domain
         b, g = v.basis_matrix(), v._generator_matrix  # where the relation is checked
         ops = b if g is b else np.hstack([g, b])
         lhs, rhs = _reduced_evolution(ops, v.layout.dims, keep), evolution @ ops
-        phis = [SubsystemMap(domain, e @ p_inv, provenance) for e in evolved]
+        phis = tuple(SubsystemMap(domain, e @ p_inv, provenance) for e in evolved)
         residual = _relation_residual(phis, lhs, rhs, np.maximum(1.0, np.linalg.norm(ops, axis=0)))
         if not (residual <= v.tol.residual_tol):
             raise SelfCheckError(
                 f"derived map fails its defining relation with residual {residual:.3e}"
             )
-    return [
-        _Derivation(reduced, e, domain, n, res, float(w), phi)
-        for e, res, w, phi in zip(evolved, residuals, worst, phis)
-    ]
+    return _Derivation(reduced, evolved, domain, n, residuals, worst, phis)
 
 
 def _relation_residual(maps: Sequence[SubsystemMap], lhs: np.ndarray, rhs, scale=1.0) -> float:

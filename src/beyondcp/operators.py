@@ -357,16 +357,12 @@ def partial_trace(a: Operator, keep: Sequence[int] | int) -> Operator:
     return Operator(a.layout.subset(keep), unvec(reduced[:, 0], m))
 
 
-def _reduced_evolution(cols: np.ndarray, dims: tuple, keep: tuple, u=None) -> np.ndarray:
-    """vec Tr_{not keep}(U X U^dag) for each column vec X of ``cols`` (N^2, k).
+def _reduced_evolution(cols: np.ndarray, dims: tuple, keep: tuple) -> np.ndarray:
+    """vec Tr_{not keep} X for each column vec X of ``cols`` (N^2, k), as (m^2, k).
 
-    Without ``u`` (U = 1) one einsum sums the traced axes of each X, read with
-    axes ``dims + dims``, giving (m^2, k).  Otherwise ``cols`` is multiplied by
-    :func:`_reduced_evolution_matrix`: (m^2, k) for one (N, N) unitary, (f, m^2, k)
-    for a stack (f, N, N).
+    One einsum sums the traced axes of each X, read with axes ``dims + dims``.  This is
+    the U = 1 trace; under a unitary, multiply by :func:`_reduced_evolution_matrix`.
     """
-    if u is not None:
-        return _reduced_evolution_matrix(dims, keep, u) @ cols
     f, k = len(dims), cols.shape[1]  # axis labels: column factor i is i, row factor f + i
     rows = [f + i if i in keep else i for i in range(f)]
     out = [*keep, *(f + i for i in keep), 2 * f]

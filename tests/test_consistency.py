@@ -52,7 +52,6 @@ from beyondcp.catalog import (
 from beyondcp.config import DEFAULT_TOL, SelfCheckError
 from beyondcp.operators import (
     SpaceLayout,
-    _reduced_evolution,
     _reduced_evolution_matrix,
     _transposed_columns,
     _unvec_stack,
@@ -898,29 +897,32 @@ def test_a_family_derivation_checks_its_defining_relation_with_one_solve(
     gibbs_v, phase_family, monkeypatch
 ):
     solves = _count_coordinate_solves(monkeypatch)
-    derivations = maps._derive(gibbs_v, phase_family.members, (0,))
-    assert len(derivations) == len(phase_family.members) > 1
-    assert all(d.map is not None for d in derivations)
+    derivation = maps._derive(gibbs_v, phase_family.members, (0,))
+    assert len(derivation.maps) == len(phase_family.members) > 1
     # the reduced generators and basis of v (R's columns among them), once for every member
     assert solves == [gibbs_v._generator_matrix.shape[1] + gibbs_v.dim]
 
 
 def test_shared_derivation_gives_each_member_its_own_derived_map(gibbs_v, phase_family):
     # the maps behind the transformation-space self-check, bit for bit
-    derivations = maps._derive(gibbs_v, phase_family.members, (0,))
-    assert len(derivations) == len(phase_family.members)
-    for derivation, u in zip(derivations, phase_family.members):
+    derivation = maps._derive(gibbs_v, phase_family.members, (0,))
+    f = len(phase_family.members)
+    assert len(derivation.maps) == f
+    assert derivation.evolved.shape == (f, 4, gibbs_v.dim)
+    assert derivation.residuals.shape == (f, derivation.kernel.shape[1])
+    for phi, u in zip(derivation.maps, phase_family.members):
         alone = derive_map(gibbs_v, u)
-        assert np.array_equal(derivation.map.coord_matrix, alone.coord_matrix)
-        assert derivation.map.provenance == alone.provenance
+        assert np.array_equal(phi.coord_matrix, alone.coord_matrix)
+        assert phi.provenance == alone.provenance
 
 
 def test_the_zero_subspace_derives_and_its_transformation_space_is_the_kernel(rng):
     zero = parse_subspace({"dims": [2, 2], "basis": []})
     family = UnitaryFamily(tuple(haar_unitary((2, 2), rng) for _ in range(2)))
-    for derivation in maps._derive(zero, family.members, (0,)):
-        assert derivation.residual == 0.0 and derivation.kernel.shape == (0, 0)
-        assert derivation.map.domain.dim == 0
+    derivation = maps._derive(zero, family.members, (0,))
+    assert derivation.residual == 0.0 and derivation.kernel.shape == (0, 0)
+    assert derivation.residuals.shape == (2, 0)
+    assert [phi.domain.dim for phi in derivation.maps] == [0, 0]
     assert check_state_spanned(zero) is False
     kernel = consistent_kernel(family, zero.layout)
     assert kernel.dim == 6
@@ -956,7 +958,7 @@ def kernel_subspace_verdict(v, family):
     if kernel.dim == 0:
         return True, 0.0
     u = np.array([m.entries for m in family.members])
-    evolved = _reduced_evolution(kernel.basis_matrix(), v.layout.dims, (0,), u)
+    evolved = _reduced_evolution_matrix(v.layout.dims, (0,), u) @ kernel.basis_matrix()
     worst = float(np.max(np.linalg.norm(evolved, axis=1)))
     return worst <= v.tol.residual_tol, worst
 
@@ -1024,12 +1026,35 @@ def test_a_refused_derivation_decides_once_and_carries_that_verdict(dims, rng, c
         assert counts == {"_kernel_residuals": 1}
         _assert_bit_equal_verdicts(err.value.verdict, verdict)
         rep = Representation(dims[1], u, v, full_operator_space(dims[0]))
-        assert rep._derivation.map is None
+        assert rep._derivation.maps is None
         counts.clear()
         with pytest.raises(InconsistentPairError) as err:
             rep.derived_map()  # refused from the cached derivation
         assert counts == {}
         _assert_bit_equal_verdicts(err.value.verdict, verdict)
+
+
+def test_a_mixed_family_gives_one_record_and_no_maps(rng):
+    (v, family, _), _ = decision_cases((2, 2), rng)  # v is consistent with good alone
+    (good,) = family.members
+    bad = haar_unitary((2, 2), rng)
+    derivation = maps._derive(v, [good, bad], (0,))
+    assert derivation.maps is None  # the passing member reads no map either
+    tol = v.tol.residual_tol
+    worst = np.max(derivation.residuals, axis=1)
+    assert worst[0] <= tol < worst[1]
+    assert derivation.residual == max(worst)
+    swapped = maps._derive(v, [bad, good], (0,))
+    assert np.array_equal(swapped.residuals, derivation.residuals[::-1])
+    assert swapped.residual == derivation.residual and swapped.maps is None
+
+
+def test_an_inconsistent_family_in_transformation_space_carries_its_verdict(rng):
+    ((v, family, _),) = [case for case in decision_cases((2, 4), rng) if not case[2]]
+    with pytest.raises(InconsistentPairError, match="not consistent for the family") as err:
+        transformation_space(v, family)
+    assert isinstance(err.value, ValueError)
+    _assert_bit_equal_verdicts(err.value.verdict, is_family_consistent(v, family))
 
 
 def test_family_verdict_builds_no_subspace(gibbs_v, phase_family, monkeypatch):

@@ -46,7 +46,7 @@ from beyondcp.catalog import (
     transpose_map,
     transpose_subspace,
 )
-from beyondcp.operators import _reduced_evolution, adjoint_action
+from beyondcp.operators import _reduced_evolution, _reduced_evolution_matrix, adjoint_action
 from beyondcp.sampling import random_density, random_kraus_channel
 
 
@@ -436,7 +436,7 @@ def _unstacked_verify(rep, phi):
         _, r = reduced.coordinates(b)
         domain_residual = max(domain_residual, r)
     basis, dims = rep.subspace.basis_matrix(), rep.subspace.layout.dims
-    evolved = _reduced_evolution(basis, dims, (0,), rep.unitary.entries)
+    evolved = _reduced_evolution_matrix(dims, (0,), rep.unitary.entries) @ basis
     try:
         images = phi._apply_columns(_reduced_evolution(basis, dims, (0,)))
         residual_map = float(np.max(np.linalg.norm(images - evolved, axis=0), initial=0.0))

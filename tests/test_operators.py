@@ -259,10 +259,10 @@ def test_reduced_evolution_matches_per_column_loop(rng, dims, keep):
     cols = rng.standard_normal((n * n, 5)) + 1j * rng.standard_normal((n * n, 5))
     stack = np.array([haar_unitary(dims, rng).entries for _ in range(3)])
     expected = reduced_evolution_oracle(cols, dims, keep, stack)
-    single = _reduced_evolution(cols, dims, keep, stack[0])
+    single = _reduced_evolution_matrix(dims, keep, stack[0]) @ cols
     assert single.shape == expected[0].shape
     assert np.max(np.abs(single - expected[0])) <= 1e-12
-    stacked = _reduced_evolution(cols, dims, keep, stack)
+    stacked = _reduced_evolution_matrix(dims, keep, stack) @ cols
     assert stacked.shape == expected.shape
     assert np.max(np.abs(stacked - expected)) <= 1e-12
 

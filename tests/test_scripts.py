@@ -208,7 +208,8 @@ def test_size_ladder_checks_and_times_a_kraus_dilation_on_each_rung():
     result = _run_script("size_ladder.py", "--sizes", "2x2", "2x4", "--repeat", "1")
     assert result.returncode == 0, result.stderr
     for r in json.loads(result.stdout)["rungs"]:
-        assert list(r["dilations"]) == ["kraus_dilation", "verify_representation"]
+        names = ["kraus_dilation", "verify_representation", "swap_representation"]
+        assert list(r["dilations"]) == names
         for call in r["dilations"].values():
             assert call["status"] == "ok", call
             assert 0 < call["min_s"] < 1 and call["tracemalloc_peak_mb"] > 0
@@ -292,6 +293,37 @@ def test_size_ladder_refuses_a_kraus_dilation_off_its_superoperator():
     assert lines[2].endswith(" from sum conj(M) (x) M")
     assert lines[3] == "None"
     assert lines[4] == "verify_representation: not passed, max residual 0.5"
+
+
+SWAP_CHECK = """
+import sys
+sys.path[:0] = sys.argv[1:]
+import numpy as np
+import size_ladder as ladder
+from beyondcp import kraus_dilation, map_from_kraus, swap_representation
+from beyondcp.sampling import axis_grid_states, random_kraus_channel
+kraus = random_kraus_channel(2, 4, np.random.default_rng(1))
+target = map_from_kraus(kraus)
+s = sum(np.kron(m.entries.conj(), m.entries) for m in kraus)
+rep = swap_representation(target, axis_grid_states(2))
+print(rep.subspace.dim)
+print(ladder.swap_problem(rep, target, s))
+print(ladder.swap_problem(rep, target, s * (1 + 1e-8)))
+print(ladder.swap_problem(kraus_dilation(kraus), target, s))  # a valid triple off the sector
+"""
+
+
+def test_size_ladder_refuses_a_swap_representation_off_its_references():
+    paths = [str(ROOT / d) for d in ("src", "scripts", "perfbench")]
+    result = subprocess.run(
+        [sys.executable, "-c", SWAP_CHECK, *paths], capture_output=True, text=True, timeout=120
+    )
+    assert result.returncode == 0, result.stderr
+    lines = result.stdout.splitlines()
+    assert lines[:2] == ["10", "None"]
+    assert lines[2].startswith("swap_representation: derived map ")
+    assert lines[2].endswith(" from sum conj(M) (x) M")
+    assert lines[3] == "swap_representation: joint subspace dimension 4, expected 10"
 
 
 MAP_CHECK = """

@@ -891,7 +891,7 @@ def test_cli_lets_a_programming_error_propagate(capsys, tmp_path, monkeypatch, e
     def broken(*args, **kwargs):
         raise error("a bug, not an input error")
 
-    monkeypatch.setattr(cli_module, "_derive_pair", broken)
+    monkeypatch.setattr(cli_module, "_derive", broken)
     sub, uni = _near_cut_pair(tmp_path, 2e-9)
     with pytest.raises(error, match="a bug"):
         run_cli(["derive-map", "--subspace", sub, "--unitary", uni])
@@ -1035,6 +1035,39 @@ def test_cli_catalog_passes_from_the_rank_cut_floor_up(capsys, topic, value):
 def test_cli_violations_rejects_empty_sample(capsys, pairs):
     assert run_cli(["violations", "--epsilon", "0.1", "--pairs", pairs]) == 2
     assert capsys.readouterr().out == ""
+
+
+@pytest.mark.parametrize("flag", ["--positivity", "--positive-domain"])
+@pytest.mark.parametrize("count", ["0", "-1"])
+def test_cli_analyze_map_count_flags_name_their_source(capsys, tmp_path, flag, count):
+    path = _write(tmp_path, "m.json", emit_map(identity_map((2,))))
+    assert run_cli(["analyze-map", "--map", path, flag, count]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert f"argument {flag}: must be a positive integer, got {count}\n" in captured.err
+
+
+def test_the_zero_subspace_is_refused_once_for_every_route(capsys, tmp_path):
+    from beyondcp import Representation, derive_map, full_operator_space
+    from beyondcp.catalog import controlled_phase_unitary
+
+    zero = parse_subspace({"dims": [2, 2], "basis": []})
+    sub = _write(tmp_path, "zero.json", emit_subspace(zero))
+    refusals = [
+        (controlled_phase_unitary(0.7), "cannot derive a map from a zero-dimensional subspace"),
+        # a non-unitary u is refused first: the family is checked before the subspace
+        (operator(2 * np.eye(4), (2, 2)), "operator is not unitary; ||U^dag U - 1|| = 6.000e+00"),
+    ]
+    for u, message in refusals:
+        with pytest.raises(ValueError) as err:
+            derive_map(zero, u)
+        assert str(err.value) == message
+        with pytest.raises(ValueError) as err:
+            Representation(2, u, zero, full_operator_space(2)).derived_map()
+        assert str(err.value) == message
+        uni = _write(tmp_path, "u.json", emit_operator(u))
+        assert run_cli(["derive-map", "--subspace", sub, "--unitary", uni]) == 2
+        assert capsys.readouterr() == ("", f"error: {message}\n")
 
 
 def test_cli_csv_format(capsys):
